@@ -4,8 +4,12 @@ Two independent algorithms decide the frameproof property:
 
 * :func:`is_frameproof_naive` enumerates every coalition of at most c
   codewords and intersects its descendant set with the code;
-* :func:`is_frameproof_cover` asks, for each codeword x, whether the
-  agreement sets of at most c other codewords can cover every position.
+* :func:`is_frameproof_cover` builds a projection index: for every
+  proper non-empty position set S it marks the words whose projection
+  onto S is shared with another word.  A word x can be framed exactly
+  when at most c shared sets of x cover every position.  The cost is
+  O(M * 2^l), metered in projections plus cover-search nodes, and the
+  witness frames the smallest framable word.
 
 They always agree; having both lets each one act as an oracle for the
 other and for every construction in the package.
@@ -14,9 +18,10 @@ other and for every construction in the package.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ProcessPoolExecutor
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
+from operator import itemgetter
 
 from .codes import BudgetExceeded, Code, Witness
 
@@ -107,99 +112,86 @@ def is_frameproof_naive(code: Code, c: int, budget: int = NAIVE_BUDGET) -> Verif
     return VerifyReport(True, None, examined, time.perf_counter() - start)
 
 
-def _scan_cover_range(words, length: int, c: int, lo: int, hi: int):
-    """Search x in words[lo:hi] for a <=c agreement-set cover of all positions.
+def _projection(mask: int) -> itemgetter:
+    return itemgetter(*(pos for pos in range(mask.bit_length()) if (mask >> pos) & 1))
 
-    Returns ``(found, nodes)`` where found is None or
-    ``(x_index, coalition_words, x)``.
+
+def _cover(shared: int, length: int, c: int, meter: list[int]) -> tuple[int, ...] | None:
+    """At most c maximal sets among those in the bitset ``shared`` that cover [l].
+
+    Shared sets are closed under subsets, so a cover needs only the maximal
+    ones.  ``meter`` is ``[work done, budget]``; each search node adds one.
     """
     full = (1 << length) - 1
-    nodes = 0
-    for xi in range(lo, hi):
-        x = words[xi]
-        rep: dict[int, tuple] = {}
-        for y in words:
-            if y == x:
-                continue
-            mask = 0
-            for pos in range(length):
-                if y[pos] == x[pos]:
-                    mask |= 1 << pos
-            if mask and mask not in rep:
-                rep[mask] = y
-        union = 0
-        for mask in rep:
-            union |= mask
-        if union != full:
-            continue
-        masks = sorted(rep)
-        by_pos = [[m for m in masks if (m >> pos) & 1] for pos in range(length)]
-        chosen: list[int] = []
+    masks = [m for m in range(1, full) if (shared >> m) & 1 and not any(
+        (shared >> (m | 1 << pos)) & 1 for pos in range(length) if not (m >> pos) & 1)]
+    by_pos = [[m for m in masks if (m >> pos) & 1] for pos in range(length)]
+    chosen: list[int] = []
 
-        def dfs(covered: int) -> bool:
-            nonlocal nodes
-            nodes += 1
-            if covered == full:
-                return True
-            if len(chosen) == c:
-                return False
-            pos = ((~covered) & full & -((~covered) & full)).bit_length() - 1
-            for m in by_pos[pos]:
-                if m & ~covered:
-                    chosen.append(m)
-                    if dfs(covered | m):
-                        return True
-                    chosen.pop()
+    def dfs(covered: int) -> bool:
+        meter[0] += 1
+        if meter[0] > meter[1]:
+            raise BudgetExceeded(
+                f"cover verification budget of {meter[1]} exceeded", examined=meter[0] - 1
+            )
+        if covered == full:
+            return True
+        if len(chosen) == c:
             return False
+        open_ = ~covered & full
+        for m in by_pos[(open_ & -open_).bit_length() - 1]:
+            chosen.append(m)
+            if dfs(covered | m):
+                return True
+            chosen.pop()
+        return False
 
-        if dfs(0):
-            coalition = tuple(sorted(rep[m] for m in chosen))
-            return (xi, coalition, x), nodes
-    return None, nodes
+    return tuple(chosen) if dfs(0) else None
 
 
-def _cover_chunk(args):
-    return _scan_cover_range(*args)
+def is_frameproof_cover(code: Code, c: int, budget: int = NAIVE_BUDGET) -> VerifyReport:
+    """Decide c-frameproofness with a projection index and a set-cover search.
 
-
-def is_frameproof_cover(code: Code, c: int, jobs: int = 1) -> VerifyReport:
-    """Decide c-frameproofness via exact depth-<=c set-cover search.
-
-    A codeword x can be framed iff the agreement sets A_y = {i : y_i =
-    x_i} of at most c codewords y != x cover every position.  Agreement
-    masks are deduplicated before the search, which keeps the per-word
-    cost tiny for the star-structured codes built here.  With ``jobs``
-    > 1 the scan over x parallelises across processes; the reported
-    witness is then still the one with the smallest x, matching the
-    single-worker result.  ``subsets_examined`` counts search nodes.
+    A position set S is shared for x when some word y != x has x's
+    projection onto S.  x can be framed by at most c words exactly when at
+    most c shared sets cover every position.  The index takes M
+    projections for each of the 2^l - 2 proper non-empty S, O(M * 2^l) in
+    all; the depth-<=c search over maximal shared sets then runs once per
+    distinct pattern of shared sets.  Words are scanned in sort order, so
+    the witness frames the smallest framable word, with the first word in
+    sort order sharing each chosen set as its coalition.  Work is metered
+    in projections plus search nodes, reported as ``subsets_examined``;
+    an index larger than ``budget`` is refused before it is built, and
+    either way :class:`BudgetExceeded` is raised.
     """
     if c < 2:
         raise ValueError("c must be at least 2")
     start = time.perf_counter()
     words = code.words
-    big_m = len(words)
-    if jobs > 1 and big_m > 1:
-        step = -(-big_m // jobs)
-        chunks = [
-            (words, code.length, c, lo, min(lo + step, big_m))
-            for lo in range(0, big_m, step)
-        ]
-        nodes = 0
-        best = None
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for found, n in pool.map(_cover_chunk, chunks):
-                nodes += n
-                if found is not None and (best is None or found[0] < best[0]):
-                    best = found
-        found = best
-    else:
-        found, nodes = _scan_cover_range(words, code.length, c, 0, big_m)
-    elapsed = time.perf_counter() - start
-    if found is None:
-        return VerifyReport(True, None, nodes, elapsed)
-    _, coalition, x = found
-    witness = Witness(kind="framed", coalition=coalition, framed_word=x)
-    return VerifyReport(False, witness, nodes, elapsed)
+    full = (1 << code.length) - 1
+    meter = [len(words) * (full - 1), budget]
+    if meter[0] > budget:
+        raise BudgetExceeded(f"cover verification budget of {budget} is below the "
+                             f"{meter[0]} projections of the index", examined=0)
+    # one count table at a time, so memory does not grow with 2^l
+    shared = [0] * len(words)
+    for mask in range(1, full):
+        keys = list(map(_projection(mask), words))
+        counts = Counter(keys)
+        shared = [s | 1 << mask if counts[k] > 1 else s for s, k in zip(shared, keys)]
+    covers: dict[int, tuple[int, ...] | None] = {}
+    for x, pattern in zip(words, shared):
+        if pattern not in covers:
+            covers[pattern] = _cover(pattern, code.length, c, meter)
+        if covers[pattern] is None:
+            continue
+        coalition = set()
+        for mask in covers[pattern]:
+            key = _projection(mask)
+            coalition.add(next(y for y in words if y != x and key(y) == key(x)))
+        witness = Witness(kind="framed", coalition=tuple(sorted(coalition)), framed_word=x)
+        return VerifyReport(False, witness, meter[0], time.perf_counter() - start)
+    return VerifyReport(True, None, meter[0], time.perf_counter() - start)
 
 
 def is_t_determined(code: Code, t: int) -> VerifyReport:

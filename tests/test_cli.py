@@ -77,8 +77,15 @@ class TestVerify:
         assert run(["--budget", "5", "verify", "--c", "2", "--algorithm", "naive",
                     str(path)]) == 2
 
+    def test_cover_budget_exit_two(self, tmp_path):
+        path = tmp_path / "big.fpc"
+        write_code_file(base_code("q5"), path)
+        assert run(["--budget", "5", "verify", "--c", "2", "--algorithm", "cover",
+                    str(path)]) == 2
+
     def test_jobs_flag(self, base_file):
-        assert run(["--jobs", "2", "verify", "--c", "2", str(base_file)]) == 0
+        # the verifiers run in one process; the flag is gone
+        assert run(["--jobs", "2", "verify", "--c", "2", str(base_file)]) == 64
 
     def test_missing_file(self):
         assert run(["verify", "--c", "2", "nope.fpc"]) == 64

@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -9,14 +10,43 @@ from helpers import plant_framing, random_code
 from frameproof import (
     BudgetExceeded,
     base_code,
+    descendant_contains,
+    execute_plan,
     framed_witness_holds,
     is_frameproof_cover,
     is_frameproof_naive,
     is_t_determined,
     make_code,
+    plan_code,
 )
 
 FRAMABLE = make_code(2, 2, [(0, 1), (1, 0), (0, 0)])
+
+
+def smallest_framable(code, c):
+    """Brute reference: the smallest word some <=c other words can produce."""
+    for x in code.words:
+        others = [y for y in code.words if y != x]
+        for k in range(1, min(c, len(others)) + 1):
+            if any(descendant_contains(p, x) for p in combinations(others, k)):
+                return x
+    return None
+
+
+@st.composite
+def codes_with_c(draw):
+    """Codes of length 1..6 (single words included), half with a planted framing."""
+    length = draw(st.integers(1, 6))
+    q = draw(st.integers(2, 4))
+    word = st.tuples(*[st.integers(0, q - 1)] * length)
+    words = draw(st.sets(word, min_size=1, max_size=8))
+    c = draw(st.integers(2, 4))
+    if draw(st.booleans()):
+        pool = sorted(words)
+        coalition = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=c))
+        owners = draw(st.lists(st.sampled_from(coalition), min_size=length, max_size=length))
+        words.add(tuple(y[pos] for pos, y in enumerate(owners)))
+    return make_code(length, q, sorted(words)), c
 
 
 class TestNaive:
@@ -61,13 +91,25 @@ class TestCover:
         assert report.witness.framed_word == (0, 0)
         assert framed_witness_holds(report.witness)
 
-    def test_parallel_matches_serial(self):
-        code = base_code("q5")
-        serial = is_frameproof_cover(code, 2)
-        parallel = is_frameproof_cover(code, 2, jobs=2)
-        assert serial.verdict == parallel.verdict is True
-        bad = FRAMABLE
-        assert is_frameproof_cover(bad, 2, jobs=2).verdict is False
+    def test_reports_are_deterministic(self):
+        for code in (base_code("q5"), FRAMABLE):
+            first, second = is_frameproof_cover(code, 2), is_frameproof_cover(code, 2)
+            assert (first.verdict, first.witness, first.subsets_examined) == (
+                second.verdict, second.witness, second.subsets_examined)
+        assert is_frameproof_cover(FRAMABLE, 2).witness.coalition == ((0, 1), (1, 0))
+
+    def test_examined_counts_projections_and_search_nodes(self):
+        # 3 words x 2 proper position sets, then 3 search nodes for (0, 0)
+        assert is_frameproof_cover(FRAMABLE, 2).subsets_examined == 6 + 3
+        assert not is_frameproof_cover(FRAMABLE, 2, budget=9).verdict
+
+    def test_budget_exceeded(self):
+        with pytest.raises(BudgetExceeded) as exc:
+            is_frameproof_cover(base_code("q5"), 2, budget=10)
+        assert exc.value.examined == 0
+        with pytest.raises(BudgetExceeded) as exc:
+            is_frameproof_cover(FRAMABLE, 2, budget=8)
+        assert exc.value.examined == 8
 
     def test_agrees_with_naive_on_planted_violations(self):
         rng = random.Random(404)
@@ -102,8 +144,6 @@ class TestCover:
     def test_verdicts_match_literal_definition(self, seed, c):
         # ground truth straight from the definition: desc(P) & C == P for
         # every coalition P of size <= c, via actual set enumeration
-        from itertools import combinations
-
         from frameproof import enumerate_descendants
 
         code = random_code(random.Random(seed), max_q=4, max_l=3, max_size=8)
@@ -118,6 +158,42 @@ class TestCover:
                 break
         assert is_frameproof_naive(code, c).verdict == expected
         assert is_frameproof_cover(code, c).verdict == expected
+
+    @given(codes_with_c())
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    def test_witness_frames_the_smallest_framable_word(self, case):
+        code, c = case
+        expected = smallest_framable(code, c)
+        assert is_frameproof_naive(code, c).verdict == (expected is None)
+        report = is_frameproof_cover(code, c)
+        assert report.verdict == (expected is None)
+        if expected is not None:
+            witness = report.witness
+            assert witness.framed_word == expected
+            assert witness.framed_word not in witness.coalition
+            assert len(set(witness.coalition)) == len(witness.coalition) <= c
+            assert set(witness.coalition) <= set(code.words)
+            assert framed_witness_holds(witness)
+
+
+class TestCoverAtPlanSizes:
+    @pytest.mark.parametrize("c, q", [(2, 31), (2, 45), (2, 101), (3, 40)])
+    def test_plan_codes_are_frameproof(self, c, q):
+        assert is_frameproof_cover(execute_plan(plan_code(c, q)), c).verdict
+
+    def test_planted_framing_near_the_start(self):
+        code = execute_plan(plan_code(2, 45))
+        present = set(code.words)
+        a, b = code.words[3], code.words[7]
+        candidates = ((a[0], b[1], a[2], b[3]), (a[0], a[1], b[2], b[3]), (a[0], b[1], b[2], a[3]))
+        planted = next(x for x in candidates if x not in present)
+        bad = make_code(code.length, code.q, code.words + (planted,), inf_id=code.inf_id)
+        report = is_frameproof_cover(bad, 2)
+        assert not report.verdict
+        witness = report.witness
+        assert witness.framed_word <= planted
+        assert len(witness.coalition) <= 2 and set(witness.coalition) <= set(bad.words)
+        assert framed_witness_holds(witness)
 
 
 class TestTDetermined:
