@@ -11,14 +11,12 @@ every claimed property with independent exhaustive oracles.
 from .codes import (
     BudgetExceeded,
     Code,
-    PairAlphabet,
     Witness,
     apply_coordinate_permutation,
     code_from_text,
     code_to_text,
     descendant_contains,
     enumerate_descendants,
-    flatten_pair_alphabet,
     framed_witness_holds,
     make_code,
     read_code_file,
@@ -86,7 +84,6 @@ __all__ = [
     "ConstructionPlan",
     "Field",
     "OrthogonalArray",
-    "PairAlphabet",
     "VerifyReport",
     "Witness",
     "achieved_rate",
@@ -104,7 +101,6 @@ __all__ = [
     "execute_plan",
     "execute_steps",
     "factor_prime_powers",
-    "flatten_pair_alphabet",
     "format_plan",
     "framed_witness_holds",
     "is_frameproof_cover",

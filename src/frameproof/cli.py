@@ -7,6 +7,7 @@ Exit status contract: 0 success / property holds, 1 property violated
 from __future__ import annotations
 
 import argparse
+import itertools
 import random
 import sys
 
@@ -59,12 +60,17 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _build_parser() -> _Parser:
-    parser = _Parser(prog="frameproof", description=__doc__)
+def _global_options() -> _Parser:
+    parser = _Parser(add_help=False)
     parser.add_argument("--seed", type=int, default=0, help="seed for randomized checks")
     parser.add_argument("--budget", type=int, default=NAIVE_BUDGET,
                         help="work budget for the verifiers")
     parser.add_argument("--quiet", action="store_true", help="suppress per-item output")
+    return parser
+
+
+def _build_parser() -> _Parser:
+    parser = _Parser(prog="frameproof", description=__doc__, parents=[_global_options()])
     sub = parser.add_subparsers(dest="command")
 
     p = sub.add_parser("construct", help="build a code and write it to a file")
@@ -398,10 +404,23 @@ _DISPATCH = {
 }
 
 
-def run(argv) -> int:
-    parser = _build_parser()
+def _parse(argv) -> argparse.Namespace:
     try:
-        args = parser.parse_args(argv)
+        return _build_parser().parse_args(argv)
+    except _UsageError:
+        # argparse sets an unknown global flag aside and reads the value after
+        # it as the subcommand; name the flag rather than that value
+        head = list(itertools.takewhile(lambda tok: tok not in _DISPATCH, argv))
+        _, extra = _global_options().parse_known_args(head)
+        flag = next((tok for tok in extra if tok.startswith("-")), None)
+        if flag is None:
+            raise
+        raise _UsageError(f"unrecognized arguments: {flag}") from None
+
+
+def run(argv) -> int:
+    try:
+        args = _parse(argv)
         if args.command is None:
             raise _UsageError("a subcommand is required (see --help)")
         return _DISPATCH[args.command](args)

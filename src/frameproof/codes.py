@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import numbers
 from dataclasses import dataclass
 
 Word = tuple[int, ...]
@@ -45,8 +46,10 @@ class Code:
 def make_code(length: int, q: int, words, inf_id: int | None = None) -> Code:
     """Validate and canonicalise a word collection into a :class:`Code`.
 
-    Duplicate words, wrong lengths, and out-of-range symbols are all
-    rejected with distinct diagnostics.
+    Symbols must be integers (numpy integers are converted; floats,
+    bools, ``None`` and strings are rejected).  Duplicate words, wrong
+    lengths, non-integer and out-of-range symbols are all rejected with
+    distinct diagnostics naming the first offending word.
     """
     if length < 1:
         raise ValueError("length must be a positive integer")
@@ -54,9 +57,28 @@ def make_code(length: int, q: int, words, inf_id: int | None = None) -> Code:
         raise ValueError("alphabet size must be at least 2")
     if inf_id is not None and not 0 <= inf_id < q:
         raise ValueError(f"inf_id {inf_id} out of range 0..{q - 1}")
+    out = [tuple(w) for w in words]
+    flat = list(itertools.chain.from_iterable(out))
+    # One C-level pass for the common case; anything unusual (numpy
+    # integers included) goes through the word-by-word check below.
+    if (
+        set(map(type, flat)) != {int}
+        or set(map(len, out)) != {length}
+        or min(flat) < 0
+        or max(flat) >= q
+        or len(set(out)) != len(out)
+    ):
+        out = _checked_words(out, length, q)
+    return Code(length, q, tuple(sorted(out)), inf_id)
+
+
+def _checked_words(words, length: int, q: int) -> list[Word]:
     seen: set[Word] = set()
     out: list[Word] = []
     for w in words:
+        for v in w:
+            if isinstance(v, bool) or not isinstance(v, numbers.Integral):
+                raise ValueError(f"symbol {v!r} is not an integer in word {w!r}")
         tup = tuple(int(v) for v in w)
         if len(tup) != length:
             raise ValueError(f"word {tup} has length {len(tup)}, expected {length}")
@@ -67,7 +89,7 @@ def make_code(length: int, q: int, words, inf_id: int | None = None) -> Code:
             raise ValueError(f"duplicate word {tup}")
         seen.add(tup)
         out.append(tup)
-    return Code(length, q, tuple(sorted(out)), inf_id)
+    return out
 
 
 def descendant_contains(coalition, word) -> bool:
@@ -121,49 +143,6 @@ def apply_coordinate_permutation(code: Code, position: int, permutation) -> Code
         w[:position] + (sigma[w[position]],) + w[position + 1 :] for w in code.words
     ]
     return Code(code.length, code.q, tuple(sorted(words)), code.inf_id)
-
-
-@dataclass(frozen=True)
-class PairAlphabet:
-    """Bijection between (base symbol, field element) pairs and ``0..q-1``.
-
-    The infinity pair maps to 0; a pair ``(b, y)`` with ``b`` in
-    ``1..s-1`` and ``y`` in ``0..m-1`` maps to ``(b-1)*m + y + 1``, so
-    the flattened alphabet has ``q = (s-1)*m + 1`` symbols.
-    """
-
-    base_size: int  # s: parent alphabet size, infinity included
-    field_order: int  # m
-
-    @property
-    def q(self) -> int:
-        return (self.base_size - 1) * self.field_order + 1
-
-    def flatten(self, b: int, y: int) -> int:
-        if not 1 <= b < self.base_size:
-            raise ValueError(f"base symbol {b} out of range 1..{self.base_size - 1}")
-        if not 0 <= y < self.field_order:
-            raise ValueError(f"field element {y} out of range 0..{self.field_order - 1}")
-        return (b - 1) * self.field_order + y + 1
-
-    def flatten_infinity(self) -> int:
-        return 0
-
-    def unflatten(self, symbol: int) -> tuple[int, int] | None:
-        """Inverse map; the infinity symbol 0 comes back as ``None``."""
-        if not 0 <= symbol < self.q:
-            raise ValueError(f"symbol {symbol} out of range 0..{self.q - 1}")
-        if symbol == 0:
-            return None
-        return (symbol - 1) // self.field_order + 1, (symbol - 1) % self.field_order
-
-
-def flatten_pair_alphabet(s: int, m: int) -> PairAlphabet:
-    if s < 2:
-        raise ValueError("base alphabet size must be at least 2")
-    if m < 2:
-        raise ValueError("field order must be at least 2")
-    return PairAlphabet(s, m)
 
 
 @dataclass(frozen=True)

@@ -1,20 +1,25 @@
-"""Built-in base codes and the alphabet-expanding composition operators."""
+"""Built-in base codes and the alphabet-expanding composition operators.
+
+Every tagged code comes from one operation, :func:`_lift_words`: each
+non-infinity symbol b is paired with the value y of a polynomial over
+GF(m) and flattened to ``(b-1)*m + y + 1``, infinity staying 0.
+:func:`polynomial_lift` applies it with one evaluation point per
+position; the ``q5``/``q10`` fixtures apply it to ``q3``/``q4`` with
+points that follow each word's non-infinity positions.
+"""
 
 from __future__ import annotations
 
 import itertools
 
-from .codes import Code, flatten_pair_alphabet, make_code
+from .codes import Code, make_code
 from .gf import is_prime_power, leading_coeff, make_field
 from .oa import build_oa_strength2, oa_to_pt_code
 from .verify import is_t_determined
 
-# Fixture word patterns.  A plain pattern entry is None for an infinity slot
-# or the shift added to the running index i (symbol (i+shift) mod k, encoded
-# as value+1 with infinity as 0).  A pair pattern entry is None or
-# (shift, point): the symbol is the flattened pair ((i+shift) mod k, f(point))
-# where f runs over the degree-<2 polynomials over GF(m); point None takes
-# f's degree-1 coefficient instead of an evaluation.
+# Fixture word patterns.  A pattern entry is None for an infinity slot or
+# the shift added to the running index i (symbol (i+shift) mod k, encoded
+# as value+1 with infinity as 0).
 _PLAIN_BASES = {
     "q3": (2, (
         (None, 0, 0, 0),
@@ -30,21 +35,8 @@ _PLAIN_BASES = {
         (0, 2, 1, 0, None),
     )),
 }
-_PAIR_BASES = {
-    "q5": (2, 2, (
-        (None, (0, 0), (0, 1), (0, None)),
-        ((0, 0), None, (0, 1), (1, None)),
-        ((0, 0), (1, 1), None, (0, None)),
-        ((0, 0), (0, 1), (1, None), None),
-    )),
-    "q10": (3, 3, (
-        (None, (0, 0), (0, 1), (0, 2), (0, None)),
-        ((0, 0), None, (0, 1), (1, 2), (2, None)),
-        ((0, 0), (0, 1), None, (2, 2), (1, None)),
-        ((0, 0), (1, 1), (2, 2), None, (0, None)),
-        ((0, 0), (2, 1), (1, 2), (0, None), None),
-    )),
-}
+# name -> (plain base, field order of its degree-<2 lift)
+_PAIR_BASES = {"q5": ("q3", 2), "q10": ("q4", 3)}
 
 # name -> (q, length, size, c)
 BASE_CODE_INFO = {
@@ -55,51 +47,63 @@ BASE_CODE_INFO = {
 }
 
 
-def _plain_base_words(k: int, patterns) -> list[tuple[int, ...]]:
-    words = []
-    for pattern in patterns:
-        for i in range(k):
-            words.append(
-                tuple(0 if e is None else (i + e) % k + 1 for e in pattern)
-            )
-    return words
+def _lift_words(words, m: int, t: int, points_of) -> list[tuple[int, ...]]:
+    """The m**t polynomial-tagged children of every word, parent by parent.
 
-
-def _pair_base_words(k: int, m: int, patterns) -> list[tuple[int, ...]]:
+    ``points_of(word)`` gives one evaluation point per position (``None``
+    is the infinity point, whose "value" is the leading coefficient); the
+    point at an infinity position is ignored.  Children follow the
+    polynomials' coefficient order, low degree first.  Each point's m**t
+    values are computed once, so the field is touched O(points * m**t)
+    times however many words are lifted.
+    """
     field = make_field(m)
-    words = []
-    for pattern in patterns:
-        for i in range(k):
-            for coeffs in itertools.product(range(m), repeat=2):
-                word = []
-                for entry in pattern:
-                    if entry is None:
-                        word.append(0)
-                        continue
-                    shift, point = entry
-                    y = (
-                        leading_coeff(coeffs, 2)
-                        if point is None
-                        else field.eval_poly(coeffs, point)
-                    )
-                    word.append(((i + shift) % k) * m + y + 1)
-                words.append(tuple(word))
-    return words
+    polys = list(itertools.product(range(m), repeat=t))
+    stars = (0,) * len(polys)
+    values = {}
+    out = []
+    for word in words:
+        columns = []
+        for b, alpha in zip(word, points_of(word)):
+            if b == 0:
+                columns.append(stars)
+                continue
+            if alpha not in values:
+                values[alpha] = [
+                    leading_coeff(f, t) if alpha is None else field.eval_poly(f, alpha)
+                    for f in polys
+                ]
+            base = (b - 1) * m + 1
+            columns.append([base + y for y in values[alpha]])
+        out.extend(zip(*columns))
+    return out
 
 
 def base_code(name: str) -> Code:
     """One of the four hard-coded 2-determined base codes.
 
-    ``q3``/``q4`` are the small hand patterns over {infinity} + Z_k;
-    ``q5``/``q10`` tag those patterns with degree-<2 polynomial values
-    over GF(2)/GF(3), then flatten the pair alphabet.
+    ``q3``/``q4`` are the small hand patterns over {infinity} + Z_k.
+    ``q5``/``q10`` are the degree-<2 lifts of ``q3``/``q4`` over
+    GF(2)/GF(3); the field is too small for one point per position, so
+    each word's non-infinity positions take ``default_eval_points(m, l-1)``
+    in order.
     """
     if name in _PLAIN_BASES:
         k, patterns = _PLAIN_BASES[name]
-        words = _plain_base_words(k, patterns)
+        words = [
+            tuple(0 if e is None else (i + e) % k + 1 for e in pattern)
+            for pattern in patterns
+            for i in range(k)
+        ]
     elif name in _PAIR_BASES:
-        k, m, patterns = _PAIR_BASES[name]
-        words = _pair_base_words(k, m, patterns)
+        parent, m = _PAIR_BASES[name]
+        pts = default_eval_points(m, BASE_CODE_INFO[name][1] - 1)
+
+        def points_of(word):
+            star = word.index(0)  # one infinity per word; its point is ignored
+            return pts[:star] + (None,) + pts[star:]
+
+        words = _lift_words(base_code(parent).words, m, 2, points_of)
     else:
         raise ValueError(f"unknown base code {name!r}; choose from {sorted(BASE_CODE_INFO)}")
     q, length, size, _ = BASE_CODE_INFO[name]
@@ -145,35 +149,27 @@ def _check_shape(length: int, c: int, t: int) -> None:
         )
 
 
-def polynomial_lift(
-    code: Code,
-    m: int,
-    t: int,
-    c: int,
-    points=None,
-    trust: bool = False,
-) -> Code:
+def polynomial_lift(code: Code, m: int, t: int, c: int, points=None) -> Code:
     """Expand a t-determined code over a larger alphabet with polynomial tags.
 
     Every non-infinity parent symbol b at position j becomes the
-    flattened pair (b, y_j), where for a polynomial f over GF(m) of
-    degree < t
+    flattened pair (b-1)*m + y_j + 1, where for a polynomial f over
+    GF(m) of degree < t
 
         y_j = f(points[j])   at an ordinary evaluation point,
         y_j = lead(f)        when points[j] is the infinity point,
 
-    and infinity positions stay infinity.  Running f over all m**t
+    and infinity positions stay infinity (0).  Running f over all m**t
     polynomials multiplies the size by m**t and grows the alphabet to
     q = (s-1)*m + 1.  Two distinct output words can agree in at most
     t-1 non-infinity positions (t agreements would force equal parents
     and equal polynomials), so the result is again c-frameproof and
     t-determined whenever length = c*(t-1)+r with r in {t..c}.
 
-    The parent's t-determinedness is re-verified unless ``trust`` is
-    set; its frameproofness follows from that check and the length
-    arithmetic, so no expensive coalition search runs here.
+    The parent's t-determinedness is re-verified on every call; its
+    frameproofness follows from that check and the length arithmetic,
+    so no expensive coalition search runs here.
     """
-    s = code.q
     length = code.length
     if code.inf_id != 0:
         raise ValueError("parent code must designate infinity as symbol 0")
@@ -187,47 +183,31 @@ def polynomial_lift(
         if points is None
         else _check_eval_points(points, m, length)
     )
-    if not trust:
-        report = is_t_determined(code, t)
-        if not report.verdict:
-            raise ValueError(f"parent code is not {t}-determined: {report.witness}")
-    field = make_field(m)
-    pair = flatten_pair_alphabet(s, m)
-    out = []
-    for parent in code.words:
-        for coeffs in itertools.product(range(m), repeat=t):
-            word = []
-            for b, alpha in zip(parent, pts):
-                if b == 0:
-                    word.append(0)
-                elif alpha is None:
-                    word.append(pair.flatten(b, leading_coeff(coeffs, t)))
-                else:
-                    word.append(pair.flatten(b, field.eval_poly(coeffs, alpha)))
-            out.append(tuple(word))
-    lifted = make_code(length, pair.q, out, inf_id=0)
+    report = is_t_determined(code, t)
+    if not report.verdict:
+        raise ValueError(f"parent code is not {t}-determined: {report.witness}")
+    out = _lift_words(code.words, m, t, lambda word: pts)
+    lifted = make_code(length, (code.q - 1) * m + 1, out, inf_id=0)
     assert lifted.size == code.size * m**t
     return lifted
 
 
-def augment_infinity(code: Code, c: int, t: int, trust: bool = False) -> Code:
+def augment_infinity(code: Code, c: int, t: int) -> Code:
     """Adjoin the all-infinity word to a t-determined code.
 
     The enlarged code is still c-frameproof: coalition members carry too
     few infinity entries to assemble the new word, and the new word
     contributes nothing towards framing anybody else.  The output is no
-    longer t-determined, so augmentation must come after all lifts.
+    longer t-determined, so augmentation must come after all lifts (a
+    second augmentation fails the t-determined check).
     """
     if code.inf_id is None:
         raise ValueError("code has no infinity symbol")
     _check_shape(code.length, c, t)
-    if not trust:
-        report = is_t_determined(code, t)
-        if not report.verdict:
-            raise ValueError(f"code is not {t}-determined: {report.witness}")
+    report = is_t_determined(code, t)
+    if not report.verdict:
+        raise ValueError(f"code is not {t}-determined: {report.witness}")
     all_inf = (code.inf_id,) * code.length
-    if all_inf in code.words:
-        raise ValueError("all-infinity word already present")
     return make_code(code.length, code.q, code.words + (all_inf,), code.inf_id)
 
 

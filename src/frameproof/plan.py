@@ -16,22 +16,6 @@ from .codes import Code
 from .construct import BASE_CODE_INFO, augment_infinity, base_code, polynomial_lift
 from .gf import factor_prime_powers, is_prime_power
 
-__all__ = [
-    "ConstructionPlan",
-    "BoundReport",
-    "plan_c2",
-    "plan_c3",
-    "plan_code",
-    "execute_steps",
-    "execute_plan",
-    "format_plan",
-    "factor_prime_powers",
-    "ssw_bound",
-    "blackburn_leading",
-    "achieved_rate",
-    "bound_report",
-]
-
 Step = tuple  # ("base", name) | ("lift", m) | ("augment",)
 
 
@@ -79,37 +63,23 @@ def _largest_odd_prime_power_factor(n: int, minimum: int) -> int:
     return best
 
 
-def _chain_c2(q: int) -> list[Step]:
-    # 2-determined 2-frameproof length-4 code of size 2*(q-1)**2
-    if q == 3:
-        return [("base", "q3")]
-    if q == 5:
-        return [("base", "q5")]
-    m = (q - 1) // 2
+def _chain(c: int, q: int) -> list[Step]:
+    # 2-determined c-frameproof length-(c+2) code of size (c+2)/c*(q-1)**2
+    bases = {info[0]: name for name, info in BASE_CODE_INFO.items() if info[3] == c}
+    if q in bases:
+        return [("base", bases[q])]
+    m = (q - 1) // c
     if is_prime_power(m) is not None:
-        return [("base", "q3"), ("lift", m)]
-    pe = _largest_odd_prime_power_factor(m, 3)
-    return _chain_c2(2 * m // pe + 1) + [("lift", pe)]
-
-
-def _chain_c3(q: int) -> list[Step]:
-    # 2-determined 3-frameproof length-5 code of size 5/3*(q-1)**2
-    if q == 4:
-        return [("base", "q4")]
-    if q == 10:
-        return [("base", "q10")]
-    m = (q - 1) // 3  # odd, and >= 5 unless q == 10
-    if is_prime_power(m) is not None:
-        return [("base", "q4"), ("lift", m)]
-    pe = _largest_odd_prime_power_factor(m, 5)
-    return _chain_c3(3 * m // pe + 1) + [("lift", pe)]
+        return [("base", bases[c + 1]), ("lift", m)]
+    pe = _largest_odd_prime_power_factor(m, c + 1)
+    return _chain(c, c * m // pe + 1) + [("lift", pe)]
 
 
 def plan_c2(q: int) -> ConstructionPlan:
     """Plan a q-ary 2-frameproof length-4 code of size 2*(q-1)**2 + 1, q odd."""
     if q < 3 or q % 2 == 0:
         raise ValueError(f"q must be odd and at least 3, got {q}")
-    steps = tuple(_chain_c2(q)) + (("augment",),)
+    steps = tuple(_chain(2, q)) + (("augment",),)
     return ConstructionPlan(2, 4, q, 2 * (q - 1) ** 2 + 1, steps, "c2")
 
 
@@ -117,7 +87,7 @@ def plan_c3(q: int) -> ConstructionPlan:
     """Plan a q-ary 3-frameproof length-5 code of size 5/3*(q-1)**2 + 1, q = 4 mod 6."""
     if q < 4 or q % 6 != 4:
         raise ValueError(f"q must be congruent to 4 mod 6, got {q}")
-    steps = tuple(_chain_c3(q)) + (("augment",),)
+    steps = tuple(_chain(3, q)) + (("augment",),)
     return ConstructionPlan(3, 5, q, 5 * (q - 1) ** 2 // 3 + 1, steps, "c3")
 
 

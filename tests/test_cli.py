@@ -83,9 +83,10 @@ class TestVerify:
         assert run(["--budget", "5", "verify", "--c", "2", "--algorithm", "cover",
                     str(path)]) == 2
 
-    def test_jobs_flag(self, base_file):
+    def test_jobs_flag(self, base_file, capsys):
         # the verifiers run in one process; the flag is gone
         assert run(["--jobs", "2", "verify", "--c", "2", str(base_file)]) == 64
+        assert "--jobs" in capsys.readouterr().err
 
     def test_missing_file(self):
         assert run(["verify", "--c", "2", "nope.fpc"]) == 64

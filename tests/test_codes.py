@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,7 +13,6 @@ from frameproof import (
     code_to_text,
     descendant_contains,
     enumerate_descendants,
-    flatten_pair_alphabet,
     is_frameproof_naive,
     make_code,
 )
@@ -65,6 +65,24 @@ class TestMakeCode:
     def test_words_sorted(self):
         code = make_code(2, 3, [(2, 0), (0, 1), (1, 1)])
         assert code.words == ((0, 1), (1, 1), (2, 0))
+
+    @pytest.mark.parametrize(
+        "word", [(1.7, 2), (True, 0), (np.bool_(False), 1), (None, 1), ("1", 2), "12"]
+    )
+    def test_non_integer_rejected(self, word):
+        with pytest.raises(ValueError, match="not an integer in word"):
+            make_code(2, 3, [(0, 1), word])
+
+    def test_numpy_integers_accepted(self):
+        code = make_code(2, 3, [np.array([2, 0]), (np.int64(0), np.uint8(1))])
+        assert code.words == ((0, 1), (2, 0))
+        assert all(type(v) is int for w in code.words for v in w)
+
+    def test_first_bad_word_is_reported(self):
+        with pytest.raises(ValueError, match=r"length 1"):
+            make_code(2, 3, [(0, 1), (1,), (1, 1), (1, 1)])
+        with pytest.raises(ValueError, match=r"duplicate word \(1, 1\)"):
+            make_code(2, 3, [(0, 1), (1, 1), (1, 1), (1, 5)])
 
 
 class TestDescendants:
@@ -178,42 +196,6 @@ class TestCoordinatePermutation:
                     is_frameproof_naive(code, c).verdict
                     == is_frameproof_naive(moved, c).verdict
                 )
-
-
-class TestPairAlphabet:
-    def test_mapping_values(self):
-        pa = flatten_pair_alphabet(3, 3)
-        assert pa.q == 7
-        assert pa.flatten_infinity() == 0
-        assert pa.flatten(1, 0) == 1
-        assert pa.flatten(2, 2) == 6
-
-    def test_small_image(self):
-        pa = flatten_pair_alphabet(2, 2)
-        image = {pa.flatten_infinity()} | {
-            pa.flatten(b, y) for b in range(1, 2) for y in range(2)
-        }
-        assert image == {0, 1, 2}
-        assert pa.q == 3
-
-    def test_q_formula(self):
-        assert flatten_pair_alphabet(4, 4).q == 13
-
-    def test_roundtrip(self):
-        pa = flatten_pair_alphabet(4, 5)
-        assert pa.unflatten(0) is None
-        for b in range(1, 4):
-            for y in range(5):
-                assert pa.unflatten(pa.flatten(b, y)) == (b, y)
-
-    def test_validation(self):
-        pa = flatten_pair_alphabet(3, 4)
-        with pytest.raises(ValueError):
-            pa.flatten(0, 1)
-        with pytest.raises(ValueError):
-            pa.flatten(1, 4)
-        with pytest.raises(ValueError):
-            flatten_pair_alphabet(1, 4)
 
 
 class TestFileFormat:

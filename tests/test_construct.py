@@ -1,22 +1,78 @@
+import hashlib
+import itertools
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from frameproof import (
     BASE_CODE_INFO,
     augment_infinity,
     base_code,
+    code_to_text,
     default_eval_points,
-    flatten_pair_alphabet,
+    execute_plan,
     is_frameproof_cover,
     is_frameproof_naive,
     is_t_determined,
     make_code,
+    make_field,
     oa_family_code,
     oa_lift,
+    plan_c2,
+    plan_c3,
     polynomial_lift,
     ssw_bound,
 )
+
+# sha256 of code_to_text: the bytes every construction must keep producing.
+PINNED_CODES = {
+    "base q3": (
+        lambda: base_code("q3"),
+        "3e3478fd4509cccfd97bad6af23013bed042d2aa81ace7055c8007e2425d2a44",
+    ),
+    "base q4": (
+        lambda: base_code("q4"),
+        "0d0dd5bc6cec5dc21cde2a9ee7e1ac67f7612614a1c9e6cdfb45c0795dcf2454",
+    ),
+    "base q5": (
+        lambda: base_code("q5"),
+        "3789291a17da72c63ff79e3e05e7dec952e7bcac39904c85c1097889f62ef9f0",
+    ),
+    "base q10": (
+        lambda: base_code("q10"),
+        "c2911e603fd9066689b6862979f454e44f9c4f89dc8823128de4831306f03c7a",
+    ),
+    "plan c2 q45": (
+        lambda: execute_plan(plan_c2(45)),
+        "a9408637097c4f3645c2d861eca2da1eb3e4e476086ac0d6f2fa9f4da9e2d3b9",
+    ),
+    "plan c2 q61": (
+        lambda: execute_plan(plan_c2(61)),
+        "df62549809366b285b540546e01c47f7d6ab8d10ea1baa4caaf42086ce05e6c7",
+    ),
+    "plan c2 q101": (
+        lambda: execute_plan(plan_c2(101)),
+        "ccb822325c905f2736b0ea3d0178c0b2a92da9140ff85ba60cbcdb75ec19cf30",
+    ),
+    "plan c3 q40": (
+        lambda: execute_plan(plan_c3(40)),
+        "e87029eb81e7365012a60f82702b06ea847be8680b04c4e719b5f7791c9e635f",
+    ),
+    "plan c3 q136": (
+        lambda: execute_plan(plan_c3(136)),
+        "56eb15104813848ab9d04d55ccbad97860f6ed00bffb568ed1dcfaa7dfd42da4",
+    ),
+    "oa family c3 m4": (
+        lambda: oa_family_code(3, 4),
+        "43ad299763b3f50b22d17408e7a9752a5d76f1c58b47da8e5abe13bc550eb753",
+    ),
+    "q3 lift m5 custom points": (
+        lambda: polynomial_lift(base_code("q3"), 5, 2, 2, points=(4, 2, None, 0)),
+        "0d1d760ff53e9aa4c0ee7426ec689b4846a4366a2cd5958fb6a3c585333aa9ad",
+    ),
+}
 
 
 class TestBaseCodes:
@@ -44,9 +100,26 @@ class TestBaseCodes:
         assert is_frameproof_naive(base_code("q4"), 3).verdict
         assert is_frameproof_naive(base_code("q5"), 2).verdict
 
+    def test_pair_bases_lift_the_plain_ones(self):
+        for name, parent, m in (("q5", "q3", 2), ("q10", "q4", 3)):
+            counts = Counter(
+                tuple(0 if sym == 0 else (sym - 1) // m + 1 for sym in w)
+                for w in base_code(name).words
+            )
+            assert counts == {w: m**2 for w in base_code(parent).words}, name
+
     def test_unknown_name(self):
         with pytest.raises(ValueError):
             base_code("q6")
+
+
+class TestConstructionBytes:
+    def test_code_text_digests(self):
+        got = {
+            label: hashlib.sha256(code_to_text(build()).encode()).hexdigest()
+            for label, (build, _) in PINNED_CODES.items()
+        }
+        assert got == {label: digest for label, (_, digest) in PINNED_CODES.items()}
 
 
 class TestEvalPoints:
@@ -78,14 +151,9 @@ class TestPolynomialLift:
         parent = base_code("q3")
         m = 3
         lifted = polynomial_lift(parent, m, 2, 2)
-        pair = flatten_pair_alphabet(parent.q, m)
 
         def project(word):
-            out = []
-            for sym in word:
-                split = pair.unflatten(sym)
-                out.append(0 if split is None else split[0])
-            return tuple(out)
+            return tuple(0 if sym == 0 else (sym - 1) // m + 1 for sym in word)
 
         counts = Counter(project(w) for w in lifted.words)
         assert counts == {w: m**2 for w in parent.words}
@@ -101,11 +169,26 @@ class TestPolynomialLift:
         assert a.size == b.size == 200
         assert is_t_determined(a, 2).verdict and is_t_determined(b, 2).verdict
 
-    def test_trust_skips_revalidation(self):
+    @settings(max_examples=30, deadline=None)
+    @given(st.data())
+    def test_tags_are_polynomial_values(self, data):
+        m = data.draw(st.sampled_from([3, 4, 5, 7, 8, 9]))
+        points = data.draw(st.permutations(list(range(m)) + [None]))[:4]
         parent = base_code("q3")
-        assert polynomial_lift(parent, 3, 2, 2, trust=True) == polynomial_lift(
-            parent, 3, 2, 2
-        )
+        lifted = polynomial_lift(parent, m, 2, 2, points=points)
+        field = make_field(m)
+
+        def tag(f, p):  # f = f0 + f1*X; the infinity point reads f1
+            return f[1] if p is None else field.add(f[0], field.mul(f[1], p))
+
+        expected = {
+            tuple(0 if b == 0 else (b - 1) * m + tag(f, p) + 1 for b, p in zip(w, points))
+            for w in parent.words
+            for f in itertools.product(range(m), repeat=2)
+        }
+        assert set(lifted.words) == expected
+        assert lifted.q == 2 * m + 1
+        assert is_t_determined(lifted, 2).verdict
 
     def test_preconditions(self):
         parent = base_code("q3")
@@ -139,11 +222,8 @@ class TestAugment:
 
     def test_double_augment_rejected(self):
         bigger = augment_infinity(base_code("q3"), 2, 2)
-        with pytest.raises(ValueError, match="already present|determined"):
+        with pytest.raises(ValueError, match="determined"):
             augment_infinity(bigger, 2, 2)
-        # even with trust, the duplicate is caught
-        with pytest.raises(ValueError, match="already present"):
-            augment_infinity(bigger, 2, 2, trust=True)
 
     def test_requires_infinity(self):
         with pytest.raises(ValueError):
