@@ -72,12 +72,17 @@ def make_code(length: int, q: int, words, inf_id: int | None = None) -> Code:
     return Code(length, q, tuple(sorted(out)), inf_id)
 
 
+def is_integer(v) -> bool:
+    """True for ints and numpy integers; False for bools, floats, ``None`` and strings."""
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
 def _checked_words(words, length: int, q: int) -> list[Word]:
     seen: set[Word] = set()
     out: list[Word] = []
     for w in words:
         for v in w:
-            if isinstance(v, bool) or not isinstance(v, numbers.Integral):
+            if not is_integer(v):
                 raise ValueError(f"symbol {v!r} is not an integer in word {w!r}")
         tup = tuple(int(v) for v in w)
         if len(tup) != length:
@@ -133,10 +138,16 @@ def apply_coordinate_permutation(code: Code, position: int, permutation) -> Code
 
     Frameproofness is invariant under this operation; the star structure
     at that coordinate may not be, so ``inf_id`` is carried over as-is.
+    Entries must be integers (numpy integers are converted; floats,
+    bools, ``None`` and strings are rejected).
     """
     if not 0 <= position < code.length:
         raise ValueError(f"position {position} out of range 0..{code.length - 1}")
-    sigma = tuple(int(v) for v in permutation)
+    sigma = tuple(permutation)
+    for v in sigma:
+        if not is_integer(v):
+            raise ValueError(f"permutation entry {v!r} is not an integer")
+    sigma = tuple(map(int, sigma))
     if sorted(sigma) != list(range(code.q)):
         raise ValueError("permutation must be a bijection on 0..q-1")
     words = [
@@ -195,14 +206,14 @@ INF_ALIAS = "*"
 
 def code_to_text(code: Code) -> str:
     inf = "none" if code.inf_id is None else str(code.inf_id)
-    lines = [f"{_FPC_MAGIC} q={code.q} l={code.length} M={code.size} inf={inf}"]
-    for w in code.words:
-        toks = [
-            INF_ALIAS if code.inf_id is not None and v == code.inf_id else str(v)
-            for v in w
-        ]
-        lines.append(" ".join(toks))
-    return "\n".join(lines) + "\n"
+    header = f"{_FPC_MAGIC} q={code.q} l={code.length} M={code.size} inf={inf}\n"
+    symbols = list(itertools.chain.from_iterable(code.words))
+    # one token per distinct symbol, so a huge q with few words stays cheap
+    tokens = {v: str(v) for v in set(symbols)}
+    if code.inf_id in tokens:
+        tokens[code.inf_id] = INF_ALIAS
+    line = " ".join(["%s"] * code.length) + "\n"
+    return header + line * code.size % tuple(map(tokens.__getitem__, symbols))
 
 
 def _parse_header(line: str) -> tuple[int, int, int, int | None]:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 
-from .codes import Code, make_code
+from .codes import Code, is_integer, make_code
 from .gf import is_prime_power, leading_coeff, make_field
 from .oa import build_oa_strength2, oa_to_pt_code
 from .verify import is_t_determined
@@ -127,6 +127,9 @@ def default_eval_points(m: int, length: int) -> tuple[int | None, ...]:
 
 def _check_eval_points(points, m: int, length: int) -> tuple[int | None, ...]:
     pts = tuple(points)
+    for p in pts:
+        if p is not None and not is_integer(p):
+            raise ValueError(f"evaluation point {p!r} is not None or an integer")
     if len(pts) != length:
         raise ValueError(f"need {length} evaluation points, got {len(pts)}")
     if len(set(pts)) != length:

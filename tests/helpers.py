@@ -1,8 +1,9 @@
 """Shared generators for randomized cross-checks."""
 
 import random
+from itertools import combinations
 
-from frameproof import descendant_contains, make_code
+from frameproof import Witness, descendant_contains, make_code
 
 
 def random_code(rng: random.Random, max_q=5, max_l=5, max_size=12):
@@ -37,3 +38,39 @@ def plant_framing(code, rng: random.Random, c: int):
             assert descendant_contains(coalition, x)
             return make_code(code.length, code.q, words + [x]), tuple(coalition)
     return None
+
+
+def reference_t_determined(code, t: int):
+    """The word-by-word t-determinedness loop, kept as the reference.
+
+    Returns ``(verdict, witness, subsets_examined)`` for comparison with
+    :func:`frameproof.is_t_determined`.
+    """
+    inf = code.inf_id
+    if inf is None:
+        raise ValueError("code has no infinity symbol")
+    if t < 1:
+        raise ValueError("t must be at least 1")
+    checks = 0
+    for w in code.words:
+        checks += 1
+        inf_positions = tuple(i for i, v in enumerate(w) if v == inf)
+        if len(inf_positions) > t - 1:
+            witness = Witness(kind="inf_count", pair=(w,), positions=inf_positions)
+            return False, witness, checks
+    for subset in combinations(range(code.length), t):
+        seen: dict[tuple, tuple] = {}
+        for w in code.words:
+            checks += 1
+            key = tuple(w[i] for i in subset)
+            if inf in key:
+                continue
+            prev = seen.get(key)
+            if prev is not None:
+                agree = tuple(
+                    i for i in range(code.length) if prev[i] == w[i] and w[i] != inf
+                )
+                witness = Witness(kind="agreement", pair=(prev, w), positions=agree)
+                return False, witness, checks
+            seen[key] = w
+    return True, None, checks

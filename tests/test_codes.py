@@ -170,6 +170,17 @@ class TestCoordinatePermutation:
         with pytest.raises(ValueError):
             apply_coordinate_permutation(base_code("q3"), 0, (0, 0, 2))
 
+    @pytest.mark.parametrize("sigma", [[0, 1.7, 2], [0, True, 2], [0, None, 2], [0, "1", 2]])
+    def test_non_integer_entries_rejected(self, sigma):
+        with pytest.raises(ValueError, match=r"permutation entry .* is not an integer"):
+            apply_coordinate_permutation(base_code("q3"), 0, sigma)
+
+    def test_numpy_integers_accepted(self):
+        code = base_code("q3")
+        moved = apply_coordinate_permutation(code, 1, np.array([0, 2, 1]))
+        assert moved == apply_coordinate_permutation(code, 1, (0, 2, 1))
+        assert all(type(v) is int for w in moved.words for v in w)
+
     def test_preserves_frameproof_verdict(self):
         code = base_code("q3")
         rng = random.Random(11)

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -71,6 +72,14 @@ PINNED_CODES = {
     "q3 lift m5 custom points": (
         lambda: polynomial_lift(base_code("q3"), 5, 2, 2, points=(4, 2, None, 0)),
         "0d1d760ff53e9aa4c0ee7426ec689b4846a4366a2cd5958fb6a3c585333aa9ad",
+    ),
+    "empty code": (
+        lambda: make_code(3, 4, [], inf_id=0),
+        "4347f649b605c11505408cea30775c2880f58a055cfeffe64dcad48870f291a8",
+    ),
+    "q5 words without infinity": (
+        lambda: make_code(4, 5, base_code("q5").words),
+        "d40dd0ebeed191d81eff233eeb2b95045e64ceec955365d612eaa580e619ecca",
     ),
 }
 
@@ -207,6 +216,17 @@ class TestPolynomialLift:
         bad = make_code(4, 3, [(1, 1, 1, 1), (1, 1, 1, 2)], inf_id=0)
         with pytest.raises(ValueError, match="determined"):
             polynomial_lift(bad, 3, 2, 2)
+
+    @pytest.mark.parametrize("points", [(0, True, 2, 3), (0, 1.5, 2, 3), (0, "1", 2, 3)])
+    def test_non_integer_points_rejected(self, points):
+        with pytest.raises(ValueError, match=r"evaluation point .* is not None or an integer"):
+            polynomial_lift(base_code("q3"), 5, 2, 2, points=points)
+
+    def test_numpy_integer_points_accepted(self):
+        points = (np.int64(4), np.int32(2), None, np.uint8(0))
+        assert polynomial_lift(base_code("q3"), 5, 2, 2, points=points) == polynomial_lift(
+            base_code("q3"), 5, 2, 2, points=(4, 2, None, 0)
+        )
 
 
 class TestAugment:

@@ -1,17 +1,19 @@
 import random
 from itertools import combinations
+from math import comb
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import plant_framing, random_code
+from helpers import plant_framing, random_code, reference_t_determined
 
 from frameproof import (
     BudgetExceeded,
     base_code,
     descendant_contains,
     execute_plan,
+    execute_steps,
     framed_witness_holds,
     is_frameproof_cover,
     is_frameproof_naive,
@@ -47,6 +49,40 @@ def codes_with_c(draw):
         owners = draw(st.lists(st.sampled_from(coalition), min_size=length, max_size=length))
         words.add(tuple(y[pos] for pos, y in enumerate(owners)))
     return make_code(length, q, sorted(words)), c
+
+
+@st.composite
+def starred_codes_with_t(draw):
+    """Codes of length 1..6 over q 2..5 with 0..t-1 infinities per word.
+
+    Half of them get a planted word: one agreeing with an existing word
+    in t non-infinity positions, or one carrying t or more infinities.
+    """
+    length = draw(st.integers(1, 6))
+    q = draw(st.integers(2, 5))
+    t = draw(st.integers(1, 3))
+    inf = draw(st.integers(0, q - 1))
+    symbol = st.sampled_from([v for v in range(q) if v != inf])
+
+    def starred(stars):
+        word = draw(st.lists(symbol, min_size=length, max_size=length))
+        for pos in stars:
+            word[pos] = inf
+        return tuple(word)
+
+    position = st.integers(0, length - 1)
+    few_stars = st.sets(position, max_size=min(t - 1, length))
+    words = {starred(draw(few_stars)) for _ in range(draw(st.integers(0, 10)))}
+    if draw(st.booleans()):
+        donors = [w for w in sorted(words) if length - w.count(inf) >= t]
+        if donors and draw(st.booleans()):
+            donor = draw(st.sampled_from(donors))
+            keep = draw(st.permutations([i for i in range(length) if donor[i] != inf]))[:t]
+            fresh = draw(st.lists(st.integers(0, q - 1), min_size=length, max_size=length))
+            words.add(tuple(donor[i] if i in keep else fresh[i] for i in range(length)))
+        elif t <= length:
+            words.add(starred(draw(st.sets(position, min_size=t))))
+    return make_code(length, q, sorted(words), inf_id=inf), t
 
 
 class TestNaive:
@@ -230,6 +266,21 @@ class TestTDetermined:
     def test_requires_positive_t(self):
         with pytest.raises(ValueError):
             is_t_determined(base_code("q3"), 0)
+
+    @given(starred_codes_with_t())
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    def test_matches_the_reference_loop(self, case):
+        code, t = case
+        report = is_t_determined(code, t)
+        assert (report.verdict, report.witness, report.subsets_examined) == (
+            reference_t_determined(code, t)
+        )
+
+    def test_plan_size_work_count(self):
+        code = execute_steps(plan_code(3, 136).steps[:-1], 3)
+        report = is_t_determined(code, 2)
+        assert report.verdict
+        assert report.subsets_examined == code.size * (1 + comb(5, 2))
 
     def test_t_equal_one(self):
         # t=1: no infinity entries at all, and no agreement anywhere
