@@ -46,17 +46,22 @@ class Code:
 def make_code(length: int, q: int, words, inf_id: int | None = None) -> Code:
     """Validate and canonicalise a word collection into a :class:`Code`.
 
-    Symbols must be integers (numpy integers are converted; floats,
-    bools, ``None`` and strings are rejected).  Duplicate words, wrong
-    lengths, non-integer and out-of-range symbols are all rejected with
-    distinct diagnostics naming the first offending word.
+    Symbols and ``inf_id`` must be integers (numpy integers are
+    converted; floats, bools, ``None`` symbols and strings are rejected).
+    Duplicate words, wrong lengths, non-integer and out-of-range symbols
+    are all rejected with distinct diagnostics naming the first
+    offending word.
     """
     if length < 1:
         raise ValueError("length must be a positive integer")
     if q < 2:
         raise ValueError("alphabet size must be at least 2")
-    if inf_id is not None and not 0 <= inf_id < q:
-        raise ValueError(f"inf_id {inf_id} out of range 0..{q - 1}")
+    if inf_id is not None:
+        if not is_integer(inf_id):
+            raise ValueError(f"inf_id {inf_id!r} is not an integer")
+        inf_id = int(inf_id)
+        if not 0 <= inf_id < q:
+            raise ValueError(f"inf_id {inf_id} out of range 0..{q - 1}")
     out = [tuple(w) for w in words]
     flat = list(itertools.chain.from_iterable(out))
     # One C-level pass for the common case; anything unusual (numpy

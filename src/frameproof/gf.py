@@ -1,7 +1,8 @@
-"""Arithmetic in small finite fields GF(p**e), table-backed for speed."""
+"""Arithmetic in finite fields GF(p**e): plain ``%`` for primes, O(m) log tables otherwise."""
 
 from __future__ import annotations
 
+import operator
 from functools import lru_cache
 
 
@@ -100,14 +101,57 @@ def _smallest_modulus(p: int, e: int) -> tuple[int, ...]:
     raise AssertionError(f"no irreducible of degree {e} over GF({p})")
 
 
+def _encode(digs, p: int) -> int:
+    n = 0
+    for d in reversed(digs):
+        n = n * p + d
+    return n
+
+
+def _times(x, y, modulus, p: int) -> list[int]:
+    """Schoolbook product of two coefficient vectors, reduced by the monic modulus."""
+    prod = [0] * (len(x) + len(y) - 1)
+    for i, a in enumerate(x):
+        if a:
+            for j, b in enumerate(y):
+                prod[i + j] += a * b
+    return _poly_mod([v % p for v in prod], modulus, p)
+
+
+def _powers(p: int, e: int, modulus) -> list[int]:
+    """Ids of g**0, g**1, ..., g**(m-2) for the first g, in id order, of order m-1.
+
+    m = p**e.  The constants 1..p-1 have order dividing p-1, so the search
+    starts at X (element p); a candidate is dropped as soon as one of its
+    powers is 1 again.  No element has order m-1 unless the modulus is
+    irreducible.
+    """
+    one = [1] + [0] * (e - 1)
+    q1 = p**e - 1
+    for g in range(p, p**e):
+        x = _digits(g, p, e)
+        exp, power = [], one
+        for _ in range(q1):
+            exp.append(_encode(power, p))
+            power = _times(power, x, modulus, p)
+            if power == one:
+                break
+        if len(exp) == q1 and power == one:
+            return exp
+    raise ValueError(f"no primitive element: {tuple(modulus)} is not irreducible over GF({p})")
+
+
 class Field:
     """GF(p**e) with elements 0..p**e-1 encoding coefficient vectors as base-p integers.
 
     Canonical element order is the id order, so element 0 is zero,
     elements 1..p-1 are the prime-field constants, and element p is the
-    residue of X.  Addition, multiplication and inverse tables are built
-    once up front; verification inner loops dominate runtime, so lookups
-    must be cheap.
+    residue of X.  Prime fields (e = 1) compute with plain ``%`` and keep
+    only an O(m) inverse table.  An extension field builds four O(m)
+    tables once, in O(m * e**2) time: powers and discrete logarithms of
+    a primitive element g, Zech logarithms ``log(1 + g**n)`` for
+    addition, and inverses.  Every operation is then a few list reads,
+    and nothing grows as O(m**2).
     """
 
     def __init__(self, p: int, e: int, modulus: tuple[int, ...]):
@@ -116,80 +160,104 @@ class Field:
         self.order = p**e
         self.modulus = tuple(modulus)
         m = self.order
-        digits = [_digits(a, p, e) for a in range(m)]
-        self._add = [[0] * m for _ in range(m)]
-        self._mul = [[0] * m for _ in range(m)]
-        for a in range(m):
-            da = digits[a]
-            for b in range(a, m):
-                db = digits[b]
-                s = self._encode([(x + y) % p for x, y in zip(da, db)])
-                self._add[a][b] = s
-                self._add[b][a] = s
-                prod = [0] * (2 * e - 1)
-                for i, x in enumerate(da):
-                    if x:
-                        for j, y in enumerate(db):
-                            prod[i + j] = (prod[i + j] + x * y) % p
-                r = _poly_mod(prod, self.modulus, p) if len(prod) >= len(modulus) else prod
-                v = self._encode(r)
-                self._mul[a][b] = v
-                self._mul[b][a] = v
-        self._inv: list[int | None] = [None] * m
-        for a in range(1, m):
-            row = self._mul[a]
-            for b in range(1, m):
-                if row[b] == 1:
-                    self._inv[a] = b
-                    break
-
-    def _encode(self, digs) -> int:
-        n = 0
-        for d in reversed(list(digs)):
-            n = n * self.p + d
-        return n
+        if e == 1:
+            inv: list[int | None] = [None, 1]
+            for a in range(2, m):
+                inv.append(-(p // a) * inv[p % a] % p)  # 0 = (p//a)*a + p%a (mod p)
+            self._inv = inv
+            return
+        q1 = m - 1
+        exp = _powers(p, e, self.modulus)
+        # Logs run over 0..q1-1.  Zero gets log z = 3*q1, past any sum of
+        # three logs (eval_poly adds a Zech log to the log of a product),
+        # and the exp table cycles below z and reads 0 from z to 2*z, so
+        # exp[log[a] + log[b]] is a*b for zero operands too.
+        z = 3 * q1
+        log = [z] * m
+        for k, a in enumerate(exp):
+            log[a] = k
+        # 1 + a only changes a's constant digit.  Two periods, so that a
+        # difference of logs down to -2*q1 indexes it directly (Python
+        # wraps negative indices) without a reduction mod q1.
+        self._zech = [log[a + 1 - p if a % p == p - 1 else a + 1] for a in exp] * 2
+        self._exp = exp * 3 + [0] * (z + 1)
+        self._log = log
+        self._inv = [None] + [exp[-log[a]] for a in range(1, m)]
+        self._half = 0 if p == 2 else q1 // 2  # -1 = g**half
 
     def element_digits(self, a: int) -> tuple[int, ...]:
-        self._check(a)
-        return tuple(_digits(a, self.p, self.e))
+        return tuple(_digits(self._element(a), self.p, self.e))
 
     def canonical_elements(self) -> tuple[int, ...]:
         return tuple(range(self.order))
 
-    def _check(self, a: int) -> None:
+    def _element(self, a) -> int:
+        if type(a) is not int:
+            a = operator.index(a)  # numpy integers and bools to int; TypeError otherwise
         if not 0 <= a < self.order:
             raise ValueError(f"element {a} out of range 0..{self.order - 1}")
+        return a
 
     def add(self, a: int, b: int) -> int:
-        self._check(a), self._check(b)
-        return self._add[a][b]
+        a, b = self._element(a), self._element(b)
+        if self.e == 1:
+            return (a + b) % self.p
+        if not (a and b):
+            return a or b
+        la = self._log[a]
+        return self._exp[la + self._zech[self._log[b] - la]]
 
     def neg(self, a: int) -> int:
-        self._check(a)
-        return self._encode([(-d) % self.p for d in _digits(a, self.p, self.e)])
+        a = self._element(a)
+        if self.e == 1:
+            return -a % self.p
+        return self._exp[self._log[a] + self._half]
 
     def sub(self, a: int, b: int) -> int:
         return self.add(a, self.neg(b))
 
     def mul(self, a: int, b: int) -> int:
-        self._check(a), self._check(b)
-        return self._mul[a][b]
+        a, b = self._element(a), self._element(b)
+        if self.e == 1:
+            return a * b % self.p
+        return self._exp[self._log[a] + self._log[b]]
 
     def inv(self, a: int) -> int:
-        self._check(a)
+        a = self._element(a)
         if a == 0:
             raise ValueError("zero has no inverse")
         return self._inv[a]  # type: ignore[return-value]
 
     def eval_poly(self, coeffs, point: int) -> int:
         """Horner evaluation; ``coeffs`` is low-degree-first."""
-        self._check(point)
+        m = self.order
+        # Inline tests for the common case, ints in range; anything else
+        # goes through _element, which converts or raises.
+        if type(point) is not int or not 0 <= point < m:
+            point = self._element(point)
         coeffs = tuple(coeffs)
         for c in coeffs:
-            self._check(c)
-        acc = 0
-        for c in reversed(coeffs):
-            acc = self._add[self._mul[acc][point]][c]
+            if type(c) is not int or not 0 <= c < m:
+                coeffs = tuple(map(self._element, coeffs))
+                break
+        if not coeffs:
+            return 0
+        if self.e == 1:
+            acc = 0
+            for c in reversed(coeffs):
+                acc = (acc * point + c) % m
+            return acc
+        if not point:
+            return coeffs[0]
+        exp, log, zech = self._exp, self._log, self._zech
+        lp = log[point]
+        acc = coeffs[-1]
+        for c in coeffs[-2::-1]:
+            if not acc:
+                acc = c
+                continue
+            lx = log[acc] + lp  # log of acc * point, not reduced mod m-1
+            acc = exp[lx + zech[log[c] - lx]] if c else exp[lx]
         return acc
 
     def __repr__(self) -> str:

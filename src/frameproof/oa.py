@@ -3,13 +3,12 @@
 from __future__ import annotations
 
 import time
-from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import combinations
 
 import numpy as np
 
-from .codes import Code, Witness, make_code
+from .codes import Code, Witness, is_integer, make_code
 from .gf import is_prime_power, make_field
 from .verify import VerifyReport
 
@@ -48,9 +47,23 @@ class OrthogonalArray:
 
 
 def make_oa(rows, levels: int, strength: int) -> OrthogonalArray:
-    arr = np.asarray(rows, dtype=np.int64)
+    """Validate a k x N integer array and freeze a copy of it.
+
+    Entries, ``levels`` and ``strength`` must be integers (numpy integers
+    included); floats, bools and strings are rejected, not truncated.
+    """
+    for name, v in (("levels", levels), ("strength", strength)):
+        if not is_integer(v):
+            raise ValueError(f"{name} {v!r} is not an integer")
+    levels, strength = int(levels), int(strength)
+    arr = np.asarray(rows)
     if arr.ndim != 2:
         raise ValueError("array must be two-dimensional")
+    if arr.dtype.kind not in "iu":
+        for v in arr.ravel().tolist():
+            if not is_integer(v):
+                raise ValueError(f"entry {v!r} is not an integer")
+    arr = arr.astype(np.int64)
     k, n = arr.shape
     if levels < 2:
         raise ValueError("levels must be at least 2")
@@ -62,7 +75,6 @@ def make_oa(rows, levels: int, strength: int) -> OrthogonalArray:
         raise ValueError(
             f"run count {n} is not a multiple of {levels}**{strength}"
         )
-    arr = arr.copy()
     arr.flags.writeable = False
     return OrthogonalArray(levels, strength, arr)
 
@@ -74,44 +86,59 @@ def build_oa_strength2(s: int) -> OrthogonalArray:
     order; the row for each field element alpha holds a*alpha + b and a
     final slope row holds a.  Any two rows determine (a, b) uniquely, so
     every pair of symbols appears exactly once.
+
+    The field is called O(s**2) times: once per entry of an s x s
+    addition table, and s times per row for the products a*alpha.  Row
+    alpha is then one numpy lookup, ``sums[products]``, flattened in
+    (a, b) order.
     """
     if is_prime_power(s) is None:
         raise ValueError(f"{s} is not a prime power")
     field = make_field(s)
     elements = field.canonical_elements()
-    n = s * s
-    arr = np.zeros((s + 1, n), dtype=np.int64)
-    for col, (a, b) in enumerate(product(elements, elements)):
-        for r, alpha in enumerate(elements):
-            arr[r, col] = field.add(field.mul(a, alpha), b)
-        arr[s, col] = a
+    sums = np.array([[field.add(x, b) for b in elements] for x in elements], dtype=np.int64)
+    arr = np.empty((s + 1, s * s), dtype=np.int64)
+    for alpha in elements:
+        arr[alpha] = sums[[field.mul(a, alpha) for a in elements]].ravel()
+    arr[s] = np.repeat(np.arange(s), s)
     return make_oa(arr, s, 2)
 
 
 def verify_oa(oa: OrthogonalArray) -> VerifyReport:
-    """Exhaustively count column tuples in every t-row submatrix."""
+    """Exhaustively count column tuples in every t-row submatrix.
+
+    Row subsets are taken in ``combinations`` order.  The columns of a
+    subset are read as base-s keys, its first row most significant, so
+    ``np.bincount`` over the N keys counts every s**t tuple at once, in
+    ``product`` order: O(C(k, t) * N) numpy work.  The first subset with
+    a tuple seen other than ``index`` times is the witness, together
+    with its first such tuple; ``subsets_examined`` counts the subsets
+    up to and including it.  Entries must lie in 0..s-1, which
+    :func:`make_oa` guarantees.
+    """
     start = time.perf_counter()
     t = oa.strength
     s = oa.levels
     lam = oa.index
-    rows = [oa.array[r].tolist() for r in range(oa.constraints)]
     examined = 0
     for subset in combinations(range(oa.constraints), t):
         examined += 1
-        counts = Counter(zip(*(rows[r] for r in subset)))
-        if len(counts) == s**t and all(v == lam for v in counts.values()):
-            continue
-        for tup in product(range(s), repeat=t):
-            got = counts.get(tup, 0)
-            if got != lam:
-                witness = Witness(
-                    kind="oa_count",
-                    rows=subset,
-                    symbols=tup,
-                    count=got,
-                    expected=lam,
-                )
-                return VerifyReport(False, witness, examined, time.perf_counter() - start)
+        keys = oa.array[subset[0]]
+        for r in subset[1:]:
+            keys = keys * s + oa.array[r]
+        counts = np.bincount(keys, minlength=s**t)
+        off = np.flatnonzero(counts != lam)
+        if off.size:
+            key = int(off[0])
+            symbols = tuple(key // s**i % s for i in range(t - 1, -1, -1))
+            witness = Witness(
+                kind="oa_count",
+                rows=subset,
+                symbols=symbols,
+                count=int(counts[key]),
+                expected=lam,
+            )
+            return VerifyReport(False, witness, examined, time.perf_counter() - start)
     return VerifyReport(True, None, examined, time.perf_counter() - start)
 
 
@@ -149,8 +176,7 @@ def oa_to_frameproof(oa: OrthogonalArray, c: int) -> Code:
         raise ValueError(
             f"need more rows than c*(t-1) = {c * (oa.strength - 1)}, have {oa.constraints}"
         )
-    words = [tuple(int(v) for v in oa.array[:, j]) for j in range(oa.runs)]
-    return make_code(oa.constraints, oa.levels, words)
+    return make_code(oa.constraints, oa.levels, oa.array.T.tolist())
 
 
 def oa_to_pt_code(oa: OrthogonalArray) -> Code:
@@ -163,8 +189,7 @@ def oa_to_pt_code(oa: OrthogonalArray) -> Code:
     if oa.index != 1:
         raise ValueError(f"array index must be 1, got {oa.index}")
     norm = normalize_column_to_infinity(oa, 0)
-    words = [tuple(int(v) for v in norm.array[:, j]) for j in range(1, norm.runs)]
-    return make_code(oa.constraints, oa.levels, words, inf_id=0)
+    return make_code(oa.constraints, oa.levels, norm.array[:, 1:].T.tolist(), inf_id=0)
 
 
 # --- .oa text format --------------------------------------------------------
@@ -178,8 +203,8 @@ _OA_MAGIC = "oa1"
 def oa_to_text(oa: OrthogonalArray) -> str:
     k, n = oa.array.shape
     lines = [f"{_OA_MAGIC} N={n} k={k} s={oa.levels} t={oa.strength}"]
-    for r in range(k):
-        lines.append(" ".join(str(int(v)) for v in oa.array[r]))
+    for row in oa.array:
+        lines.append(" ".join(map(str, row.tolist())))
     return "\n".join(lines) + "\n"
 
 

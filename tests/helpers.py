@@ -1,7 +1,8 @@
 """Shared generators for randomized cross-checks."""
 
 import random
-from itertools import combinations
+from collections import Counter
+from itertools import combinations, product
 
 from frameproof import Witness, descendant_contains, make_code
 
@@ -74,3 +75,33 @@ def reference_t_determined(code, t: int):
                 return False, witness, checks
             seen[key] = w
     return True, None, checks
+
+
+def reference_verify_oa(oa):
+    """The ``Counter``-per-subset orthogonal-array check, kept as the reference.
+
+    Returns ``(verdict, witness, subsets_examined)`` for comparison with
+    :func:`frameproof.verify_oa`.
+    """
+    t = oa.strength
+    s = oa.levels
+    lam = oa.index
+    rows = [oa.array[r].tolist() for r in range(oa.constraints)]
+    examined = 0
+    for subset in combinations(range(oa.constraints), t):
+        examined += 1
+        counts = Counter(zip(*(rows[r] for r in subset)))
+        if len(counts) == s**t and all(v == lam for v in counts.values()):
+            continue
+        for tup in product(range(s), repeat=t):
+            got = counts.get(tup, 0)
+            if got != lam:
+                witness = Witness(
+                    kind="oa_count",
+                    rows=subset,
+                    symbols=tup,
+                    count=got,
+                    expected=lam,
+                )
+                return False, witness, examined
+    return True, None, examined

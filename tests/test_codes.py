@@ -62,6 +62,16 @@ class TestMakeCode:
         with pytest.raises(ValueError, match="inf_id"):
             make_code(2, 2, [(0, 1)], inf_id=5)
 
+    @pytest.mark.parametrize("inf_id", [1.0, True, np.bool_(True), "1", np.float64(0.0)])
+    def test_non_integer_inf_id_rejected(self, inf_id):
+        with pytest.raises(ValueError, match="inf_id .* is not an integer"):
+            make_code(2, 3, [(1, 2), (2, 1)], inf_id=inf_id)
+
+    def test_numpy_integer_inf_id_accepted(self):
+        code = make_code(2, 3, [(1, 2), (2, 1)], inf_id=np.int64(1))
+        assert type(code.inf_id) is int and code.inf_id == 1
+        assert code_from_text(code_to_text(code)) == code
+
     def test_words_sorted(self):
         code = make_code(2, 3, [(2, 0), (0, 1), (1, 1)])
         assert code.words == ((0, 1), (1, 1), (2, 0))

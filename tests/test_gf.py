@@ -1,8 +1,12 @@
+import random
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from frameproof import (
+    Field,
     factor_prime_powers,
     is_prime,
     is_prime_power,
@@ -79,6 +83,36 @@ def brute_force_irreducible(poly, p):
     return True
 
 
+PRIME_POWERS_LE_256 = [m for m in range(2, 257) if is_prime_power(m)]
+
+
+def schoolbook_tables(field):
+    """Reference add/mul/neg tables: digit vectors multiplied and reduced by hand.
+
+    Element a is the polynomial with base-p digits of a as coefficients,
+    low degree first; products are reduced by ``field.modulus`` (monic,
+    degree e) from the top coefficient down.
+    """
+    p, e, modulus = field.p, field.e, field.modulus
+    m = p**e
+    digits = np.array([[a // p**i % p for i in range(e)] for a in range(m)], dtype=np.int64)
+    weights = p ** np.arange(e)
+    add = (digits[:, None, :] + digits[None, :, :]) % p @ weights
+    prod = np.zeros((m, m, 2 * e - 1), dtype=np.int64)
+    for i in range(e):
+        for j in range(e):
+            prod[:, :, i + j] += digits[:, None, i] * digits[None, :, j]
+    prod %= p
+    for k in range(2 * e - 2, e - 1, -1):  # X**k = X**(k-e) * (X**e - modulus)
+        top = prod[:, :, k].copy()
+        for j, coeff in enumerate(modulus):
+            prod[:, :, k - e + j] -= top * coeff
+        prod %= p
+    mul = prod[:, :, :e] @ weights
+    neg = -digits % p @ weights
+    return add, mul, neg
+
+
 class TestFields:
     def test_prime_field_arithmetic(self):
         f = make_field(5)
@@ -133,6 +167,47 @@ class TestFields:
                         assert f.add(ab_add, c) == f.add(a, f.add(b, c))
                         assert f.mul(ab_mul, c) == f.mul(a, f.mul(b, c))
                         assert f.mul(a, f.add(b, c)) == f.add(ab_mul, f.mul(a, c))
+
+    def test_matches_schoolbook_arithmetic(self):
+        rng = random.Random(0)
+        for m in PRIME_POWERS_LE_256:
+            f = make_field(m)
+            add, mul, neg = schoolbook_tables(f)
+            els = range(m)
+            assert [[f.add(a, b) for b in els] for a in els] == add.tolist(), m
+            assert [[f.mul(a, b) for b in els] for a in els] == mul.tolist(), m
+            assert [f.neg(a) for a in els] == neg.tolist(), m
+            assert all(mul[a, f.inv(a)] == 1 for a in range(1, m)), m
+            for t in (1, 2, 3):
+                for _ in range(8):
+                    coeffs = [rng.randrange(m) for _ in range(t)]
+                    for x in els:
+                        acc = 0
+                        for c in reversed(coeffs):
+                            acc = add[mul[acc, x], c]
+                        assert f.eval_poly(coeffs, x) == acc, (m, coeffs, x)
+
+    def test_numpy_integers_give_ints(self):
+        for m in (7, 9):
+            f = make_field(m)
+            a, b = np.int64(3), np.uint8(5)
+            values = (f.add(a, b), f.sub(a, b), f.mul(a, b), f.neg(a), f.inv(a),
+                      f.eval_poly((a, b), np.int32(2)))
+            assert all(type(v) is int for v in values), m
+            assert values == (f.add(3, 5), f.sub(3, 5), f.mul(3, 5), f.neg(3), f.inv(3),
+                              f.eval_poly((3, 5), 2))
+
+    def test_non_integer_elements_rejected(self):
+        f = make_field(9)
+        for bad in (1.0, "1", None):
+            with pytest.raises(TypeError):
+                f.add(bad, 1)
+            with pytest.raises(TypeError):
+                f.eval_poly((1, bad), 2)
+
+    def test_reducible_modulus_rejected(self):
+        with pytest.raises(ValueError, match="not irreducible"):
+            Field(3, 2, (2, 0, 1))  # X**2 + 2 = (X + 1)(X + 2) over GF(3)
 
     def test_multiplicative_order(self):
         for m in PRIME_POWERS_LE_49:

@@ -1,7 +1,12 @@
-from itertools import combinations
+import hashlib
+from itertools import combinations, product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from helpers import reference_verify_oa
 
 from frameproof import (
     build_oa_strength2,
@@ -15,6 +20,36 @@ from frameproof import (
     oa_to_text,
     verify_oa,
 )
+
+
+@st.composite
+def arrays(draw):
+    """A valid or corrupted array over 2..9 symbols with strength 1..3.
+
+    The valid base is either the full factorial over t rows plus a row
+    of digit sums mod s (any t rows are balanced), or, for t <= 2 and a
+    prime-power s, the strength-2 array.  Columns are repeated for index
+    2, then rows get random symbol permutations and columns a random
+    order, all of which keep the balance.  Corruption rewrites a few
+    entries or draws the whole array at random.
+    """
+    s = draw(st.integers(2, 9))
+    t = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if t <= 2 and s in (2, 3, 4, 5, 7, 8, 9) and draw(st.booleans()):
+        base = build_oa_strength2(s).array
+    else:
+        digits = np.array(list(product(range(s), repeat=t))).T
+        base = np.vstack([digits, digits.sum(axis=0) % s])
+    arr = np.tile(base, draw(st.integers(1, 2)))
+    arr = np.array([rng.permutation(s)[row] for row in arr])[:, rng.permutation(arr.shape[1])]
+    mode = draw(st.sampled_from(["valid", "entries", "random"]))
+    if mode == "entries":
+        for _ in range(draw(st.integers(1, 3))):
+            arr[rng.integers(arr.shape[0]), rng.integers(arr.shape[1])] = rng.integers(s)
+    elif mode == "random":
+        arr = rng.integers(s, size=arr.shape)
+    return make_oa(arr, s, t)
 
 
 class TestBuilder:
@@ -72,6 +107,14 @@ class TestVerifier:
         assert len(w.rows) == 2 and len(w.symbols) == 2
         assert w.count != w.expected
 
+    @given(arrays())
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    def test_matches_the_reference_loop(self, oa):
+        report = verify_oa(oa)
+        assert (report.verdict, report.witness, report.subsets_examined) == (
+            reference_verify_oa(oa)
+        )
+
     def test_make_oa_validation(self):
         with pytest.raises(ValueError):
             make_oa([[0, 3]], 2, 1)  # symbol out of range
@@ -79,6 +122,40 @@ class TestVerifier:
             make_oa([[0, 1, 0]], 2, 1)  # runs not divisible by s**t
         with pytest.raises(ValueError):
             make_oa([[0, 1]], 2, 2)  # strength above row count
+
+    @pytest.mark.parametrize(
+        "rows, bad",
+        [
+            ([[0.5, 1], [1, 0]], "0.5"),
+            ([[1.0, 0.0]], "1.0"),
+            ([[True, False]], "True"),
+            ([[0, None]], "None"),
+            ([["0", "1"]], "'0'"),
+        ],
+    )
+    def test_non_integer_entries_rejected(self, rows, bad):
+        with pytest.raises(ValueError, match=f"entry {bad} is not an integer"):
+            make_oa(rows, 2, 1)
+
+    @pytest.mark.parametrize(
+        "levels, strength, bad",
+        [
+            (2.5, 1, "levels 2.5"),
+            (2, True, "strength True"),
+            (2.0, 1, "levels 2.0"),
+            (2, "1", "strength '1'"),
+        ],
+    )
+    def test_non_integer_parameters_rejected(self, levels, strength, bad):
+        with pytest.raises(ValueError, match=f"{bad} is not an integer"):
+            make_oa([[0, 1], [1, 0]], levels, strength)
+
+    def test_numpy_integers_accepted(self):
+        oa = make_oa(np.array([[0, 1], [1, 0]], dtype=np.uint8), np.int64(2), np.int32(1))
+        assert oa.array.dtype == np.int64
+        assert type(oa.levels) is int and type(oa.strength) is int
+        assert (oa.levels, oa.strength) == (2, 1)
+        assert verify_oa(oa).verdict
 
 
 class TestNormalize:
@@ -140,6 +217,20 @@ class TestFileFormat:
         again = oa_from_text(text)
         assert np.array_equal(again.array, oa.array)
         assert oa_to_text(again) == text
+
+    def test_text_digests(self):
+        # sha256 of the .oa text of each built array, computed with the
+        # per-entry builder and writer that the bulk ones replaced
+        digests = {
+            16: "bf88e96798721c56760223047e2177ba711986d8d56095e6a94deda2a5e5f1fd",
+            23: "718bc39ac5567a8a7c6098b389887f475d316cdd282317e2924b14204a361ee9",
+            27: "851c94a22fc7a51b697024c15fa42b077b7895b40ec6595e63e15f7c5ceae75f",
+            32: "ba02ba11985494e3a2ca7979e019ae56d81331b14d226fa73a9761c4cd5cc9e4",
+            64: "703c75e2212e8206a8b33946918997e4acc2c33a6ee5b312ed7835c76faab9f8",
+        }
+        for s, digest in digests.items():
+            text = oa_to_text(build_oa_strength2(s))
+            assert hashlib.sha256(text.encode()).hexdigest() == digest, s
 
     def test_bad_inputs(self):
         with pytest.raises(ValueError):
