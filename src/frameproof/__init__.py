@@ -27,8 +27,6 @@ from .construct import (
     augment_infinity,
     base_code,
     default_eval_points,
-    oa_family_code,
-    oa_lift,
     polynomial_lift,
 )
 from .gf import (
@@ -38,7 +36,6 @@ from .gf import (
     is_prime_power,
     leading_coeff,
     make_field,
-    poly_is_irreducible,
 )
 from .oa import (
     OrthogonalArray,
@@ -56,12 +53,14 @@ from .oa import (
 from .plan import (
     BoundReport,
     ConstructionPlan,
+    Step,
     achieved_rate,
     blackburn_leading,
     bound_report,
     execute_plan,
     execute_steps,
     format_plan,
+    oa_family_code,
     plan_c2,
     plan_c3,
     plan_code,
@@ -84,6 +83,7 @@ __all__ = [
     "ConstructionPlan",
     "Field",
     "OrthogonalArray",
+    "Step",
     "VerifyReport",
     "Witness",
     "achieved_rate",
@@ -115,14 +115,12 @@ __all__ = [
     "normalize_column_to_infinity",
     "oa_family_code",
     "oa_from_text",
-    "oa_lift",
     "oa_to_frameproof",
     "oa_to_pt_code",
     "oa_to_text",
     "plan_c2",
     "plan_c3",
     "plan_code",
-    "poly_is_irreducible",
     "polynomial_lift",
     "read_code_file",
     "read_oa_file",

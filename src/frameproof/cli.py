@@ -19,16 +19,10 @@ from .codes import (
     framed_witness_holds,
     make_code,
     read_code_file,
+    symbol_text,
     write_code_file,
 )
-from .construct import (
-    BASE_CODE_INFO,
-    augment_infinity,
-    base_code,
-    oa_family_code,
-    oa_lift,
-    polynomial_lift,
-)
+from .construct import BASE_CODE_INFO, augment_infinity, base_code, polynomial_lift
 from .oa import (
     build_oa_strength2,
     make_oa,
@@ -43,12 +37,13 @@ from .plan import (
     bound_report,
     execute_plan,
     format_plan,
+    oa_family_code,
     plan_code,
 )
 from .verify import NAIVE_BUDGET, is_frameproof_cover, is_frameproof_naive, is_t_determined
 
 _BASE_RECIPES = {f"base-{name}": name for name in BASE_CODE_INFO}
-_RECIPES = sorted(_BASE_RECIPES) + ["poly-lift", "oa-lift", "oa-family"]
+_RECIPES = sorted(_BASE_RECIPES) + ["poly-lift", "oa-family"]
 
 
 class _UsageError(Exception):
@@ -60,10 +55,16 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _budget(text: str) -> int:
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def _global_options() -> _Parser:
     parser = _Parser(add_help=False)
     parser.add_argument("--seed", type=int, default=0, help="seed for randomized checks")
-    parser.add_argument("--budget", type=int, default=NAIVE_BUDGET,
+    parser.add_argument("--budget", type=_budget, default=NAIVE_BUDGET,
                         help="work budget for the verifiers")
     parser.add_argument("--quiet", action="store_true", help="suppress per-item output")
     return parser
@@ -78,7 +79,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--m", type=int, help="lift field order")
     p.add_argument("--c", type=int, help="coalition bound")
     p.add_argument("--t", type=int, help="determinedness parameter (default 2)")
-    p.add_argument("--s", type=int, help="array symbol count for oa-lift (default c+1)")
     p.add_argument("--in", dest="parent", metavar="PARENT",
                    help="parent .fpc file for poly-lift")
     p.add_argument("--augment-inf", action="store_true",
@@ -91,7 +91,7 @@ def _build_parser() -> _Parser:
     p.add_argument("codefile")
 
     p = sub.add_parser("plan", help="plan (and optionally build) a family code")
-    p.add_argument("--c", type=int, required=True, choices=[2, 3])
+    p.add_argument("--c", type=int, required=True, help="any c with c+1 a prime power")
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--execute", action="store_true")
     p.add_argument("--out")
@@ -122,9 +122,7 @@ def _build_parser() -> _Parser:
 
 
 def _print_word(word, code: Code) -> str:
-    return " ".join(
-        "*" if code.inf_id is not None and v == code.inf_id else str(v) for v in word
-    )
+    return " ".join(symbol_text(v, code.inf_id) for v in word)
 
 
 def _print_witness(witness, code: Code) -> None:
@@ -147,7 +145,7 @@ def _cmd_construct(args) -> int:
     recipe = args.recipe
     t = 2 if args.t is None else args.t
     if recipe in _BASE_RECIPES:
-        for flag, name in ((args.m, "--m"), (args.s, "--s"), (args.parent, "--in")):
+        for flag, name in ((args.m, "--m"), (args.parent, "--in")):
             if flag is not None:
                 raise _UsageError(f"{name} does not apply to recipe {recipe}")
         code = base_code(_BASE_RECIPES[recipe])
@@ -158,12 +156,6 @@ def _cmd_construct(args) -> int:
         parent = read_code_file(args.parent)
         c = args.c
         code = polynomial_lift(parent, args.m, t, c)
-    elif recipe == "oa-lift":
-        if args.m is None or args.c is None:
-            raise _UsageError("oa-lift needs --m and --c")
-        c = args.c
-        s = args.s if args.s is not None else c + 1
-        code = oa_lift(s, t, s + 1, args.m, c)
     else:  # oa-family
         if args.m is None or args.c is None:
             raise _UsageError("oa-family needs --m and --c")
@@ -348,7 +340,7 @@ def _selftest_lift() -> bool:
 
 def _selftest_plans() -> bool:
     ok = True
-    for c, q in ((2, 7), (2, 13), (3, 4), (3, 22)):
+    for c, q in ((2, 7), (2, 13), (3, 4), (3, 22), (4, 21)):
         plan = plan_code(c, q)
         code = execute_plan(plan)
         ok &= code.size == plan.expected_size

@@ -209,14 +209,17 @@ _FPC_MAGIC = "fpc1"
 INF_ALIAS = "*"
 
 
+def symbol_text(v: int, inf_id: int | None) -> str:
+    """How a symbol is written: ``*`` for the infinity id, else its decimal id."""
+    return INF_ALIAS if v == inf_id else str(v)
+
+
 def code_to_text(code: Code) -> str:
     inf = "none" if code.inf_id is None else str(code.inf_id)
     header = f"{_FPC_MAGIC} q={code.q} l={code.length} M={code.size} inf={inf}\n"
     symbols = list(itertools.chain.from_iterable(code.words))
     # one token per distinct symbol, so a huge q with few words stays cheap
-    tokens = {v: str(v) for v in set(symbols)}
-    if code.inf_id in tokens:
-        tokens[code.inf_id] = INF_ALIAS
+    tokens = {v: symbol_text(v, code.inf_id) for v in set(symbols)}
     line = " ".join(["%s"] * code.length) + "\n"
     return header + line * code.size % tuple(map(tokens.__getitem__, symbols))
 

@@ -14,7 +14,6 @@ import itertools
 
 from .codes import Code, is_integer, make_code
 from .gf import is_prime_power, leading_coeff, make_field
-from .oa import build_oa_strength2, oa_to_pt_code
 from .verify import is_t_determined
 
 # Fixture word patterns.  A pattern entry is None for an infinity slot or
@@ -212,32 +211,3 @@ def augment_infinity(code: Code, c: int, t: int) -> Code:
         raise ValueError(f"code is not {t}-determined: {report.witness}")
     all_inf = (code.inf_id,) * code.length
     return make_code(code.length, code.q, code.words + (all_inf,), code.inf_id)
-
-
-def oa_lift(s: int, t: int, length: int, m: int, c: int, points=None) -> Code:
-    """Seed a polynomial lift with the code read off an orthogonal array.
-
-    Only the built-in strength-2 arrays are wired up, so t must be 2 and
-    length must be s+1.  The seed has s**t - 1 words; the lift then
-    yields (s**t - 1) * m**t words over q = (s-1)*m + 1 symbols.
-    """
-    if t != 2 or length != s + 1:
-        raise ValueError(
-            "unsupported array parameters: built-in generation needs t=2 and length=s+1"
-        )
-    seed = oa_to_pt_code(build_oa_strength2(s))
-    return polynomial_lift(seed, m, t, c, points=points)
-
-
-def oa_family_code(c: int, m: int) -> Code:
-    """c-frameproof code of length c+2 over q = c*m+1 symbols, size (c+2)/c*(q-1)**2."""
-    if c < 2:
-        raise ValueError("c must be at least 2")
-    if is_prime_power(c + 1) is None:
-        raise ValueError(f"c+1 = {c + 1} must be a prime power")
-    if is_prime_power(m) is None or m < c + 1:
-        raise ValueError(f"m must be a prime power >= {c + 1}, got {m}")
-    code = oa_lift(c + 1, 2, c + 2, m, c)
-    assert code.q == c * m + 1
-    assert c * code.size == (c + 2) * (code.q - 1) ** 2
-    return code

@@ -18,14 +18,42 @@ class OrthogonalArray:
     """A k x N array over s symbols in which every t rows are balanced.
 
     Balanced means: restricted to any t rows, each of the s**t column
-    tuples appears exactly ``index`` = N / s**t times.  The dataclass
-    only guarantees the shape bookkeeping; :func:`verify_oa` checks the
-    balance property itself.
+    tuples appears exactly ``index`` = N / s**t times.  Construction
+    checks the shape bookkeeping and freezes an int64 copy of the array:
+    integer ``levels`` >= 2 and ``strength`` in 1..k, integer entries in
+    0..s-1 (floats, bools and strings are rejected, not truncated), and
+    N a multiple of s**t.  :func:`verify_oa` checks the balance itself.
     """
 
     levels: int  # s
     strength: int  # t
     array: np.ndarray  # k x N, entries 0..s-1
+
+    def __post_init__(self):
+        for name in ("levels", "strength"):
+            v = getattr(self, name)
+            if not is_integer(v):
+                raise ValueError(f"{name} {v!r} is not an integer")
+            object.__setattr__(self, name, int(v))
+        arr = np.asarray(self.array)
+        if arr.ndim != 2:
+            raise ValueError("array must be two-dimensional")
+        if arr.dtype.kind not in "iu":
+            for v in arr.ravel().tolist():
+                if not is_integer(v):
+                    raise ValueError(f"entry {v!r} is not an integer")
+        arr = arr.astype(np.int64)
+        k, n = arr.shape
+        if self.levels < 2:
+            raise ValueError("levels must be at least 2")
+        if not 1 <= self.strength <= k:
+            raise ValueError(f"strength {self.strength} out of range 1..{k}")
+        if arr.size and (arr.min() < 0 or arr.max() >= self.levels):
+            raise ValueError(f"entries must lie in 0..{self.levels - 1}")
+        if n % self.levels**self.strength != 0:
+            raise ValueError(f"run count {n} is not a multiple of {self.levels}**{self.strength}")
+        arr.flags.writeable = False
+        object.__setattr__(self, "array", arr)
 
     @property
     def constraints(self) -> int:
@@ -47,36 +75,8 @@ class OrthogonalArray:
 
 
 def make_oa(rows, levels: int, strength: int) -> OrthogonalArray:
-    """Validate a k x N integer array and freeze a copy of it.
-
-    Entries, ``levels`` and ``strength`` must be integers (numpy integers
-    included); floats, bools and strings are rejected, not truncated.
-    """
-    for name, v in (("levels", levels), ("strength", strength)):
-        if not is_integer(v):
-            raise ValueError(f"{name} {v!r} is not an integer")
-    levels, strength = int(levels), int(strength)
-    arr = np.asarray(rows)
-    if arr.ndim != 2:
-        raise ValueError("array must be two-dimensional")
-    if arr.dtype.kind not in "iu":
-        for v in arr.ravel().tolist():
-            if not is_integer(v):
-                raise ValueError(f"entry {v!r} is not an integer")
-    arr = arr.astype(np.int64)
-    k, n = arr.shape
-    if levels < 2:
-        raise ValueError("levels must be at least 2")
-    if not 1 <= strength <= k:
-        raise ValueError(f"strength {strength} out of range 1..{k}")
-    if arr.min() < 0 or arr.max() >= levels:
-        raise ValueError(f"entries must lie in 0..{levels - 1}")
-    if n % levels**strength != 0:
-        raise ValueError(
-            f"run count {n} is not a multiple of {levels}**{strength}"
-        )
-    arr.flags.writeable = False
-    return OrthogonalArray(levels, strength, arr)
+    """Read a k x N nested sequence or array as an :class:`OrthogonalArray`, which validates it."""
+    return OrthogonalArray(levels, strength, np.asarray(rows))
 
 
 def build_oa_strength2(s: int) -> OrthogonalArray:
@@ -113,8 +113,8 @@ def verify_oa(oa: OrthogonalArray) -> VerifyReport:
     ``product`` order: O(C(k, t) * N) numpy work.  The first subset with
     a tuple seen other than ``index`` times is the witness, together
     with its first such tuple; ``subsets_examined`` counts the subsets
-    up to and including it.  Entries must lie in 0..s-1, which
-    :func:`make_oa` guarantees.
+    up to and including it.  Entries lie in 0..s-1, which
+    :class:`OrthogonalArray` guarantees.
     """
     start = time.perf_counter()
     t = oa.strength
@@ -151,16 +151,8 @@ def normalize_column_to_infinity(oa: OrthogonalArray, col: int) -> OrthogonalArr
     """
     if not 0 <= col < oa.runs:
         raise ValueError(f"column {col} out of range 0..{oa.runs - 1}")
-    arr = oa.array.copy()
-    for r in range(oa.constraints):
-        v = int(arr[r, col])
-        if v != 0:
-            row = arr[r]
-            zero_at = row == 0
-            v_at = row == v
-            row[zero_at] = v
-            row[v_at] = 0
-    return make_oa(arr, oa.levels, oa.strength)
+    arr, v = oa.array, oa.array[:, col : col + 1]
+    return make_oa(np.where(arr == v, 0, np.where(arr == 0, v, arr)), oa.levels, oa.strength)
 
 
 def oa_to_frameproof(oa: OrthogonalArray, c: int) -> Code:

@@ -1,22 +1,98 @@
-"""Recursive construction planning for the two code families, plus bounds.
+"""One planner for R_{c,c+2} = (c+2)/c: every c >= 2 with c+1 a prime power.
 
-The two families cover c=2 (length 4, every odd q) and c=3 (length 5,
-every q congruent to 4 mod 6), each reaching (c+2)/c * (q-1)**2 + 1
-words.  A plan is a replayable chain: one base code, zero or more
-polynomial lifts by prime-power factors, and a final infinity
-augmentation.
+A plan is a replayable chain of typed :class:`Step` values: one base,
+polynomial lifts, then the all-infinity word, reaching a c-frameproof
+length-(c+2) code of (c+2)/c * (q-1)**2 + 1 words.  The bases of c are
+its fixtures (q3/q5 for c=2, q4/q10 for c=3), else ``oa<c+1>``, the seed
+read off the strength-2 array of order c+1.  With q - 1 = c*m the chain
+lifts last by the largest odd full prime-power factor of m that is at
+least c+1 (an even one if none is odd) and recurses on (q-1)/factor + 1
+until it meets a base.  So q is reachable exactly when every full
+prime-power factor of m is at least c+1; the fixtures also absorb a
+factor 2 (q5: every odd q for c=2) or 3 (q10: every q = 4 mod 6, c=3).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
-from .codes import Code
+from .codes import Code, is_integer
 from .construct import BASE_CODE_INFO, augment_infinity, base_code, polynomial_lift
 from .gf import factor_prime_powers, is_prime_power
+from .oa import build_oa_strength2, oa_to_pt_code
 
-Step = tuple  # ("base", name) | ("lift", m) | ("augment",)
+
+def _seed_order(name) -> int | None:
+    """None for a registered fixture, s for an array seed ``oa<s>``; ValueError otherwise."""
+    if isinstance(name, str) and name in BASE_CODE_INFO:
+        return None
+    s = int(name[2:]) if isinstance(name, str) and name[2:].isdecimal() else 0
+    if name != f"oa{s}" or s < 2 or is_prime_power(s) is None:
+        raise ValueError(f"unknown base {name!r}; choose from {sorted(BASE_CODE_INFO)} "
+                         "or oa<s> for a prime power s")
+    return s
+
+
+class Step(NamedTuple):
+    """One plan step, t = 2 throughout.
+
+    ``Step("base", name)`` starts from a fixture or an ``oa<s>`` array
+    seed, ``Step("lift", m)`` lifts by GF(m) and ``Step("augment")``
+    adjoins the all-infinity word.
+    """
+
+    kind: str
+    arg: str | int | None = None
+
+    def shape(self, before: tuple[int, int, int] | None) -> tuple[int, int, int]:
+        """(q, l, M) after this step, from (q, l, M) before it (None before the base)."""
+        if self.kind == "base":
+            s = _seed_order(self.arg)
+            return BASE_CODE_INFO[self.arg][:3] if s is None else (s, s + 1, s * s - 1)
+        q, length, size = before
+        if self.kind == "lift":
+            m = self.arg
+            if not is_integer(m) or m < 2 or is_prime_power(m) is None:
+                raise ValueError(f"lift order {m!r} is not a prime power")
+            if m < length - 1:
+                raise ValueError(f"lift order {m} too small for length {length}")
+            return (q - 1) * m + 1, length, size * m * m
+        if self.kind == "augment":
+            return q, length, size + 1
+        raise ValueError(f"unknown step kind {self.kind!r}")
+
+    def build(self, code: Code | None, c: int) -> Code:
+        """Run this step on the code built so far; each call re-checks its own preconditions."""
+        if self.kind == "base":
+            s = _seed_order(self.arg)
+            return base_code(self.arg) if s is None else oa_to_pt_code(build_oa_strength2(s))
+        if self.kind == "lift":
+            return polynomial_lift(code, self.arg, 2, c)
+        return augment_infinity(code, c, 2)
+
+    def __str__(self) -> str:
+        return _LABELS[self.kind].format(self.arg)
+
+
+_LABELS = {"base": "base {}", "lift": "lift by GF({})", "augment": "augment infinity"}
+
+
+def _shapes(steps) -> list[tuple[int, int, int]]:
+    """The (q, l, M) after each step, checking the chain is one base, lifts, an augment."""
+    if not steps:
+        raise ValueError("plan has no steps")
+    shapes = []
+    for i, step in enumerate(steps):
+        if not isinstance(step, Step):
+            raise ValueError(f"step {step!r} is not a Step")
+        if (step.kind == "base") != (i == 0):
+            raise ValueError("a plan must start from its one base step")
+        if i and steps[i - 1].kind == "augment":
+            raise ValueError("augmentation must be the final step")
+        shapes.append(step.shape(shapes[-1] if shapes else None))
+    return shapes
 
 
 @dataclass(frozen=True)
@@ -31,95 +107,79 @@ class ConstructionPlan:
     family: str
 
     def __post_init__(self):
-        if not self.steps:
-            raise ValueError("plan has no steps")
-        if self.steps[0][0] != "base":
-            raise ValueError("plan must start from a base code")
-        for i, step in enumerate(self.steps):
-            kind = step[0]
-            if kind == "base":
-                if i != 0 or step[1] not in BASE_CODE_INFO:
-                    raise ValueError(f"bad base step {step!r}")
-            elif kind == "lift":
-                m = step[1]
-                if is_prime_power(m) is None:
-                    raise ValueError(f"lift order {m} is not a prime power")
-                if m < self.length - 1:
-                    raise ValueError(f"lift order {m} too small for length {self.length}")
-            elif kind == "augment":
-                if i != len(self.steps) - 1:
-                    raise ValueError("augmentation must be the final step")
-            else:
-                raise ValueError(f"unknown step kind {kind!r}")
-
-
-def _largest_odd_prime_power_factor(n: int, minimum: int) -> int:
-    best = 0
-    for p, e in factor_prime_powers(n):
-        if p % 2 == 1 and p**e >= minimum:
-            best = max(best, p**e)
-    if best == 0:
-        raise ValueError(f"{n} has no odd prime-power factor >= {minimum}")
-    return best
+        _shapes(self.steps)
 
 
 def _chain(c: int, q: int) -> list[Step]:
-    # 2-determined c-frameproof length-(c+2) code of size (c+2)/c*(q-1)**2
+    """Base and lifts to (c+2)/c*(q-1)**2 words; the recursion, unrolled so errors name q."""
     bases = {info[0]: name for name, info in BASE_CODE_INFO.items() if info[3] == c}
-    if q in bases:
-        return [("base", bases[q])]
-    m = (q - 1) // c
-    if is_prime_power(m) is not None:
-        return [("base", bases[c + 1]), ("lift", m)]
-    pe = _largest_odd_prime_power_factor(m, c + 1)
-    return _chain(c, c * m // pe + 1) + [("lift", pe)]
+    bases = bases or {c + 1: f"oa{c + 1}"}
+    lifts, inner = [], q
+    while inner not in bases:
+        factors = [p**e for p, e in factor_prime_powers((inner - 1) // c)]
+        big = [f for f in factors if f > c]
+        if not big:
+            raise ValueError(
+                f"q={q} is out of reach for c={c}: (q-1)/c = {(q - 1) // c} has the "
+                f"prime-power factor {min(factors)}, below c+1 = {c + 1}"
+            )
+        f = max([f for f in big if f % 2] or big)
+        lifts.insert(0, Step("lift", f))
+        inner = (inner - 1) // f + 1
+    return [Step("base", bases[inner])] + lifts
+
+
+def _check_c(c) -> None:
+    if not is_integer(c) or c < 2:
+        raise ValueError(f"c must be an integer of at least 2, got {c!r}")
+    if is_prime_power(c + 1) is None:
+        raise ValueError(f"no planned family for c={c}: c+1 = {c + 1} is not a prime power")
+
+
+def plan_code(c: int, q: int) -> ConstructionPlan:
+    """Plan a q-ary c-frameproof length-(c+2) code of size (c+2)(q-1)**2/c + 1.
+
+    c+1 must be a prime power and q = c*m + 1 reachable as the module
+    docstring describes; otherwise ValueError gives the reason.
+    """
+    _check_c(c)
+    if not is_integer(q) or q < c + 1 or (q - 1) % c:
+        raise ValueError(f"q must be 1 mod c={c} and at least {c + 1}, got {q!r}")
+    steps = tuple(_chain(c, q)) + (Step("augment"),)
+    return ConstructionPlan(c, c + 2, q, (c + 2) * (q - 1) ** 2 // c + 1, steps, f"c{c}")
 
 
 def plan_c2(q: int) -> ConstructionPlan:
     """Plan a q-ary 2-frameproof length-4 code of size 2*(q-1)**2 + 1, q odd."""
     if q < 3 or q % 2 == 0:
         raise ValueError(f"q must be odd and at least 3, got {q}")
-    steps = tuple(_chain(2, q)) + (("augment",),)
-    return ConstructionPlan(2, 4, q, 2 * (q - 1) ** 2 + 1, steps, "c2")
+    return plan_code(2, q)
 
 
 def plan_c3(q: int) -> ConstructionPlan:
     """Plan a q-ary 3-frameproof length-5 code of size 5/3*(q-1)**2 + 1, q = 4 mod 6."""
     if q < 4 or q % 6 != 4:
         raise ValueError(f"q must be congruent to 4 mod 6, got {q}")
-    steps = tuple(_chain(3, q)) + (("augment",),)
-    return ConstructionPlan(3, 5, q, 5 * (q - 1) ** 2 // 3 + 1, steps, "c3")
+    return plan_code(3, q)
 
 
-def plan_code(c: int, q: int) -> ConstructionPlan:
-    if c == 2:
-        return plan_c2(q)
-    if c == 3:
-        return plan_c3(q)
-    raise ValueError(f"no planned family for c={c}; supported: 2, 3")
+def oa_family_code(c: int, m: int) -> Code:
+    """c-frameproof code of length c+2 over q = c*m+1 symbols, size (c+2)/c*(q-1)**2.
+
+    The chain ``oa<c+1>``, lift by GF(m): one lift of the array seed, no augmentation.
+    """
+    _check_c(c)
+    if is_prime_power(m) is None or m < c + 1:
+        raise ValueError(f"m must be a prime power >= {c + 1}, got {m}")
+    return execute_steps((Step("base", f"oa{c + 1}"), Step("lift", m)), c)
 
 
-def execute_steps(steps, c: int, t: int = 2) -> Code:
-    """Replay a step chain; every lift re-validates its own preconditions."""
+def execute_steps(steps, c: int) -> Code:
+    """Check a step chain's shape, then replay it; every lift re-validates its parent."""
+    _shapes(steps)
     code = None
     for step in steps:
-        kind = step[0]
-        if kind == "base":
-            if code is not None:
-                raise ValueError("base step must come first")
-            code = base_code(step[1])
-        elif kind == "lift":
-            if code is None:
-                raise ValueError("lift step before any base")
-            code = polynomial_lift(code, step[1], t, c)
-        elif kind == "augment":
-            if code is None:
-                raise ValueError("augment step before any base")
-            code = augment_infinity(code, c, t)
-        else:
-            raise ValueError(f"unknown step kind {kind!r}")
-    if code is None:
-        raise ValueError("empty step sequence")
+        code = step.build(code, c)
     return code
 
 
@@ -139,19 +199,8 @@ def format_plan(plan: ConstructionPlan) -> str:
         f"target: c={plan.c} q={plan.q} length={plan.length} "
         f"size={plan.expected_size} family={plan.family}"
     ]
-    q = size = None
-    for i, step in enumerate(plan.steps, 1):
-        if step[0] == "base":
-            q, _, size, _ = BASE_CODE_INFO[step[1]]
-            lines.append(f"  {i}. base {step[1]}: q={q} M={size}")
-        elif step[0] == "lift":
-            m = step[1]
-            q = (q - 1) * m + 1
-            size *= m * m
-            lines.append(f"  {i}. lift by GF({m}): q={q} M={size}")
-        else:
-            size += 1
-            lines.append(f"  {i}. augment infinity: q={q} M={size}")
+    for i, (step, (q, _, size)) in enumerate(zip(plan.steps, _shapes(plan.steps)), 1):
+        lines.append(f"  {i}. {step}: q={q} M={size}")
     return "\n".join(lines)
 
 
@@ -207,15 +256,6 @@ class BoundReport:
 
 def bound_report(c: int, length: int, q: int, achieved_size: int | None = None) -> BoundReport:
     bound = ssw_bound(c, length, q)
-    power = q ** (-(-length // c))
-    rate = None if achieved_size is None else Fraction(achieved_size, power)
-    return BoundReport(
-        c,
-        length,
-        q,
-        bound,
-        blackburn_leading(c, length),
-        Fraction(bound, power),
-        achieved_size,
-        rate,
-    )
+    rate = None if achieved_size is None else achieved_rate(c, length, q, achieved_size)
+    return BoundReport(c, length, q, bound, blackburn_leading(c, length),
+                       achieved_rate(c, length, q, bound), achieved_size, rate)

@@ -68,11 +68,12 @@ def is_frameproof_naive(code: Code, c: int, budget: int = NAIVE_BUDGET) -> Verif
     words = code.words
     big_m = len(words)
     length = code.length
-    by_pos = [[0] * code.q for _ in range(length)]
+    # per position, the words holding each symbol that occurs there
+    by_pos = [{} for _ in range(length)]
     for idx, w in enumerate(words):
         bit = 1 << idx
         for pos, sym in enumerate(w):
-            by_pos[pos][sym] |= bit
+            by_pos[pos][sym] = by_pos[pos].get(sym, 0) | bit
     # per word, its membership mask at every position
     items = [
         (1 << idx, tuple(by_pos[pos][w[pos]] for pos in range(length)))

@@ -42,11 +42,14 @@ class TestConstruct:
         code = read_code_file(out)
         assert (code.q, code.size) == (13, 240)
 
-    def test_oa_lift_recipe_defaults_s(self, tmp_path):
-        out = tmp_path / "lift.fpc"
+    def test_oa_lift_recipe_removed(self, tmp_path, capsys):
+        # array seeds are lifted through oa-family or the planner; there is no --s
+        out = str(tmp_path / "lift.fpc")
         assert run(["construct", "--recipe", "oa-lift", "--c", "3", "--m", "4",
-                    "--out", str(out)]) == 0
-        assert read_code_file(out).size == 240
+                    "--out", out]) == 64
+        assert run(["construct", "--recipe", "oa-family", "--s", "4", "--c", "3",
+                    "--m", "4", "--out", out]) == 64
+        assert "Traceback" not in capsys.readouterr().err
 
     def test_missing_inputs_are_usage_errors(self, tmp_path):
         out = str(tmp_path / "x.fpc")
@@ -83,6 +86,28 @@ class TestVerify:
         assert run(["--budget", "5", "verify", "--c", "2", "--algorithm", "cover",
                     str(path)]) == 2
 
+    def test_negative_budget_is_a_usage_error(self, base_file, capsys):
+        assert run(["--budget", "-1", "verify", "--c", "2", str(base_file)]) == 64
+        assert "--budget" in capsys.readouterr().err
+        assert run(["--budget", "0", "verify", "--c", "2", str(base_file)]) == 2
+
+    def test_witness_lines_show_the_star(self, tmp_path, capsys):
+        path = tmp_path / "starred.fpc"
+        write_code_file(make_code(2, 3, [(0, 1), (1, 0), (1, 1)], inf_id=0), path)
+        assert run(["verify", "--c", "2", "--algorithm", "both", str(path)]) == 1
+        lines = ["coalition:", "  * 1", "  1 *", "framed word:", "  1 1"]
+        assert capsys.readouterr().out.splitlines() == (
+            ["naive: NOT frameproof (c=2)"] + lines + ["cover: NOT frameproof (c=2)"] + lines
+        )
+
+    def test_huge_header_q(self, tmp_path, capsys):
+        # the naive oracle indexes the symbols present, not range(q)
+        path = tmp_path / "huge.fpc"
+        path.write_text("fpc1 q=99999999999999999999 l=2 M=1 inf=none\n5 7\n")
+        for algorithm in ("naive", "cover"):
+            assert run(["verify", "--c", "2", "--algorithm", algorithm, str(path)]) == 0
+        assert "Traceback" not in capsys.readouterr().err
+
     def test_jobs_flag(self, base_file, capsys):
         # the verifiers run in one process; the flag is gone
         assert run(["--jobs", "2", "verify", "--c", "2", str(base_file)]) == 64
@@ -105,6 +130,19 @@ class TestPlanCommand:
 
     def test_rejects_off_family_q(self):
         assert run(["plan", "--c", "3", "--q", "9"]) == 64
+
+    def test_any_c_with_prime_power_c_plus_one(self, tmp_path, capsys):
+        out = tmp_path / "c4.fpc"
+        assert run(["plan", "--c", "4", "--q", "21", "--execute", "--out", str(out)]) == 0
+        assert "base oa5" in capsys.readouterr().out
+        assert read_code_file(out).size == 601
+        assert run(["verify", "--c", "4", str(out)]) == 0
+
+    def test_unplannable_c_and_q_give_reasons(self, capsys):
+        assert run(["plan", "--c", "5", "--q", "11"]) == 64
+        assert "c+1 = 6 is not a prime power" in capsys.readouterr().err
+        assert run(["plan", "--c", "4", "--q", "13"]) == 64
+        assert "prime-power factor 3, below c+1 = 5" in capsys.readouterr().err
 
 
 class TestOaCommands:

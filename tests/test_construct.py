@@ -11,6 +11,7 @@ from frameproof import (
     BASE_CODE_INFO,
     augment_infinity,
     base_code,
+    build_oa_strength2,
     code_to_text,
     default_eval_points,
     execute_plan,
@@ -20,7 +21,7 @@ from frameproof import (
     make_code,
     make_field,
     oa_family_code,
-    oa_lift,
+    oa_to_pt_code,
     plan_c2,
     plan_c3,
     polynomial_lift,
@@ -250,14 +251,18 @@ class TestAugment:
             augment_infinity(make_code(4, 3, [(1, 1, 1, 1)]), 2, 2)
 
 
+def _array_seed(s):
+    return oa_to_pt_code(build_oa_strength2(s))
+
+
 class TestOaRecipes:
     def test_lift_from_array(self):
-        code = oa_lift(4, 2, 5, 4, 3)
+        code = polynomial_lift(_array_seed(4), 4, 2, 3)
         assert (code.q, code.length, code.size) == (13, 5, 240)
         assert is_t_determined(code, 2).verdict
 
     def test_matches_plain_lift_in_size(self):
-        via_oa = oa_lift(3, 2, 4, 3, 2)
+        via_oa = polynomial_lift(_array_seed(3), 3, 2, 2)
         via_base = polynomial_lift(base_code("q3"), 3, 2, 2)
         assert via_oa.size == via_base.size == 72
         # word sets may differ; both must still be 2-frameproof
@@ -265,15 +270,9 @@ class TestOaRecipes:
         assert is_frameproof_cover(via_base, 2).verdict
 
     def test_wider_family(self):
-        code = oa_lift(5, 2, 6, 5, 4)
+        code = polynomial_lift(_array_seed(5), 5, 2, 4)
         assert (code.q, code.length, code.size) == (21, 6, 600)
         assert 4 * code.size == 6 * (code.q - 1) ** 2
-
-    def test_unsupported_parameters(self):
-        with pytest.raises(ValueError, match="unsupported"):
-            oa_lift(4, 3, 5, 4, 3)
-        with pytest.raises(ValueError, match="unsupported"):
-            oa_lift(4, 2, 6, 4, 3)
 
     def test_family_codes(self):
         code = oa_family_code(3, 4)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from helpers import reference_verify_oa
 
 from frameproof import (
+    OrthogonalArray,
     build_oa_strength2,
     is_frameproof_cover,
     is_t_determined,
@@ -155,6 +156,30 @@ class TestVerifier:
         assert oa.array.dtype == np.int64
         assert type(oa.levels) is int and type(oa.strength) is int
         assert (oa.levels, oa.strength) == (2, 1)
+        assert verify_oa(oa).verdict
+
+
+    @pytest.mark.parametrize(
+        "rows, match",
+        [
+            ([[0, 5]], "0..1"),
+            ([[0, -1]], "0..1"),
+            ([[0.5, 1]], "entry 0.5 is not an integer"),
+            ([0, 1], "two-dimensional"),
+            ([[0, 1, 1]], "run count 3"),
+        ],
+    )
+    def test_direct_construction_validates(self, rows, match):
+        with pytest.raises(ValueError, match=match):
+            OrthogonalArray(2, 1, np.array(rows))
+
+    def test_direct_construction_freezes_a_copy(self):
+        rows = np.array([[0, 1], [1, 0]], dtype=np.int8)
+        oa = OrthogonalArray(np.int64(2), 1, rows)
+        rows[0, 0] = 1
+        assert oa.array.tolist() == [[0, 1], [1, 0]]
+        assert oa.array.dtype == np.int64 and not oa.array.flags.writeable
+        assert type(oa.levels) is int
         assert verify_oa(oa).verdict
 
 

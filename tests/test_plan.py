@@ -1,9 +1,12 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from frameproof import (
     ConstructionPlan,
+    Step,
     achieved_rate,
     blackburn_leading,
     bound_report,
@@ -13,6 +16,7 @@ from frameproof import (
     format_plan,
     is_frameproof_cover,
     is_t_determined,
+    oa_family_code,
     plan_c2,
     plan_c3,
     plan_code,
@@ -23,41 +27,43 @@ from frameproof import (
 class TestPlanning:
     def test_smallest_composed_plan(self):
         plan = plan_c2(7)
-        assert plan.steps == (("base", "q3"), ("lift", 3), ("augment",))
+        assert plan.steps == (Step("base", "q3"), Step("lift", 3), Step("augment"))
         assert plan.expected_size == 73
 
     def test_five_uses_large_base(self):
         plan = plan_c2(5)
-        assert plan.steps == (("base", "q5"), ("augment",))
+        assert plan.steps == (Step("base", "q5"), Step("augment"))
         assert plan.expected_size == 33
 
     def test_prime_power_half(self):
         plan = plan_c2(19)  # (q-1)/2 = 9 = 3**2
-        assert plan.steps == (("base", "q3"), ("lift", 9), ("augment",))
+        assert plan.steps == (Step("base", "q3"), Step("lift", 9), Step("augment"))
         assert plan.expected_size == 649
 
     def test_composite_half_recurses(self):
         plan = plan_c2(13)  # (q-1)/2 = 6 -> factor 3, inner target q=5
-        assert plan.steps == (("base", "q5"), ("lift", 3), ("augment",))
+        assert plan.steps == (Step("base", "q5"), Step("lift", 3), Step("augment"))
 
     def test_two_level_recursion(self):
         plan = plan_c2(25)  # m=12 -> factor 3, inner q=9 -> m=4 prime power
-        assert plan.steps == (("base", "q3"), ("lift", 4), ("lift", 3), ("augment",))
+        assert plan.steps == (
+            Step("base", "q3"), Step("lift", 4), Step("lift", 3), Step("augment")
+        )
 
     def test_c3_small(self):
-        assert plan_c3(4).steps == (("base", "q4"), ("augment",))
+        assert plan_c3(4).steps == (Step("base", "q4"), Step("augment"))
         assert plan_c3(4).expected_size == 16
-        assert plan_c3(10).steps == (("base", "q10"), ("augment",))
+        assert plan_c3(10).steps == (Step("base", "q10"), Step("augment"))
         assert plan_c3(10).expected_size == 136
 
     def test_c3_lifted(self):
         plan = plan_c3(22)
-        assert plan.steps == (("base", "q4"), ("lift", 7), ("augment",))
+        assert plan.steps == (Step("base", "q4"), Step("lift", 7), Step("augment"))
         assert plan.expected_size == 736
 
     def test_c3_recursive(self):
         plan = plan_c3(46)  # m=15 -> factor 5, inner q=10
-        assert plan.steps == (("base", "q10"), ("lift", 5), ("augment",))
+        assert plan.steps == (Step("base", "q10"), Step("lift", 5), Step("augment"))
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -67,7 +73,7 @@ class TestPlanning:
         with pytest.raises(ValueError):
             plan_c3(9)
         with pytest.raises(ValueError):
-            plan_code(4, 21)
+            plan_code(5, 11)
 
     def test_deterministic(self):
         for q in (7, 13, 25, 31):
@@ -79,12 +85,117 @@ class TestPlanning:
             ConstructionPlan(2, 4, 7, 73, (), "c2")
         with pytest.raises(ValueError, match="prime power"):
             ConstructionPlan(
-                2, 4, 13, 289, (("base", "q3"), ("lift", 6), ("augment",)), "c2"
+                2, 4, 13, 289, (Step("base", "q3"), Step("lift", 6), Step("augment")), "c2"
             )
         with pytest.raises(ValueError, match="final"):
             ConstructionPlan(
-                2, 4, 3, 9, (("base", "q3"), ("augment",), ("lift", 3)), "c2"
+                2, 4, 3, 9, (Step("base", "q3"), Step("augment"), Step("lift", 3)), "c2"
             )
+
+
+def _rule_reaches(c, q):
+    """The reachable-q rule for c >= 4: every full prime-power factor of (q-1)/c is > c."""
+    m = (q - 1) // c
+    return m == 1 or all(p**e > c for p, e in factor_prime_powers(m))
+
+
+def _family(c, max_words):
+    """Reachable (c, q) by the rule, in increasing q, with at most max_words words."""
+    q, out = c + 1, []
+    while (c + 2) * (q - 1) ** 2 // c + 1 <= max_words:
+        if _rule_reaches(c, q):
+            out.append((c, q))
+        q += c
+    return out
+
+
+FEW_THOUSAND = [cq for c in (4, 6, 7) for cq in _family(c, 4100)]
+
+
+class TestAnyC:
+    @settings(max_examples=len(FEW_THOUSAND), deadline=None, derandomize=True)
+    @given(st.sampled_from(FEW_THOUSAND))
+    def test_family_codes(self, cq):
+        c, q = cq
+        plan = plan_code(c, q)
+        chain = execute_steps(plan.steps[:-1], c)
+        assert is_t_determined(chain, 2).verdict
+        code = execute_plan(plan)
+        assert (code.q, code.length) == (q, c + 2)
+        assert c * (code.size - 1) == (c + 2) * (q - 1) ** 2
+        assert code.size <= ssw_bound(c, c + 2, q)
+        assert is_frameproof_cover(code, c).verdict
+
+    def test_examples_cover_bases_and_lifts(self):
+        assert {(4, 5), (4, 53), (6, 7), (6, 55), (7, 8), (7, 57)} <= set(FEW_THOUSAND)
+
+    def test_chained_lifts(self):
+        plan = plan_code(4, 141)  # (q-1)/4 = 35 = 5 * 7
+        assert plan.steps == (
+            Step("base", "oa5"), Step("lift", 5), Step("lift", 7), Step("augment")
+        )
+        code = execute_plan(plan)
+        assert code.size == 29401
+        assert is_frameproof_cover(code, 4).verdict
+
+    def test_reach_rule(self):
+        for c in (4, 6, 7, 8):
+            for q in range(c + 1, 3000, c):
+                try:
+                    plan_code(c, q)
+                    reached = True
+                except ValueError as exc:
+                    assert "below c+1" in str(exc)
+                    reached = False
+                assert reached == _rule_reaches(c, q), (c, q)
+
+    def test_rates_rise_towards_leading(self):
+        for c in (4, 6, 7):
+            leading = blackburn_leading(c, c + 2)
+            assert leading == Fraction(c + 2, c)
+            previous = Fraction(0)
+            for _, q in _family(c, 10**7):
+                rate = achieved_rate(c, c + 2, q, plan_code(c, q).expected_size)
+                assert previous < rate < leading
+                assert rate > leading * Fraction(q - 1, q) ** 2
+                previous = rate
+            assert leading - previous < Fraction(1, 100)
+
+    def test_unreachable_q_names_the_factor(self):
+        for c, q, factor in ((4, 13, 3), (4, 85, 3), (4, 41, 2), (6, 13, 2), (7, 22, 3)):
+            with pytest.raises(ValueError, match=f"prime-power factor {factor}, below c\\+1"):
+                plan_code(c, q)
+
+    def test_bad_c_and_q_give_the_reason(self):
+        with pytest.raises(ValueError, match="c\\+1 = 6 is not a prime power"):
+            plan_code(5, 11)
+        with pytest.raises(ValueError, match="at least 2"):
+            plan_code(1, 3)
+        with pytest.raises(ValueError, match="1 mod c"):
+            plan_code(4, 12)
+
+    def test_oa_family_is_the_seed_chain(self):
+        steps = (Step("base", "oa5"), Step("lift", 7))
+        assert oa_family_code(4, 7) == execute_steps(steps, 4)
+
+    def test_bad_steps_rejected(self):
+        for steps, match in (
+            ((Step("base", "oa6"),), "unknown base"),
+            ((Step("base", "q7"),), "unknown base"),
+            ((Step("base", "q3"), Step("lift", 3.0)), "prime power"),
+            ((Step("lift", 3),), "start from its one base"),
+            ((Step("base", "q3"), Step("base", "q3")), "start from its one base"),
+            ((Step("base", "q3"), Step("twist")), "unknown step kind"),
+            ((("base", "q3"),), "not a Step"),
+        ):
+            with pytest.raises(ValueError, match=match):
+                execute_steps(steps, 2)
+
+    def test_format_names_the_array_seed(self):
+        text = format_plan(plan_code(6, 43))
+        assert "target: c=6 q=43 length=8 size=2353 family=c6" in text
+        assert "1. base oa7: q=7 M=48" in text
+        assert "2. lift by GF(7): q=43 M=2352" in text
 
 
 class TestExecution:
@@ -105,7 +216,7 @@ class TestExecution:
 
     def test_mismatch_fails_loudly(self):
         plan = ConstructionPlan(
-            2, 4, 7, 99, (("base", "q3"), ("lift", 3), ("augment",)), "c2"
+            2, 4, 7, 99, (Step("base", "q3"), Step("lift", 3), Step("augment")), "c2"
         )
         with pytest.raises(RuntimeError, match="expected"):
             execute_plan(plan)
