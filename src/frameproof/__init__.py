@@ -12,7 +12,6 @@ from .codes import (
     BudgetExceeded,
     Code,
     Witness,
-    apply_coordinate_permutation,
     code_from_text,
     code_to_text,
     descendant_contains,
@@ -32,7 +31,6 @@ from .construct import (
 from .gf import (
     Field,
     factor_prime_powers,
-    is_prime,
     is_prime_power,
     leading_coeff,
     make_field,
@@ -61,8 +59,6 @@ from .plan import (
     execute_steps,
     format_plan,
     oa_family_code,
-    plan_c2,
-    plan_c3,
     plan_code,
     ssw_bound,
 )
@@ -87,7 +83,6 @@ __all__ = [
     "VerifyReport",
     "Witness",
     "achieved_rate",
-    "apply_coordinate_permutation",
     "augment_infinity",
     "base_code",
     "blackburn_leading",
@@ -105,7 +100,6 @@ __all__ = [
     "framed_witness_holds",
     "is_frameproof_cover",
     "is_frameproof_naive",
-    "is_prime",
     "is_prime_power",
     "is_t_determined",
     "leading_coeff",
@@ -118,8 +112,6 @@ __all__ = [
     "oa_to_frameproof",
     "oa_to_pt_code",
     "oa_to_text",
-    "plan_c2",
-    "plan_c3",
     "plan_code",
     "polynomial_lift",
     "read_code_file",

@@ -8,16 +8,14 @@ from __future__ import annotations
 
 import argparse
 import itertools
-import random
 import sys
 
+from . import acceptance
 from .codes import (
     BudgetExceeded,
     Code,
     code_from_text,
     code_to_text,
-    framed_witness_holds,
-    make_code,
     read_code_file,
     symbol_text,
     write_code_file,
@@ -25,7 +23,6 @@ from .codes import (
 from .construct import BASE_CODE_INFO, augment_infinity, base_code, polynomial_lift
 from .oa import (
     build_oa_strength2,
-    make_oa,
     oa_from_text,
     oa_to_text,
     read_oa_file,
@@ -40,7 +37,7 @@ from .plan import (
     oa_family_code,
     plan_code,
 )
-from .verify import NAIVE_BUDGET, is_frameproof_cover, is_frameproof_naive, is_t_determined
+from .verify import NAIVE_BUDGET, is_frameproof_cover, is_frameproof_naive
 
 _BASE_RECIPES = {f"base-{name}": name for name in BASE_CODE_INFO}
 _RECIPES = sorted(_BASE_RECIPES) + ["poly-lift", "oa-family"]
@@ -63,7 +60,8 @@ def _budget(text: str) -> int:
 
 def _global_options() -> _Parser:
     parser = _Parser(add_help=False)
-    parser.add_argument("--seed", type=int, default=0, help="seed for randomized checks")
+    parser.add_argument("--seed", type=int, default=acceptance.SEED,
+                        help="seed for randomized checks")
     parser.add_argument("--budget", type=_budget, default=NAIVE_BUDGET,
                         help="work budget for the verifiers")
     parser.add_argument("--quiet", action="store_true", help="suppress per-item output")
@@ -109,7 +107,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--code", help=".fpc file whose size to compare against the bounds")
 
-    sub.add_parser("selftest", help="run the built-in fixture and oracle battery")
+    sub.add_parser("selftest", help="run the acceptance battery")
 
     p = sub.add_parser("import", help="parse and validate a .fpc or .oa file")
     p.add_argument("file")
@@ -295,89 +293,15 @@ def _load_any(path):
 # --- selftest ---------------------------------------------------------------
 
 
-def _random_code(rng: random.Random):
-    q = rng.randint(2, 5)
-    length = rng.randint(2, 5)
-    target = rng.randint(2, min(12, q**length))
-    words = set()
-    while len(words) < target:
-        words.add(tuple(rng.randrange(q) for _ in range(length)))
-    return make_code(length, q, sorted(words))
-
-
-def _selftest_bases() -> bool:
-    ok = True
-    for name, (q, length, size, c) in sorted(BASE_CODE_INFO.items()):
-        code = base_code(name)
-        ok &= (code.q, code.length, code.size) == (q, length, size)
-        ok &= is_t_determined(code, 2).verdict
-        ok &= is_frameproof_cover(code, c).verdict
-        if name != "q10":  # the cover oracle alone checks the big fixture
-            ok &= is_frameproof_naive(code, c).verdict
-    return ok
-
-
-def _selftest_oa() -> bool:
-    ok = True
-    for s in (2, 3, 4, 5, 7, 9):
-        oa = build_oa_strength2(s)
-        ok &= verify_oa(oa).verdict
-        bad = oa.array.copy()
-        bad[0, 0] = (bad[0, 0] + 1) % s
-        ok &= not verify_oa(make_oa(bad, s, 2)).verdict
-    return ok
-
-
-def _selftest_lift() -> bool:
-    lifted = polynomial_lift(base_code("q3"), 3, 2, 2)
-    return (
-        lifted.q == 7
-        and lifted.size == 72
-        and is_frameproof_naive(lifted, 2).verdict
-        and is_t_determined(lifted, 2).verdict
-    )
-
-
-def _selftest_plans() -> bool:
-    ok = True
-    for c, q in ((2, 7), (2, 13), (3, 4), (3, 22), (4, 21)):
-        plan = plan_code(c, q)
-        code = execute_plan(plan)
-        ok &= code.size == plan.expected_size
-        ok &= is_frameproof_cover(code, c).verdict
-    return ok
-
-
-def _selftest_oracles(seed: int) -> bool:
-    rng = random.Random(seed)
-    for _ in range(200):
-        code = _random_code(rng)
-        c = rng.randint(2, 3)
-        naive = is_frameproof_naive(code, c)
-        cover = is_frameproof_cover(code, c)
-        if naive.verdict != cover.verdict:
-            return False
-        for report in (naive, cover):
-            if not report.verdict and not framed_witness_holds(report.witness):
-                return False
-    return True
-
-
-def selftest(seed: int = 0, quiet: bool = False) -> int:
-    checks = [
-        ("base fixtures", _selftest_bases),
-        ("orthogonal arrays", _selftest_oa),
-        ("lift fixture", _selftest_lift),
-        ("planned families", _selftest_plans),
-        ("oracle cross-check", lambda: _selftest_oracles(seed)),
-    ]
+def selftest(seed: int = acceptance.SEED, quiet: bool = False) -> int:
+    """Run the acceptance battery, one report line per criterion."""
     failures = 0
-    for name, fn in checks:
-        ok = fn()
+    for number, criterion in enumerate(acceptance.CRITERIA, 1):
+        ok, detail = criterion(seed)
         failures += not ok
         if not quiet:
-            print(f"{'ok  ' if ok else 'FAIL'} {name}")
-    print(f"selftest: {len(checks)} checks, {failures} failures")
+            print(acceptance.report_line(number, ok, detail))
+    print(f"selftest: {len(acceptance.CRITERIA)} checks, {failures} failures")
     return 1 if failures else 0
 
 

@@ -138,29 +138,6 @@ def enumerate_descendants(coalition, cap: int = DESCENDANT_CAP) -> set[Word]:
     return set(itertools.product(*choices))
 
 
-def apply_coordinate_permutation(code: Code, position: int, permutation) -> Code:
-    """Apply a symbol permutation to one coordinate of every word.
-
-    Frameproofness is invariant under this operation; the star structure
-    at that coordinate may not be, so ``inf_id`` is carried over as-is.
-    Entries must be integers (numpy integers are converted; floats,
-    bools, ``None`` and strings are rejected).
-    """
-    if not 0 <= position < code.length:
-        raise ValueError(f"position {position} out of range 0..{code.length - 1}")
-    sigma = tuple(permutation)
-    for v in sigma:
-        if not is_integer(v):
-            raise ValueError(f"permutation entry {v!r} is not an integer")
-    sigma = tuple(map(int, sigma))
-    if sorted(sigma) != list(range(code.q)):
-        raise ValueError("permutation must be a bijection on 0..q-1")
-    words = [
-        w[:position] + (sigma[w[position]],) + w[position + 1 :] for w in code.words
-    ]
-    return Code(code.length, code.q, tuple(sorted(words)), code.inf_id)
-
-
 @dataclass(frozen=True)
 class Witness:
     """Counterexample certificate returned by the verifiers.

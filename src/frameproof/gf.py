@@ -6,30 +6,25 @@ import operator
 from functools import lru_cache
 
 
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n % 2 == 0:
-        return n == 2
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
+TRIAL_DIVISION_LIMIT = 2**40  # about 0.1 s of trial division at the limit
+
+
+def _least_prime_factor(n: int, p: int = 2) -> int:
+    """Least prime factor of n, which has none below p; n itself when prime."""
+    if n >= TRIAL_DIVISION_LIMIT:
+        raise ValueError(f"{n} is too large to factor (limit 2**40)")
+    while p * p <= n:
+        if n % p == 0:
+            return p
+        p += 1 if p == 2 else 2
+    return n
 
 
 def is_prime_power(n: int) -> tuple[int, int] | None:
     """Return ``(p, e)`` with ``n == p**e`` and p prime, or None."""
     if n < 2:
         raise ValueError("n must be at least 2")
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            break
-        p += 1 if p == 2 else 2
-    else:
-        return (n, 1)
+    p = _least_prime_factor(n)
     e, r = 0, n
     while r % p == 0:
         r //= p
@@ -43,16 +38,13 @@ def factor_prime_powers(n: int) -> tuple[tuple[int, int], ...]:
         raise ValueError("n must be at least 2")
     out = []
     r, p = n, 2
-    while p * p <= r:
-        if r % p == 0:
-            e = 0
-            while r % p == 0:
-                r //= p
-                e += 1
-            out.append((p, e))
-        p += 1 if p == 2 else 2
-    if r > 1:
-        out.append((r, 1))
+    while r > 1:
+        p = _least_prime_factor(r, p)
+        e = 0
+        while r % p == 0:
+            r //= p
+            e += 1
+        out.append((p, e))
     return tuple(out)
 
 

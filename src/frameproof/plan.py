@@ -149,20 +149,6 @@ def plan_code(c: int, q: int) -> ConstructionPlan:
     return ConstructionPlan(c, c + 2, q, (c + 2) * (q - 1) ** 2 // c + 1, steps, f"c{c}")
 
 
-def plan_c2(q: int) -> ConstructionPlan:
-    """Plan a q-ary 2-frameproof length-4 code of size 2*(q-1)**2 + 1, q odd."""
-    if q < 3 or q % 2 == 0:
-        raise ValueError(f"q must be odd and at least 3, got {q}")
-    return plan_code(2, q)
-
-
-def plan_c3(q: int) -> ConstructionPlan:
-    """Plan a q-ary 3-frameproof length-5 code of size 5/3*(q-1)**2 + 1, q = 4 mod 6."""
-    if q < 4 or q % 6 != 4:
-        raise ValueError(f"q must be congruent to 4 mod 6, got {q}")
-    return plan_code(3, q)
-
-
 def oa_family_code(c: int, m: int) -> Code:
     """c-frameproof code of length c+2 over q = c*m+1 symbols, size (c+2)/c*(q-1)**2.
 

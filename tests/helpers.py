@@ -1,44 +1,9 @@
-"""Shared generators for randomized cross-checks."""
+"""Pure-Python reference implementations the fast checks are compared against."""
 
-import random
 from collections import Counter
 from itertools import combinations, product
 
-from frameproof import Witness, descendant_contains, make_code
-
-
-def random_code(rng: random.Random, max_q=5, max_l=5, max_size=12):
-    q = rng.randint(2, max_q)
-    length = rng.randint(2, max_l)
-    target = rng.randint(2, min(max_size, q**length))
-    words = set()
-    while len(words) < target:
-        words.add(tuple(rng.randrange(q) for _ in range(length)))
-    return make_code(length, q, sorted(words))
-
-
-def brute_descendants(pool):
-    """Independent product-style enumeration of desc(pool)."""
-    length = len(pool[0])
-    out = [()]
-    for i in range(length):
-        symbols = sorted({y[i] for y in pool})
-        out = [w + (s,) for w in out for s in symbols]
-    return set(out)
-
-
-def plant_framing(code, rng: random.Random, c: int):
-    """Append a framable word; returns (code, coalition) or None if impossible."""
-    words = list(code.words)
-    for _ in range(60):
-        k = rng.randint(2, min(c, len(words)))
-        coalition = rng.sample(words, k)
-        fresh = sorted(brute_descendants(coalition) - set(words))
-        if fresh:
-            x = fresh[rng.randrange(len(fresh))]
-            assert descendant_contains(coalition, x)
-            return make_code(code.length, code.q, words + [x]), tuple(coalition)
-    return None
+from frameproof import Witness
 
 
 def reference_t_determined(code, t: int):

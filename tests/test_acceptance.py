@@ -1,195 +1,23 @@
-"""Acceptance battery: the package's end-to-end exit criteria.
+"""Acceptance battery: one test per criterion in ``frameproof.acceptance.CRITERIA``.
 
-Each test prints one pass/fail line (run pytest with -s to see them all)
-and enforces its stated runtime ceiling.  Every expected number is either
-a hand-checkable constant or pinned by an independent oracle.
+``frameproof selftest`` runs the same list.  Each test prints the same
+one-line report as selftest (run pytest with -s to see them all).
 """
 
-import random
-import time
-from fractions import Fraction
-
-from helpers import plant_framing, random_code
-
-from frameproof import (
-    achieved_rate,
-    base_code,
-    blackburn_leading,
-    build_oa_strength2,
-    descendant_contains,
-    execute_plan,
-    execute_steps,
-    framed_witness_holds,
-    is_frameproof_cover,
-    is_frameproof_naive,
-    is_t_determined,
-    make_oa,
-    oa_family_code,
-    plan_c2,
-    plan_c3,
-    polynomial_lift,
-    ssw_bound,
-    verify_oa,
-)
-
-BASE_EXPECTATIONS = [
-    ("q3", 3, 4, 8, 2),
-    ("q4", 4, 5, 15, 3),
-    ("q5", 5, 4, 32, 2),
-    ("q10", 10, 5, 135, 3),
-]
+from frameproof import acceptance
 
 
-def _report(number, ok, detail):
-    print(f"criterion {number}: {'PASS' if ok else 'FAIL'} - {detail}")
-    assert ok, f"criterion {number} failed: {detail}"
+def _as_test(number, criterion):
+    def test():
+        ok, detail = criterion()
+        line = acceptance.report_line(number, ok, detail)
+        print(line)
+        assert ok, line
+
+    return test
 
 
-def test_criterion_1_base_fixtures():
-    start = time.perf_counter()
-    ok = True
-    for name, q, length, size, c in BASE_EXPECTATIONS:
-        code = base_code(name)
-        ok &= (code.q, code.length, code.size) == (q, length, size)
-        ok &= is_frameproof_naive(code, c).verdict
-        ok &= is_t_determined(code, 2).verdict
-    elapsed = time.perf_counter() - start
-    ok &= elapsed < 60
-    _report(1, ok, f"four base fixtures verified naively in {elapsed:.1f}s")
-
-
-def test_criterion_2_smallest_lift():
-    start = time.perf_counter()
-    lifted = polynomial_lift(base_code("q3"), 3, 2, 2)
-    ok = (lifted.q, lifted.size) == (7, 72)
-    ok &= lifted.size == 2 * (lifted.q - 1) ** 2
-    report = is_frameproof_naive(lifted, 2)
-    ok &= report.verdict
-    ok &= report.subsets_examined == 72 + 2556  # singletons + all pairs
-    ok &= is_t_determined(lifted, 2).verdict
-    elapsed = time.perf_counter() - start
-    ok &= elapsed < 5
-    _report(2, ok, f"lift to q=7 gives 72 words, naive-verified in {elapsed:.2f}s")
-
-
-def test_criterion_3_c2_family():
-    start = time.perf_counter()
-    ok = True
-    for q in range(3, 32, 2):
-        plan = plan_c2(q)
-        chain = execute_steps(plan.steps[:-1], plan.c)
-        ok &= is_t_determined(chain, 2).verdict
-        code = execute_plan(plan)
-        ok &= code.size == 2 * (q - 1) ** 2 + 1
-        if q <= 15:
-            ok &= is_frameproof_cover(code, 2).verdict
-    elapsed = time.perf_counter() - start
-    ok &= elapsed < 120
-    _report(3, ok, f"odd q in 3..31 hit 2(q-1)^2+1 exactly, {elapsed:.1f}s")
-
-
-def test_criterion_4_c3_family():
-    start = time.perf_counter()
-    ok = True
-    for q, size in ((4, 16), (10, 136), (22, 736)):
-        code = execute_plan(plan_c3(q))
-        ok &= code.size == size
-        ok &= 3 * (code.size - 1) == 5 * (q - 1) ** 2
-        ok &= is_frameproof_cover(code, 3).verdict
-    elapsed = time.perf_counter() - start
-    ok &= elapsed < 600
-    _report(4, ok, f"q in {{4, 10, 22}} give 16/136/736 words, cover-verified, {elapsed:.1f}s")
-
-
-def test_criterion_5_oa_suite():
-    start = time.perf_counter()
-    ok = True
-    for s in (2, 3, 4, 5, 7, 8, 9, 11, 13):
-        oa = build_oa_strength2(s)
-        ok &= verify_oa(oa).verdict
-        deltas = range(1, s) if s <= 5 else (1,)
-        for r in range(oa.constraints):
-            for col in range(oa.runs):
-                for delta in deltas:
-                    bad = oa.array.copy()
-                    bad[r, col] = (bad[r, col] + delta) % s
-                    ok &= not verify_oa(make_oa(bad, s, 2)).verdict
-    elapsed = time.perf_counter() - start
-    ok &= elapsed < 10
-    _report(5, ok, f"arrays for nine orders verified, every cell corruption caught, {elapsed:.1f}s")
-
-
-def test_criterion_6_oa_family():
-    start = time.perf_counter()
-    code = oa_family_code(3, 4)
-    ok = (code.q, code.size) == (13, 240)
-    ok &= 3 * code.size == 5 * (code.q - 1) ** 2
-    ok &= is_t_determined(code, 2).verdict
-    ok &= is_frameproof_cover(code, 3).verdict
-    wide = oa_family_code(4, 7)
-    ok &= (wide.q, wide.length, wide.size) == (29, 6, 1176)
-    ok &= 4 * wide.size == 6 * (wide.q - 1) ** 2
-    ok &= is_t_determined(wide, 2).verdict
-    elapsed = time.perf_counter() - start
-    _report(6, ok, f"array-seeded codes hit (c+2)/c*(q-1)^2 for c=3 and c=4, {elapsed:.1f}s")
-
-
-def test_criterion_7_rate_convergence():
-    code = execute_plan(plan_c2(101))
-    rate = achieved_rate(2, 4, 101, code.size)
-    ok = rate == Fraction(20001, 10201)
-    ok &= rate > 2 * (1 - Fraction(1, 50))
-    fam = oa_family_code(3, 37)
-    ok &= fam.q == 112 and fam.q % 6 == 4
-    fam_rate = achieved_rate(3, 5, fam.q, fam.size)
-    ok &= fam_rate >= Fraction(5, 3) * Fraction(fam.q - 1, fam.q) ** 2
-    _report(7, ok, "exact rates at q=101 and q=112 clear their finite-q floors")
-
-
-def test_criterion_8_oracle_equivalence():
-    start = time.perf_counter()
-    rng = random.Random(20260808)
-    ok = True
-    trials = violations = 0
-    while trials < 1000:
-        code = random_code(rng)
-        c = rng.randint(2, 3)
-        if trials % 2 == 1:
-            out = plant_framing(code, rng, c)
-            if out is None:
-                continue
-            code, _ = out
-        trials += 1
-        naive = is_frameproof_naive(code, c)
-        cover = is_frameproof_cover(code, c)
-        ok &= naive.verdict == cover.verdict
-        for report in (naive, cover):
-            if not report.verdict:
-                violations += 1
-                ok &= framed_witness_holds(report.witness)
-                ok &= descendant_contains(report.witness.coalition, report.witness.framed_word)
-                ok &= report.witness.framed_word not in report.witness.coalition
-    ok &= violations > 400  # planted cases guarantee plenty of false verdicts
-    elapsed = time.perf_counter() - start
-    ok &= elapsed < 60
-    _report(8, ok, f"1000 seeded codes: verifiers agree, {violations} witnesses revalidated, {elapsed:.1f}s")
-
-
-def test_criterion_9_bound_dominance():
-    ok = blackburn_leading(3, 5) == Fraction(5, 3)
-    ok &= blackburn_leading(2, 4) == Fraction(2)
-    produced = [
-        (base_code("q3"), 2),
-        (base_code("q4"), 3),
-        (base_code("q5"), 2),
-        (base_code("q10"), 3),
-        (polynomial_lift(base_code("q3"), 3, 2, 2), 2),
-        (polynomial_lift(base_code("q4"), 4, 2, 3), 3),
-        (oa_family_code(3, 4), 3),
-        (oa_family_code(4, 7), 4),
-    ]
-    produced += [(execute_plan(plan_c2(q)), 2) for q in range(3, 16, 2)]
-    produced += [(execute_plan(plan_c3(q)), 3) for q in (4, 10, 22)]
-    for code, c in produced:
-        ok &= code.size <= ssw_bound(c, code.length, code.q)
-    _report(9, ok, f"{len(produced)} constructed codes all satisfy the cardinality bound")
+# Named after the criteria (test_criterion_1_base_fixtures, ...), so each
+# keeps a stable test id.
+for _number, _criterion in enumerate(acceptance.CRITERIA, 1):
+    globals()[f"test_{_criterion.__name__}"] = _as_test(_number, _criterion)

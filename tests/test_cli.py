@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from frameproof import (
@@ -10,6 +12,7 @@ from frameproof import (
     write_code_file,
     write_oa_file,
 )
+from frameproof import acceptance
 from frameproof.cli import run
 
 
@@ -144,6 +147,16 @@ class TestPlanCommand:
         assert run(["plan", "--c", "4", "--q", "13"]) == 64
         assert "prime-power factor 3, below c+1 = 5" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("c, q, n", [
+        ("2", "200000000000000000079", "100000000000000000039"),
+        ("1000000000000000002", "5", "1000000000000000003"),
+    ])
+    def test_huge_numbers_are_refused_before_factoring(self, capsys, c, q, n):
+        start = time.perf_counter()
+        assert run(["plan", "--c", c, "--q", q]) == 64
+        assert time.perf_counter() - start < 1
+        assert f"{n} is too large to factor" in capsys.readouterr().err
+
 
 class TestOaCommands:
     def test_build_verify_roundtrip(self, tmp_path):
@@ -236,3 +249,38 @@ def test_selftest_quiet(capsys):
     assert run(["--quiet", "selftest"]) == 0
     out = capsys.readouterr().out.strip().splitlines()
     assert len(out) == 1 and out[0].startswith("selftest:")
+
+
+def test_battery_prints_one_line_per_criterion(capsys):
+    assert run(["selftest"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert len(out) == 10
+    for number, line in enumerate(out[:9], 1):
+        assert line.startswith(f"criterion {number}: PASS - ")
+    assert out[9] == "selftest: 9 checks, 0 failures"
+
+
+def test_battery_reports_a_failing_criterion(monkeypatch, capsys):
+    criteria = (lambda seed: (True, "fine"), lambda seed: (False, "planted"))
+    monkeypatch.setattr(acceptance, "CRITERIA", criteria)
+    assert run(["selftest"]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "criterion 1: PASS - fine",
+        "criterion 2: FAIL - planted",
+        "selftest: 2 checks, 1 failures",
+    ]
+
+
+def test_seed_reaches_the_oracle_criterion(monkeypatch, capsys):
+    # keep only criterion 8 real; the others pass without running
+    criteria = tuple(
+        c if c is acceptance.criterion_8_oracle_equivalence else (lambda seed: (True, "-"))
+        for c in acceptance.CRITERIA
+    )
+    monkeypatch.setattr(acceptance, "CRITERIA", criteria)
+    lines = []
+    for argv in (["selftest"], ["--seed", "5", "selftest"]):
+        assert run(argv) == 0
+        lines.append(capsys.readouterr().out.splitlines()[7])
+    assert "1732 witnesses revalidated" in lines[0]
+    assert lines[1].startswith("criterion 8: PASS") and "1732 witnesses" not in lines[1]

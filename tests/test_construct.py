@@ -22,8 +22,7 @@ from frameproof import (
     make_field,
     oa_family_code,
     oa_to_pt_code,
-    plan_c2,
-    plan_c3,
+    plan_code,
     polynomial_lift,
     ssw_bound,
 )
@@ -47,23 +46,23 @@ PINNED_CODES = {
         "c2911e603fd9066689b6862979f454e44f9c4f89dc8823128de4831306f03c7a",
     ),
     "plan c2 q45": (
-        lambda: execute_plan(plan_c2(45)),
+        lambda: execute_plan(plan_code(2, 45)),
         "a9408637097c4f3645c2d861eca2da1eb3e4e476086ac0d6f2fa9f4da9e2d3b9",
     ),
     "plan c2 q61": (
-        lambda: execute_plan(plan_c2(61)),
+        lambda: execute_plan(plan_code(2, 61)),
         "df62549809366b285b540546e01c47f7d6ab8d10ea1baa4caaf42086ce05e6c7",
     ),
     "plan c2 q101": (
-        lambda: execute_plan(plan_c2(101)),
+        lambda: execute_plan(plan_code(2, 101)),
         "ccb822325c905f2736b0ea3d0178c0b2a92da9140ff85ba60cbcdb75ec19cf30",
     ),
     "plan c3 q40": (
-        lambda: execute_plan(plan_c3(40)),
+        lambda: execute_plan(plan_code(3, 40)),
         "e87029eb81e7365012a60f82702b06ea847be8680b04c4e719b5f7791c9e635f",
     ),
     "plan c3 q136": (
-        lambda: execute_plan(plan_c3(136)),
+        lambda: execute_plan(plan_code(3, 136)),
         "56eb15104813848ab9d04d55ccbad97860f6ed00bffb568ed1dcfaa7dfd42da4",
     ),
     "oa family c3 m4": (

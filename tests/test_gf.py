@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from frameproof import (
     Field,
     factor_prime_powers,
-    is_prime,
     is_prime_power,
     leading_coeff,
     make_field,
@@ -35,17 +34,20 @@ class TestPrimePower:
     def test_supported_set(self):
         assert [n for n in range(2, 50) if is_prime_power(n)] == PRIME_POWERS_LE_49
 
-    def test_is_prime(self):
-        assert [n for n in range(2, 30) if is_prime(n)] == [
-            2, 3, 5, 7, 11, 13, 17, 19, 23, 29,
-        ]
-
     def test_factorization(self):
         assert factor_prime_powers(45) == ((3, 2), (5, 1))
         assert factor_prime_powers(7) == ((7, 1),)
         assert factor_prime_powers(2**10) == ((2, 10),)
         with pytest.raises(ValueError):
             factor_prime_powers(1)
+
+    def test_trial_division_is_bounded(self):
+        assert factor_prime_powers(2**40 - 1) == (
+            (3, 1), (5, 2), (11, 1), (17, 1), (31, 1), (41, 1), (61681, 1),
+        )
+        for fn in (factor_prime_powers, is_prime_power):
+            with pytest.raises(ValueError, match=f"{2**40} is too large"):
+                fn(2**40)
 
 
 def brute_force_irreducible(poly, p):

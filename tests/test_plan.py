@@ -17,8 +17,6 @@ from frameproof import (
     is_frameproof_cover,
     is_t_determined,
     oa_family_code,
-    plan_c2,
-    plan_c3,
     plan_code,
     ssw_bound,
 )
@@ -26,59 +24,59 @@ from frameproof import (
 
 class TestPlanning:
     def test_smallest_composed_plan(self):
-        plan = plan_c2(7)
+        plan = plan_code(2, 7)
         assert plan.steps == (Step("base", "q3"), Step("lift", 3), Step("augment"))
         assert plan.expected_size == 73
 
     def test_five_uses_large_base(self):
-        plan = plan_c2(5)
+        plan = plan_code(2, 5)
         assert plan.steps == (Step("base", "q5"), Step("augment"))
         assert plan.expected_size == 33
 
     def test_prime_power_half(self):
-        plan = plan_c2(19)  # (q-1)/2 = 9 = 3**2
+        plan = plan_code(2, 19)  # (q-1)/2 = 9 = 3**2
         assert plan.steps == (Step("base", "q3"), Step("lift", 9), Step("augment"))
         assert plan.expected_size == 649
 
     def test_composite_half_recurses(self):
-        plan = plan_c2(13)  # (q-1)/2 = 6 -> factor 3, inner target q=5
+        plan = plan_code(2, 13)  # (q-1)/2 = 6 -> factor 3, inner target q=5
         assert plan.steps == (Step("base", "q5"), Step("lift", 3), Step("augment"))
 
     def test_two_level_recursion(self):
-        plan = plan_c2(25)  # m=12 -> factor 3, inner q=9 -> m=4 prime power
+        plan = plan_code(2, 25)  # m=12 -> factor 3, inner q=9 -> m=4 prime power
         assert plan.steps == (
             Step("base", "q3"), Step("lift", 4), Step("lift", 3), Step("augment")
         )
 
     def test_c3_small(self):
-        assert plan_c3(4).steps == (Step("base", "q4"), Step("augment"))
-        assert plan_c3(4).expected_size == 16
-        assert plan_c3(10).steps == (Step("base", "q10"), Step("augment"))
-        assert plan_c3(10).expected_size == 136
+        assert plan_code(3, 4).steps == (Step("base", "q4"), Step("augment"))
+        assert plan_code(3, 4).expected_size == 16
+        assert plan_code(3, 10).steps == (Step("base", "q10"), Step("augment"))
+        assert plan_code(3, 10).expected_size == 136
 
     def test_c3_lifted(self):
-        plan = plan_c3(22)
+        plan = plan_code(3, 22)
         assert plan.steps == (Step("base", "q4"), Step("lift", 7), Step("augment"))
         assert plan.expected_size == 736
 
     def test_c3_recursive(self):
-        plan = plan_c3(46)  # m=15 -> factor 5, inner q=10
+        plan = plan_code(3, 46)  # m=15 -> factor 5, inner q=10
         assert plan.steps == (Step("base", "q10"), Step("lift", 5), Step("augment"))
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            plan_c2(8)
+            plan_code(2, 8)
         with pytest.raises(ValueError):
-            plan_c2(1)
+            plan_code(2, 1)
         with pytest.raises(ValueError):
-            plan_c3(9)
+            plan_code(3, 9)
         with pytest.raises(ValueError):
             plan_code(5, 11)
 
     def test_deterministic(self):
         for q in (7, 13, 25, 31):
-            assert plan_c2(q) == plan_c2(q)
-        assert plan_c3(22) == plan_c3(22)
+            assert plan_code(2, q) == plan_code(2, q)
+        assert plan_code(3, 22) == plan_code(3, 22)
 
     def test_bad_plans_rejected_at_construction(self):
         with pytest.raises(ValueError, match="no steps"):
@@ -205,13 +203,13 @@ class TestExecution:
             assert (code.q, code.size) == (q, size)
 
     def test_star_structure_before_augment(self):
-        plan = plan_c2(19)
+        plan = plan_code(2, 19)
         chain = execute_steps(plan.steps[:-1], plan.c)
         assert is_t_determined(chain, 2).verdict
         assert chain.size == plan.expected_size - 1
 
     def test_executed_code_verifies(self):
-        code = execute_plan(plan_c2(9))
+        code = execute_plan(plan_code(2, 9))
         assert is_frameproof_cover(code, 2).verdict
 
     def test_mismatch_fails_loudly(self):
@@ -226,7 +224,7 @@ class TestExecution:
             execute_steps((), 2)
 
     def test_format_plan_tracks_parameters(self):
-        text = format_plan(plan_c2(25))
+        text = format_plan(plan_code(2, 25))
         assert "target: c=2 q=25 length=4 size=1153" in text
         assert "lift by GF(4): q=9 M=128" in text
         assert "lift by GF(3): q=25 M=1152" in text
@@ -264,7 +262,7 @@ class TestBounds:
             previous = rate
         previous = Fraction(0)
         for q in (4, 10, 16, 22, 28, 34):
-            plan = plan_c3(q)
+            plan = plan_code(3, q)
             rate = achieved_rate(3, 5, q, plan.expected_size)
             assert previous < rate < blackburn_leading(3, 5)
             previous = rate
@@ -282,5 +280,5 @@ class TestBounds:
 
     def test_planned_sizes_dominated(self):
         for q in range(3, 32, 2):
-            plan = plan_c2(q)
+            plan = plan_code(2, q)
             assert plan.expected_size <= ssw_bound(2, 4, q)

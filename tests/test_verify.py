@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import plant_framing, random_code, reference_t_determined
+from helpers import reference_t_determined
 
 from frameproof import (
     BudgetExceeded,
@@ -21,6 +21,7 @@ from frameproof import (
     make_code,
     plan_code,
 )
+from frameproof.acceptance import plant_framing, random_code
 
 FRAMABLE = make_code(2, 2, [(0, 1), (1, 0), (0, 0)])
 
