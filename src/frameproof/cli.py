@@ -63,7 +63,8 @@ def _global_options() -> _Parser:
     parser.add_argument("--seed", type=int, default=acceptance.SEED,
                         help="seed for randomized checks")
     parser.add_argument("--budget", type=_budget, default=NAIVE_BUDGET,
-                        help="work budget for the verifiers")
+                        help="work budget for the verifiers, and the most symbols "
+                        "(M*l) plan --execute may build")
     parser.add_argument("--quiet", action="store_true", help="suppress per-item output")
     return parser
 
@@ -201,6 +202,10 @@ def _cmd_plan(args) -> int:
     plan = plan_code(args.c, args.q)
     print(format_plan(plan))
     if args.execute or args.out:
+        symbols = plan.expected_size * plan.length
+        if symbols > args.budget:
+            raise BudgetExceeded(f"plan builds M*l = {symbols} symbols, "
+                                 f"above the budget of {args.budget}")
         code = execute_plan(plan)
         rate = achieved_rate(plan.c, plan.length, plan.q, code.size)
         if not args.quiet:

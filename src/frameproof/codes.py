@@ -2,13 +2,17 @@
 
 from __future__ import annotations
 
+import functools
 import itertools
 import numbers
 from dataclasses import dataclass
 
+import numpy as np
+
 Word = tuple[int, ...]
 
 DESCENDANT_CAP = 10**6
+_SYMBOL_LIMIT = 2**63  # symbols, and the keys of _pack, are int64
 
 
 class BudgetExceeded(Exception):
@@ -19,24 +23,35 @@ class BudgetExceeded(Exception):
         self.examined = examined
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Code:
     """A set of equal-length words over the alphabet ``{0, ..., q-1}``.
 
-    ``words`` is kept lexicographically sorted so that iteration and
-    serialisation are reproducible.  ``inf_id`` designates the optional
-    infinity (star) symbol used by the star-structured constructions;
-    every code built by this package uses id 0 for it.
+    ``array`` holds the words as the rows of a read-only ``(M, l)`` int64
+    array in lexicographic order; ``words`` is the same tuple of tuples
+    of Python ints, built on first use.  Codes compare by value and are
+    not hashable.  ``inf_id`` designates the optional infinity (star)
+    symbol of the star-structured constructions; every code built by
+    this package uses id 0 for it.
     """
 
     length: int
     q: int
-    words: tuple[Word, ...]
+    array: np.ndarray
     inf_id: int | None = None
+
+    @functools.cached_property
+    def words(self) -> tuple[Word, ...]:
+        # zipping the columns makes no per-row lists on the way
+        return tuple(zip(*self.array.T.tolist()))
 
     @property
     def size(self) -> int:
-        return len(self.words)
+        return len(self.array)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Code) and (self.length, self.q, self.inf_id) == (
+            other.length, other.q, other.inf_id) and np.array_equal(self.array, other.array)
 
     def __repr__(self) -> str:
         inf = "none" if self.inf_id is None else self.inf_id
@@ -46,11 +61,12 @@ class Code:
 def make_code(length: int, q: int, words, inf_id: int | None = None) -> Code:
     """Validate and canonicalise a word collection into a :class:`Code`.
 
+    ``words`` is an integer ``(M, l)`` array or an iterable of words.
     Symbols and ``inf_id`` must be integers (numpy integers are
-    converted; floats, bools, ``None`` symbols and strings are rejected).
-    Duplicate words, wrong lengths, non-integer and out-of-range symbols
-    are all rejected with distinct diagnostics naming the first
-    offending word.
+    converted; floats, bools, ``None`` symbols and strings are rejected)
+    that fit in int64.  Duplicate words, wrong lengths, non-integer and
+    out-of-range symbols are all rejected with distinct diagnostics
+    naming the first offending word.
     """
     if length < 1:
         raise ValueError("length must be a positive integer")
@@ -62,19 +78,14 @@ def make_code(length: int, q: int, words, inf_id: int | None = None) -> Code:
         inf_id = int(inf_id)
         if not 0 <= inf_id < q:
             raise ValueError(f"inf_id {inf_id} out of range 0..{q - 1}")
-    out = [tuple(w) for w in words]
-    flat = list(itertools.chain.from_iterable(out))
-    # One C-level pass for the common case; anything unusual (numpy
-    # integers included) goes through the word-by-word check below.
-    if (
-        set(map(type, flat)) != {int}
-        or set(map(len, out)) != {length}
-        or min(flat) < 0
-        or max(flat) >= q
-        or len(set(out)) != len(out)
-    ):
-        out = _checked_words(out, length, q)
-    return Code(length, q, tuple(sorted(out)), inf_id)
+    if not isinstance(words, np.ndarray):
+        words = [tuple(w) for w in words]
+    rows = _sorted_rows(words, length, q)
+    if rows is None:
+        # the word-by-word walk raises at the first bad word, or returns
+        # the words as Python ints (numpy integers included)
+        rows = _sorted_rows(_checked_words(words, length, q), length, q)
+    return Code(length, q, rows, inf_id)
 
 
 def is_integer(v) -> bool:
@@ -82,7 +93,66 @@ def is_integer(v) -> bool:
     return isinstance(v, numbers.Integral) and not isinstance(v, bool)
 
 
+def _sorted_rows(words, length: int, q: int) -> np.ndarray | None:
+    """The words as a sorted, read-only, column-major int64 array; None unless all are valid.
+
+    An array needs an integer dtype and l columns (uint64 symbols past
+    int64 wrap negative and fail the range test); a list needs symbols
+    of type ``int`` exactly (so ``True`` is not read as 1) and words of
+    length l.  Packed keys keep the lexicographic order, so one argsort
+    sorts the rows and equal adjacent keys are duplicates.
+    """
+    if isinstance(words, np.ndarray):
+        if words.dtype.kind not in "iu" or words.shape[1:] != (length,):
+            return None
+        rows = words.astype(np.int64, order="F")
+    else:
+        flat = list(itertools.chain.from_iterable(words))
+        if set(map(type, flat)) - {int} or set(map(len, words)) - {length} or (
+                flat and not 0 <= min(flat) <= max(flat) < _SYMBOL_LIMIT):
+            return None
+        rows = np.asfortranarray(np.array(flat, dtype=np.int64).reshape(len(words), length))
+    if rows.size and (int(rows.min()) < 0 or int(rows.max()) >= q):
+        return None
+    keys = _pack(rows, range(length))
+    if not (keys[1:] > keys[:-1]).all():
+        order = keys.argsort()
+        rows, keys = np.asfortranarray(rows[order]), keys[order]
+        if (keys[1:] == keys[:-1]).any():
+            return None
+    rows.flags.writeable = False
+    return rows
+
+
+def _pack(rows: np.ndarray, positions) -> np.ndarray:
+    """One int64 key per row, in the order of its projection onto ``positions``.
+
+    Keys are equal exactly when the projections are.  Each column is
+    offset by its least symbol and weighted by its actual range, not by
+    q; before a product would reach 2**63 the keys so far, and if need
+    be the column, are re-ranked with ``np.unique``, which keeps order.
+    """
+    keys = np.zeros(len(rows), dtype=np.int64)
+    span = 1
+    for pos in positions:
+        col = rows[:, pos]
+        if not col.size:
+            break
+        lo = int(col.min())
+        width = int(col.max()) - lo + 1
+        if span * width >= _SYMBOL_LIMIT:
+            keys = np.unique(keys, return_inverse=True)[1].reshape(-1)
+            span = int(keys.max()) + 1
+            if span * width >= _SYMBOL_LIMIT:
+                col, lo = np.unique(col, return_inverse=True)[1].reshape(-1), 0
+                width = int(col.max()) + 1
+        keys = keys * width + (col - lo)
+        span *= width
+    return keys
+
+
 def _checked_words(words, length: int, q: int) -> list[Word]:
+    top = min(q, _SYMBOL_LIMIT)
     seen: set[Word] = set()
     out: list[Word] = []
     for w in words:
@@ -93,8 +163,8 @@ def _checked_words(words, length: int, q: int) -> list[Word]:
         if len(tup) != length:
             raise ValueError(f"word {tup} has length {len(tup)}, expected {length}")
         for v in tup:
-            if not 0 <= v < q:
-                raise ValueError(f"symbol {v} out of range 0..{q - 1} in word {tup}")
+            if not 0 <= v < top:
+                raise ValueError(f"symbol {v} out of range 0..{top - 1} in word {tup}")
         if tup in seen:
             raise ValueError(f"duplicate word {tup}")
         seen.add(tup)
@@ -194,7 +264,7 @@ def symbol_text(v: int, inf_id: int | None) -> str:
 def code_to_text(code: Code) -> str:
     inf = "none" if code.inf_id is None else str(code.inf_id)
     header = f"{_FPC_MAGIC} q={code.q} l={code.length} M={code.size} inf={inf}\n"
-    symbols = list(itertools.chain.from_iterable(code.words))
+    symbols = code.array.ravel().tolist()
     # one token per distinct symbol, so a huge q with few words stays cheap
     tokens = {v: symbol_text(v, code.inf_id) for v in set(symbols)}
     line = " ".join(["%s"] * code.length) + "\n"

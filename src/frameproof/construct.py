@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import itertools
 
+import numpy as np
+
 from .codes import Code, is_integer, make_code
 from .gf import is_prime_power, leading_coeff, make_field
 from .verify import is_t_determined
@@ -46,36 +48,34 @@ BASE_CODE_INFO = {
 }
 
 
-def _lift_words(words, m: int, t: int, points_of) -> list[tuple[int, ...]]:
-    """The m**t polynomial-tagged children of every word, parent by parent.
+def _point_ids(points, m: int) -> np.ndarray:
+    """Evaluation points as an int array, with m standing for the infinity point ``None``."""
+    return np.array([m if p is None else p for p in points], dtype=np.int64)
 
-    ``points_of(word)`` gives one evaluation point per position (``None``
-    is the infinity point, whose "value" is the leading coefficient); the
-    point at an infinity position is ignored.  Children follow the
-    polynomials' coefficient order, low degree first.  Each point's m**t
-    values are computed once, so the field is touched O(points * m**t)
-    times however many words are lifted.
+
+def _lift_words(rows: np.ndarray, m: int, t: int, points) -> np.ndarray:
+    """The m**t polynomial-tagged children of every row, parent by parent.
+
+    ``points`` holds one evaluation point per position, or per row and
+    position (shape ``(l,)`` or ``(M, l)``); m stands for the infinity
+    point, whose "value" is the leading coefficient.  The point at an
+    infinity position is ignored.  Children follow the polynomials'
+    coefficient order, low degree first.  Each point's m**t values are
+    computed once into a tag table, which is then broadcast against the
+    parent rows.
     """
     field = make_field(m)
     polys = list(itertools.product(range(m), repeat=t))
-    stars = (0,) * len(polys)
-    values = {}
-    out = []
-    for word in words:
-        columns = []
-        for b, alpha in zip(word, points_of(word)):
-            if b == 0:
-                columns.append(stars)
-                continue
-            if alpha not in values:
-                values[alpha] = [
-                    leading_coeff(f, t) if alpha is None else field.eval_poly(f, alpha)
-                    for f in polys
-                ]
-            base = (b - 1) * m + 1
-            columns.append([base + y for y in values[alpha]])
-        out.extend(zip(*columns))
-    return out
+    used, where = np.unique(points, return_inverse=True)
+    tags = np.array([
+        [leading_coeff(f, t) if alpha == m else field.eval_poly(f, alpha) for f in polys]
+        for alpha in used.tolist()
+    ], dtype=np.int64)[where.reshape(np.shape(points))]
+    if rows.size and (int(rows.max()) - 1) * m + m >= 2**63:
+        raise ValueError(f"lifted symbols out of range 0..{2**63 - 1}")
+    parent = rows[:, :, None]
+    out = np.where(parent == 0, 0, (parent - 1) * m + 1 + tags)
+    return out.transpose(0, 2, 1).reshape(-1, rows.shape[1])
 
 
 def base_code(name: str) -> Code:
@@ -96,13 +96,13 @@ def base_code(name: str) -> Code:
         ]
     elif name in _PAIR_BASES:
         parent, m = _PAIR_BASES[name]
-        pts = default_eval_points(m, BASE_CODE_INFO[name][1] - 1)
-
-        def points_of(word):
-            star = word.index(0)  # one infinity per word; its point is ignored
-            return pts[:star] + (None,) + pts[star:]
-
-        words = _lift_words(base_code(parent).words, m, 2, points_of)
+        rows = base_code(parent).array
+        pts = _point_ids(default_eval_points(m, rows.shape[1] - 1), m)
+        # one infinity per word: the points fill its other positions in
+        # order (the infinity position takes a neighbour's point, ignored)
+        pos = np.arange(rows.shape[1])
+        star = (rows == 0).argmax(axis=1)[:, None]
+        words = _lift_words(rows, m, 2, pts[pos - (pos >= star)])
     else:
         raise ValueError(f"unknown base code {name!r}; choose from {sorted(BASE_CODE_INFO)}")
     q, length, size, _ = BASE_CODE_INFO[name]
@@ -188,7 +188,7 @@ def polynomial_lift(code: Code, m: int, t: int, c: int, points=None) -> Code:
     report = is_t_determined(code, t)
     if not report.verdict:
         raise ValueError(f"parent code is not {t}-determined: {report.witness}")
-    out = _lift_words(code.words, m, t, lambda word: pts)
+    out = _lift_words(code.array, m, t, _point_ids(pts, m))
     lifted = make_code(length, (code.q - 1) * m + 1, out, inf_id=0)
     assert lifted.size == code.size * m**t
     return lifted
@@ -209,5 +209,5 @@ def augment_infinity(code: Code, c: int, t: int) -> Code:
     report = is_t_determined(code, t)
     if not report.verdict:
         raise ValueError(f"code is not {t}-determined: {report.witness}")
-    all_inf = (code.inf_id,) * code.length
-    return make_code(code.length, code.q, code.words + (all_inf,), code.inf_id)
+    all_inf = np.full((1, code.length), code.inf_id)
+    return make_code(code.length, code.q, np.vstack([code.array, all_inf]), code.inf_id)

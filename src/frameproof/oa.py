@@ -168,7 +168,7 @@ def oa_to_frameproof(oa: OrthogonalArray, c: int) -> Code:
         raise ValueError(
             f"need more rows than c*(t-1) = {c * (oa.strength - 1)}, have {oa.constraints}"
         )
-    return make_code(oa.constraints, oa.levels, oa.array.T.tolist())
+    return make_code(oa.constraints, oa.levels, oa.array.T)
 
 
 def oa_to_pt_code(oa: OrthogonalArray) -> Code:
@@ -181,7 +181,7 @@ def oa_to_pt_code(oa: OrthogonalArray) -> Code:
     if oa.index != 1:
         raise ValueError(f"array index must be 1, got {oa.index}")
     norm = normalize_column_to_infinity(oa, 0)
-    return make_code(oa.constraints, oa.levels, norm.array[:, 1:].T.tolist(), inf_id=0)
+    return make_code(oa.constraints, oa.levels, norm.array[:, 1:].T, inf_id=0)
 
 
 # --- .oa text format --------------------------------------------------------

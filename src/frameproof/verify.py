@@ -14,22 +14,25 @@ Two independent algorithms decide the frameproof property:
 They always agree; having both lets each one act as an oracle for the
 other and for every construction in the package.
 
-:func:`is_t_determined` uses the same ``itemgetter`` projections: one
-hash set per set S of t positions, filled with the projections of the
-words with no infinity in S, is smaller than the words fed in exactly
-when two of them agree on S.  The cost is O(C(l, t) * M) hashing at C
-level plus one O(M * l) pass, counted in words examined.
+The cover index and :func:`is_t_determined` share one primitive,
+``codes._pack`` (which also sorts :func:`~frameproof.codes.make_code`'s
+rows): it turns the rows' projections onto a position set into int64
+keys that are equal exactly when the projections are.  A sort then puts
+equal keys next to each other, and one compare of adjacent keys finds
+every repeat.  Keys weight each column by its actual symbol range, and
+re-rank with ``np.unique`` before a product would pass 2**63, so symbols
+anywhere in the int64 range are handled.
 """
 
 from __future__ import annotations
 
 import time
-from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations, compress, groupby, repeat
-from operator import eq, itemgetter
+from itertools import combinations
 
-from .codes import BudgetExceeded, Code, Witness
+import numpy as np
+
+from .codes import BudgetExceeded, Code, Witness, _pack
 
 NAIVE_BUDGET = 10**8
 
@@ -119,8 +122,8 @@ def is_frameproof_naive(code: Code, c: int, budget: int = NAIVE_BUDGET) -> Verif
     return VerifyReport(True, None, examined, time.perf_counter() - start)
 
 
-def _projection(mask: int) -> itemgetter:
-    return itemgetter(*(pos for pos in range(mask.bit_length()) if (mask >> pos) & 1))
+def _positions(mask: int) -> list[int]:
+    return [pos for pos in range(mask.bit_length()) if (mask >> pos) & 1]
 
 
 def _cover(shared: int, length: int, c: int, meter: list[int]) -> tuple[int, ...] | None:
@@ -163,10 +166,12 @@ def is_frameproof_cover(code: Code, c: int, budget: int = NAIVE_BUDGET) -> Verif
     projection onto S.  x can be framed by at most c words exactly when at
     most c shared sets cover every position.  The index takes M
     projections for each of the 2^l - 2 proper non-empty S, O(M * 2^l) in
-    all; the depth-<=c search over maximal shared sets then runs once per
-    distinct pattern of shared sets.  Words are scanned in sort order, so
-    the witness frames the smallest framable word, with the first word in
-    sort order sharing each chosen set as its coalition.  Work is metered
+    all: per S, the rows' packed keys are sorted and adjacent equal keys
+    mark shared projections, into one packed bit row per word.  The
+    depth-<=c search over maximal shared sets then runs once per distinct
+    pattern, in the order of each pattern's first word, so the witness
+    frames the smallest framable word, with the first word in sort order
+    sharing each chosen set as its coalition.  Work is metered
     in projections plus search nodes, reported as ``subsets_examined``;
     an index larger than ``budget`` is refused before it is built, and
     either way :class:`BudgetExceeded` is raised.
@@ -174,29 +179,39 @@ def is_frameproof_cover(code: Code, c: int, budget: int = NAIVE_BUDGET) -> Verif
     if c < 2:
         raise ValueError("c must be at least 2")
     start = time.perf_counter()
-    words = code.words
+    rows = code.array
+    big_m = len(rows)
     full = (1 << code.length) - 1
-    meter = [len(words) * (full - 1), budget]
+    meter = [big_m * (full - 1), budget]
     if meter[0] > budget:
         raise BudgetExceeded(f"cover verification budget of {budget} is below the "
                              f"{meter[0]} projections of the index", examined=0)
-    # one count table at a time, so memory does not grow with 2^l
-    shared = [0] * len(words)
+    # per word, the bitset of its shared sets: bit S of row x is set when
+    # x's projection onto S occurs more than once
+    shared = np.zeros((big_m, (full >> 6) + 1), dtype=np.uint64)
     for mask in range(1, full):
-        keys = list(map(_projection(mask), words))
-        counts = Counter(keys)
-        shared = [s | 1 << mask if counts[k] > 1 else s for s, k in zip(shared, keys)]
-    covers: dict[int, tuple[int, ...] | None] = {}
-    for x, pattern in zip(words, shared):
-        if pattern not in covers:
-            covers[pattern] = _cover(pattern, code.length, c, meter)
-        if covers[pattern] is None:
+        keys = _pack(rows, _positions(mask))
+        order = keys.argsort()
+        keys = keys[order]
+        repeated = np.zeros(big_m, dtype=bool)
+        dup = keys[1:] == keys[:-1]
+        repeated[1:] = dup
+        repeated[:-1] |= dup
+        shared[order[repeated], mask >> 6] |= np.uint64(1 << (mask & 63))
+    # one cover search per distinct pattern, met in word order
+    firsts = np.unique(shared, axis=0, return_index=True)[1]
+    for x in np.sort(firsts).tolist():
+        pattern = int.from_bytes(shared[x].astype("<u8").tobytes(), "little")
+        cover = _cover(pattern, code.length, c, meter)
+        if cover is None:
             continue
         coalition = set()
-        for mask in covers[pattern]:
-            key = _projection(mask)
-            coalition.add(next(y for y in words if y != x and key(y) == key(x)))
-        witness = Witness(kind="framed", coalition=tuple(sorted(coalition)), framed_word=x)
+        for mask in cover:
+            keys = _pack(rows, _positions(mask))
+            y = next(y for y in np.flatnonzero(keys == keys[x]).tolist() if y != x)
+            coalition.add(tuple(rows[y].tolist()))
+        witness = Witness(kind="framed", coalition=tuple(sorted(coalition)),
+                          framed_word=tuple(rows[x].tolist()))
         return VerifyReport(False, witness, meter[0], time.perf_counter() - start)
     return VerifyReport(True, None, meter[0], time.perf_counter() - start)
 
@@ -206,16 +221,14 @@ def is_t_determined(code: Code, t: int) -> VerifyReport:
 
     Concretely: (a) every word carries at most t-1 infinity entries, and
     (b) no two distinct words agree in t or more positions where both
-    are non-infinity.  Clause (a) counts each word's infinity entries.
-    For clause (b) the words are partitioned once by their infinity
-    positions; for each set S of t positions, the words with no infinity
-    in S are projected onto S into one set, and S holds an agreement
-    exactly when the set is smaller than the number of words fed in.
-    That is O(C(l, t) * M) hashing at C level plus one O(M * l) pass,
-    whose infinity patterns are sorted so each group is fed whole.
-    Only for the first failing S are its words walked in sort order, so
-    the witness is the first repeated projection, paired with the first
-    word that had it.  Work is counted in words examined, reported as
+    are non-infinity.  Clause (a) counts each row's infinity entries.
+    For clause (b), for each set S of t positions the rows with no
+    infinity in S are packed into keys on S, sorted, and compared with
+    their neighbours: S holds an agreement exactly when two adjacent keys
+    are equal.  That is O(C(l, t) * M log M) numpy work.  Only for the
+    first failing S are its words walked in sort order, so the witness
+    is the first repeated projection, paired with the first word that
+    had it.  Work is counted in words examined, reported as
     ``subsets_examined``: M for clause (a), then M per t-subset, or, on
     a violation, up to and including the offending word.
     """
@@ -225,31 +238,19 @@ def is_t_determined(code: Code, t: int) -> VerifyReport:
     if t < 1:
         raise ValueError("t must be at least 1")
     start = time.perf_counter()
-    words = code.words
-    big_m = len(words)
-    stars = map(tuple.count, words, repeat(inf))
-    for idx in compress(range(big_m), map(t.__le__, stars)):
-        w = words[idx]
-        positions = tuple(i for i, v in enumerate(w) if v == inf)
-        witness = Witness(kind="inf_count", pair=(w,), positions=positions)
+    rows = code.array
+    big_m = len(rows)
+    stars = rows == inf
+    over = np.flatnonzero(stars.sum(axis=1) >= t)
+    if over.size:
+        idx = int(over[0])
+        witness = Witness(kind="inf_count", pair=(tuple(rows[idx].tolist()),),
+                          positions=tuple(np.flatnonzero(stars[idx]).tolist()))
         return VerifyReport(False, witness, idx + 1, time.perf_counter() - start)
-    # per word, whether each position holds infinity; sorting on it makes
-    # one group per pattern
-    flags = list(zip(*(map(eq, map(itemgetter(pos), words), repeat(inf))
-                       for pos in range(code.length))))
-    order = sorted(range(big_m), key=flags.__getitem__)
-    groups = [(pattern, list(map(words.__getitem__, idxs)))
-              for pattern, idxs in groupby(order, flags.__getitem__)]
     checks = big_m
     for subset in combinations(range(code.length), t):
-        key = _projection(sum(1 << i for i in subset))
-        seen: set = set()
-        fed = 0
-        for pattern, group in groups:
-            if not any(pattern[i] for i in subset):
-                seen.update(map(key, group))
-                fed += len(group)
-        if len(seen) != fed:
+        keys = np.sort(_pack(rows, subset)[~stars[:, subset].any(axis=1)])
+        if (keys[1:] == keys[:-1]).any():
             return _agreement(code, subset, checks, start)
         checks += big_m
     return VerifyReport(True, None, checks, time.perf_counter() - start)

@@ -3,7 +3,7 @@
 from collections import Counter
 from itertools import combinations, product
 
-from frameproof import Witness
+from frameproof import Witness, leading_coeff, make_field
 
 
 def reference_t_determined(code, t: int):
@@ -70,3 +70,34 @@ def reference_verify_oa(oa):
                 )
                 return False, witness, examined
     return True, None, examined
+
+
+def reference_lift_words(words, m: int, t: int, points_of):
+    """The word-by-word polynomial lift, kept as the reference.
+
+    ``points_of(word)`` gives one evaluation point per position (``None``
+    is the infinity point, whose "value" is the leading coefficient).
+    Returns the m**t children of every word, parent by parent, in the
+    polynomials' coefficient order, for comparison with
+    ``frameproof.construct._lift_words``.
+    """
+    field = make_field(m)
+    polys = list(product(range(m), repeat=t))
+    stars = (0,) * len(polys)
+    values = {}
+    out = []
+    for word in words:
+        columns = []
+        for b, alpha in zip(word, points_of(word)):
+            if b == 0:
+                columns.append(stars)
+                continue
+            if alpha not in values:
+                values[alpha] = [
+                    leading_coeff(f, t) if alpha is None else field.eval_poly(f, alpha)
+                    for f in polys
+                ]
+            base = (b - 1) * m + 1
+            columns.append([base + y for y in values[alpha]])
+        out.extend(zip(*columns))
+    return out

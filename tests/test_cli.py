@@ -111,6 +111,13 @@ class TestVerify:
             assert run(["verify", "--c", "2", "--algorithm", algorithm, str(path)]) == 0
         assert "Traceback" not in capsys.readouterr().err
 
+    def test_symbol_past_int64_is_an_input_error(self, tmp_path, capsys):
+        path = tmp_path / "wide.fpc"
+        path.write_text(f"fpc1 q={2**64} l=2 M=2 inf=none\n1 {2**63}\n2 3\n")
+        assert run(["verify", "--c", "2", str(path)]) == 64
+        err = capsys.readouterr().err
+        assert f"symbol {2**63} out of range" in err and "Traceback" not in err
+
     def test_jobs_flag(self, base_file, capsys):
         # the verifiers run in one process; the flag is gone
         assert run(["--jobs", "2", "verify", "--c", "2", str(base_file)]) == 64
@@ -146,6 +153,16 @@ class TestPlanCommand:
         assert "c+1 = 6 is not a prime power" in capsys.readouterr().err
         assert run(["plan", "--c", "4", "--q", "13"]) == 64
         assert "prime-power factor 3, below c+1 = 5" in capsys.readouterr().err
+
+    def test_build_larger_than_the_budget_is_refused(self, capsys):
+        start = time.perf_counter()
+        assert run(["plan", "--c", "2", "--q", "4001", "--execute"]) == 2
+        assert time.perf_counter() - start < 1
+        assert "M*l = 128000004 symbols, above the budget of 100000000" in (
+            capsys.readouterr().err)
+        assert run(["--budget", "100", "plan", "--c", "2", "--q", "7", "--execute"]) == 2
+        assert "M*l = 292 symbols, above the budget of 100" in capsys.readouterr().err
+        assert run(["--budget", "292", "plan", "--c", "2", "--q", "7", "--execute"]) == 0
 
     @pytest.mark.parametrize("c, q, n", [
         ("2", "200000000000000000079", "100000000000000000039"),

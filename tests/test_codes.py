@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import numpy as np
@@ -16,6 +17,7 @@ from frameproof import (
     make_code,
 )
 from frameproof.acceptance import random_code
+from frameproof.codes import _pack
 
 # The eight ternary base words, infinity written as 0.
 TERNARY_WORDS = [
@@ -93,6 +95,58 @@ class TestMakeCode:
             make_code(2, 3, [(0, 1), (1,), (1, 1), (1, 1)])
         with pytest.raises(ValueError, match=r"duplicate word \(1, 1\)"):
             make_code(2, 3, [(0, 1), (1, 1), (1, 1), (1, 5)])
+
+
+class TestArrayStorage:
+    def test_rows_are_a_sorted_read_only_int64_array(self):
+        code = make_code(2, 3, [(2, 0), (0, 1), (1, 1)])
+        assert code.array.dtype == np.int64 and code.array.shape == (3, 2)
+        assert code.array.tolist() == [[0, 1], [1, 1], [2, 0]]
+        with pytest.raises(ValueError):
+            code.array[0, 0] = 2
+
+    def test_arrays_are_copied_and_checked(self):
+        source = np.array([[2, 0], [0, 1]], dtype=np.uint8)
+        code = make_code(2, 3, source)
+        source[0, 0] = 1
+        assert code.words == ((0, 1), (2, 0))
+        assert all(type(v) is int for w in code.words for v in w)
+        with pytest.raises(ValueError, match=r"duplicate word \(0, 1\)"):
+            make_code(2, 3, np.array([[0, 1], [0, 1]]))
+        with pytest.raises(ValueError, match=r"symbol 3 out of range 0..2 in word \(3, 0\)"):
+            make_code(2, 3, np.array([[0, 1], [3, 0]]))
+        with pytest.raises(ValueError, match="not an integer"):
+            make_code(2, 3, np.array([[0.0, 1.0]]))
+        with pytest.raises(ValueError, match="length 3"):
+            make_code(2, 3, np.zeros((1, 3), dtype=np.int64))
+
+    def test_equal_by_value_and_not_hashable(self):
+        assert make_code(2, 3, [(1, 2), (0, 1)]) == make_code(2, 3, np.array([[0, 1], [1, 2]]))
+        assert make_code(2, 3, [(0, 1)]) != make_code(2, 4, [(0, 1)])
+        assert make_code(2, 3, [(0, 1)]) != make_code(2, 3, [(0, 1)], inf_id=0)
+        assert make_code(2, 3, [(0, 1)]) != make_code(2, 3, [(0, 2)])
+        with pytest.raises(TypeError):
+            hash(make_code(2, 3, [(0, 1)]))
+
+    @pytest.mark.parametrize("words", [
+        [(1, 2**63)],
+        np.array([[1, 2**63]], dtype=np.uint64),
+    ])
+    def test_symbols_must_fit_int64(self, words):
+        with pytest.raises(ValueError, match=f"symbol {2**63} out of range 0..{2**63 - 1}"):
+            make_code(2, 2**64, words)
+        assert make_code(2, 2**64, [(1, 2**63 - 1)]).words == ((1, 2**63 - 1),)
+
+    @given(st.lists(st.tuples(*[st.sampled_from([0, 1, 2**40, 2**41 + 3, 2**63 - 1])] * 4),
+                    max_size=12), st.sets(st.integers(0, 3)))
+    @settings(max_examples=100, derandomize=True)
+    def test_packed_keys_keep_equality_and_order(self, words, positions):
+        # keys over four wide columns pass 2**63, so the re-ranking guard runs
+        positions = sorted(positions)
+        keys = _pack(np.array(words, dtype=np.int64).reshape(-1, 4), positions).tolist()
+        projections = [tuple(w[i] for i in positions) for w in words]
+        for (k1, p1), (k2, p2) in itertools.product(zip(keys, projections), repeat=2):
+            assert (k1 < k2) == (p1 < p2) and (k1 == k2) == (p1 == p2)
 
 
 class TestDescendants:

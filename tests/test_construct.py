@@ -4,8 +4,10 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+
+from helpers import reference_lift_words
 
 from frameproof import (
     BASE_CODE_INFO,
@@ -26,6 +28,7 @@ from frameproof import (
     polynomial_lift,
     ssw_bound,
 )
+from frameproof.construct import _PAIR_BASES, _lift_words, _point_ids
 
 # sha256 of code_to_text: the bytes every construction must keep producing.
 PINNED_CODES = {
@@ -290,3 +293,58 @@ class TestOaRecipes:
             oa_family_code(5, 7)  # c+1 = 6 is not a prime power
         with pytest.raises(ValueError, match="prime power"):
             oa_family_code(3, 3)  # m below c+1
+
+
+def _seed(name):
+    return _array_seed(int(name[2:])) if name.startswith("oa") else base_code(name)
+
+
+SEEDS = ("q3", "q4", "q5", "q10", "oa3", "oa4", "oa5")
+
+
+class TestArrayLift:
+    @settings(max_examples=80, derandomize=True, deadline=None)
+    @given(st.sampled_from(SEEDS), st.sampled_from([2, 3, 4, 5, 7, 8, 9]),
+           st.integers(1, 3), st.data())
+    def test_matches_the_reference_lift(self, name, m, t, data):
+        parent = _seed(name)
+        assume(m >= parent.length - 1 and parent.size * m**t <= 20_000)
+        pts = data.draw(st.permutations(list(range(m)) + [None]))[: parent.length]
+        got = _lift_words(parent.array, m, t, _point_ids(pts, m))
+        want = reference_lift_words(parent.words, m, t, lambda word: pts)
+        assert got.tolist() == [list(w) for w in want]
+
+    @pytest.mark.parametrize("name", ["q5", "q10"])
+    def test_per_word_points_match_the_reference(self, name):
+        parent, m = _PAIR_BASES[name]
+        words = base_code(parent).words
+        pts = default_eval_points(m, len(words[0]) - 1)
+
+        def points_of(word):
+            star = word.index(0)
+            return pts[:star] + (None,) + pts[star:]
+
+        want = reference_lift_words(words, m, 2, points_of)
+        per_row = np.array([_point_ids(points_of(w), m) for w in words])
+        assert _lift_words(base_code(parent).array, m, 2, per_row).tolist() == [
+            list(w) for w in want
+        ]
+        assert base_code(name).words == tuple(sorted(want))
+
+    @settings(max_examples=25, derandomize=True, deadline=None)
+    @given(st.sampled_from(SEEDS), st.lists(st.sampled_from([2, 3, 4, 5]), min_size=2,
+                                             max_size=2))
+    def test_lifts_chain(self, name, orders):
+        code = _seed(name)
+        assume(min(orders) >= code.length - 1)
+        for m in orders:
+            lifted = polynomial_lift(code, m, 2, code.length - 2)
+            assert lifted.size == code.size * m * m
+            assert is_t_determined(lifted, 2).verdict
+            code = lifted
+
+    def test_lifted_symbols_must_fit_int64(self):
+        # (b-1)*m = 2**64 would wrap to 0 in int64 and pass as a small symbol
+        parent = make_code(4, 2**62 + 2, [(0, 1, 1, 2**62 + 1), (1, 0, 2, 1)], inf_id=0)
+        with pytest.raises(ValueError, match="lifted symbols out of range"):
+            polynomial_lift(parent, 4, 2, 2)

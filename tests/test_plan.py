@@ -282,3 +282,28 @@ class TestBounds:
         for q in range(3, 32, 2):
             plan = plan_code(2, q)
             assert plan.expected_size <= ssw_bound(2, 4, q)
+
+
+def _plannable(c, q):
+    try:
+        plan_code(c, q)
+    except ValueError:
+        return False
+    return True
+
+
+SMALL_PLANS = [(c, q) for c in (2, 3, 4) for q in range(c + 1, 62, c) if _plannable(c, q)]
+
+
+class TestPlannedCodesAgainstBounds:
+    def test_examples_span_c(self):
+        assert {(2, 3), (2, 61), (3, 4), (3, 58), (4, 5), (4, 21)} <= set(SMALL_PLANS)
+
+    @settings(max_examples=len(SMALL_PLANS), deadline=None, derandomize=True)
+    @given(st.sampled_from(SMALL_PLANS))
+    def test_built_codes_respect_the_bounds(self, cq):
+        c, q = cq
+        code = execute_plan(plan_code(c, q))
+        report = bound_report(c, c + 2, q, code.size)
+        assert code.size <= ssw_bound(c, c + 2, q) == report.ssw
+        assert report.achieved_rate < report.rate_upper

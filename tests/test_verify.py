@@ -36,10 +36,27 @@ def smallest_framable(code, c):
     return None
 
 
+# Symbols written as v * WIDE keep every order and equality, but a column
+# then spans about 2**42, so keys on two or more positions pass 2**63.
+WIDE = 2**40
+
+
+def scale(word):
+    return tuple(v * WIDE for v in word)
+
+
+def widen(words, q, inf=None):
+    """The same code with each symbol v written as v * WIDE."""
+    return [scale(w) for w in words], (q - 1) * WIDE + 1, None if inf is None else inf * WIDE
+
+
 @st.composite
-def codes_with_c(draw):
-    """Codes of length 1..6 (single words included), half with a planted framing."""
-    length = draw(st.integers(1, 6))
+def codes_with_c(draw, wide=False):
+    """Codes of length 1..6 (single words included), half with a planted framing.
+
+    ``wide`` codes have length 3..5 and every symbol scaled by 2**40.
+    """
+    length = draw(st.integers(3, 5) if wide else st.integers(1, 6))
     q = draw(st.integers(2, 4))
     word = st.tuples(*[st.integers(0, q - 1)] * length)
     words = draw(st.sets(word, min_size=1, max_size=8))
@@ -49,17 +66,20 @@ def codes_with_c(draw):
         coalition = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=c))
         owners = draw(st.lists(st.sampled_from(coalition), min_size=length, max_size=length))
         words.add(tuple(y[pos] for pos, y in enumerate(owners)))
+    if wide:
+        words, q, _ = widen(words, q)
     return make_code(length, q, sorted(words)), c
 
 
 @st.composite
-def starred_codes_with_t(draw):
+def starred_codes_with_t(draw, wide=False):
     """Codes of length 1..6 over q 2..5 with 0..t-1 infinities per word.
 
     Half of them get a planted word: one agreeing with an existing word
     in t non-infinity positions, or one carrying t or more infinities.
+    ``wide`` codes have length 3..5 and every symbol scaled by 2**40.
     """
-    length = draw(st.integers(1, 6))
+    length = draw(st.integers(3, 5) if wide else st.integers(1, 6))
     q = draw(st.integers(2, 5))
     t = draw(st.integers(1, 3))
     inf = draw(st.integers(0, q - 1))
@@ -83,6 +103,8 @@ def starred_codes_with_t(draw):
             words.add(tuple(donor[i] if i in keep else fresh[i] for i in range(length)))
         elif t <= length:
             words.add(starred(draw(st.sets(position, min_size=t))))
+    if wide:
+        words, q, inf = widen(words, q, inf)
     return make_code(length, q, sorted(words), inf_id=inf), t
 
 
@@ -196,7 +218,7 @@ class TestCover:
         assert is_frameproof_naive(code, c).verdict == expected
         assert is_frameproof_cover(code, c).verdict == expected
 
-    @given(codes_with_c())
+    @given(st.one_of(codes_with_c(), codes_with_c(wide=True)))
     @settings(max_examples=200, derandomize=True, deadline=None)
     def test_witness_frames_the_smallest_framable_word(self, case):
         code, c = case
@@ -268,7 +290,7 @@ class TestTDetermined:
         with pytest.raises(ValueError):
             is_t_determined(base_code("q3"), 0)
 
-    @given(starred_codes_with_t())
+    @given(st.one_of(starred_codes_with_t(), starred_codes_with_t(wide=True)))
     @settings(max_examples=300, derandomize=True, deadline=None)
     def test_matches_the_reference_loop(self, case):
         code, t = case
@@ -288,3 +310,20 @@ class TestTDetermined:
         assert is_t_determined(make_code(3, 3, [(1, 2, 1), (2, 1, 2)], inf_id=0), 1).verdict
         report = is_t_determined(make_code(2, 3, [(1, 1), (1, 2)], inf_id=0), 1)
         assert not report.verdict and report.witness.kind == "agreement"
+
+
+class TestWideSymbols:
+    @given(codes_with_c())
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    def test_oracle_reports_do_not_depend_on_symbol_values(self, case):
+        # relabelling v -> v * 2**40 keeps each verdict, witness and count
+        code, c = case
+        words, q, _ = widen(code.words, code.q)
+        wide = make_code(code.length, q, words)
+        for oracle in (is_frameproof_naive, is_frameproof_cover):
+            narrow, report = oracle(code, c), oracle(wide, c)
+            assert (report.verdict, report.subsets_examined) == (
+                narrow.verdict, narrow.subsets_examined)
+            if not narrow.verdict:
+                assert report.witness.framed_word == scale(narrow.witness.framed_word)
+                assert report.witness.coalition == tuple(map(scale, narrow.witness.coalition))
