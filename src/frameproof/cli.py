@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import sys
+from functools import partial
 
 from . import acceptance
 from .codes import (
@@ -52,7 +53,7 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _budget(text: str) -> int:
+def _natural(text: str) -> int:
     if not text.isdecimal():
         raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
     return int(text)
@@ -62,9 +63,9 @@ def _global_options() -> _Parser:
     parser = _Parser(add_help=False)
     parser.add_argument("--seed", type=int, default=acceptance.SEED,
                         help="seed for randomized checks")
-    parser.add_argument("--budget", type=_budget, default=NAIVE_BUDGET,
+    parser.add_argument("--budget", type=_natural, default=NAIVE_BUDGET,
                         help="work budget for the verifiers, and the most symbols "
-                        "(M*l) plan --execute may build")
+                        "(M*l, or k*N for oa) a build may make")
     parser.add_argument("--quiet", action="store_true", help="suppress per-item output")
     return parser
 
@@ -77,7 +78,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--recipe", required=True, choices=_RECIPES)
     p.add_argument("--m", type=int, help="lift field order")
     p.add_argument("--c", type=int, help="coalition bound")
-    p.add_argument("--t", type=int, help="determinedness parameter (default 2)")
+    p.add_argument("--t", type=_natural, help="determinedness parameter (default 2)")
     p.add_argument("--in", dest="parent", metavar="PARENT",
                    help="parent .fpc file for poly-lift")
     p.add_argument("--augment-inf", action="store_true",
@@ -147,25 +148,39 @@ def _cmd_construct(args) -> int:
         for flag, name in ((args.m, "--m"), (args.parent, "--in")):
             if flag is not None:
                 raise _UsageError(f"{name} does not apply to recipe {recipe}")
-        code = base_code(_BASE_RECIPES[recipe])
-        c = args.c if args.c is not None else BASE_CODE_INFO[_BASE_RECIPES[recipe]][3]
+        name = _BASE_RECIPES[recipe]
+        _, length, size, base_c = BASE_CODE_INFO[name]
+        c = base_c if args.c is None else args.c
+        build = partial(base_code, name)
     elif recipe == "poly-lift":
         if args.parent is None or args.m is None or args.c is None:
             raise _UsageError("poly-lift needs --in, --m and --c")
         parent = read_code_file(args.parent)
-        c = args.c
-        code = polynomial_lift(parent, args.m, t, c)
+        c, length = args.c, parent.length
+        # a t past the length is refused by the lift; the cap keeps m**t small
+        size = parent.size * args.m ** min(t, length)
+        build = partial(polynomial_lift, parent, args.m, t, c)
     else:  # oa-family
         if args.m is None or args.c is None:
             raise _UsageError("oa-family needs --m and --c")
-        c = args.c
-        code = oa_family_code(c, args.m)
+        c, length = args.c, args.c + 2
+        size = ((c + 1) ** 2 - 1) * args.m**2
+        build = partial(oa_family_code, c, args.m)
+    _check_budget(args, (size + args.augment_inf) * length)  # the all-star word adds one
+    code = build()
     if args.augment_inf:
         code = augment_infinity(code, c, t)
     write_code_file(code, args.out)
     if not args.quiet:
         print(f"wrote {args.out}: {code!r}")
     return 0
+
+
+def _check_budget(args, symbols: int, name: str = "M*l") -> None:
+    """Refuse, before building, a build of more than ``--budget`` symbols."""
+    if symbols > args.budget:
+        raise BudgetExceeded(f"{args.command} builds {name} = {symbols} symbols, "
+                             f"above the budget of {args.budget}")
 
 
 def _cmd_verify(args) -> int:
@@ -202,10 +217,7 @@ def _cmd_plan(args) -> int:
     plan = plan_code(args.c, args.q)
     print(format_plan(plan))
     if args.execute or args.out:
-        symbols = plan.expected_size * plan.length
-        if symbols > args.budget:
-            raise BudgetExceeded(f"plan builds M*l = {symbols} symbols, "
-                                 f"above the budget of {args.budget}")
+        _check_budget(args, plan.expected_size * plan.length)
         code = execute_plan(plan)
         rate = achieved_rate(plan.c, plan.length, plan.q, code.size)
         if not args.quiet:
@@ -218,6 +230,7 @@ def _cmd_plan(args) -> int:
 
 
 def _cmd_oa(args) -> int:
+    _check_budget(args, (args.s + 1) * args.s**2, "k*N")
     oa = build_oa_strength2(args.s)
     if args.out:
         write_oa_file(oa, args.out)
@@ -273,21 +286,19 @@ def _cmd_import(args) -> int:
 
 def _cmd_export(args) -> int:
     kind, obj = _load_any(args.file)
-    text = code_to_text(obj) if kind == "code" else oa_to_text(obj)
-    if args.out:
-        with open(args.out, "w", encoding="ascii") as fh:
-            fh.write(text)
-        if not args.quiet:
-            print(f"wrote {args.out}")
-    else:
-        sys.stdout.write(text)
+    if not args.out:
+        sys.stdout.write(code_to_text(obj) if kind == "code" else oa_to_text(obj))
+        return 0
+    (write_code_file if kind == "code" else write_oa_file)(obj, args.out)
+    if not args.quiet:
+        print(f"wrote {args.out}")
     return 0
 
 
 def _load_any(path):
     with open(path, "r", encoding="ascii") as fh:
         text = fh.read()
-    head = text.split(None, 1)[0] if text.split() else ""
+    head = (text.split(None, 1) or [""])[0]
     if head == "fpc1":
         return "code", code_from_text(text)
     if head == "oa1":

@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import functools
+import io
 import itertools
 import numbers
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -245,15 +247,17 @@ def framed_witness_holds(witness: Witness) -> bool:
     )
 
 
-# --- .fpc text format ------------------------------------------------------
+# --- .fpc and .oa text formats ----------------------------------------------
 #
-# line 1:    fpc1 q=<q> l=<l> M=<M> inf=<id|none>
-# lines 2..: l space-separated symbol ids, lexicographically sorted; when an
-#            infinity id is declared its occurrences are written as `*`, and
-#            `*` is accepted on input as an alias for it.
+# .fpc: fpc1 q=<q> l=<l> M=<M> inf=<id|none>, then M lines of l symbol ids in
+#       lexicographic order, the infinity id written (and accepted) as `*`.
+# .oa:  oa1 N=<N> k=<k> s=<s> t=<t>, then k rows of N symbols (oa.py).
+# Header values and entries are ASCII decimal, `*` only as a whole token;
+# blank lines are ignored, and there are no signs and no comments.
 
 _FPC_MAGIC = "fpc1"
 INF_ALIAS = "*"
+_LOOSE_STAR = re.compile(r"\*(?:\S|(?<=\S\*))")  # a `*` touching another character
 
 
 def symbol_text(v: int, inf_id: int | None) -> str:
@@ -271,44 +275,55 @@ def code_to_text(code: Code) -> str:
     return header + line * code.size % tuple(map(tokens.__getitem__, symbols))
 
 
-def _parse_header(line: str) -> tuple[int, int, int, int | None]:
-    parts = line.split()
-    if len(parts) != 5 or parts[0] != _FPC_MAGIC:
-        raise ValueError(f"bad code header: {line!r}")
+def _read_table(text: str, magic: str, keys: tuple[str, ...], shape: tuple[str, str],
+                star: str | None = None) -> tuple[dict, np.ndarray]:
+    """The header values and the uint64 table of a ``.fpc`` or ``.oa`` text.
+
+    The header is ``magic`` and ``key=value`` for each of ``keys``; the
+    ``star`` key may be ``none`` (read as None), and a ``*`` entry stands
+    for its value.  The body is parsed in one ``np.loadtxt`` pass, and
+    its shape must be the values of the two ``shape`` keys.
+    """
+    if not text.isascii():
+        raise ValueError(f"{magic} text is not ASCII")
+    head, _, body = text.lstrip().partition("\n")
+    parts = head.split()
+    if len(parts) != len(keys) + 1 or parts[0] != magic:
+        raise ValueError(f"bad {magic} header: {head!r}")
     vals = {}
-    for part, key in zip(parts[1:], ("q", "l", "M", "inf")):
+    for part, key in zip(parts[1:], keys):
         name, _, raw = part.partition("=")
         if name != key:
-            raise ValueError(f"bad code header field {part!r}, expected {key}=...")
-        vals[key] = raw
-    q, length, size = int(vals["q"]), int(vals["l"]), int(vals["M"])
-    inf_id = None if vals["inf"] == "none" else int(vals["inf"])
-    return q, length, size, inf_id
+            raise ValueError(f"bad {magic} header field {part!r}, expected {key}=...")
+        if not (raw.isdecimal() or (key == star and raw == "none")):
+            raise ValueError(f"bad {magic} header field {part!r}: not a decimal number")
+        vals[key] = None if raw == "none" else int(raw)
+    if star is not None and INF_ALIAS in body:
+        if vals[star] is None:
+            raise ValueError("'*' used but no infinity id is declared")
+        if _LOOSE_STAR.search(body):
+            raise ValueError(f"'*' must be a whole {magic} entry")
+        body = body.replace(INF_ALIAS, str(vals[star]))
+    if "+" in body:
+        raise ValueError(f"{magic} entries take no sign")
+    rows, cols = vals[shape[0]], vals[shape[1]]
+    if not body or body.isspace():  # loadtxt warns on empty input
+        table = np.empty((0, cols), dtype=np.uint64)
+    else:
+        try:
+            table = np.loadtxt(io.StringIO(body), dtype=np.uint64, ndmin=2, comments=None)
+        except ValueError as exc:
+            # drop loadtxt's hint about usecols, which the formats have no use for
+            raise ValueError(f"bad {magic} table: {str(exc).split(';')[0]}") from None
+    if table.shape != (rows, cols):
+        raise ValueError(f"header says {shape[0]}={rows} {shape[1]}={cols} but the table "
+                         f"has {len(table)} rows of {table.shape[1]}")
+    return vals, table
 
 
 def code_from_text(text: str) -> Code:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise ValueError("empty code file")
-    q, length, size, inf_id = _parse_header(lines[0])
-    body = lines[1:]
-    if len(body) != size:
-        raise ValueError(f"header says M={size} but file has {len(body)} word lines")
-    words = []
-    for ln in body:
-        toks = ln.split()
-        if len(toks) != length:
-            raise ValueError(f"word line {ln!r} has {len(toks)} symbols, expected {length}")
-        word = []
-        for tok in toks:
-            if tok == INF_ALIAS:
-                if inf_id is None:
-                    raise ValueError("'*' used but no infinity id is declared")
-                word.append(inf_id)
-            else:
-                word.append(int(tok))
-        words.append(tuple(word))
-    return make_code(length, q, words, inf_id)
+    vals, table = _read_table(text, _FPC_MAGIC, ("q", "l", "M", "inf"), ("M", "l"), star="inf")
+    return make_code(vals["l"], vals["q"], table, vals["inf"])
 
 
 def write_code_file(code: Code, path) -> None:

@@ -8,7 +8,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .codes import Code, Witness, is_integer, make_code
+from .codes import Code, Witness, _read_table, is_integer, make_code
 from .gf import is_prime_power, make_field
 from .verify import VerifyReport
 
@@ -184,10 +184,7 @@ def oa_to_pt_code(oa: OrthogonalArray) -> Code:
     return make_code(oa.constraints, oa.levels, norm.array[:, 1:].T, inf_id=0)
 
 
-# --- .oa text format --------------------------------------------------------
-#
-# line 1:    oa1 N=<N> k=<k> s=<s> t=<t>
-# lines 2..: k rows of N space-separated symbols.
+# --- .oa text format (described and read in codes.py) ----------------------
 
 _OA_MAGIC = "oa1"
 
@@ -201,27 +198,8 @@ def oa_to_text(oa: OrthogonalArray) -> str:
 
 
 def oa_from_text(text: str) -> OrthogonalArray:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise ValueError("empty array file")
-    parts = lines[0].split()
-    if len(parts) != 5 or parts[0] != _OA_MAGIC:
-        raise ValueError(f"bad array header: {lines[0]!r}")
-    vals = {}
-    for part, key in zip(parts[1:], ("N", "k", "s", "t")):
-        name, _, raw = part.partition("=")
-        if name != key:
-            raise ValueError(f"bad array header field {part!r}, expected {key}=...")
-        vals[key] = int(raw)
-    if len(lines) - 1 != vals["k"]:
-        raise ValueError(f"header says k={vals['k']} but file has {len(lines) - 1} rows")
-    rows = []
-    for ln in lines[1:]:
-        toks = ln.split()
-        if len(toks) != vals["N"]:
-            raise ValueError(f"row {ln!r} has {len(toks)} entries, expected {vals['N']}")
-        rows.append([int(tok) for tok in toks])
-    return make_oa(rows, vals["s"], vals["t"])
+    vals, table = _read_table(text, _OA_MAGIC, ("N", "k", "s", "t"), ("k", "N"))
+    return make_oa(table, vals["s"], vals["t"])
 
 
 def write_oa_file(oa: OrthogonalArray, path) -> None:

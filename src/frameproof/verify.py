@@ -225,10 +225,10 @@ def is_t_determined(code: Code, t: int) -> VerifyReport:
     For clause (b), for each set S of t positions the rows with no
     infinity in S are packed into keys on S, sorted, and compared with
     their neighbours: S holds an agreement exactly when two adjacent keys
-    are equal.  That is O(C(l, t) * M log M) numpy work.  Only for the
-    first failing S are its words walked in sort order, so the witness
-    is the first repeated projection, paired with the first word that
-    had it.  Work is counted in words examined, reported as
+    are equal.  That is O(C(l, t) * M log M) numpy work.  Only the first
+    failing S is argsorted stably, so the witness is the first word, in
+    sort order, that repeats a projection, paired with the first word
+    that had it.  Work is counted in words examined, reported as
     ``subsets_examined``: M for clause (a), then M per t-subset, or, on
     a violation, up to and including the offending word.
     """
@@ -249,25 +249,19 @@ def is_t_determined(code: Code, t: int) -> VerifyReport:
         return VerifyReport(False, witness, idx + 1, time.perf_counter() - start)
     checks = big_m
     for subset in combinations(range(code.length), t):
-        keys = np.sort(_pack(rows, subset)[~stars[:, subset].any(axis=1)])
-        if (keys[1:] == keys[:-1]).any():
-            return _agreement(code, subset, checks, start)
+        valid = ~stars[:, subset].any(axis=1)
+        keys = _pack(rows, subset)[valid]
+        ranked = np.sort(keys)
+        if (ranked[1:] == ranked[:-1]).any():
+            # a stable argsort keeps equal keys in word order: the least row that
+            # repeats a key is the first repeat, and its run starts with the earlier word
+            where, order = np.flatnonzero(valid), keys.argsort(kind="stable")
+            ranked = keys[order]
+            later = order[1:][ranked[1:] == ranked[:-1]].min()
+            x, y = rows[where[order[np.searchsorted(ranked, keys[later])]]], rows[where[later]]
+            witness = Witness(kind="agreement", pair=(tuple(x.tolist()), tuple(y.tolist())),
+                              positions=tuple(np.flatnonzero((x == y) & (y != inf)).tolist()))
+            return VerifyReport(False, witness, checks + int(where[later]) + 1,
+                                time.perf_counter() - start)
         checks += big_m
     return VerifyReport(True, None, checks, time.perf_counter() - start)
-
-
-def _agreement(code: Code, subset: tuple[int, ...], checks: int, start: float) -> VerifyReport:
-    """The first agreeing pair on ``subset``, walking the words in sort order."""
-    inf = code.inf_id
-    seen: dict[tuple, tuple] = {}
-    for idx, w in enumerate(code.words, checks + 1):
-        key = tuple(w[i] for i in subset)
-        if inf in key:
-            continue
-        prev = seen.get(key)
-        if prev is not None:
-            agree = tuple(i for i in range(code.length) if prev[i] == w[i] and w[i] != inf)
-            witness = Witness(kind="agreement", pair=(prev, w), positions=agree)
-            return VerifyReport(False, witness, idx, time.perf_counter() - start)
-        seen[key] = w
-    raise AssertionError("projection sets disagree with the walk")

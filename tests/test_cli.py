@@ -65,6 +65,49 @@ class TestConstruct:
         assert rc == 64
 
 
+class TestBuildBudget:
+    @pytest.mark.parametrize("argv, symbols", [
+        (["--recipe", "base-q5"], 32 * 4),
+        (["--recipe", "base-q3", "--augment-inf"], (8 + 1) * 4),
+        (["--recipe", "poly-lift", "--m", "3", "--c", "2"], 8 * 3**2 * 4),
+        (["--recipe", "poly-lift", "--m", "3", "--c", "2", "--augment-inf"], (72 + 1) * 4),
+        (["--recipe", "oa-family", "--c", "3", "--m", "4"], 15 * 4**2 * 5),
+    ])
+    def test_construct_is_refused_above_the_budget(self, tmp_path, base_file, capsys,
+                                                   argv, symbols):
+        argv = ["construct"] + argv + ["--out", str(tmp_path / "x.fpc")]
+        if "poly-lift" in argv:
+            argv += ["--in", str(base_file)]
+        assert run(["--budget", str(symbols - 1)] + argv) == 2
+        assert (f"construct builds M*l = {symbols} symbols, above the budget of {symbols - 1}"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "x.fpc").exists()
+        assert run(["--budget", str(symbols)] + argv) == 0
+        code = read_code_file(tmp_path / "x.fpc")
+        assert code.size * code.length == symbols
+
+    def test_lift_size_counts_m_to_the_t(self, tmp_path, base_file, capsys):
+        # checked before the lift, which then refuses the starred parent for t=1
+        argv = ["construct", "--recipe", "poly-lift", "--in", str(base_file), "--m", "3",
+                "--c", "4", "--t", "1", "--out", str(tmp_path / "x.fpc")]
+        assert run(["--budget", "95"] + argv) == 2
+        assert "M*l = 96 symbols" in capsys.readouterr().err
+        assert run(["--budget", "96"] + argv) == 64
+
+    def test_oa_is_refused_above_the_budget(self, capsys):
+        assert run(["--budget", "11", "oa", "--s", "2"]) == 2
+        assert "oa builds k*N = 12 symbols, above the budget of 11" in capsys.readouterr().err
+        assert run(["--budget", "12", "oa", "--s", "2"]) == 0
+        start = time.perf_counter()
+        assert run(["oa", "--s", "4001"]) == 2
+        assert time.perf_counter() - start < 1
+
+    def test_negative_t_is_a_usage_error(self, tmp_path, base_file, capsys):
+        assert run(["construct", "--recipe", "poly-lift", "--in", str(base_file), "--m", "3",
+                    "--c", "2", "--t", "-1", "--out", str(tmp_path / "x.fpc")]) == 64
+        assert "--t" in capsys.readouterr().err
+
+
 class TestVerify:
     def test_good_code(self, tmp_path, base_file):
         assert run(["verify", "--c", "2", "--algorithm", "both", str(base_file)]) == 0
@@ -238,6 +281,10 @@ class TestPassthrough:
         write_oa_file(build_oa_strength2(5), src)
         assert run(["export", str(src), "--out", str(out)]) == 0
         assert out.read_bytes() == src.read_bytes()
+
+    def test_export_to_stdout(self, base_file, capsys):
+        assert run(["export", str(base_file)]) == 0
+        assert capsys.readouterr().out == base_file.read_text()
 
     def test_unknown_header(self, tmp_path):
         path = tmp_path / "junk.txt"

@@ -1,0 +1,168 @@
+"""The shared ``.fpc`` / ``.oa`` reader: strict token grammar, fuzzing and round trips."""
+
+import contextlib
+import io
+import warnings
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from test_verify import codes_with_c, starred_codes_with_t
+
+from frameproof import (
+    base_code,
+    build_oa_strength2,
+    code_from_text,
+    code_to_text,
+    make_code,
+    oa_from_text,
+    oa_to_text,
+)
+from frameproof.cli import run
+
+# a valid text of each format, with "{}" where one entry of the first row goes
+FPC = "fpc1 q=20 l=2 M=2 inf=0\n{} 1\n2 3\n"
+OA = "oa1 N=4 k=2 s=2 t=1\n{} 1 0 1\n0 1 0 1\n"
+# entries and rows the parent reader coerced or rejected; all are input errors
+BAD_ENTRIES = ["1_0", "+3", "*1", "1-2", "1 2 # 3", "1 2"]  # the last makes a ragged row
+
+
+def _exit_and_err(tmp_path, capsys, text, name):
+    path = tmp_path / name
+    path.write_bytes(text.encode())
+    rc = run(["import", str(path)])
+    return rc, capsys.readouterr().err
+
+
+class TestStrictGrammar:
+    @pytest.mark.parametrize("template, name", [(FPC, "a.fpc"), (OA, "a.oa")])
+    def test_valid_templates_read(self, tmp_path, capsys, template, name):
+        assert _exit_and_err(tmp_path, capsys, template.format("1"), name)[0] == 0
+
+    @pytest.mark.parametrize("entry", BAD_ENTRIES + ["٣"])
+    @pytest.mark.parametrize("template, name", [(FPC, "a.fpc"), (OA, "a.oa")])
+    def test_bad_entry_is_an_input_error(self, tmp_path, capsys, template, name, entry):
+        rc, err = _exit_and_err(tmp_path, capsys, template.format(entry), name)
+        assert rc == 64 and err.startswith("error: ") and "Traceback" not in err
+        assert "usecols" not in err
+
+    @pytest.mark.parametrize("text, name", [
+        ("fpc1 q=1_1 l=2 M=1 inf=none\n1 2\n", "a.fpc"),
+        ("fpc1 q=11 l=+2 M=1 inf=none\n1 2\n", "a.fpc"),
+        ("fpc1 q=11 l=2 M=1 inf=1_0\n1 2\n", "a.fpc"),
+        ("oa1 N=4 k=2 s=1_1 t=1\n0 1 0 1\n1 0 1 0\n", "a.oa"),
+        ("oa1 N=4 k=2 s=2 t=none\n0 1 0 1\n1 0 1 0\n", "a.oa"),
+    ])
+    def test_header_values_are_ascii_decimal(self, tmp_path, capsys, text, name):
+        rc, err = _exit_and_err(tmp_path, capsys, text, name)
+        assert rc == 64 and "header field" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("entry", BAD_ENTRIES + ["٣"])
+    def test_bad_entry_through_the_library(self, entry):
+        with pytest.raises(ValueError):
+            code_from_text(FPC.format(entry))
+        with pytest.raises(ValueError):
+            oa_from_text(OA.format(entry))
+
+    def test_non_ascii_header_digits_are_refused(self):
+        with pytest.raises(ValueError, match="not ASCII"):
+            code_from_text("fpc1 q=٣ l=2 M=1 inf=none\n1 2\n")
+
+    def test_a_star_must_be_a_whole_token(self):
+        with pytest.raises(ValueError, match="whole"):
+            code_from_text("fpc1 q=3 l=2 M=1 inf=0\n1* 2\n")
+        assert code_from_text("fpc1 q=3 l=2 M=1 inf=0\n1\t*\n").words == ((1, 0),)
+
+    def test_blank_lines_and_empty_bodies(self):
+        text = "\nfpc1 q=3 l=2 M=2 inf=0\n\n* 1\n   \n1 *\n\n"
+        assert code_from_text(text).words == ((0, 1), (1, 0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            empty = code_from_text("fpc1 q=3 l=2 M=0 inf=none\n\n")
+        assert empty.size == 0 and empty.length == 2
+        with pytest.raises(ValueError, match="M=1"):
+            code_from_text("fpc1 q=3 l=2 M=1 inf=none\n")
+
+    def test_row_width_against_the_header(self):
+        with pytest.raises(ValueError, match="l=3"):
+            code_from_text("fpc1 q=3 l=3 M=1 inf=none\n1 2\n")
+        with pytest.raises(ValueError, match="N=3"):
+            oa_from_text("oa1 N=3 k=1 s=2 t=1\n0 1 0 1\n")
+
+    def test_wide_symbols_reach_the_range_check(self):
+        with pytest.raises(ValueError, match=f"symbol {2**64 - 1} out of range"):
+            code_from_text(f"fpc1 q={2**64} l=2 M=1 inf=none\n1 {2**64 - 1}\n")
+        with pytest.raises(ValueError, match="could not convert"):
+            code_from_text(f"fpc1 q={2**65} l=2 M=1 inf=none\n1 {2**64}\n")
+
+
+# --- fuzzing --------------------------------------------------------------------
+
+VALID = {
+    "q3.fpc": code_to_text(base_code("q3")),
+    "plain.fpc": code_to_text(make_code(2, 4, [(0, 3), (3, 0), (2, 2)])),
+    "s3.oa": oa_to_text(build_oa_strength2(3)),
+}
+INSERTS = ["*", "_", "+", "#", "-", "٣", "７", "7", " ", "\n", str(2**63), str(2**64)]
+HEADER_FIELDS = ["q=0", "q=1", "q=1_1", f"q={2**64}", "l=0", "l=9", "M=0", "M=99", "inf=none",
+                 "inf=9", "inf=*", "N=0", "N=5", "k=0", "k=9", "s=1", "s=4", "t=0", "t=5",
+                 "x=1", "fpc1", "oa1", "=", ""]
+
+
+@st.composite
+def mutated_texts(draw):
+    """A valid text with one to three lines dropped, duplicated or edited.
+
+    The magic word is kept, so every text reaches the reader.
+    """
+    name = draw(st.sampled_from(sorted(VALID)))
+    lines = VALID[name].splitlines(keepends=True)
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["drop", "duplicate", "header", "insert", "widen"]))
+        i = draw(st.integers(1, len(lines) - 1))
+        if kind == "drop":
+            del lines[i]
+        elif kind == "duplicate":
+            lines.insert(i, lines[i])
+        elif kind == "header":
+            parts = lines[0].split()
+            parts[draw(st.integers(1, len(parts) - 1))] = draw(st.sampled_from(HEADER_FIELDS))
+            lines[0] = " ".join(parts) + "\n"
+        elif kind == "insert":
+            pos = draw(st.integers(0, len(lines[i])))
+            lines[i] = lines[i][:pos] + draw(st.sampled_from(INSERTS)) + lines[i][pos:]
+        else:
+            tokens = lines[i].split() or [""]
+            tokens[draw(st.integers(0, len(tokens) - 1))] = str(
+                draw(st.sampled_from([2**63 - 1, 2**63, 2**64 - 1, 2**64])))
+            lines[i] = " ".join(tokens) + "\n"
+        if len(lines) < 2:
+            break
+    return name, "".join(lines)
+
+
+class TestFuzzedFiles:
+    @given(mutated_texts())
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    def test_only_contract_exits_and_no_traceback(self, tmp_path_factory, case):
+        name, text = case
+        path = tmp_path_factory.mktemp("fuzz") / name
+        path.write_bytes(text.encode())
+        err = io.StringIO()
+        with warnings.catch_warnings(), contextlib.redirect_stderr(err):
+            warnings.simplefilter("error")
+            rc = run(["--quiet", "import", str(path)])
+        assert rc in (0, 1, 2, 64)
+        assert "Traceback" not in err.getvalue()
+        assert (rc == 0) == (err.getvalue() == "")
+
+
+@given(st.one_of(
+    codes_with_c(wide=True).map(lambda case: case[0]),
+    starred_codes_with_t().map(lambda case: case[0]),
+    starred_codes_with_t(wide=True).map(lambda case: case[0]),
+))
+@settings(max_examples=200, derandomize=True, deadline=None)
+def test_text_round_trip(code):
+    assert code_from_text(code_to_text(code)) == code

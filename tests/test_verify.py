@@ -282,6 +282,16 @@ class TestTDetermined:
         assert report.witness.pair == ((1, 1, 0), (1, 1, 2))
         assert report.witness.positions == (0, 1)
 
+    def test_witness_is_the_first_repeat_in_word_order(self):
+        # on positions (1, 2) the key (1, 1) sorts first, but (5, 5) repeats first
+        code = make_code(3, 6, [(1, 5, 5), (2, 1, 1), (2, 5, 5), (3, 1, 1)], inf_id=0)
+        report = is_t_determined(code, 2)
+        assert report.witness.pair == ((1, 5, 5), (2, 5, 5))
+        assert report.witness.positions == (1, 2)
+        assert report.subsets_examined == 4 + 4 + 4 + 3
+        assert (report.verdict, report.witness, report.subsets_examined) == (
+            reference_t_determined(code, 2))
+
     def test_requires_infinity_symbol(self):
         with pytest.raises(ValueError):
             is_t_determined(make_code(2, 2, [(0, 1)]), 2)
