@@ -3,7 +3,9 @@
 Two independent algorithms decide the frameproof property:
 
 * :func:`is_frameproof_naive` enumerates every coalition of at most c
-  codewords and intersects its descendant set with the code;
+  codewords and intersects its descendant set with the code, in numpy
+  chunks over packed per-(position, symbol) bit rows, counting the
+  coalitions of each size the budget admits before it scans them;
 * :func:`is_frameproof_cover` builds a projection index: for every
   proper non-empty position set S it marks the words whose projection
   onto S is shared with another word.  A word x can be framed exactly
@@ -29,12 +31,16 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from itertools import combinations
+from math import comb
 
 import numpy as np
 
 from .codes import BudgetExceeded, Code, Witness, _pack
 
 NAIVE_BUDGET = 10**8
+# Coalition chunks grow from _FIRST_CHUNK to _LAST_CHUNK rows, and the masks a
+# chunk gathers at one position never exceed _CHUNK_WORDS words (512 kB).
+_FIRST_CHUNK, _LAST_CHUNK, _CHUNK_WORDS = 256, 2048, 2**16
 
 
 @dataclass(frozen=True)
@@ -45,80 +51,104 @@ class VerifyReport:
     elapsed: float
 
 
-def _decode_mask(mask: int, words) -> tuple:
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(words[low.bit_length() - 1])
-        mask ^= low
-    return tuple(out)
+def _symbol_masks(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One packed bit row per (position, symbol) present, and each word's rows.
+
+    ``masks[ids[pos, x]]`` has bit y set exactly when words x and y hold
+    the same symbol at ``pos``: l * n_sym * ceil(M/64) uint64 words.
+    """
+    ids = np.empty(rows.T.shape, dtype=np.intp)
+    count = 0
+    for pos, column in enumerate(rows.T):
+        symbols, inverse = np.unique(column, return_inverse=True)
+        ids[pos] = inverse + count
+        count += len(symbols)
+    word = np.arange(len(rows))
+    masks = np.zeros((count, -(-len(rows) // 64)), dtype=np.uint64)
+    np.bitwise_or.at(masks, (ids, word >> 6), np.uint64(1) << (word & 63).astype(np.uint64))
+    return masks, ids
+
+
+def _first_framing(masks: np.ndarray, ids: np.ndarray, k: int, count: int):
+    """``(rank, members, framed)`` for the first framing among the first ``count`` k-subsets.
+
+    Each chunk of coalitions is unranked from its offset: ``below[j][b]``
+    counts the j-subsets of range(M) whose least element is under b, so
+    one searchsorted per slot gives each member.  Counts are capped at
+    2**62, past any rank a scan can reach.  Returns None if none frames.
+    """
+    big_m = ids.shape[1]
+    below = {j: np.array([min(comb(big_m, j) - comb(big_m - b, j), 2**62)
+                          for b in range(big_m + 1)]) for j in range(1, k + 1)}
+    cap = max(1, min(_LAST_CHUNK, _CHUNK_WORDS // (k * masks.shape[1])))
+    start, size = 0, _FIRST_CHUNK
+    while start < count:
+        stop = min(count, start + min(size, cap))
+        rank, low = np.arange(start, stop), 0
+        members = np.empty((k, stop - start), dtype=np.intp)
+        for slot in range(k):
+            table = below[k - slot]
+            skipped = table[low]
+            members[slot] = np.searchsorted(table, rank + skipped, side="right") - 1
+            rank = rank - (table[members[slot]] - skipped)
+            low = members[slot] + 1
+        # desc(P) & C: OR the members' masks at each position, AND the positions;
+        # it always holds P, so more than k bits means P frames a word
+        held = np.full((stop - start, masks.shape[1]), ~np.uint64(0))
+        for row in ids:
+            held &= np.bitwise_or.reduce(np.take(masks, np.take(row, members), axis=0), axis=0)
+        framing = np.flatnonzero(np.bitwise_count(held).sum(axis=1) > k)
+        if framing.size:
+            first = int(framing[0])
+            extra = int.from_bytes(held[first].astype("<u8").tobytes(), "little")
+            extra &= ~sum(1 << y for y in members[:, first].tolist())
+            return start + first, members[:, first], (extra & -extra).bit_length() - 1
+        start, size = stop, size * 2
+    return None
 
 
 def is_frameproof_naive(code: Code, c: int, budget: int = NAIVE_BUDGET) -> VerifyReport:
     """Decide c-frameproofness by exhaustive coalition enumeration.
 
-    For every subset P of at most c codewords the set desc(P) & C is
-    computed (as a bitmask over word indices, one AND per position) and
-    compared with P itself.  Subsets are visited in lexicographic order
-    of sorted word indices and the first offending (P, x) is returned,
-    so reports are deterministic.  Work is metered in (subset,
-    candidate) pairs; crossing ``budget`` raises :class:`BudgetExceeded`
-    with the partial progress attached.
+    For every subset P of at most c codewords, desc(P) & C is the AND
+    over positions of the OR of P's bit rows, one packed uint64 row per
+    (position, symbol) present, and it must be P itself.  Subsets of each
+    size are visited in lexicographic order of word index, in chunks of
+    at most 2,048 unranked from their offset; memory is the rows'
+    l * n_sym * ceil(M/64) words plus one chunk (512 kB per position).
+    The first offending (P, x), x the least framed word, is returned, so
+    reports are deterministic.  Work is metered in (subset, candidate)
+    pairs, M - k per subset of size k; the subsets of a size that fit are
+    counted before it is scanned (a budget spent on singletons builds no
+    table), and the first subset past ``budget`` raises :class:`BudgetExceeded`.
     """
     if c < 2:
         raise ValueError("c must be at least 2")
     start = time.perf_counter()
-    words = code.words
-    big_m = len(words)
-    length = code.length
-    # per position, the words holding each symbol that occurs there
-    by_pos = [{} for _ in range(length)]
-    for idx, w in enumerate(words):
-        bit = 1 << idx
-        for pos, sym in enumerate(w):
-            by_pos[pos][sym] = by_pos[pos].get(sym, 0) | bit
-    # per word, its membership mask at every position
-    items = [
-        (1 << idx, tuple(by_pos[pos][w[pos]] for pos in range(length)))
-        for idx, w in enumerate(words)
-    ]
-    examined = 0
-    used = 0
+    rows, big_m = code.array, code.size
+    masks = ids = None
+    examined, left = 0, budget
     for k in range(1, min(c, big_m) + 1):
-        per_subset = big_m - k
-        for combo in combinations(items, k):
-            used += per_subset
-            if used > budget:
-                raise BudgetExceeded(
-                    f"naive verification budget of {budget} (subset, candidate) "
-                    f"pairs exceeded after {examined} subsets",
-                    examined=examined,
-                )
-            examined += 1
-            if per_subset == 0:
-                continue
-            pm = 0
-            acc = 0
-            for bit, masks in combo:
-                pm |= bit
-                acc |= masks[0]
-            # acc only shrinks and always contains pm, so equality is final
-            for pos in range(1, length):
-                if acc == pm:
-                    break
-                union = 0
-                for _, masks in combo:
-                    union |= masks[pos]
-                acc &= union
-            if acc != pm:
-                extra = acc & ~pm
-                framed = words[(extra & -extra).bit_length() - 1]
-                witness = Witness(
-                    kind="framed",
-                    coalition=_decode_mask(pm, words),
-                    framed_word=framed,
-                )
-                return VerifyReport(False, witness, examined, time.perf_counter() - start)
+        per_subset, total = big_m - k, comb(big_m, k)
+        fits = left // per_subset if per_subset else (total if left >= 0 else 0)
+        count = max(0, min(total, fits))
+        left -= count * per_subset
+        # a single word frames no other, and the whole code leaves no word to frame
+        if 1 < k < big_m and count:
+            if masks is None:
+                masks, ids = _symbol_masks(rows)
+            hit = _first_framing(masks, ids, k, count)
+            if hit is not None:
+                rank, members, framed = hit
+                coalition = tuple(map(tuple, rows[members].tolist()))
+                witness = Witness(kind="framed", coalition=coalition,
+                                  framed_word=tuple(rows[framed].tolist()))
+                return VerifyReport(False, witness, examined + rank + 1,
+                                    time.perf_counter() - start)
+        examined += count
+        if count < total:
+            raise BudgetExceeded(f"naive verification budget of {budget} (subset, candidate) "
+                                 f"pairs exceeded after {examined} subsets", examined=examined)
     return VerifyReport(True, None, examined, time.perf_counter() - start)
 
 

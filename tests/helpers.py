@@ -3,7 +3,8 @@
 from collections import Counter
 from itertools import combinations, product
 
-from frameproof import Witness, leading_coeff, make_field
+from frameproof import BudgetExceeded, Witness, leading_coeff, make_field
+from frameproof.verify import NAIVE_BUDGET
 
 
 def reference_t_determined(code, t: int):
@@ -40,6 +41,78 @@ def reference_t_determined(code, t: int):
                 return False, witness, checks
             seen[key] = w
     return True, None, checks
+
+
+def _decode_mask(mask: int, words) -> tuple:
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(words[low.bit_length() - 1])
+        mask ^= low
+    return tuple(out)
+
+
+def reference_naive(code, c: int, budget: int = NAIVE_BUDGET):
+    """The bigint coalition loop, kept as the reference.
+
+    Returns ``(verdict, witness, subsets_examined)`` for comparison with
+    :func:`frameproof.is_frameproof_naive`, or raises the same
+    :class:`~frameproof.BudgetExceeded`.
+    """
+    if c < 2:
+        raise ValueError("c must be at least 2")
+    words = code.words
+    big_m = len(words)
+    length = code.length
+    # per position, the words holding each symbol that occurs there
+    by_pos = [{} for _ in range(length)]
+    for idx, w in enumerate(words):
+        bit = 1 << idx
+        for pos, sym in enumerate(w):
+            by_pos[pos][sym] = by_pos[pos].get(sym, 0) | bit
+    # per word, its membership mask at every position
+    items = [
+        (1 << idx, tuple(by_pos[pos][w[pos]] for pos in range(length)))
+        for idx, w in enumerate(words)
+    ]
+    examined = 0
+    used = 0
+    for k in range(1, min(c, big_m) + 1):
+        per_subset = big_m - k
+        for combo in combinations(items, k):
+            used += per_subset
+            if used > budget:
+                raise BudgetExceeded(
+                    f"naive verification budget of {budget} (subset, candidate) "
+                    f"pairs exceeded after {examined} subsets",
+                    examined=examined,
+                )
+            examined += 1
+            if per_subset == 0:
+                continue
+            pm = 0
+            acc = 0
+            for bit, masks in combo:
+                pm |= bit
+                acc |= masks[0]
+            # acc only shrinks and always contains pm, so equality is final
+            for pos in range(1, length):
+                if acc == pm:
+                    break
+                union = 0
+                for _, masks in combo:
+                    union |= masks[pos]
+                acc &= union
+            if acc != pm:
+                extra = acc & ~pm
+                framed = words[(extra & -extra).bit_length() - 1]
+                witness = Witness(
+                    kind="framed",
+                    coalition=_decode_mask(pm, words),
+                    framed_word=framed,
+                )
+                return False, witness, examined
+    return True, None, examined
 
 
 def reference_verify_oa(oa):

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from itertools import combinations
 from math import comb
 
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import reference_t_determined
+from helpers import reference_naive, reference_t_determined
 
 from frameproof import (
     BudgetExceeded,
@@ -126,7 +127,48 @@ class TestNaive:
     def test_budget_exceeded(self):
         with pytest.raises(BudgetExceeded) as exc:
             is_frameproof_naive(base_code("q5"), 2, budget=10)
-        assert exc.value.examined is not None
+        assert exc.value.examined == 0
+        # the 32 singletons take 32 * 31 = 992 pairs, then 5 pairs of 30 fit
+        with pytest.raises(BudgetExceeded) as exc:
+            is_frameproof_naive(base_code("q5"), 2, budget=1142)
+        assert exc.value.examined == 37
+        # a negative budget admits nothing, not even the free subset of a one-word code
+        with pytest.raises(BudgetExceeded) as exc:
+            is_frameproof_naive(make_code(2, 2, [(0, 1)]), 2, budget=-1)
+        assert exc.value.examined == 0
+
+    @pytest.mark.parametrize("rank", [1, 255, 256, 767, 768, 778])
+    def test_framing_at_each_chunk_boundary(self, rank):
+        # diagonal words (i, i) and one word (a, b): only {(a, a), (b, b)} frames
+        # anything, and with 40 words it is the pair of the given lexicographic rank
+        i, j = list(combinations(range(40), 2))[rank]
+        a, b = i, j - 1
+        code = make_code(2, 39, [(v, v) for v in range(39)] + [(a, b)])
+        report = is_frameproof_naive(code, 2)
+        assert report.witness.coalition == ((a, a), (b, b))
+        assert report.witness.framed_word == (a, b)
+        assert report.subsets_examined == 40 + rank + 1
+        assert (report.verdict, report.witness, report.subsets_examined) == (
+            reference_naive(code, 2))
+
+    def test_budget_trips_among_the_singletons(self):
+        # 80,001 words: 10**8 // 80,000 singletons fit, and no table is built
+        with pytest.raises(BudgetExceeded) as exc:
+            is_frameproof_naive(execute_plan(plan_code(2, 201)), 2)
+        assert exc.value.examined == 1250
+
+    def test_budget_trips_among_the_pairs_in_bounded_memory(self):
+        # 9,801 singletons, then 403 pairs of 9,799 candidates fit in 10**8
+        code = execute_plan(plan_code(2, 71))
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetExceeded) as exc:
+                is_frameproof_naive(code, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert exc.value.examined == 10204
+        assert peak < 16 * 2**20
 
     def test_monotone_in_c(self):
         # c-frameproof implies c'-frameproof for c' <= c
@@ -138,6 +180,65 @@ class TestNaive:
     def test_subset_count(self):
         report = is_frameproof_naive(base_code("q3"), 2)
         assert report.subsets_examined == 8 + 28  # singletons + pairs
+
+
+# A 3-frameproof code of 136 words of length 5: its subcodes keep the scan
+# going past the first coalitions, and cut to fewer positions they fail.
+PLANNED = execute_plan(plan_code(3, 10))
+
+
+@st.composite
+def naive_cases(draw):
+    """Up to 40 words of length 1..6, c in 2..4 and a budget up to the full cost.
+
+    Words are random (length 1..6) or a subcode of ``PLANNED`` cut to its
+    first 1..5 positions; codes may carry an infinity symbol and may be
+    widened.  Half the budgets are the full cost, half are uniform below it.
+    """
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    size = rng.randint(1, 40)
+    if draw(st.booleans()):
+        length, q = draw(st.integers(1, 6)), draw(st.integers(2, 5))
+        words = {tuple(rng.randrange(q) for _ in range(length)) for _ in range(size)}
+    else:
+        length, q = draw(st.integers(1, 5)), PLANNED.q
+        words = {w[:length] for w in rng.sample(PLANNED.words, size)}
+    inf = draw(st.none() | st.integers(0, q - 1))
+    if draw(st.booleans()):
+        words, q, inf = widen(words, q, inf)
+    code = make_code(length, q, sorted(words), inf_id=inf)
+    c = draw(st.integers(2, 4))
+    full = sum(comb(code.size, k) * (code.size - k) for k in range(1, min(c, code.size) + 1))
+    return code, c, full if draw(st.booleans()) else rng.randint(0, full)
+
+
+class TestNaiveReference:
+    @given(naive_cases())
+    @settings(max_examples=500, derandomize=True, deadline=None)
+    def test_matches_the_reference_loop(self, case):
+        code, c, budget = case
+        try:
+            expected = reference_naive(code, c, budget)
+        except BudgetExceeded as exc:
+            with pytest.raises(BudgetExceeded) as got:
+                is_frameproof_naive(code, c, budget)
+            assert got.value.examined == exc.examined
+            assert str(got.value) == str(exc)
+        else:
+            report = is_frameproof_naive(code, c, budget)
+            assert (report.verdict, report.witness, report.subsets_examined) == expected
+
+    def test_chunks_cross_many_prefixes(self):
+        # 136 words at c=3: 410,040 triples in growing chunks, all clean; then
+        # a word built from the last three, first framed by a pair seven chunks in
+        a, b, c = PLANNED.words[-3:]
+        planted = (a[0], a[1], a[2], c[3], b[4])
+        bad = make_code(5, PLANNED.q, PLANNED.words + (planted,))
+        for code in (PLANNED, bad):
+            report = is_frameproof_naive(code, 3)
+            assert (report.verdict, report.witness, report.subsets_examined) == (
+                reference_naive(code, 3))
+        assert report.subsets_examined == 137 + 9038
 
 
 class TestCover:
