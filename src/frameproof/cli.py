@@ -13,12 +13,12 @@ from functools import partial
 
 from . import acceptance
 from .codes import (
+    INF_ALIAS,
     BudgetExceeded,
     Code,
     code_from_text,
     code_to_text,
     read_code_file,
-    symbol_text,
     write_code_file,
 )
 from .construct import BASE_CODE_INFO, augment_infinity, base_code, polynomial_lift
@@ -122,7 +122,7 @@ def _build_parser() -> _Parser:
 
 
 def _print_word(word, code: Code) -> str:
-    return " ".join(symbol_text(v, code.inf_id) for v in word)
+    return " ".join(INF_ALIAS if v == code.inf_id else str(v) for v in word)
 
 
 def _print_witness(witness, code: Code) -> None:

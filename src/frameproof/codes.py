@@ -260,19 +260,45 @@ INF_ALIAS = "*"
 _LOOSE_STAR = re.compile(r"\*(?:\S|(?<=\S\*))")  # a `*` touching another character
 
 
-def symbol_text(v: int, inf_id: int | None) -> str:
-    """How a symbol is written: ``*`` for the infinity id, else its decimal id."""
-    return INF_ALIAS if v == inf_id else str(v)
+def _table_bytes(table: np.ndarray, star: int | None = None) -> np.ndarray:
+    """The rows of a nonnegative int64 table as lines of decimal tokens, ``*`` for ``star``.
+
+    The ASCII text is a uint8 array, which a file writes and ``str``
+    decodes without a ``bytes`` copy.  One byte row per distinct symbol
+    holds its token right-aligned after zero padding, then a space; each
+    entry's row is gathered with one ``take``, the space after a line's
+    last token becomes a newline, and one compress drops the padding.
+    The symbols are min..max when that is no larger than the table, else
+    ``np.unique`` of it, so a few words with huge symbols stay cheap.
+    """
+    if not table.size:
+        return np.full(0 if table.shape[1] else len(table), ord("\n"), dtype=np.uint8)
+    lo, hi = int(table.min()), int(table.max())
+    if hi - lo < table.size:
+        symbols, ids = lo + np.arange(hi - lo + 1), table - lo if lo else table
+    else:
+        symbols, ids = np.unique(table, return_inverse=True)
+        ids = ids.reshape(table.shape)
+    powers = 10 ** np.arange(len(str(hi)) - 1, -1, -1, dtype=np.int64)
+    shown = symbols[:, None] >= powers
+    shown[:, -1] = True  # 0 is written "0"
+    tokens = np.where(shown, ord("0") + symbols[:, None] // powers % 10, 0)
+    if star is not None:
+        tokens[symbols == star] = [0] * (len(powers) - 1) + [ord(INF_ALIAS)]
+    rows = np.empty((len(symbols), len(powers) + 1), dtype=np.uint8)
+    rows[:, :-1], rows[:, -1] = tokens, ord(" ")
+    out = np.take(rows, ids, axis=0)
+    out[:, -1, -1] = ord("\n")
+    return out[out != 0]
+
+
+def _fpc_header(code: Code) -> str:
+    inf = "none" if code.inf_id is None else str(code.inf_id)
+    return f"{_FPC_MAGIC} q={code.q} l={code.length} M={code.size} inf={inf}\n"
 
 
 def code_to_text(code: Code) -> str:
-    inf = "none" if code.inf_id is None else str(code.inf_id)
-    header = f"{_FPC_MAGIC} q={code.q} l={code.length} M={code.size} inf={inf}\n"
-    symbols = code.array.ravel().tolist()
-    # one token per distinct symbol, so a huge q with few words stays cheap
-    tokens = {v: symbol_text(v, code.inf_id) for v in set(symbols)}
-    line = " ".join(["%s"] * code.length) + "\n"
-    return header + line * code.size % tuple(map(tokens.__getitem__, symbols))
+    return _fpc_header(code) + str(_table_bytes(code.array, code.inf_id), "ascii")
 
 
 def _read_table(text: str, magic: str, keys: tuple[str, ...], shape: tuple[str, str],
@@ -327,8 +353,9 @@ def code_from_text(text: str) -> Code:
 
 
 def write_code_file(code: Code, path) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(code_to_text(code))
+    with open(path, "wb") as fh:
+        fh.write(_fpc_header(code).encode("ascii"))
+        fh.write(_table_bytes(code.array, code.inf_id))
 
 
 def read_code_file(path) -> Code:

@@ -10,12 +10,10 @@ points that follow each word's non-infinity positions.
 
 from __future__ import annotations
 
-import itertools
-
 import numpy as np
 
 from .codes import Code, is_integer, make_code
-from .gf import is_prime_power, leading_coeff, make_field
+from .gf import is_prime_power, make_field
 from .verify import is_t_determined
 
 # Fixture word patterns.  A pattern entry is None for an infinity slot or
@@ -61,16 +59,13 @@ def _lift_words(rows: np.ndarray, m: int, t: int, points) -> np.ndarray:
     point, whose "value" is the leading coefficient.  The point at an
     infinity position is ignored.  Children follow the polynomials'
     coefficient order, low degree first.  Each point's m**t values are
-    computed once into a tag table, which is then broadcast against the
-    parent rows.
+    computed once, by :meth:`~frameproof.gf.Field.poly_values`, into a
+    tag table, which is then broadcast against the parent rows.
     """
     field = make_field(m)
-    polys = list(itertools.product(range(m), repeat=t))
     used, where = np.unique(points, return_inverse=True)
-    tags = np.array([
-        [leading_coeff(f, t) if alpha == m else field.eval_poly(f, alpha) for f in polys]
-        for alpha in used.tolist()
-    ], dtype=np.int64)[where.reshape(np.shape(points))]
+    tags = np.stack([field.poly_values(t, None if alpha == m else alpha)
+                     for alpha in used.tolist()])[where.reshape(np.shape(points))]
     if rows.size and (int(rows.max()) - 1) * m + m >= 2**63:
         raise ValueError(f"lifted symbols out of range 0..{2**63 - 1}")
     parent = rows[:, :, None]
@@ -209,5 +204,6 @@ def augment_infinity(code: Code, c: int, t: int) -> Code:
     report = is_t_determined(code, t)
     if not report.verdict:
         raise ValueError(f"code is not {t}-determined: {report.witness}")
+    # first, so that with infinity 0 the rows arrive sorted and make_code need not sort them
     all_inf = np.full((1, code.length), code.inf_id)
-    return make_code(code.length, code.q, np.vstack([code.array, all_inf]), code.inf_id)
+    return make_code(code.length, code.q, np.vstack([all_inf, code.array]), code.inf_id)

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import operator
-from functools import lru_cache
+from functools import cached_property, lru_cache
+
+import numpy as np
 
 
 TRIAL_DIVISION_LIMIT = 2**40  # about 0.1 s of trial division at the limit
@@ -161,9 +163,8 @@ class Field:
         q1 = m - 1
         exp = _powers(p, e, self.modulus)
         # Logs run over 0..q1-1.  Zero gets log z = 3*q1, past any sum of
-        # three logs (eval_poly adds a Zech log to the log of a product),
-        # and the exp table cycles below z and reads 0 from z to 2*z, so
-        # exp[log[a] + log[b]] is a*b for zero operands too.
+        # two logs, and the exp table cycles below z and reads 0 from z to
+        # 2*z, so exp[log[a] + log[b]] is a*b for zero operands too.
         z = 3 * q1
         log = [z] * m
         for k, a in enumerate(exp):
@@ -221,36 +222,60 @@ class Field:
         return self._inv[a]  # type: ignore[return-value]
 
     def eval_poly(self, coeffs, point: int) -> int:
-        """Horner evaluation; ``coeffs`` is low-degree-first."""
-        m = self.order
-        # Inline tests for the common case, ints in range; anything else
-        # goes through _element, which converts or raises.
-        if type(point) is not int or not 0 <= point < m:
-            point = self._element(point)
-        coeffs = tuple(coeffs)
-        for c in coeffs:
-            if type(c) is not int or not 0 <= c < m:
-                coeffs = tuple(map(self._element, coeffs))
-                break
-        if not coeffs:
-            return 0
-        if self.e == 1:
-            acc = 0
-            for c in reversed(coeffs):
-                acc = (acc * point + c) % m
-            return acc
-        if not point:
-            return coeffs[0]
-        exp, log, zech = self._exp, self._log, self._zech
-        lp = log[point]
-        acc = coeffs[-1]
-        for c in coeffs[-2::-1]:
-            if not acc:
-                acc = c
-                continue
-            lx = log[acc] + lp  # log of acc * point, not reduced mod m-1
-            acc = exp[lx + zech[log[c] - lx]] if c else exp[lx]
+        """Horner evaluation with checked ``add`` and ``mul``; ``coeffs`` is low-degree-first.
+
+        :meth:`poly_values` evaluates all m**t polynomials of degree below t at once.
+        """
+        point = self._element(point)
+        acc = 0
+        for c in reversed(tuple(coeffs)):
+            acc = self.add(self.mul(acc, point), c)
         return acc
+
+    def poly_values(self, t: int, point) -> np.ndarray:
+        """The values at ``point`` of all m**t polynomials of degree below t.
+
+        Polynomials are low-degree-first coefficient tuples in
+        ``itertools.product(range(m), repeat=t)`` order.  ``None`` is the
+        infinity point, whose value is the leading coefficient.  Horner's
+        rule runs on whole arrays: each step multiplies the values so far
+        by the point and adds every constant c to them, as row c of the
+        next values.
+        """
+        if t < 1:
+            raise ValueError("t must be at least 1")
+        m = self.order
+        values = np.arange(m, dtype=np.int64)
+        if point is None:
+            return np.tile(values, m ** (t - 1))
+        point = self._element(point)
+        if self.e == 1:
+            for _ in range(t - 1):
+                values = np.add.outer(np.arange(m), values * point)
+                values %= m
+            return values.ravel()
+        exp, log, zech = self._tables
+        lc = log[1:, None]  # c = 1..m-1
+        for _ in range(t - 1):
+            scaled = exp[log[values] + log[point]]  # the log of zero reads 0 from exp
+            values = np.empty((m, len(scaled)), dtype=np.int64)
+            values[0] = scaled
+            # c + a = g**lc * (1 + g**(la - lc)); for a = 0, la = 3*(m-1) reads 0
+            # from the Zech padding, which leaves c
+            values[1:] = exp[lc + zech[log[scaled] + (m - 1 - lc)]]
+            values = values.ravel()
+        return values
+
+    @cached_property
+    def _tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Extension-field exp, log and Zech arrays, built on first use.
+
+        The Zech array is indexed by ``la - lc + (m-1)``: its two periods
+        cover every difference of two logs, and zero padding past them
+        makes the log of zero add nothing.
+        """
+        return (np.array(self._exp), np.array(self._log),
+                np.array(self._zech + [0] * (2 * self.order - 1)))
 
     def __repr__(self) -> str:
         return f"GF({self.order})"

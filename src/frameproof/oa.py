@@ -8,7 +8,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .codes import Code, Witness, _read_table, is_integer, make_code
+from .codes import Code, Witness, _read_table, _table_bytes, is_integer, make_code
 from .gf import is_prime_power, make_field
 from .verify import VerifyReport
 
@@ -87,21 +87,18 @@ def build_oa_strength2(s: int) -> OrthogonalArray:
     final slope row holds a.  Any two rows determine (a, b) uniquely, so
     every pair of symbols appears exactly once.
 
-    The field is called O(s**2) times: once per entry of an s x s
-    addition table, and s times per row for the products a*alpha.  Row
-    alpha is then one numpy lookup, ``sums[products]``, flattened in
-    (a, b) order.
+    Row alpha is the polynomial b + a*X at alpha and the slope row is
+    its leading coefficient, so each row is one
+    :meth:`~frameproof.gf.Field.poly_values` call, whose (b, a) order is
+    transposed to (a, b).
     """
     if is_prime_power(s) is None:
         raise ValueError(f"{s} is not a prime power")
     field = make_field(s)
-    elements = field.canonical_elements()
-    sums = np.array([[field.add(x, b) for b in elements] for x in elements], dtype=np.int64)
-    arr = np.empty((s + 1, s * s), dtype=np.int64)
-    for alpha in elements:
-        arr[alpha] = sums[[field.mul(a, alpha) for a in elements]].ravel()
-    arr[s] = np.repeat(np.arange(s), s)
-    return make_oa(arr, s, 2)
+    arr = np.empty((s + 1, s, s), dtype=np.int64)
+    for row, alpha in zip(arr, (*range(s), None)):
+        row[...] = field.poly_values(2, alpha).reshape(s, s).T
+    return make_oa(arr.reshape(s + 1, s * s), s, 2)
 
 
 def verify_oa(oa: OrthogonalArray) -> VerifyReport:
@@ -189,12 +186,13 @@ def oa_to_pt_code(oa: OrthogonalArray) -> Code:
 _OA_MAGIC = "oa1"
 
 
-def oa_to_text(oa: OrthogonalArray) -> str:
+def _oa_header(oa: OrthogonalArray) -> str:
     k, n = oa.array.shape
-    lines = [f"{_OA_MAGIC} N={n} k={k} s={oa.levels} t={oa.strength}"]
-    for row in oa.array:
-        lines.append(" ".join(map(str, row.tolist())))
-    return "\n".join(lines) + "\n"
+    return f"{_OA_MAGIC} N={n} k={k} s={oa.levels} t={oa.strength}\n"
+
+
+def oa_to_text(oa: OrthogonalArray) -> str:
+    return _oa_header(oa) + str(_table_bytes(oa.array), "ascii")
 
 
 def oa_from_text(text: str) -> OrthogonalArray:
@@ -203,8 +201,9 @@ def oa_from_text(text: str) -> OrthogonalArray:
 
 
 def write_oa_file(oa: OrthogonalArray, path) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(oa_to_text(oa))
+    with open(path, "wb") as fh:
+        fh.write(_oa_header(oa).encode("ascii"))
+        fh.write(_table_bytes(oa.array))
 
 
 def read_oa_file(path) -> OrthogonalArray:

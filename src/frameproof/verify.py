@@ -41,6 +41,7 @@ NAIVE_BUDGET = 10**8
 # Coalition chunks grow from _FIRST_CHUNK to _LAST_CHUNK rows, and the masks a
 # chunk gathers at one position never exceed _CHUNK_WORDS words (512 kB).
 _FIRST_CHUNK, _LAST_CHUNK, _CHUNK_WORDS = 256, 2048, 2**16
+_COUNT_CAP = 2**62  # subset counts saturate here
 
 
 @dataclass(frozen=True)
@@ -69,17 +70,43 @@ def _symbol_masks(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return masks, ids
 
 
+def _capped_cumsum(x: np.ndarray) -> np.ndarray:
+    """Running sums of int64 ``x`` (entries in 0..2**62), exact below 2**62 and 2**62 from there on.
+
+    A sum first reaching 2**62 adds at most 2**62 to one below it, so it
+    is found before any int64 wrap.
+    """
+    out = np.cumsum(x)
+    over = out >= _COUNT_CAP
+    if over.any():
+        out[over.argmax():] = _COUNT_CAP
+    return out
+
+
+def _unranking_tables(big_m: int, k: int) -> dict[int, np.ndarray]:
+    """``below[j][b]``, j = 1..k: the j-subsets of range(M) whose least element is under b.
+
+    That is the sum of C(M-1-i, j-1) over i < b.  The binomial columns
+    come from Pascal's rule, C(n, j) = sum of C(n', j-1) over n' < n, as
+    running sums capped at 2**62, past any rank a scan can reach.
+    """
+    col = np.ones(big_m, dtype=np.int64)  # C(n, 0) for n = 0..M-1
+    below = {}
+    for j in range(1, k + 1):
+        below[j] = np.concatenate(([0], _capped_cumsum(col[::-1])))
+        col[1:] = _capped_cumsum(col[:-1])
+        col[:1] = 0
+    return below
+
+
 def _first_framing(masks: np.ndarray, ids: np.ndarray, k: int, count: int):
     """``(rank, members, framed)`` for the first framing among the first ``count`` k-subsets.
 
-    Each chunk of coalitions is unranked from its offset: ``below[j][b]``
-    counts the j-subsets of range(M) whose least element is under b, so
-    one searchsorted per slot gives each member.  Counts are capped at
-    2**62, past any rank a scan can reach.  Returns None if none frames.
+    Each chunk of coalitions is unranked from its offset with the tables
+    of :func:`_unranking_tables`: one searchsorted per slot gives each
+    member.  Returns None if none frames.
     """
-    big_m = ids.shape[1]
-    below = {j: np.array([min(comb(big_m, j) - comb(big_m - b, j), 2**62)
-                          for b in range(big_m + 1)]) for j in range(1, k + 1)}
+    below = _unranking_tables(ids.shape[1], k)
     cap = max(1, min(_LAST_CHUNK, _CHUNK_WORDS // (k * masks.shape[1])))
     start, size = 0, _FIRST_CHUNK
     while start < count:

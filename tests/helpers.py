@@ -174,3 +174,35 @@ def reference_lift_words(words, m: int, t: int, points_of):
             columns.append([base + y for y in values[alpha]])
         out.extend(zip(*columns))
     return out
+
+
+def reference_poly_values(field, t: int, point, polys=None):
+    """Polynomial values at ``point`` by one ``eval_poly`` call each, as the reference.
+
+    ``None`` is the infinity point, whose value is the leading
+    coefficient.  ``polys`` defaults to all m**t coefficient tuples in
+    ``product`` order, for comparison with :meth:`frameproof.Field.poly_values`.
+    """
+    if polys is None:
+        polys = product(range(field.order), repeat=t)
+    return [leading_coeff(f, t) if point is None else field.eval_poly(f, point) for f in polys]
+
+
+def reference_code_text(code) -> str:
+    """The one-``%``-format ``.fpc`` writer, kept as the reference for ``code_to_text``."""
+    inf = "none" if code.inf_id is None else str(code.inf_id)
+    header = f"fpc1 q={code.q} l={code.length} M={code.size} inf={inf}\n"
+    symbols = code.array.ravel().tolist()
+    # one token per distinct symbol, so a huge q with few words stays cheap
+    tokens = {v: "*" if v == code.inf_id else str(v) for v in set(symbols)}
+    line = " ".join(["%s"] * code.length) + "\n"
+    return header + line * code.size % tuple(map(tokens.__getitem__, symbols))
+
+
+def reference_oa_text(oa) -> str:
+    """The line-by-line ``.oa`` writer, kept as the reference for ``oa_to_text``."""
+    k, n = oa.array.shape
+    lines = [f"oa1 N={n} k={k} s={oa.levels} t={oa.strength}"]
+    for row in oa.array:
+        lines.append(" ".join(map(str, row.tolist())))
+    return "\n".join(lines) + "\n"

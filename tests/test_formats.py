@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import reference_code_text, reference_oa_text
 from test_verify import codes_with_c, starred_codes_with_t
 
 from frameproof import (
@@ -16,8 +17,11 @@ from frameproof import (
     code_from_text,
     code_to_text,
     make_code,
+    make_oa,
     oa_from_text,
     oa_to_text,
+    write_code_file,
+    write_oa_file,
 )
 from frameproof.cli import run
 
@@ -166,3 +170,72 @@ class TestFuzzedFiles:
 @settings(max_examples=200, derandomize=True, deadline=None)
 def test_text_round_trip(code):
     assert code_from_text(code_to_text(code)) == code
+
+
+# --- the byte-table writer --------------------------------------------------------
+
+
+@st.composite
+def written_codes(draw):
+    """Codes over a dense window of symbols or a sparse set, q up to 2**63, M from 0.
+
+    The infinity id is None, 0, q-1 or an inner id, and is often one of
+    the symbols.
+    """
+    length = draw(st.integers(1, 4))
+    q = draw(st.sampled_from([2, 3, 10, 1001, 2**62, 2**63]) | st.integers(2, 2**63))
+    inf_ids = [None, 0, q - 1] + ([draw(st.integers(1, q - 2))] if q > 2 else [])
+    inf = draw(st.sampled_from(inf_ids))
+    if draw(st.booleans()):
+        lo = draw(st.integers(0, max(0, q - 12)))
+        pool = list(range(lo, min(q, lo + 12)))
+    else:
+        pool = draw(st.lists(st.integers(0, q - 1), min_size=1, max_size=8))
+    if inf is not None and draw(st.booleans()):
+        pool.append(inf)
+    words = draw(st.lists(st.tuples(*[st.sampled_from(pool)] * length), unique=True,
+                          max_size=12))
+    return make_code(length, q, words, inf)
+
+
+@st.composite
+def written_arrays(draw):
+    """Arrays of k rows and N = index * s**t random entries, N = 0 included."""
+    k = draw(st.integers(1, 4))
+    t = draw(st.integers(1, k))
+    s = draw(st.integers(2, 6))
+    n = draw(st.integers(0, max(0, 40 // s**t))) * s**t
+    rows = draw(st.lists(st.lists(st.integers(0, s - 1), min_size=n, max_size=n),
+                         min_size=k, max_size=k))
+    return make_oa(rows, s, t) if n else make_oa([[]] * k, draw(st.integers(2, 2**62)), t)
+
+
+class TestWriter:
+    @given(written_codes())
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    def test_code_bytes_match_the_reference(self, tmp_path_factory, code):
+        text = code_to_text(code)
+        assert text == reference_code_text(code)
+        path = tmp_path_factory.mktemp("fpc") / "a.fpc"
+        write_code_file(code, path)
+        assert path.read_bytes() == text.encode()
+
+    @given(written_arrays())
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    def test_oa_bytes_match_the_reference(self, tmp_path_factory, oa):
+        text = oa_to_text(oa)
+        assert text == reference_oa_text(oa)
+        path = tmp_path_factory.mktemp("oa") / "a.oa"
+        write_oa_file(oa, path)
+        assert path.read_bytes() == text.encode()
+
+    def test_edge_tables(self):
+        # M = 0, N = 0, and symbols at both ends of the int64 range
+        top = 2**63 - 1
+        for code in (make_code(3, 7, [], inf_id=0),
+                     make_code(2, 2**62, [(0, 2**62 - 1), (2**62 - 1, 0)], inf_id=2**62 - 1),
+                     make_code(2, 2**63, [(top, top - 1), (top - 1, top)], inf_id=top - 1),
+                     make_code(2, 2**63, [(top, top)], inf_id=0)):
+            assert code_to_text(code) == reference_code_text(code)
+        empty = make_oa([[], []], 3, 1)
+        assert oa_to_text(empty) == reference_oa_text(empty) == "oa1 N=0 k=2 s=3 t=1\n\n\n"

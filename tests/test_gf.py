@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import reference_poly_values
+
 from frameproof import (
     Field,
     factor_prime_powers,
@@ -248,6 +250,33 @@ class TestPolyEval:
         assert leading_coeff((1, 2, 0, 0), 3) == 0
         with pytest.raises(ValueError):
             leading_coeff((1, 2, 5), 2)
+
+    def test_poly_values_match_the_reference_loop(self):
+        # every point and infinity; t = 3 only up to m = 64, since at m = 256
+        # one point already has 16.7M values.  Where m**t > 256, the loop
+        # runs over 32 random polynomials, which are then picked out by index.
+        rng = random.Random(2)
+        for m in PRIME_POWERS_LE_256:
+            f = make_field(m)
+            for t in (1, 2, 3) if m <= 64 else (1, 2):
+                polys = None
+                if m**t > 256:
+                    polys = [tuple(rng.randrange(m) for _ in range(t)) for _ in range(32)]
+                index = None if polys is None else [
+                    sum(c * m ** (t - 1 - i) for i, c in enumerate(poly)) for poly in polys]
+                for point in [*range(m), None]:
+                    got = f.poly_values(t, point)
+                    assert got.dtype == np.int64 and got.shape == (m**t,), (m, t)
+                    got = got.tolist() if index is None else got[index].tolist()
+                    assert got == reference_poly_values(f, t, point, polys), (m, t, point)
+
+    def test_poly_values_checks_its_arguments(self):
+        f = make_field(9)
+        assert f.poly_values(2, np.int64(3)).tolist() == f.poly_values(2, 3).tolist()
+        with pytest.raises(ValueError, match="out of range"):
+            f.poly_values(2, 9)
+        with pytest.raises(ValueError, match="at least 1"):
+            f.poly_values(0, 1)
 
     @given(
         st.sampled_from([3, 4, 5, 7, 8, 9]),

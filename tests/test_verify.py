@@ -23,6 +23,7 @@ from frameproof import (
     plan_code,
 )
 from frameproof.acceptance import plant_framing, random_code
+from frameproof.verify import _unranking_tables
 
 FRAMABLE = make_code(2, 2, [(0, 1), (1, 0), (0, 0)])
 
@@ -210,6 +211,27 @@ def naive_cases(draw):
     c = draw(st.integers(2, 4))
     full = sum(comb(code.size, k) * (code.size - k) for k in range(1, min(c, code.size) + 1))
     return code, c, full if draw(st.booleans()) else rng.randint(0, full)
+
+
+def comb_tables(big_m, k):
+    return {j: [min(comb(big_m, j) - comb(big_m - b, j), 2**62) for b in range(big_m + 1)]
+            for j in range(1, k + 1)}
+
+
+class TestUnrankingTables:
+    @pytest.mark.parametrize("big_m", [*range(41), *range(41, 2001, 97), 2000])
+    def test_match_the_comb_formula(self, big_m):
+        for k in range(1, 5):
+            got = _unranking_tables(big_m, k)
+            assert {j: v.tolist() for j, v in got.items()} == comb_tables(big_m, k), k
+
+    def test_saturate_past_2_62(self):
+        # C(2**17, 4) is about 1.2e19; the tables stay exact below 2**62
+        big_m = 2**17
+        assert comb(big_m, 4) > 2**62 > comb(big_m, 3)
+        got = _unranking_tables(big_m, 4)
+        assert {j: v.tolist() for j, v in got.items()} == comb_tables(big_m, 4)
+        assert got[4][-1] == 2**62 and got[4][1] == comb(big_m - 1, 3)
 
 
 class TestNaiveReference:
