@@ -334,7 +334,8 @@ def _read_table(text: str, magic: str, keys: tuple[str, ...], shape: tuple[str, 
         raise ValueError(f"{magic} entries take no sign")
     rows, cols = vals[shape[0]], vals[shape[1]]
     if not body or body.isspace():  # loadtxt warns on empty input
-        table = np.empty((0, cols), dtype=np.uint64)
+        # only a table of width 0 has rows that are all blank
+        table = np.empty((0 if cols else rows, cols), dtype=np.uint64)
     else:
         try:
             table = np.loadtxt(io.StringIO(body), dtype=np.uint64, ndmin=2, comments=None)

@@ -5,12 +5,13 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from itertools import combinations
+from math import comb
 
 import numpy as np
 
 from .codes import Code, Witness, _read_table, _table_bytes, is_integer, make_code
 from .gf import is_prime_power, make_field
-from .verify import VerifyReport
+from .verify import VerifyReport, _subset_counts
 
 
 @dataclass(frozen=True, eq=False)
@@ -104,38 +105,39 @@ def build_oa_strength2(s: int) -> OrthogonalArray:
 def verify_oa(oa: OrthogonalArray) -> VerifyReport:
     """Exhaustively count column tuples in every t-row submatrix.
 
-    Row subsets are taken in ``combinations`` order.  The columns of a
-    subset are read as base-s keys, its first row most significant, so
-    ``np.bincount`` over the N keys counts every s**t tuple at once, in
-    ``product`` order: O(C(k, t) * N) numpy work.  The first subset with
-    a tuple seen other than ``index`` times is the witness, together
-    with its first such tuple; ``subsets_examined`` counts the subsets
-    up to and including it.  Entries lie in 0..s-1, which
-    :class:`OrthogonalArray` guarantees.
+    Row subsets are taken in ``combinations`` order, many per numpy
+    pass.  The columns of a subset are read as base-s keys, its first
+    row most significant, and offset by s**t per earlier subset in the
+    pass, so one ``np.bincount`` counts every s**t tuple of every subset
+    at once, each subset's in ``product`` order: O(C(k, t) * N)
+    counting.  The first subset with a tuple seen other than ``index``
+    times is the witness, together with its first such tuple;
+    ``subsets_examined`` counts the subsets up to and including it.
+    Entries lie in 0..s-1, which :class:`OrthogonalArray` guarantees.
     """
     start = time.perf_counter()
-    t = oa.strength
-    s = oa.levels
-    lam = oa.index
+    k, n = oa.array.shape
+    t, s, lam = oa.strength, oa.levels, oa.index
+    if not n:
+        # no runs: every tuple is seen index = 0 times
+        return VerifyReport(True, None, comb(k, t), time.perf_counter() - start)
     examined = 0
-    for subset in combinations(range(oa.constraints), t):
-        examined += 1
-        keys = oa.array[subset[0]]
-        for r in subset[1:]:
-            keys = keys * s + oa.array[r]
-        counts = np.bincount(keys, minlength=s**t)
-        off = np.flatnonzero(counts != lam)
-        if off.size:
-            key = int(off[0])
-            symbols = tuple(key // s**i % s for i in range(t - 1, -1, -1))
-            witness = Witness(
-                kind="oa_count",
-                rows=subset,
-                symbols=symbols,
-                count=int(counts[key]),
-                expected=lam,
-            )
-            return VerifyReport(False, witness, examined, time.perf_counter() - start)
+    # N = index * s**t keys span s**t bins, so _subset_counts always counts them; each
+    # subset's N keys sum to index * s**t, so its counts all equal index when none passes it
+    for subsets, counts in _subset_counts(oa.array, np.zeros(k, dtype=np.int64), [s] * k, t):
+        if counts.max() == lam:
+            examined += len(subsets)
+            continue
+        bad, key = divmod(int(np.argmax(counts != lam)), s**t)
+        symbols = tuple(key // s**i % s for i in range(t - 1, -1, -1))
+        witness = Witness(
+            kind="oa_count",
+            rows=subsets[bad],
+            symbols=symbols,
+            count=int(counts[bad, key]),
+            expected=lam,
+        )
+        return VerifyReport(False, witness, examined + bad + 1, time.perf_counter() - start)
     return VerifyReport(True, None, examined, time.perf_counter() - start)
 
 

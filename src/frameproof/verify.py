@@ -16,14 +16,18 @@ Two independent algorithms decide the frameproof property:
 They always agree; having both lets each one act as an oracle for the
 other and for every construction in the package.
 
-The cover index and :func:`is_t_determined` share one primitive,
-``codes._pack`` (which also sorts :func:`~frameproof.codes.make_code`'s
-rows): it turns the rows' projections onto a position set into int64
-keys that are equal exactly when the projections are.  A sort then puts
-equal keys next to each other, and one compare of adjacent keys finds
-every repeat.  Keys weight each column by its actual symbol range, and
-re-rank with ``np.unique`` before a product would pass 2**63, so symbols
-anywhere in the int64 range are handled.
+:func:`is_t_determined` and :func:`~frameproof.oa.verify_oa` share one
+primitive, :func:`_subset_counts`: it reads each column's entries on a
+set of t rows as one mixed-radix key, weighting each row by its actual
+symbol range, and counts the keys of many row sets with one
+``np.bincount``.  When the keys would span too many bins, the checker
+sorts instead, with the cover index's primitive, ``codes._pack`` (which
+also sorts :func:`~frameproof.codes.make_code`'s rows): it turns the
+rows' projections onto a position set into int64 keys that are equal
+exactly when the projections are, re-ranking with ``np.unique`` before
+a product would pass 2**63, so symbols anywhere in the int64 range are
+handled.  A sort puts equal keys next to each other, and one compare of
+adjacent keys finds every repeat.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from itertools import combinations
-from math import comb
+from math import comb, prod
 
 import numpy as np
 
@@ -42,6 +46,9 @@ NAIVE_BUDGET = 10**8
 # chunk gathers at one position never exceed _CHUNK_WORDS words (512 kB).
 _FIRST_CHUNK, _LAST_CHUNK, _CHUNK_WORDS = 256, 2048, 2**16
 _COUNT_CAP = 2**62  # subset counts saturate here
+# _subset_counts counts about _CHUNK_CELLS (subset, column) keys per pass, and leaves
+# the sorting to its caller when a subset's keys span more than _DENSE bins per column.
+_CHUNK_CELLS, _DENSE = 2**14, 4
 
 
 @dataclass(frozen=True)
@@ -273,21 +280,83 @@ def is_frameproof_cover(code: Code, c: int, budget: int = NAIVE_BUDGET) -> Verif
     return VerifyReport(True, None, meter[0], time.perf_counter() - start)
 
 
+def _subset_counts(table: np.ndarray, lo: np.ndarray, widths: list[int], t: int, dead=None):
+    """Count the keys of many t-subsets of the rows of ``table`` per numpy pass.
+
+    ``table`` is ``(rows, n)``, row r holding entries in lo[r] .. lo[r] +
+    widths[r] - 1.  A column's key in a subset S of rows reads its
+    entries on S in mixed radix, the first row most significant and each
+    row weighted by its width; it is dropped where ``dead`` holds on
+    any row of S.  Each subset gets ``span`` bins, the product of the t
+    largest widths (Python ints, so it cannot overflow).  Subsets come
+    in ``combinations`` order, in chunks that share all rows but the
+    last, of about ``_CHUNK_CELLS`` (subset, column) cells or one subset:
+    a chunk's last rows are one slice of ``table``, so nothing is
+    gathered.  Yields
+    ``(subsets, counts)`` per chunk, ``counts[i, key]`` the columns with
+    ``key`` in ``subsets[i]``, from one ``np.bincount``.  When ``span``
+    passes ``_DENSE`` bins per column, counts is None and the caller
+    sorts instead.
+    """
+    rows, n = table.shape
+    span = prod(sorted(widths)[-t:])
+    dense = span <= _DENSE * n
+    if dense:
+        table = table - lo[:, None] if lo.any() else table
+        weight = np.array(widths, dtype=np.int64)[:, None]
+    per = max(1, _CHUNK_CELLS // max(n, 1))
+    # a chunk's i-th subset counts its keys from i * span on
+    starts = np.repeat(np.arange(per) * span, n).reshape(per, n) if dense and per > 1 else None
+    for prefix in combinations(range(rows), t - 1):
+        if dense:
+            # the prefix's keys, and its columns dropped, are shared by the whole run
+            head = table[prefix[0]] if prefix else np.zeros(n, dtype=np.int64)
+            for r in prefix[1:]:
+                head = head * weight[r] + table[r]
+            gone = None if dead is None else np.logical_or.reduce(dead[list(prefix)], axis=0)
+        for a in range(prefix[-1] + 1 if prefix else 0, rows, per):
+            b = min(rows, a + per)
+            subsets = [(*prefix, r) for r in range(a, b)]
+            if not dense:
+                yield subsets, None
+                continue
+            keys = weight[a:b] * head
+            keys += table[a:b]
+            if b - a > 1:
+                keys += starts[:b - a]
+            if dead is not None:
+                keys = keys[~(dead[a:b] | gone)]
+            yield subsets, np.bincount(keys.reshape(-1), minlength=(b - a) * span).reshape(-1, span)
+
+
+def _live_keys(rows: np.ndarray, stars: np.ndarray, subset) -> tuple[np.ndarray, np.ndarray]:
+    """The rows with no infinity on ``subset``, and their packed keys on it."""
+    valid = ~stars[:, subset].any(axis=1)
+    return valid, _pack(rows, subset)[valid]
+
+
+def _repeats(keys: np.ndarray) -> bool:
+    ranked = np.sort(keys)
+    return bool((ranked[1:] == ranked[:-1]).any())
+
+
 def is_t_determined(code: Code, t: int) -> VerifyReport:
     """Check that any t non-infinity coordinates pin down a codeword.
 
     Concretely: (a) every word carries at most t-1 infinity entries, and
     (b) no two distinct words agree in t or more positions where both
     are non-infinity.  Clause (a) counts each row's infinity entries.
-    For clause (b), for each set S of t positions the rows with no
-    infinity in S are packed into keys on S, sorted, and compared with
-    their neighbours: S holds an agreement exactly when two adjacent keys
-    are equal.  That is O(C(l, t) * M log M) numpy work.  Only the first
-    failing S is argsorted stably, so the witness is the first word, in
-    sort order, that repeats a projection, paired with the first word
-    that had it.  Work is counted in words examined, reported as
-    ``subsets_examined``: M for clause (a), then M per t-subset, or, on
-    a violation, up to and including the offending word.
+    For clause (b) the sets S of t positions are taken in chunks: the
+    rows with no infinity in S get one key each on S, offset per S, and
+    one ``np.bincount`` over the chunk finds every S holding a key twice.
+    That is O(C(l, t) * M) counting.  A chunk whose symbols are too wide
+    or sparse to count packs each S's keys instead, sorts them and
+    compares neighbours.  Only the first failing S is argsorted stably,
+    so the witness is the first word, in sort order, that repeats a
+    projection, paired with the first word that had it.  Work is counted
+    in words examined, reported as ``subsets_examined``: M for clause
+    (a), then M per t-subset, or, on a violation, up to and including
+    the offending word.
     """
     inf = code.inf_id
     if inf is None:
@@ -304,21 +373,32 @@ def is_t_determined(code: Code, t: int) -> VerifyReport:
         witness = Witness(kind="inf_count", pair=(tuple(rows[idx].tolist()),),
                           positions=tuple(np.flatnonzero(stars[idx]).tolist()))
         return VerifyReport(False, witness, idx + 1, time.perf_counter() - start)
+    if not big_m:
+        return VerifyReport(True, None, 0, time.perf_counter() - start)
+    lo, hi = rows.min(axis=0), rows.max(axis=0)
+    widths = [b - a + 1 for a, b in zip(lo.tolist(), hi.tolist())]
+    dead = stars.T if stars.any() else None
     checks = big_m
-    for subset in combinations(range(code.length), t):
-        valid = ~stars[:, subset].any(axis=1)
-        keys = _pack(rows, subset)[valid]
-        ranked = np.sort(keys)
-        if (ranked[1:] == ranked[:-1]).any():
-            # a stable argsort keeps equal keys in word order: the least row that
-            # repeats a key is the first repeat, and its run starts with the earlier word
-            where, order = np.flatnonzero(valid), keys.argsort(kind="stable")
-            ranked = keys[order]
-            later = order[1:][ranked[1:] == ranked[:-1]].min()
-            x, y = rows[where[order[np.searchsorted(ranked, keys[later])]]], rows[where[later]]
-            witness = Witness(kind="agreement", pair=(tuple(x.tolist()), tuple(y.tolist())),
-                              positions=tuple(np.flatnonzero((x == y) & (y != inf)).tolist()))
-            return VerifyReport(False, witness, checks + int(where[later]) + 1,
-                                time.perf_counter() - start)
-        checks += big_m
+    for subsets, counts in _subset_counts(rows.T, lo, widths, t, dead):
+        if counts is None:
+            bad = next((i for i, subset in enumerate(subsets)
+                        if _repeats(_live_keys(rows, stars, subset)[1])), None)
+        else:
+            bad = int(np.argmax(counts > 1)) // counts.shape[1] if counts.max() > 1 else None
+        if bad is None:
+            checks += big_m * len(subsets)
+            continue
+        subset = subsets[bad]
+        checks += big_m * bad
+        valid, keys = _live_keys(rows, stars, subset)
+        # a stable argsort keeps equal keys in word order: the least row that
+        # repeats a key is the first repeat, and its run starts with the earlier word
+        where, order = np.flatnonzero(valid), keys.argsort(kind="stable")
+        ranked = keys[order]
+        later = order[1:][ranked[1:] == ranked[:-1]].min()
+        x, y = rows[where[order[np.searchsorted(ranked, keys[later])]]], rows[where[later]]
+        witness = Witness(kind="agreement", pair=(tuple(x.tolist()), tuple(y.tolist())),
+                          positions=tuple(np.flatnonzero((x == y) & (y != inf)).tolist()))
+        return VerifyReport(False, witness, checks + int(where[later]) + 1,
+                            time.perf_counter() - start)
     return VerifyReport(True, None, checks, time.perf_counter() - start)

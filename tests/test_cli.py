@@ -7,6 +7,7 @@ from frameproof import (
     base_code,
     build_oa_strength2,
     make_code,
+    make_oa,
     oa_from_text,
     read_code_file,
     write_code_file,
@@ -281,6 +282,15 @@ class TestPassthrough:
         write_oa_file(build_oa_strength2(5), src)
         assert run(["export", str(src), "--out", str(out)]) == 0
         assert out.read_bytes() == src.read_bytes()
+
+    @pytest.mark.parametrize("rows, s, t", [([[], []], 3, 1), ([[]] * 3, 3, 2)])
+    def test_oa_with_no_runs_exports_and_verifies(self, tmp_path, rows, s, t):
+        src = tmp_path / "empty.oa"
+        out = tmp_path / "copy.oa"
+        write_oa_file(make_oa(rows, s, t), src)
+        assert run(["export", str(src), "--out", str(out)]) == 0
+        assert out.read_bytes() == src.read_bytes()
+        assert run(["oa-verify", str(src)]) == 0
 
     def test_export_to_stdout(self, base_file, capsys):
         assert run(["export", str(base_file)]) == 0

@@ -239,3 +239,13 @@ class TestWriter:
             assert code_to_text(code) == reference_code_text(code)
         empty = make_oa([[], []], 3, 1)
         assert oa_to_text(empty) == reference_oa_text(empty) == "oa1 N=0 k=2 s=3 t=1\n\n\n"
+
+    @pytest.mark.parametrize("rows, s, t", [([[], []], 3, 1), ([[]] * 3, 3, 2)])
+    def test_arrays_with_no_runs_read_back(self, rows, s, t):
+        # k blank rows are a k x 0 table; a blank body under M=1 is still refused
+        oa = make_oa(rows, s, t)
+        again = oa_from_text(oa_to_text(oa))
+        assert again.array.shape == (len(rows), 0) and oa_to_text(again) == oa_to_text(oa)
+        assert oa_from_text(f"oa1 N=0 k={len(rows)} s={s} t={t}\n").array.shape == (len(rows), 0)
+        with pytest.raises(ValueError, match="k=2"):
+            oa_from_text("oa1 N=1 k=2 s=3 t=1\n\n\n")

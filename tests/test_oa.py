@@ -1,5 +1,6 @@
 import hashlib
 from itertools import combinations, product
+from math import comb
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from frameproof import (
     oa_to_text,
     verify_oa,
 )
+from frameproof import verify
 
 
 @st.composite
@@ -51,6 +53,24 @@ def arrays(draw):
     elif mode == "random":
         arr = rng.integers(s, size=arr.shape)
     return make_oa(arr, s, t)
+
+
+def plant_unbalanced(oa, target):
+    """A copy of an index-1 strength-2 array whose first unbalanced row pair is ``target``.
+
+    For (0, r), one entry of row r changes.  For (1, r), rows 1..r-1 swap
+    two columns that agree in row 0: every pair with row 0 stays
+    balanced, and so does every pair inside the swapped rows.
+    """
+    arr = oa.array.copy()
+    first, r = target
+    if first == 0:
+        arr[r, 0] = (arr[r, 0] + 1) % oa.levels
+    else:
+        assert first == 1
+        other = np.flatnonzero(arr[0] == arr[0, 0])[1]
+        arr[1:r, [0, other]] = arr[1:r, [other, 0]]
+    return make_oa(arr, oa.levels, oa.strength)
 
 
 class TestBuilder:
@@ -115,6 +135,36 @@ class TestVerifier:
         assert (report.verdict, report.witness, report.subsets_examined) == (
             reference_verify_oa(oa)
         )
+
+    @pytest.mark.parametrize("rows, s, t", [([[], []], 3, 1), ([[]] * 3, 3, 2)])
+    def test_no_runs_is_balanced(self, rows, s, t):
+        # index 0: every tuple is seen 0 times in each of the C(k, t) subsets
+        report = verify_oa(make_oa(rows, s, t))
+        assert (report.verdict, report.witness, report.subsets_examined) == (
+            True, None, comb(len(rows), t))
+        assert reference_verify_oa(make_oa(rows, s, t)) == (True, None, comb(len(rows), t))
+
+    @pytest.mark.parametrize("s", [16, 32])
+    @pytest.mark.parametrize("cells", [None, 3 * 256])
+    def test_first_failure_at_chunk_boundaries(self, monkeypatch, s, cells):
+        # the first unbalanced subset is the last of a chunk, the first of the
+        # next one, or one inside a chunk
+        if cells is not None:
+            monkeypatch.setattr(verify, "_CHUNK_CELLS", cells)
+        oa = build_oa_strength2(s)
+        k = oa.constraints
+        chunks = [subsets for subsets, _ in verify._subset_counts(
+            oa.array, np.zeros(k, dtype=np.int64), [s] * k, 2)]
+        assert len(chunks) > 2
+        order = list(combinations(range(k), 2))
+        assert [subset for chunk in chunks for subset in chunk] == order
+        targets = [chunks[0][-1], chunks[1][0], chunks[1][len(chunks[1]) // 2]]
+        for target in targets:
+            bad = plant_unbalanced(oa, target)
+            report = verify_oa(bad)
+            expected = reference_verify_oa(bad)
+            assert expected[2] == order.index(target) + 1
+            assert (report.verdict, report.witness, report.subsets_examined) == expected
 
     def test_make_oa_validation(self):
         with pytest.raises(ValueError):

@@ -3,6 +3,7 @@ import tracemalloc
 from itertools import combinations
 from math import comb
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,6 +13,7 @@ from helpers import reference_naive, reference_t_determined
 from frameproof import (
     BudgetExceeded,
     base_code,
+    build_oa_strength2,
     descendant_contains,
     execute_plan,
     execute_steps,
@@ -20,8 +22,10 @@ from frameproof import (
     is_frameproof_naive,
     is_t_determined,
     make_code,
+    oa_to_pt_code,
     plan_code,
 )
+from frameproof import verify
 from frameproof.acceptance import plant_framing, random_code
 from frameproof.verify import _unranking_tables
 
@@ -438,11 +442,52 @@ class TestTDetermined:
         assert report.verdict
         assert report.subsets_examined == code.size * (1 + comb(5, 2))
 
+    @pytest.mark.parametrize("wide", [False, True])
+    @pytest.mark.parametrize("cells", [None, 5 * 255])
+    def test_first_agreement_at_chunk_boundaries(self, monkeypatch, wide, cells):
+        # on the 255 words of the oa16 seed, the first failing position pair is the
+        # last of a chunk, the first of the next one, or one inside a chunk; wide
+        # symbols send every chunk to the sort
+        if cells is not None:
+            monkeypatch.setattr(verify, "_CHUNK_CELLS", cells)
+        sorts, repeats = [], verify._repeats
+        monkeypatch.setattr(verify, "_repeats", lambda keys: sorts.append(1) or repeats(keys))
+        seed = oa_to_pt_code(build_oa_strength2(16))
+        chunks = [subsets for subsets, _ in verify._subset_counts(
+            seed.array.T, np.zeros(17, dtype=np.int64), [16] * 17, 2)]
+        order = list(combinations(range(17), 2))
+        assert [subset for chunk in chunks for subset in chunk] == order
+        for target in (chunks[0][-1], chunks[1][0], chunks[1][len(chunks[1]) // 2]):
+            code = plant_agreement(seed, target)
+            if wide:
+                words, q, inf = widen(code.words, code.q, code.inf_id)
+                code = make_code(code.length, q, words, inf_id=inf)
+            report = is_t_determined(code, 2)
+            expected = reference_t_determined(code, 2)
+            assert (expected[2] - 1) // code.size - 1 == order.index(target)
+            assert (report.verdict, report.witness, report.subsets_examined) == expected
+        assert bool(sorts) == wide
+
     def test_t_equal_one(self):
         # t=1: no infinity entries at all, and no agreement anywhere
         assert is_t_determined(make_code(3, 3, [(1, 2, 1), (2, 1, 2)], inf_id=0), 1).verdict
         report = is_t_determined(make_code(2, 3, [(1, 1), (1, 2)], inf_id=0), 1)
         assert not report.verdict and report.witness.kind == "agreement"
+
+
+def plant_agreement(seed, target):
+    """The oa16 seed with one symbol of one word changed, first agreeing on ``target``.
+
+    Any two non-infinity entries of the seed pin down one word.  A word
+    whose entry j changes then agrees with another word on (p, j) for
+    every other non-infinity position p, so the first such pair is
+    (0, j), or (1, j) for a word with its infinity at position 0.
+    """
+    first, j = target
+    rows = seed.array.copy()
+    x = np.flatnonzero(((rows[:, 0] == 0) == (first == 1)) & (rows[:, j] != 0))[0]
+    rows[x, j] = rows[x, j] % (seed.q - 1) + 1
+    return make_code(seed.length, seed.q, rows, inf_id=0)
 
 
 class TestWideSymbols:
@@ -460,3 +505,18 @@ class TestWideSymbols:
             if not narrow.verdict:
                 assert report.witness.framed_word == scale(narrow.witness.framed_word)
                 assert report.witness.coalition == tuple(map(scale, narrow.witness.coalition))
+
+    @given(starred_codes_with_t())
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    def test_t_determined_report_does_not_depend_on_symbol_values(self, case):
+        # counted keys on narrow codes, sorted keys on wide ones: the same report
+        code, t = case
+        words, q, inf = widen(code.words, code.q, code.inf_id)
+        narrow, report = is_t_determined(code, t), is_t_determined(
+            make_code(code.length, q, words, inf_id=inf), t)
+        assert (report.verdict, report.subsets_examined) == (
+            narrow.verdict, narrow.subsets_examined)
+        if not narrow.verdict:
+            assert report.witness.kind == narrow.witness.kind
+            assert report.witness.pair == tuple(map(scale, narrow.witness.pair))
+            assert report.witness.positions == narrow.witness.positions
