@@ -15,8 +15,8 @@ for n in (8, 9, 12, 49, 97):
 f9 = make_field(9)
 print("\nGF(9) modulus coefficients (low degree first):", f9.modulus)
 print("element ids decode to coefficient vectors:")
-for a in f9.canonical_elements():
-    print(f"  {a} -> {f9.element_digits(a)}")
+for a in range(f9.order):
+    print(f"  {a} -> {tuple(a // f9.p**i % f9.p for i in range(f9.e))}")
 
 print("\nsample arithmetic in GF(9):")
 print("  3 + 7 =", f9.add(3, 7))

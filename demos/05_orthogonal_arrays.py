@@ -11,9 +11,8 @@ import numpy as np
 from frameproof import (
     build_oa_strength2,
     is_t_determined,
+    make_code,
     make_oa,
-    normalize_column_to_infinity,
-    oa_to_frameproof,
     oa_to_pt_code,
     verify_oa,
 )
@@ -24,8 +23,10 @@ print(np.array2string(oa.array), "\n")
 
 print("exhaustive balance check:", verify_oa(oa).verdict)
 
-# Per-row symbol swaps keep the balance; use them to zero out a column.
-norm = normalize_column_to_infinity(oa, 4)
+# Per-row symbol swaps keep the balance; use them to zero out a column:
+# in each row, swap the column's entry v with the star symbol 0.
+v = oa.array[:, 4:5]
+norm = make_oa(np.where(oa.array == v, 0, np.where(oa.array == 0, v, oa.array)), 3, 2)
 print("\ncolumn 4 normalised to the star symbol:")
 print(np.array2string(norm.array))
 print("still balanced:", verify_oa(norm).verdict)
@@ -39,7 +40,7 @@ w = report.witness
 print(f"  rows {w.rows}: tuple {w.symbols} appears {w.count}x, expected {w.expected}")
 
 # Columns as codewords: 9 words, 3-frameproof since k=4 > 3*(t-1).
-code = oa_to_frameproof(oa, 3)
+code = make_code(oa.constraints, oa.levels, oa.array.T)
 print("\ncolumns as a code:", code)
 
 # Drop the all-star column to get a 2-determined seed for lifting.

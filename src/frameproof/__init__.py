@@ -39,9 +39,7 @@ from .oa import (
     OrthogonalArray,
     build_oa_strength2,
     make_oa,
-    normalize_column_to_infinity,
     oa_from_text,
-    oa_to_frameproof,
     oa_to_pt_code,
     oa_to_text,
     read_oa_file,
@@ -49,12 +47,10 @@ from .oa import (
     write_oa_file,
 )
 from .plan import (
-    BoundReport,
     ConstructionPlan,
     Step,
     achieved_rate,
     blackburn_leading,
-    bound_report,
     execute_plan,
     execute_steps,
     format_plan,
@@ -73,7 +69,6 @@ __version__ = "1.0.0"
 
 __all__ = [
     "BASE_CODE_INFO",
-    "BoundReport",
     "BudgetExceeded",
     "Code",
     "ConstructionPlan",
@@ -86,7 +81,6 @@ __all__ = [
     "augment_infinity",
     "base_code",
     "blackburn_leading",
-    "bound_report",
     "build_oa_strength2",
     "code_from_text",
     "code_to_text",
@@ -106,10 +100,8 @@ __all__ = [
     "make_code",
     "make_field",
     "make_oa",
-    "normalize_column_to_infinity",
     "oa_family_code",
     "oa_from_text",
-    "oa_to_frameproof",
     "oa_to_pt_code",
     "oa_to_text",
     "plan_code",

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import itertools
+import math
 import sys
 from functools import partial
 
@@ -32,11 +33,12 @@ from .oa import (
 )
 from .plan import (
     achieved_rate,
-    bound_report,
+    blackburn_leading,
     execute_plan,
     format_plan,
     oa_family_code,
     plan_code,
+    ssw_bound,
 )
 from .verify import NAIVE_BUDGET, is_frameproof_cover, is_frameproof_naive
 
@@ -254,6 +256,13 @@ def _cmd_oa_verify(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
+    if min(args.c, args.l, args.q) < 2:
+        raise ValueError("c, length and q must all be at least 2")
+    # refuse before any power: a bound too long to print would take minutes to compute
+    limit = getattr(sys, "get_int_max_str_digits", int)()  # 0, no limit, before 3.10.7
+    if limit and math.log10(args.c) + -(-args.l // args.c) * math.log10(args.q) >= limit:
+        raise _UsageError(f"the cardinality bound c*(q**ceil(l/c) - 1) has more than {limit} "
+                          "digits, the limit of sys.get_int_max_str_digits()")
     achieved = None
     if args.code:
         code = read_code_file(args.code)
@@ -262,17 +271,19 @@ def _cmd_bounds(args) -> int:
                 f"--code has l={code.length}, q={code.q}; flags say l={args.l}, q={args.q}"
             )
         achieved = code.size
-    report = bound_report(args.c, args.l, args.q, achieved)
+    ssw = ssw_bound(args.c, args.l, args.q)
+    lead = blackburn_leading(args.c, args.l)
+    if achieved is not None and achieved > ssw:
+        raise ValueError(f"size {achieved} exceeds the cardinality bound {ssw}")
     if not args.quiet:
-        print(f"cardinality bound   {report.ssw}")
-        print(f"rate bound          {report.rate_upper}")
-        print(f"asymptotic leading  {report.blackburn_leading}")
+        print(f"cardinality bound   {ssw}")
+        print(f"rate bound          {achieved_rate(args.c, args.l, args.q, ssw)}")
+        print(f"asymptotic leading  {lead}")
         if achieved is not None:
-            print(f"achieved size       {report.achieved_size}")
-            print(f"achieved rate       {report.achieved_rate}")
-    lead = report.blackburn_leading
+            print(f"achieved size       {achieved}")
+            print(f"achieved rate       {achieved_rate(args.c, args.l, args.q, achieved)}")
     got = "-" if achieved is None else str(achieved)
-    print(f"c={args.c} l={args.l} q={args.q} ssw={report.ssw} "
+    print(f"c={args.c} l={args.l} q={args.q} ssw={ssw} "
           f"leading={lead.numerator}/{lead.denominator} achieved={got}")
     return 0
 

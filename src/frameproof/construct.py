@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .codes import Code, is_integer, make_code
+from .codes import Code, make_code
 from .gf import is_prime_power, make_field
 from .verify import is_t_determined
 
@@ -109,29 +109,15 @@ def base_code(name: str) -> Code:
 def default_eval_points(m: int, length: int) -> tuple[int | None, ...]:
     """The first ``length`` canonical field elements, infinity last if needed.
 
-    ``None`` stands for the infinity point.  The default is part of the
-    reproducibility contract; callers may pass their own distinct points.
+    ``None`` stands for the infinity point.  :func:`polynomial_lift`
+    evaluates at these points, so they are part of the reproducibility
+    contract.
     """
     if m < length - 1:
         raise ValueError(f"field order {m} too small for length {length}")
     if length <= m:
         return tuple(range(length))
     return tuple(range(m)) + (None,)
-
-
-def _check_eval_points(points, m: int, length: int) -> tuple[int | None, ...]:
-    pts = tuple(points)
-    for p in pts:
-        if p is not None and not is_integer(p):
-            raise ValueError(f"evaluation point {p!r} is not None or an integer")
-    if len(pts) != length:
-        raise ValueError(f"need {length} evaluation points, got {len(pts)}")
-    if len(set(pts)) != length:
-        raise ValueError("evaluation points must be distinct")
-    for p in pts:
-        if p is not None and not 0 <= p < m:
-            raise ValueError(f"evaluation point {p} out of range 0..{m - 1}")
-    return pts
 
 
 def _check_shape(length: int, c: int, t: int) -> None:
@@ -146,12 +132,12 @@ def _check_shape(length: int, c: int, t: int) -> None:
         )
 
 
-def polynomial_lift(code: Code, m: int, t: int, c: int, points=None) -> Code:
+def polynomial_lift(code: Code, m: int, t: int, c: int) -> Code:
     """Expand a t-determined code over a larger alphabet with polynomial tags.
 
     Every non-infinity parent symbol b at position j becomes the
     flattened pair (b-1)*m + y_j + 1, where for a polynomial f over
-    GF(m) of degree < t
+    GF(m) of degree < t and points = ``default_eval_points(m, length)``
 
         y_j = f(points[j])   at an ordinary evaluation point,
         y_j = lead(f)        when points[j] is the infinity point,
@@ -172,14 +158,8 @@ def polynomial_lift(code: Code, m: int, t: int, c: int, points=None) -> Code:
         raise ValueError("parent code must designate infinity as symbol 0")
     if is_prime_power(m) is None:
         raise ValueError(f"{m} is not a prime power")
-    if m < length - 1:
-        raise ValueError(f"field order {m} too small: need m >= {length - 1}")
+    pts = default_eval_points(m, length)
     _check_shape(length, c, t)
-    pts = (
-        default_eval_points(m, length)
-        if points is None
-        else _check_eval_points(points, m, length)
-    )
     report = is_t_determined(code, t)
     if not report.verdict:
         raise ValueError(f"parent code is not {t}-determined: {report.witness}")

@@ -176,13 +176,6 @@ class Field:
         self._exp = exp * 3 + [0] * (z + 1)
         self._log = log
         self._inv = [None] + [exp[-log[a]] for a in range(1, m)]
-        self._half = 0 if p == 2 else q1 // 2  # -1 = g**half
-
-    def element_digits(self, a: int) -> tuple[int, ...]:
-        return tuple(_digits(self._element(a), self.p, self.e))
-
-    def canonical_elements(self) -> tuple[int, ...]:
-        return tuple(range(self.order))
 
     def _element(self, a) -> int:
         if type(a) is not int:
@@ -199,15 +192,6 @@ class Field:
             return a or b
         la = self._log[a]
         return self._exp[la + self._zech[self._log[b] - la]]
-
-    def neg(self, a: int) -> int:
-        a = self._element(a)
-        if self.e == 1:
-            return -a % self.p
-        return self._exp[self._log[a] + self._half]
-
-    def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
 
     def mul(self, a: int, b: int) -> int:
         a, b = self._element(a), self._element(b)

@@ -1,4 +1,4 @@
-"""Orthogonal arrays: strength-2 generator, exhaustive checker, code bridges."""
+"""Orthogonal arrays: strength-2 generator, exhaustive checker, the seed code bridge."""
 
 from __future__ import annotations
 
@@ -141,46 +141,20 @@ def verify_oa(oa: OrthogonalArray) -> VerifyReport:
     return VerifyReport(True, None, examined, time.perf_counter() - start)
 
 
-def normalize_column_to_infinity(oa: OrthogonalArray, col: int) -> OrthogonalArray:
-    """Make one column all-zero by swapping two symbols within each row.
-
-    Per-row symbol permutations preserve the balance property (they act
-    bijectively on column tuples), and symbol 0 plays the infinity role
-    downstream.
-    """
-    if not 0 <= col < oa.runs:
-        raise ValueError(f"column {col} out of range 0..{oa.runs - 1}")
-    arr, v = oa.array, oa.array[:, col : col + 1]
-    return make_oa(np.where(arr == v, 0, np.where(arr == 0, v, arr)), oa.levels, oa.strength)
-
-
-def oa_to_frameproof(oa: OrthogonalArray, c: int) -> Code:
-    """Read the columns as codewords; c-frameproof whenever k > c*(t-1).
-
-    Distinct columns of an index-1 array agree in at most t-1 rows, so
-    any coalition of at most c words leaves some position unmatched for
-    every outside word.
-    """
-    if c < 2:
-        raise ValueError("c must be at least 2")
-    if not oa.constraints > c * (oa.strength - 1):
-        raise ValueError(
-            f"need more rows than c*(t-1) = {c * (oa.strength - 1)}, have {oa.constraints}"
-        )
-    return make_code(oa.constraints, oa.levels, oa.array.T)
-
-
 def oa_to_pt_code(oa: OrthogonalArray) -> Code:
     """Turn an index-1 strength-t array into a t-determined code.
 
-    Column 0 is normalised to all-zero and dropped; the remaining
-    s**t - 1 columns, with 0 as the infinity symbol, each carry at most
-    t-1 zeros and pairwise agree in at most t-1 positions.
+    Column 0 is normalised to all-zero by swapping, within each row, its
+    entry v with 0 (a per-row symbol permutation, which keeps every t
+    rows balanced), and dropped; the remaining s**t - 1 columns, with 0
+    as the infinity symbol, each carry at most t-1 zeros and pairwise
+    agree in at most t-1 positions.
     """
     if oa.index != 1:
         raise ValueError(f"array index must be 1, got {oa.index}")
-    norm = normalize_column_to_infinity(oa, 0)
-    return make_code(oa.constraints, oa.levels, norm.array[:, 1:].T, inf_id=0)
+    arr, v = oa.array[:, 1:], oa.array[:, :1]
+    return make_code(oa.constraints, oa.levels,
+                     np.where(arr == v, 0, np.where(arr == 0, v, arr)).T, inf_id=0)
 
 
 # --- .oa text format (described and read in codes.py) ----------------------

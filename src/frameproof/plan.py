@@ -104,7 +104,6 @@ class ConstructionPlan:
     q: int
     expected_size: int
     steps: tuple[Step, ...]
-    family: str
 
     def __post_init__(self):
         _shapes(self.steps)
@@ -146,7 +145,7 @@ def plan_code(c: int, q: int) -> ConstructionPlan:
     if not is_integer(q) or q < c + 1 or (q - 1) % c:
         raise ValueError(f"q must be 1 mod c={c} and at least {c + 1}, got {q!r}")
     steps = tuple(_chain(c, q)) + (Step("augment"),)
-    return ConstructionPlan(c, c + 2, q, (c + 2) * (q - 1) ** 2 // c + 1, steps, f"c{c}")
+    return ConstructionPlan(c, c + 2, q, (c + 2) * (q - 1) ** 2 // c + 1, steps)
 
 
 def oa_family_code(c: int, m: int) -> Code:
@@ -183,7 +182,7 @@ def format_plan(plan: ConstructionPlan) -> str:
     """Render a plan with the running (q, l, M) after each step."""
     lines = [
         f"target: c={plan.c} q={plan.q} length={plan.length} "
-        f"size={plan.expected_size} family={plan.family}"
+        f"size={plan.expected_size} family=c{plan.c}"
     ]
     for i, (step, (q, _, size)) in enumerate(zip(plan.steps, _shapes(plan.steps)), 1):
         lines.append(f"  {i}. {step}: q={q} M={size}")
@@ -220,28 +219,3 @@ def blackburn_leading(c: int, length: int) -> Fraction:
 def achieved_rate(c: int, length: int, q: int, size: int) -> Fraction:
     """Exact rate M / q**ceil(l/c) of a code of the given size."""
     return Fraction(size, q ** (-(-length // c)))
-
-
-@dataclass(frozen=True)
-class BoundReport:
-    c: int
-    length: int
-    q: int
-    ssw: int
-    blackburn_leading: Fraction
-    rate_upper: Fraction  # finite-q rate bound ssw / q**ceil(l/c)
-    achieved_size: int | None = None
-    achieved_rate: Fraction | None = None
-
-    def __post_init__(self):
-        if self.achieved_size is not None and self.achieved_size > self.ssw:
-            raise ValueError(
-                f"size {self.achieved_size} exceeds the cardinality bound {self.ssw}"
-            )
-
-
-def bound_report(c: int, length: int, q: int, achieved_size: int | None = None) -> BoundReport:
-    bound = ssw_bound(c, length, q)
-    rate = None if achieved_size is None else achieved_rate(c, length, q, achieved_size)
-    return BoundReport(c, length, q, bound, blackburn_leading(c, length),
-                       achieved_rate(c, length, q, bound), achieved_size, rate)

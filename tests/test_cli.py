@@ -1,3 +1,5 @@
+import itertools
+import sys
 import time
 
 import pytest
@@ -246,6 +248,14 @@ class TestOaCommands:
         assert run(["oa", "--s", "3", "--algorithm", "naive"]) == 64
 
 
+def _str_digits():
+    """The interpreter's limit on the digits of a printed integer."""
+    digits = getattr(sys, "get_int_max_str_digits", int)()  # 0, no limit, before 3.10.7
+    if not digits:
+        pytest.skip("no limit on integer string conversion")
+    return digits
+
+
 class TestBounds:
     def test_machine_line(self, capsys):
         assert run(["bounds", "--c", "3", "--l", "5", "--q", "10"]) == 0
@@ -262,6 +272,43 @@ class TestBounds:
         path = tmp_path / "code.fpc"
         write_code_file(base_code("q3"), path)
         assert run(["bounds", "--c", "2", "--l", "5", "--q", "3", "--code", str(path)]) == 64
+
+    def test_size_above_the_bound_refused(self, tmp_path, capsys):
+        path = tmp_path / "code.fpc"
+        words = list(itertools.product(range(3), repeat=4))[:17]
+        write_code_file(make_code(4, 3, words), path)
+        assert run(["bounds", "--c", "2", "--l", "4", "--q", "3", "--code", str(path)]) == 64
+        assert "size 17 exceeds the cardinality bound 16" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("c, length, q", [
+        ("2", "20000", "10"),
+        ("2", "200000000", "10"),
+        ("10000000000", "2", None),  # q = 10**(d-5) has d-4 digits and c adds 10
+    ])
+    def test_bound_too_long_to_print_refused_at_once(self, c, length, q, capsys):
+        digits = _str_digits()
+        q = q or "1" + "0" * (digits - 5)
+        start = time.perf_counter()
+        assert run(["bounds", "--c", c, "--l", length, "--q", q]) == 64
+        assert time.perf_counter() - start < 1
+        err = capsys.readouterr().err
+        assert f"more than {digits} digits" in err
+        assert "set_int_max_str_digits" not in err  # not Python's own message
+
+    def test_longest_printable_bound(self, capsys):
+        # 2*(10**(d-1) - 1) = 19...98 has d digits, the limit; one more position adds a digit
+        digits = _str_digits()
+        length = 2 * (digits - 1)
+        assert run(["bounds", "--c", "2", "--l", str(length), "--q", "10"]) == 0
+        assert f"ssw=1{'9' * (digits - 2)}8 " in capsys.readouterr().out
+        assert run(["bounds", "--c", "2", "--l", str(length + 1), "--q", "10"]) == 64
+        assert f"more than {digits} digits" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags", [["--c", "0", "--l", "4"], ["--c", "2", "--l", "1"],
+                                       ["--c", "2", "--l", "4", "--q", "0"]])
+    def test_parameters_below_two_refused(self, flags, capsys):
+        assert run(["bounds", "--q", "3"] + flags) == 64
+        assert "must all be at least 2" in capsys.readouterr().err
 
 
 class TestPassthrough:

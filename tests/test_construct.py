@@ -72,10 +72,6 @@ PINNED_CODES = {
         lambda: oa_family_code(3, 4),
         "43ad299763b3f50b22d17408e7a9752a5d76f1c58b47da8e5abe13bc550eb753",
     ),
-    "q3 lift m5 custom points": (
-        lambda: polynomial_lift(base_code("q3"), 5, 2, 2, points=(4, 2, None, 0)),
-        "0d1d760ff53e9aa4c0ee7426ec689b4846a4366a2cd5958fb6a3c585333aa9ad",
-    ),
     "empty code": (
         lambda: make_code(3, 4, [], inf_id=0),
         "4347f649b605c11505408cea30775c2880f58a055cfeffe64dcad48870f291a8",
@@ -174,20 +170,13 @@ class TestPolynomialLift:
         lifted = polynomial_lift(base_code("q3"), 3, 2, 2)
         assert lifted.size <= ssw_bound(2, lifted.length, lifted.q)
 
-    def test_custom_points_same_size(self):
-        parent = base_code("q3")
-        a = polynomial_lift(parent, 5, 2, 2, points=(0, 1, 2, 3))
-        b = polynomial_lift(parent, 5, 2, 2, points=(4, 2, None, 0))
-        assert a.size == b.size == 200
-        assert is_t_determined(a, 2).verdict and is_t_determined(b, 2).verdict
-
     @settings(max_examples=30, deadline=None)
     @given(st.data())
     def test_tags_are_polynomial_values(self, data):
         m = data.draw(st.sampled_from([3, 4, 5, 7, 8, 9]))
-        points = data.draw(st.permutations(list(range(m)) + [None]))[:4]
+        points = default_eval_points(m, 4)
         parent = base_code("q3")
-        lifted = polynomial_lift(parent, m, 2, 2, points=points)
+        lifted = polynomial_lift(parent, m, 2, 2)
         field = make_field(m)
 
         def tag(f, p):  # f = f0 + f1*X; the infinity point reads f1
@@ -214,22 +203,9 @@ class TestPolynomialLift:
             polynomial_lift(parent, 3, 2, 3)  # length 4 != 3*(2-1)+r, r in {2,3}
         with pytest.raises(ValueError, match="infinity"):
             polynomial_lift(make_code(4, 3, [(1, 1, 1, 1)]), 3, 2, 2)
-        with pytest.raises(ValueError, match="distinct"):
-            polynomial_lift(parent, 3, 2, 2, points=(0, 0, 1, 2))
         bad = make_code(4, 3, [(1, 1, 1, 1), (1, 1, 1, 2)], inf_id=0)
         with pytest.raises(ValueError, match="determined"):
             polynomial_lift(bad, 3, 2, 2)
-
-    @pytest.mark.parametrize("points", [(0, True, 2, 3), (0, 1.5, 2, 3), (0, "1", 2, 3)])
-    def test_non_integer_points_rejected(self, points):
-        with pytest.raises(ValueError, match=r"evaluation point .* is not None or an integer"):
-            polynomial_lift(base_code("q3"), 5, 2, 2, points=points)
-
-    def test_numpy_integer_points_accepted(self):
-        points = (np.int64(4), np.int32(2), None, np.uint8(0))
-        assert polynomial_lift(base_code("q3"), 5, 2, 2, points=points) == polynomial_lift(
-            base_code("q3"), 5, 2, 2, points=(4, 2, None, 0)
-        )
 
 
 class TestAugment:

@@ -14,10 +14,9 @@ from frameproof import (
     build_oa_strength2,
     is_frameproof_cover,
     is_t_determined,
+    make_code,
     make_oa,
-    normalize_column_to_infinity,
     oa_from_text,
-    oa_to_frameproof,
     oa_to_pt_code,
     oa_to_text,
     verify_oa,
@@ -233,37 +232,16 @@ class TestVerifier:
         assert verify_oa(oa).verdict
 
 
-class TestNormalize:
-    def test_identity_when_already_zero(self):
-        oa = build_oa_strength2(2)
-        out = normalize_column_to_infinity(oa, 0)
-        assert np.array_equal(out.array, oa.array)
-
-    def test_preserves_balance(self):
-        for s in (3, 4, 5):
-            oa = build_oa_strength2(s)
-            for col in (0, s, s * s - 1):
-                out = normalize_column_to_infinity(oa, col)
-                assert np.all(out.array[:, col] == 0)
-                assert verify_oa(out).verdict
-
-    def test_column_range(self):
-        with pytest.raises(ValueError):
-            normalize_column_to_infinity(build_oa_strength2(2), 4)
-
-
 class TestCodeBridges:
     def test_columns_as_frameproof_code(self):
+        # distinct columns of an index-1 array agree in at most t-1 rows, so the
+        # columns are c-frameproof whenever k > c*(t-1)
         oa = build_oa_strength2(4)
-        code = oa_to_frameproof(oa, 3)
+        code = make_code(oa.constraints, oa.levels, oa.array.T)
         assert (code.q, code.length, code.size) == (4, 5, 16)
         assert code.inf_id is None
         assert is_frameproof_cover(code, 3).verdict
-        assert is_frameproof_cover(oa_to_frameproof(oa, 4), 4).verdict
-
-    def test_row_count_precondition(self):
-        with pytest.raises(ValueError):
-            oa_to_frameproof(build_oa_strength2(4), 5)  # needs k > c*(t-1)
+        assert is_frameproof_cover(code, 4).verdict
 
     def test_star_code_small(self):
         code = oa_to_pt_code(build_oa_strength2(2))
@@ -275,6 +253,23 @@ class TestCodeBridges:
         for s, size in ((3, 8), (4, 15), (5, 24)):
             code = oa_to_pt_code(build_oa_strength2(s))
             assert code.size == size
+            assert is_t_determined(code, 2).verdict
+
+    def test_star_code_from_a_nonzero_first_column(self):
+        # a random symbol permutation per row keeps the balance and moves column 0 off zero
+        rng = np.random.default_rng(0)
+        for s in (3, 4, 5):
+            oa = build_oa_strength2(s)
+            perms = []
+            while len(perms) < oa.constraints:
+                perm = rng.permutation(s)
+                if perm[0]:
+                    perms.append(perm)
+            arr = np.array(perms)[np.arange(oa.constraints)[:, None], oa.array]
+            assert np.all(arr[:, 0] != 0)
+            code = oa_to_pt_code(make_oa(arr, s, 2))
+            assert code.size == s * s - 1
+            assert code.inf_id == 0
             assert is_t_determined(code, 2).verdict
 
     def test_star_code_requires_index_one(self):

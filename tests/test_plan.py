@@ -9,7 +9,6 @@ from frameproof import (
     Step,
     achieved_rate,
     blackburn_leading,
-    bound_report,
     execute_plan,
     execute_steps,
     factor_prime_powers,
@@ -80,14 +79,14 @@ class TestPlanning:
 
     def test_bad_plans_rejected_at_construction(self):
         with pytest.raises(ValueError, match="no steps"):
-            ConstructionPlan(2, 4, 7, 73, (), "c2")
+            ConstructionPlan(2, 4, 7, 73, ())
         with pytest.raises(ValueError, match="prime power"):
             ConstructionPlan(
-                2, 4, 13, 289, (Step("base", "q3"), Step("lift", 6), Step("augment")), "c2"
+                2, 4, 13, 289, (Step("base", "q3"), Step("lift", 6), Step("augment"))
             )
         with pytest.raises(ValueError, match="final"):
             ConstructionPlan(
-                2, 4, 3, 9, (Step("base", "q3"), Step("augment"), Step("lift", 3)), "c2"
+                2, 4, 3, 9, (Step("base", "q3"), Step("augment"), Step("lift", 3))
             )
 
 
@@ -214,7 +213,7 @@ class TestExecution:
 
     def test_mismatch_fails_loudly(self):
         plan = ConstructionPlan(
-            2, 4, 7, 99, (Step("base", "q3"), Step("lift", 3), Step("augment")), "c2"
+            2, 4, 7, 99, (Step("base", "q3"), Step("lift", 3), Step("augment"))
         )
         with pytest.raises(RuntimeError, match="expected"):
             execute_plan(plan)
@@ -267,16 +266,10 @@ class TestBounds:
             assert previous < rate < blackburn_leading(3, 5)
             previous = rate
 
-    def test_report_fields(self):
-        report = bound_report(2, 4, 7, achieved_size=73)
-        assert report.ssw == 96
-        assert report.rate_upper == Fraction(96, 49)
-        assert report.achieved_rate == Fraction(73, 49)
-        assert bound_report(3, 5, 10).achieved_size is None
-
-    def test_report_rejects_impossible_size(self):
-        with pytest.raises(ValueError):
-            bound_report(2, 4, 3, achieved_size=17)
+    def test_bound_values(self):
+        assert ssw_bound(2, 4, 7) == 96
+        assert achieved_rate(2, 4, 7, ssw_bound(2, 4, 7)) == Fraction(96, 49)
+        assert achieved_rate(2, 4, 7, 73) == Fraction(73, 49)
 
     def test_planned_sizes_dominated(self):
         for q in range(3, 32, 2):
@@ -304,6 +297,6 @@ class TestPlannedCodesAgainstBounds:
     def test_built_codes_respect_the_bounds(self, cq):
         c, q = cq
         code = execute_plan(plan_code(c, q))
-        report = bound_report(c, c + 2, q, code.size)
-        assert code.size <= ssw_bound(c, c + 2, q) == report.ssw
-        assert report.achieved_rate < report.rate_upper
+        bound = ssw_bound(c, c + 2, q)
+        assert code.size <= bound
+        assert achieved_rate(c, c + 2, q, code.size) < achieved_rate(c, c + 2, q, bound)
