@@ -207,6 +207,21 @@ class TestPolynomialLift:
         with pytest.raises(ValueError, match="determined"):
             polynomial_lift(bad, 3, 2, 2)
 
+    def test_checks_run_in_order(self):
+        # infinity, then prime power, then too small, then shape, then determinedness:
+        # each input below fails the named check and every later one
+        no_inf = make_code(10, 3, [(1,) * 10, (2,) * 10])
+        with pytest.raises(ValueError, match="infinity"):
+            polynomial_lift(no_inf, 6, 2, 3)
+        long_bad = make_code(10, 3, [(1,) * 10, (1,) * 9 + (2,)], inf_id=0)
+        with pytest.raises(ValueError, match="prime power"):
+            polynomial_lift(long_bad, 6, 2, 3)
+        with pytest.raises(ValueError, match="too small"):
+            polynomial_lift(long_bad, 7, 2, 3)
+        bad = make_code(4, 3, [(1, 1, 1, 1), (1, 1, 1, 2)], inf_id=0)
+        with pytest.raises(ValueError, match="r in"):
+            polynomial_lift(bad, 3, 2, 3)
+
 
 class TestAugment:
     def test_base_augment(self):

@@ -272,6 +272,30 @@ class TestCodeBridges:
             assert code.inf_id == 0
             assert is_t_determined(code, 2).verdict
 
+    def test_star_code_drops_an_all_zero_first_column(self):
+        for s in (2, 3, 4, 5):
+            oa = build_oa_strength2(s)
+            assert np.all(oa.array[:, 0] == 0)
+            expected = make_code(oa.constraints, s, oa.array[:, 1:].T, inf_id=0)
+            assert oa_to_pt_code(oa) == expected
+
+    def test_star_code_normalisation_keeps_the_balance(self):
+        # row by row, the entry v of column 0 and the symbol 0 swap places;
+        # with an all-zero column put back, the columns form an index-1 array again
+        rng = np.random.default_rng(1)
+        for s in (3, 4, 5):
+            oa = build_oa_strength2(s)
+            k = oa.constraints
+            arr = rng.permuted(np.tile(np.arange(s), (k, 1)), axis=1)[np.arange(k)[:, None], oa.array]
+            swapped = []
+            for row in arr.tolist():
+                v = row[0]
+                swapped.append([0 if x == v else v if x == 0 else x for x in row[1:]])
+            code = oa_to_pt_code(make_oa(arr, s, 2))
+            assert code == make_code(k, s, np.array(swapped).T, inf_id=0)
+            restored = np.hstack([np.zeros((k, 1), dtype=np.int64), code.array.T])
+            assert verify_oa(make_oa(restored, s, 2)).verdict
+
     def test_star_code_requires_index_one(self):
         doubled = make_oa([[0, 0, 1, 1], [0, 1, 0, 1]], 2, 1)
         assert doubled.index == 2
