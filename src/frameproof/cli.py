@@ -146,10 +146,14 @@ def _print_witness(witness, code: Code) -> None:
 def _cmd_construct(args) -> int:
     recipe = args.recipe
     t = 2 if args.t is None else args.t
+    # refuse a flag the recipe never reads; --augment-inf reads --c and --t
+    reads = {"poly-lift": "--in --m --c --t", "oa-family": "--m --c"}.get(recipe, "").split()
+    reads += ["--c", "--t"] * args.augment_inf
+    for flag, value in (("--m", args.m), ("--in", args.parent), ("--c", args.c), ("--t", args.t)):
+        if value is not None and flag not in reads:
+            raise _UsageError(f"{flag} does not apply to recipe {recipe}"
+                              + " without --augment-inf" * (flag in ("--c", "--t")))
     if recipe in _BASE_RECIPES:
-        for flag, name in ((args.m, "--m"), (args.parent, "--in")):
-            if flag is not None:
-                raise _UsageError(f"{name} does not apply to recipe {recipe}")
         name = _BASE_RECIPES[recipe]
         _, length, size, base_c = BASE_CODE_INFO[name]
         c = base_c if args.c is None else args.c
@@ -259,10 +263,12 @@ def _cmd_bounds(args) -> int:
     if min(args.c, args.l, args.q) < 2:
         raise ValueError("c, length and q must all be at least 2")
     # refuse before any power: a bound too long to print would take minutes to compute
-    limit = getattr(sys, "get_int_max_str_digits", int)()  # 0, no limit, before 3.10.7
-    if limit and math.log10(args.c) + -(-args.l // args.c) * math.log10(args.q) >= limit:
+    # with the limit off (0, or no limit before 3.10.7) the interpreter's default applies
+    limit = (getattr(sys, "get_int_max_str_digits", int)()
+             or getattr(sys.int_info, "default_max_str_digits", 4300))
+    if math.log10(args.c) + -(-args.l // args.c) * math.log10(args.q) >= limit:
         raise _UsageError(f"the cardinality bound c*(q**ceil(l/c) - 1) has more than {limit} "
-                          "digits, the limit of sys.get_int_max_str_digits()")
+                          "digits, the limit of sys.get_int_max_str_digits() or its default")
     achieved = None
     if args.code:
         code = read_code_file(args.code)

@@ -3,9 +3,9 @@
 Every tagged code comes from one operation, :func:`_lift_words`: each
 non-infinity symbol b is paired with the value y of a polynomial over
 GF(m) and flattened to ``(b-1)*m + y + 1``, infinity staying 0.
-:func:`polynomial_lift` applies it with one evaluation point per
-position; the ``q5``/``q10`` fixtures apply it to ``q3``/``q4`` with
-points that follow each word's non-infinity positions.
+:func:`polynomial_lift` is its one caller: one evaluation point per
+position, or, when the field is one point short, points that follow
+each word's non-infinity positions.
 """
 
 from __future__ import annotations
@@ -34,21 +34,12 @@ _PLAIN_BASES = {
         (0, 2, 1, 0, None),
     )),
 }
-# name -> (plain base, field order of its degree-<2 lift)
-_PAIR_BASES = {"q5": ("q3", 2), "q10": ("q4", 3)}
 
 # name -> (q, length, size, c)
 BASE_CODE_INFO = {
     "q3": (3, 4, 8, 2),
     "q4": (4, 5, 15, 3),
-    "q5": (5, 4, 32, 2),
-    "q10": (10, 5, 135, 3),
 }
-
-
-def _point_ids(points, m: int) -> np.ndarray:
-    """Evaluation points as an int array, with m standing for the infinity point ``None``."""
-    return np.array([m if p is None else p for p in points], dtype=np.int64)
 
 
 def _lift_words(rows: np.ndarray, m: int, t: int, points) -> np.ndarray:
@@ -62,44 +53,29 @@ def _lift_words(rows: np.ndarray, m: int, t: int, points) -> np.ndarray:
     computed once, by :meth:`~frameproof.gf.Field.poly_values`, into a
     tag table, which is then broadcast against the parent rows.
     """
+    if not rows.size:  # no children, and per-row points would name no point
+        return rows
+    if (int(rows.max()) - 1) * m + m >= 2**63:
+        raise ValueError(f"lifted symbols out of range 0..{2**63 - 1}")
     field = make_field(m)
     used, where = np.unique(points, return_inverse=True)
     tags = np.stack([field.poly_values(t, None if alpha == m else alpha)
                      for alpha in used.tolist()])[where.reshape(np.shape(points))]
-    if rows.size and (int(rows.max()) - 1) * m + m >= 2**63:
-        raise ValueError(f"lifted symbols out of range 0..{2**63 - 1}")
     parent = rows[:, :, None]
     out = np.where(parent == 0, 0, (parent - 1) * m + 1 + tags)
     return out.transpose(0, 2, 1).reshape(-1, rows.shape[1])
 
 
 def base_code(name: str) -> Code:
-    """One of the four hard-coded 2-determined base codes.
-
-    ``q3``/``q4`` are the small hand patterns over {infinity} + Z_k.
-    ``q5``/``q10`` are the degree-<2 lifts of ``q3``/``q4`` over
-    GF(2)/GF(3); the field is too small for one point per position, so
-    each word's non-infinity positions take ``default_eval_points(m, l-1)``
-    in order.
-    """
-    if name in _PLAIN_BASES:
-        k, patterns = _PLAIN_BASES[name]
-        words = [
-            tuple(0 if e is None else (i + e) % k + 1 for e in pattern)
-            for pattern in patterns
-            for i in range(k)
-        ]
-    elif name in _PAIR_BASES:
-        parent, m = _PAIR_BASES[name]
-        rows = base_code(parent).array
-        pts = _point_ids(default_eval_points(m, rows.shape[1] - 1), m)
-        # one infinity per word: the points fill its other positions in
-        # order (the infinity position takes a neighbour's point, ignored)
-        pos = np.arange(rows.shape[1])
-        star = (rows == 0).argmax(axis=1)[:, None]
-        words = _lift_words(rows, m, 2, pts[pos - (pos >= star)])
-    else:
+    """One of the two hand-made 2-determined base codes, ``q3`` and ``q4``."""
+    if name not in _PLAIN_BASES:
         raise ValueError(f"unknown base code {name!r}; choose from {sorted(BASE_CODE_INFO)}")
+    k, patterns = _PLAIN_BASES[name]
+    words = [
+        tuple(0 if e is None else (i + e) % k + 1 for e in pattern)
+        for pattern in patterns
+        for i in range(k)
+    ]
     q, length, size, _ = BASE_CODE_INFO[name]
     code = make_code(length, q, words, inf_id=0)
     assert code.size == size
@@ -110,8 +86,8 @@ def default_eval_points(m: int, length: int) -> tuple[int | None, ...]:
     """The first ``length`` canonical field elements, infinity last if needed.
 
     ``None`` stands for the infinity point.  :func:`polynomial_lift`
-    evaluates at these points, so they are part of the reproducibility
-    contract.
+    evaluates at these points (word by word at l - 1 of them when m = l - 2),
+    so they are part of the reproducibility contract.
     """
     if m < length - 1:
         raise ValueError(f"field order {m} too small for length {length}")
@@ -142,9 +118,12 @@ def polynomial_lift(code: Code, m: int, t: int, c: int) -> Code:
         y_j = f(points[j])   at an ordinary evaluation point,
         y_j = lead(f)        when points[j] is the infinity point,
 
-    and infinity positions stay infinity (0).  Running f over all m**t
-    polynomials multiplies the size by m**t and grows the alphabet to
-    q = (s-1)*m + 1.  Two distinct output words can agree in at most
+    and infinity positions stay infinity (0).  When m = length - 2 the
+    field is one point short: every parent word must then carry an
+    infinity, and each word's non-infinity positions take
+    ``default_eval_points(m, length - 1)`` in order.  Running f over all
+    m**t polynomials multiplies the size by m**t and grows the alphabet
+    to q = (s-1)*m + 1.  Two distinct output words can agree in at most
     t-1 non-infinity positions (t agreements would force equal parents
     and equal polynomials), so the result is again c-frameproof and
     t-determined whenever length = c*(t-1)+r with r in {t..c}.
@@ -158,12 +137,18 @@ def polynomial_lift(code: Code, m: int, t: int, c: int) -> Code:
         raise ValueError("parent code must designate infinity as symbol 0")
     if is_prime_power(m) is None:
         raise ValueError(f"{m} is not a prime power")
-    pts = default_eval_points(m, length)
+    short = m == length - 2
+    # point ids, m standing for the infinity point
+    pts = np.array([m if p is None else p for p in default_eval_points(m, length - short)])
+    if short and (code.array != 0).all(axis=1).any():
+        raise ValueError(f"GF({m}) is one point short for length {length}: "
+                         "every parent word needs an infinity")
     _check_shape(length, c, t)
     report = is_t_determined(code, t)
     if not report.verdict:
         raise ValueError(f"parent code is not {t}-determined: {report.witness}")
-    out = _lift_words(code.array, m, t, _point_ids(pts, m))
+    # one point short: the k-th non-infinity position of a word takes point k
+    out = _lift_words(code.array, m, t, pts[(code.array != 0).cumsum(axis=1) - 1] if short else pts)
     lifted = make_code(length, (code.q - 1) * m + 1, out, inf_id=0)
     assert lifted.size == code.size * m**t
     return lifted

@@ -2,14 +2,13 @@
 
 A plan is a replayable chain of typed :class:`Step` values: one base,
 polynomial lifts, then the all-infinity word, reaching a c-frameproof
-length-(c+2) code of (c+2)/c * (q-1)**2 + 1 words.  The bases of c are
-its fixtures (q3/q5 for c=2, q4/q10 for c=3), else ``oa<c+1>``, the seed
-read off the strength-2 array of order c+1.  With q - 1 = c*m the chain
-lifts last by the largest odd full prime-power factor of m that is at
-least c+1 (an even one if none is odd) and recurses on (q-1)/factor + 1
-until it meets a base.  So q is reachable exactly when every full
-prime-power factor of m is at least c+1; the fixtures also absorb a
-factor 2 (q5: every odd q for c=2) or 3 (q10: every q = 4 mod 6, c=3).
+length-(c+2) code of (c+2)/c * (q-1)**2 + 1 words.  The base is q3 for
+c=2, q4 for c=3, else ``oa<c+1>``, the seed read off the strength-2
+array of order c+1.  With q - 1 = c*m, q is reachable exactly when every
+full prime-power factor of m is at least c.  The chain lifts last by the
+largest odd such factor above c (an even one if none is odd), recurses
+on (q-1)/factor + 1 until it meets the base, and lifts first by a factor
+equal to c, whose field is one point short of the length.
 """
 
 from __future__ import annotations
@@ -56,7 +55,7 @@ class Step(NamedTuple):
             m = self.arg
             if not is_integer(m) or m < 2 or is_prime_power(m) is None:
                 raise ValueError(f"lift order {m!r} is not a prime power")
-            if m < length - 1:
+            if m < length - 2:
                 raise ValueError(f"lift order {m} too small for length {length}")
             return (q - 1) * m + 1, length, size * m * m
         if self.kind == "augment":
@@ -111,21 +110,20 @@ class ConstructionPlan:
 
 def _chain(c: int, q: int) -> list[Step]:
     """Base and lifts to (c+2)/c*(q-1)**2 words; the recursion, unrolled so errors name q."""
-    bases = {info[0]: name for name, info in BASE_CODE_INFO.items() if info[3] == c}
-    bases = bases or {c + 1: f"oa{c + 1}"}
+    base = next((name for name, info in BASE_CODE_INFO.items() if info[3] == c), f"oa{c + 1}")
     lifts, inner = [], q
-    while inner not in bases:
+    while inner > c + 1:
         factors = [p**e for p, e in factor_prime_powers((inner - 1) // c)]
-        big = [f for f in factors if f > c]
-        if not big:
+        if min(factors) < c:
             raise ValueError(
                 f"q={q} is out of reach for c={c}: (q-1)/c = {(q - 1) // c} has the "
-                f"prime-power factor {min(factors)}, below c+1 = {c + 1}"
+                f"prime-power factor {min(factors)}, below c = {c}"
             )
+        big = [f for f in factors if f > c] or factors  # a factor c is lifted by first
         f = max([f for f in big if f % 2] or big)
         lifts.insert(0, Step("lift", f))
         inner = (inner - 1) // f + 1
-    return [Step("base", bases[inner])] + lifts
+    return [Step("base", base)] + lifts
 
 
 def _check_c(c) -> None:
@@ -151,11 +149,10 @@ def plan_code(c: int, q: int) -> ConstructionPlan:
 def oa_family_code(c: int, m: int) -> Code:
     """c-frameproof code of length c+2 over q = c*m+1 symbols, size (c+2)/c*(q-1)**2.
 
-    The chain ``oa<c+1>``, lift by GF(m): one lift of the array seed, no augmentation.
+    The chain ``oa<c+1>``, lift by GF(m): one lift of the array seed, no
+    augmentation.  m must be a prime power of at least c, as every lift checks.
     """
     _check_c(c)
-    if is_prime_power(m) is None or m < c + 1:
-        raise ValueError(f"m must be a prime power >= {c + 1}, got {m}")
     return execute_steps((Step("base", f"oa{c + 1}"), Step("lift", m)), c)
 
 

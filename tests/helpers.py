@@ -1,10 +1,31 @@
-"""Pure-Python reference implementations the fast checks are compared against."""
+"""Pure-Python reference implementations the fast checks are compared against.
+
+Also :func:`named_code`, which builds the q5/q10 test codes through the lift.
+"""
 
 from collections import Counter
 from itertools import combinations, product
 
-from frameproof import BudgetExceeded, Witness, leading_coeff, make_field
+from frameproof import (
+    BudgetExceeded,
+    Witness,
+    base_code,
+    leading_coeff,
+    make_field,
+    polynomial_lift,
+)
 from frameproof.verify import NAIVE_BUDGET
+
+
+def named_code(name):
+    """``base_code(name)``, or for ``q5``/``q10`` the base ``q3``/``q4`` lifted by GF(2)/GF(3).
+
+    Those fields are one point short of the length, so each word's
+    non-infinity positions take the field's points in order.
+    """
+    parent, m = {"q5": ("q3", 2), "q10": ("q4", 3)}.get(name, (name, None))
+    code = base_code(parent)
+    return code if m is None else polynomial_lift(code, m, 2, m)
 
 
 def reference_t_determined(code, t: int):

@@ -15,6 +15,8 @@ from frameproof import (
     write_code_file,
     write_oa_file,
 )
+from helpers import named_code
+
 from frameproof import acceptance
 from frameproof.cli import run
 
@@ -57,6 +59,36 @@ class TestConstruct:
                     "--m", "4", "--out", out]) == 64
         assert "Traceback" not in capsys.readouterr().err
 
+    def test_short_lift_recipe_replaces_base_q5(self, tmp_path, base_file, capsys):
+        out = tmp_path / "q5.fpc"
+        for recipe in ("base-q5", "base-q10"):
+            assert run(["construct", "--recipe", recipe, "--out", str(out)]) == 64
+            assert "invalid choice" in capsys.readouterr().err
+        assert run(["construct", "--recipe", "poly-lift", "--in", str(base_file), "--m", "2",
+                    "--c", "2", "--out", str(out)]) == 0
+        assert read_code_file(out) == named_code("q5")
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["--recipe", "oa-family", "--m", "4", "--c", "3", "--in", "/nonexistent.fpc"], "--in"),
+        (["--recipe", "oa-family", "--m", "4", "--c", "3", "--t", "9"], "--t"),
+        (["--recipe", "base-q3", "--t", "3"], "--t"),
+        (["--recipe", "base-q4", "--c", "7"], "--c"),
+        (["--recipe", "base-q3", "--c", "7", "--t", "3"], "--c"),
+    ])
+    def test_unread_flags_are_refused(self, tmp_path, capsys, argv, flag):
+        out = tmp_path / "x.fpc"
+        assert run(["construct"] + argv + ["--out", str(out)]) == 64
+        assert f"{flag} does not apply to recipe" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_augmentation_reads_c_and_t(self, tmp_path):
+        out = str(tmp_path / "x.fpc")
+        assert run(["construct", "--recipe", "base-q3", "--augment-inf", "--c", "2", "--t", "2",
+                    "--out", out]) == 0
+        assert run(["construct", "--recipe", "oa-family", "--m", "4", "--c", "3", "--t", "2",
+                    "--augment-inf", "--out", out]) == 0
+        assert read_code_file(out).size == 241
+
     def test_missing_inputs_are_usage_errors(self, tmp_path):
         out = str(tmp_path / "x.fpc")
         assert run(["construct", "--recipe", "poly-lift", "--out", out]) == 64
@@ -70,7 +102,7 @@ class TestConstruct:
 
 class TestBuildBudget:
     @pytest.mark.parametrize("argv, symbols", [
-        (["--recipe", "base-q5"], 32 * 4),
+        (["--recipe", "base-q4"], 15 * 5),
         (["--recipe", "base-q3", "--augment-inf"], (8 + 1) * 4),
         (["--recipe", "poly-lift", "--m", "3", "--c", "2"], 8 * 3**2 * 4),
         (["--recipe", "poly-lift", "--m", "3", "--c", "2", "--augment-inf"], (72 + 1) * 4),
@@ -125,13 +157,13 @@ class TestVerify:
 
     def test_budget_exit_two(self, tmp_path):
         path = tmp_path / "big.fpc"
-        write_code_file(base_code("q5"), path)
+        write_code_file(named_code("q5"), path)
         assert run(["--budget", "5", "verify", "--c", "2", "--algorithm", "naive",
                     str(path)]) == 2
 
     def test_cover_budget_exit_two(self, tmp_path):
         path = tmp_path / "big.fpc"
-        write_code_file(base_code("q5"), path)
+        write_code_file(named_code("q5"), path)
         assert run(["--budget", "5", "verify", "--c", "2", "--algorithm", "cover",
                     str(path)]) == 2
 
@@ -198,7 +230,9 @@ class TestPlanCommand:
         assert run(["plan", "--c", "5", "--q", "11"]) == 64
         assert "c+1 = 6 is not a prime power" in capsys.readouterr().err
         assert run(["plan", "--c", "4", "--q", "13"]) == 64
-        assert "prime-power factor 3, below c+1 = 5" in capsys.readouterr().err
+        assert "prime-power factor 3, below c = 4" in capsys.readouterr().err
+        assert run(["plan", "--c", "4", "--q", "17"]) == 0  # (q-1)/c = 4 = c
+        assert "1. base oa5: q=5 M=24\n  2. lift by GF(4): q=17 M=384" in capsys.readouterr().out
 
     def test_build_larger_than_the_budget_is_refused(self, capsys):
         start = time.perf_counter()
@@ -249,11 +283,9 @@ class TestOaCommands:
 
 
 def _str_digits():
-    """The interpreter's limit on the digits of a printed integer."""
-    digits = getattr(sys, "get_int_max_str_digits", int)()  # 0, no limit, before 3.10.7
-    if not digits:
-        pytest.skip("no limit on integer string conversion")
-    return digits
+    """The interpreter's limit on the digits of a printed integer, or its default when off."""
+    return (getattr(sys, "get_int_max_str_digits", int)()  # 0, no limit, before 3.10.7
+            or getattr(sys.int_info, "default_max_str_digits", 4300))
 
 
 class TestBounds:
@@ -303,6 +335,15 @@ class TestBounds:
         assert f"ssw=1{'9' * (digits - 2)}8 " in capsys.readouterr().out
         assert run(["bounds", "--c", "2", "--l", str(length + 1), "--q", "10"]) == 64
         assert f"more than {digits} digits" in capsys.readouterr().err
+
+    def test_bound_refused_at_the_default_with_the_limit_off(self, monkeypatch, capsys):
+        monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 0, raising=False)
+        start = time.perf_counter()
+        assert run(["bounds", "--c", "2", "--l", "200000000", "--q", "10"]) == 64
+        assert time.perf_counter() - start < 1
+        assert "more than 4300 digits" in capsys.readouterr().err
+        # 10,000 digits, printable with the limit off, is refused too
+        assert run(["bounds", "--c", "2", "--l", "20000", "--q", "10"]) == 64
 
     @pytest.mark.parametrize("flags", [["--c", "0", "--l", "4"], ["--c", "2", "--l", "1"],
                                        ["--c", "2", "--l", "4", "--q", "0"]])

@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import named_code
+
 from frameproof import (
     BudgetExceeded,
     base_code,
@@ -261,7 +263,7 @@ class TestFileFormat:
 
     def test_roundtrip_identical(self):
         for name in ("q3", "q4", "q5", "q10"):
-            code = base_code(name)
+            code = named_code(name)
             text = code_to_text(code)
             again = code_from_text(text)
             assert again == code

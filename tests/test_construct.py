@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from helpers import reference_lift_words
+from helpers import named_code, reference_lift_words
 
 from frameproof import (
     BASE_CODE_INFO,
@@ -28,7 +28,7 @@ from frameproof import (
     polynomial_lift,
     ssw_bound,
 )
-from frameproof.construct import _PAIR_BASES, _lift_words, _point_ids
+from frameproof.construct import _lift_words
 
 # sha256 of code_to_text: the bytes every construction must keep producing.
 PINNED_CODES = {
@@ -41,11 +41,11 @@ PINNED_CODES = {
         "0d0dd5bc6cec5dc21cde2a9ee7e1ac67f7612614a1c9e6cdfb45c0795dcf2454",
     ),
     "base q5": (
-        lambda: base_code("q5"),
+        lambda: polynomial_lift(base_code("q3"), 2, 2, 2),
         "3789291a17da72c63ff79e3e05e7dec952e7bcac39904c85c1097889f62ef9f0",
     ),
     "base q10": (
-        lambda: base_code("q10"),
+        lambda: polynomial_lift(base_code("q4"), 3, 2, 3),
         "c2911e603fd9066689b6862979f454e44f9c4f89dc8823128de4831306f03c7a",
     ),
     "plan c2 q45": (
@@ -77,7 +77,7 @@ PINNED_CODES = {
         "4347f649b605c11505408cea30775c2880f58a055cfeffe64dcad48870f291a8",
     ),
     "q5 words without infinity": (
-        lambda: make_code(4, 5, base_code("q5").words),
+        lambda: make_code(4, 5, named_code("q5").words),
         "d40dd0ebeed191d81eff233eeb2b95045e64ceec955365d612eaa580e619ecca",
     ),
 }
@@ -106,19 +106,12 @@ class TestBaseCodes:
     def test_small_bases_frameproof(self):
         assert is_frameproof_naive(base_code("q3"), 2).verdict
         assert is_frameproof_naive(base_code("q4"), 3).verdict
-        assert is_frameproof_naive(base_code("q5"), 2).verdict
-
-    def test_pair_bases_lift_the_plain_ones(self):
-        for name, parent, m in (("q5", "q3", 2), ("q10", "q4", 3)):
-            counts = Counter(
-                tuple(0 if sym == 0 else (sym - 1) // m + 1 for sym in w)
-                for w in base_code(name).words
-            )
-            assert counts == {w: m**2 for w in base_code(parent).words}, name
+        assert is_frameproof_naive(named_code("q5"), 2).verdict
 
     def test_unknown_name(self):
-        with pytest.raises(ValueError):
-            base_code("q6")
+        for name in ("q6", "q5", "q10"):  # q5 and q10 are lifts of q3 and q4
+            with pytest.raises(ValueError, match="unknown base code"):
+                base_code(name)
 
 
 class TestConstructionBytes:
@@ -196,7 +189,7 @@ class TestPolynomialLift:
         with pytest.raises(ValueError, match="prime power"):
             polynomial_lift(parent, 6, 2, 2)
         with pytest.raises(ValueError, match="too small"):
-            polynomial_lift(parent, 2, 2, 2)
+            polynomial_lift(base_code("q4"), 2, 2, 3)  # GF(2) is two points short
         with pytest.raises(ValueError, match="c >= t"):
             polynomial_lift(parent, 3, 3, 2)
         with pytest.raises(ValueError, match="r in"):
@@ -208,8 +201,9 @@ class TestPolynomialLift:
             polynomial_lift(bad, 3, 2, 2)
 
     def test_checks_run_in_order(self):
-        # infinity, then prime power, then too small, then shape, then determinedness:
-        # each input below fails the named check and every later one
+        # infinity, then prime power, then too small, then an infinity in every word
+        # (a field one point short), then shape, then determinedness: each input below
+        # fails the named check and every later one
         no_inf = make_code(10, 3, [(1,) * 10, (2,) * 10])
         with pytest.raises(ValueError, match="infinity"):
             polynomial_lift(no_inf, 6, 2, 3)
@@ -218,6 +212,8 @@ class TestPolynomialLift:
             polynomial_lift(long_bad, 6, 2, 3)
         with pytest.raises(ValueError, match="too small"):
             polynomial_lift(long_bad, 7, 2, 3)
+        with pytest.raises(ValueError, match="needs an infinity"):
+            polynomial_lift(long_bad, 8, 2, 3)
         bad = make_code(4, 3, [(1, 1, 1, 1), (1, 1, 1, 2)], inf_id=0)
         with pytest.raises(ValueError, match="r in"):
             polynomial_lift(bad, 3, 2, 3)
@@ -282,12 +278,15 @@ class TestOaRecipes:
     def test_family_preconditions(self):
         with pytest.raises(ValueError, match="prime power"):
             oa_family_code(5, 7)  # c+1 = 6 is not a prime power
-        with pytest.raises(ValueError, match="prime power"):
-            oa_family_code(3, 3)  # m below c+1
+        with pytest.raises(ValueError, match="too small"):
+            oa_family_code(3, 2)  # m below c
+        short = oa_family_code(3, 3)  # GF(3) is one point short of length 5
+        assert (short.q, short.length, short.size) == (10, 5, 135)
+        assert is_t_determined(short, 2).verdict
 
 
 def _seed(name):
-    return _array_seed(int(name[2:])) if name.startswith("oa") else base_code(name)
+    return _array_seed(int(name[2:])) if name.startswith("oa") else named_code(name)
 
 
 SEEDS = ("q3", "q4", "q5", "q10", "oa3", "oa4", "oa5")
@@ -301,26 +300,9 @@ class TestArrayLift:
         parent = _seed(name)
         assume(m >= parent.length - 1 and parent.size * m**t <= 20_000)
         pts = data.draw(st.permutations(list(range(m)) + [None]))[: parent.length]
-        got = _lift_words(parent.array, m, t, _point_ids(pts, m))
+        got = _lift_words(parent.array, m, t, np.array([m if p is None else p for p in pts]))
         want = reference_lift_words(parent.words, m, t, lambda word: pts)
         assert got.tolist() == [list(w) for w in want]
-
-    @pytest.mark.parametrize("name", ["q5", "q10"])
-    def test_per_word_points_match_the_reference(self, name):
-        parent, m = _PAIR_BASES[name]
-        words = base_code(parent).words
-        pts = default_eval_points(m, len(words[0]) - 1)
-
-        def points_of(word):
-            star = word.index(0)
-            return pts[:star] + (None,) + pts[star:]
-
-        want = reference_lift_words(words, m, 2, points_of)
-        per_row = np.array([_point_ids(points_of(w), m) for w in words])
-        assert _lift_words(base_code(parent).array, m, 2, per_row).tolist() == [
-            list(w) for w in want
-        ]
-        assert base_code(name).words == tuple(sorted(want))
 
     @settings(max_examples=25, derandomize=True, deadline=None)
     @given(st.sampled_from(SEEDS), st.lists(st.sampled_from([2, 3, 4, 5]), min_size=2,
@@ -339,3 +321,89 @@ class TestArrayLift:
         parent = make_code(4, 2**62 + 2, [(0, 1, 1, 2**62 + 1), (1, 0, 2, 1)], inf_id=0)
         with pytest.raises(ValueError, match="lifted symbols out of range"):
             polynomial_lift(parent, 4, 2, 2)
+
+
+def _short_points_of(m, length):
+    """Per-word points of a lift whose field is one point short: the non-infinity
+    positions take ``default_eval_points(m, length - 1)`` in order."""
+    pts = default_eval_points(m, length - 1)
+
+    def points_of(word):
+        star = word.index(0)
+        return pts[:star] + (None,) + pts[star:]
+
+    return points_of
+
+
+def _reference_lift(words, m, length):
+    short = m == length - 2
+    points_of = _short_points_of(m, length) if short else lambda w: default_eval_points(m, length)
+    return reference_lift_words(words, m, 2, points_of)
+
+
+# seeds whose length l has a prime power l - 2 (oa7 has l - 2 = 6)
+SHORT_SEEDS = ("q3", "q4", "oa3", "oa4", "oa5", "oa8", "oa9")
+# (seed, order of the ordinary lift, short lift first) with at most 20,000 words
+SHORT_CHAINS = [
+    (name, m, first)
+    for name in SHORT_SEEDS
+    for m in (3, 4, 5, 7, 8, 9, 11, 13)
+    for first in (True, False)
+    if m >= _seed(name).length - 1
+    and _seed(name).size * (_seed(name).length - 2) ** 2 * m * m <= 20_000
+]
+
+
+class TestShortFieldLift:
+    @pytest.mark.parametrize("parent, m", [("q3", 2), ("q4", 3)])
+    def test_points_match_the_reference(self, parent, m):
+        words = base_code(parent).words
+        points_of = _short_points_of(m, len(words[0]))
+        want = reference_lift_words(words, m, 2, points_of)
+        per_row = np.array([[m if p is None else p for p in points_of(w)] for w in words])
+        assert _lift_words(base_code(parent).array, m, 2, per_row).tolist() == [
+            list(w) for w in want
+        ]
+        assert polynomial_lift(base_code(parent), m, 2, m).words == tuple(sorted(want))
+
+    def test_lifts_project_to_the_parents(self):
+        for parent, m in (("q3", 2), ("q4", 3)):
+            counts = Counter(
+                tuple(0 if sym == 0 else (sym - 1) // m + 1 for sym in w)
+                for w in polynomial_lift(base_code(parent), m, 2, m).words
+            )
+            assert counts == {w: m**2 for w in base_code(parent).words}, parent
+
+    @pytest.mark.parametrize("name", SHORT_SEEDS)
+    def test_seeds_match_the_reference(self, name):
+        seed = _seed(name)
+        m = seed.length - 2
+        lifted = polynomial_lift(seed, m, 2, m)
+        assert lifted.words == tuple(sorted(_reference_lift(seed.words, m, seed.length)))
+        assert is_t_determined(lifted, 2).verdict
+
+    def test_chains_span_the_seeds(self):
+        assert {name for name, _, _ in SHORT_CHAINS} == {"q3", "q4", "oa3", "oa4", "oa5"}
+
+    @settings(max_examples=30, derandomize=True, deadline=None)
+    @given(st.sampled_from(SHORT_CHAINS))
+    def test_chains_with_an_ordinary_lift(self, chain):
+        name, m, short_first = chain
+        code = _seed(name)
+        length, c = code.length, code.length - 2
+        words = code.words
+        for order in (c, m) if short_first else (m, c):
+            code = polynomial_lift(code, order, 2, c)
+            words = _reference_lift(words, order, length)
+        assert code.words == tuple(sorted(words))
+        assert is_t_determined(code, 2).verdict
+
+    def test_word_without_infinity_refused(self):
+        parent = make_code(4, 3, [(0, 1, 1, 1), (1, 2, 1, 2)], inf_id=0)
+        with pytest.raises(ValueError, match="GF\\(2\\) is one point short .* needs an infinity"):
+            polynomial_lift(parent, 2, 2, 2)
+        assert polynomial_lift(parent, 3, 2, 2).size == 18
+
+    def test_empty_parent(self):
+        empty = make_code(4, 3, [], inf_id=0)
+        assert polynomial_lift(empty, 2, 2, 2) == make_code(4, 5, [], inf_id=0)

@@ -29,7 +29,7 @@ class TestPlanning:
 
     def test_five_uses_large_base(self):
         plan = plan_code(2, 5)
-        assert plan.steps == (Step("base", "q5"), Step("augment"))
+        assert plan.steps == (Step("base", "q3"), Step("lift", 2), Step("augment"))
         assert plan.expected_size == 33
 
     def test_prime_power_half(self):
@@ -38,8 +38,10 @@ class TestPlanning:
         assert plan.expected_size == 649
 
     def test_composite_half_recurses(self):
-        plan = plan_code(2, 13)  # (q-1)/2 = 6 -> factor 3, inner target q=5
-        assert plan.steps == (Step("base", "q5"), Step("lift", 3), Step("augment"))
+        plan = plan_code(2, 13)  # (q-1)/2 = 6 -> factor 3, inner q=5 -> factor 2 = c
+        assert plan.steps == (
+            Step("base", "q3"), Step("lift", 2), Step("lift", 3), Step("augment")
+        )
 
     def test_two_level_recursion(self):
         plan = plan_code(2, 25)  # m=12 -> factor 3, inner q=9 -> m=4 prime power
@@ -50,7 +52,7 @@ class TestPlanning:
     def test_c3_small(self):
         assert plan_code(3, 4).steps == (Step("base", "q4"), Step("augment"))
         assert plan_code(3, 4).expected_size == 16
-        assert plan_code(3, 10).steps == (Step("base", "q10"), Step("augment"))
+        assert plan_code(3, 10).steps == (Step("base", "q4"), Step("lift", 3), Step("augment"))
         assert plan_code(3, 10).expected_size == 136
 
     def test_c3_lifted(self):
@@ -59,8 +61,10 @@ class TestPlanning:
         assert plan.expected_size == 736
 
     def test_c3_recursive(self):
-        plan = plan_code(3, 46)  # m=15 -> factor 5, inner q=10
-        assert plan.steps == (Step("base", "q10"), Step("lift", 5), Step("augment"))
+        plan = plan_code(3, 46)  # m=15 -> factor 5, inner q=10 -> factor 3 = c, lifted first
+        assert plan.steps == (
+            Step("base", "q4"), Step("lift", 3), Step("lift", 5), Step("augment")
+        )
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -91,9 +95,9 @@ class TestPlanning:
 
 
 def _rule_reaches(c, q):
-    """The reachable-q rule for c >= 4: every full prime-power factor of (q-1)/c is > c."""
+    """The reachable-q rule: every full prime-power factor of (q-1)/c is at least c."""
     m = (q - 1) // c
-    return m == 1 or all(p**e > c for p, e in factor_prime_powers(m))
+    return m == 1 or all(p**e >= c for p, e in factor_prime_powers(m))
 
 
 def _family(c, max_words):
@@ -135,14 +139,24 @@ class TestAnyC:
         assert code.size == 29401
         assert is_frameproof_cover(code, 4).verdict
 
+    def test_factor_c_is_lifted_first(self):
+        # GF(c) is one point short of length c+2: that lift sits next to the base
+        assert plan_code(3, 37).steps == (  # (q-1)/3 = 12 = 3 * 4
+            Step("base", "q4"), Step("lift", 3), Step("lift", 4), Step("augment")
+        )
+        assert plan_code(4, 81).steps == (  # (q-1)/4 = 20 = 4 * 5
+            Step("base", "oa5"), Step("lift", 4), Step("lift", 5), Step("augment")
+        )
+        assert plan_code(4, 17).steps == (Step("base", "oa5"), Step("lift", 4), Step("augment"))
+
     def test_reach_rule(self):
-        for c in (4, 6, 7, 8):
+        for c in (2, 3, 4, 6, 7, 8):
             for q in range(c + 1, 3000, c):
                 try:
                     plan_code(c, q)
                     reached = True
                 except ValueError as exc:
-                    assert "below c+1" in str(exc)
+                    assert f"below c = {c}" in str(exc)
                     reached = False
                 assert reached == _rule_reaches(c, q), (c, q)
 
@@ -160,7 +174,7 @@ class TestAnyC:
 
     def test_unreachable_q_names_the_factor(self):
         for c, q, factor in ((4, 13, 3), (4, 85, 3), (4, 41, 2), (6, 13, 2), (7, 22, 3)):
-            with pytest.raises(ValueError, match=f"prime-power factor {factor}, below c\\+1"):
+            with pytest.raises(ValueError, match=f"prime-power factor {factor}, below c = {c}"):
                 plan_code(c, q)
 
     def test_bad_c_and_q_give_the_reason(self):
@@ -285,12 +299,13 @@ def _plannable(c, q):
     return True
 
 
-SMALL_PLANS = [(c, q) for c in (2, 3, 4) for q in range(c + 1, 62, c) if _plannable(c, q)]
+SMALL_PLANS = [(c, q) for c in (2, 3, 4, 7, 8) for q in range(c + 1, 62, c) if _plannable(c, q)]
 
 
 class TestPlannedCodesAgainstBounds:
     def test_examples_span_c(self):
-        assert {(2, 3), (2, 61), (3, 4), (3, 58), (4, 5), (4, 21)} <= set(SMALL_PLANS)
+        assert {(2, 3), (2, 61), (3, 4), (3, 58), (4, 5), (4, 17), (4, 21), (7, 50), (7, 57),
+                (8, 9)} <= set(SMALL_PLANS)
 
     @settings(max_examples=len(SMALL_PLANS), deadline=None, derandomize=True)
     @given(st.sampled_from(SMALL_PLANS))
@@ -300,3 +315,4 @@ class TestPlannedCodesAgainstBounds:
         bound = ssw_bound(c, c + 2, q)
         assert code.size <= bound
         assert achieved_rate(c, c + 2, q, code.size) < achieved_rate(c, c + 2, q, bound)
+        assert is_frameproof_cover(code, c).verdict

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import reference_naive, reference_t_determined
+from helpers import named_code, reference_naive, reference_t_determined
 
 from frameproof import (
     BudgetExceeded,
@@ -131,11 +131,11 @@ class TestNaive:
 
     def test_budget_exceeded(self):
         with pytest.raises(BudgetExceeded) as exc:
-            is_frameproof_naive(base_code("q5"), 2, budget=10)
+            is_frameproof_naive(named_code("q5"), 2, budget=10)
         assert exc.value.examined == 0
         # the 32 singletons take 32 * 31 = 992 pairs, then 5 pairs of 30 fit
         with pytest.raises(BudgetExceeded) as exc:
-            is_frameproof_naive(base_code("q5"), 2, budget=1142)
+            is_frameproof_naive(named_code("q5"), 2, budget=1142)
         assert exc.value.examined == 37
         # a negative budget admits nothing, not even the free subset of a one-word code
         with pytest.raises(BudgetExceeded) as exc:
@@ -178,7 +178,7 @@ class TestNaive:
     def test_monotone_in_c(self):
         # c-frameproof implies c'-frameproof for c' <= c
         for name in ("q4", "q10"):
-            code = base_code(name)
+            code = named_code(name)
             assert is_frameproof_cover(code, 3).verdict
             assert is_frameproof_cover(code, 2).verdict
 
@@ -278,7 +278,7 @@ class TestCover:
         assert framed_witness_holds(report.witness)
 
     def test_reports_are_deterministic(self):
-        for code in (base_code("q5"), FRAMABLE):
+        for code in (named_code("q5"), FRAMABLE):
             first, second = is_frameproof_cover(code, 2), is_frameproof_cover(code, 2)
             assert (first.verdict, first.witness, first.subsets_examined) == (
                 second.verdict, second.witness, second.subsets_examined)
@@ -291,7 +291,7 @@ class TestCover:
 
     def test_budget_exceeded(self):
         with pytest.raises(BudgetExceeded) as exc:
-            is_frameproof_cover(base_code("q5"), 2, budget=10)
+            is_frameproof_cover(named_code("q5"), 2, budget=10)
         assert exc.value.examined == 0
         with pytest.raises(BudgetExceeded) as exc:
             is_frameproof_cover(FRAMABLE, 2, budget=8)
@@ -385,13 +385,13 @@ class TestCoverAtPlanSizes:
 class TestTDetermined:
     def test_base_codes(self):
         for name in ("q3", "q4", "q5", "q10"):
-            assert is_t_determined(base_code(name), 2).verdict
+            assert is_t_determined(named_code(name), 2).verdict
 
     def test_larger_t_still_holds(self):
         # the infinity-count clause is tighter than needed for t+1, and the
         # agreement clause relaxes monotonically
         for name in ("q3", "q4", "q5", "q10"):
-            assert is_t_determined(base_code(name), 3).verdict
+            assert is_t_determined(named_code(name), 3).verdict
 
     def test_all_infinity_word_fails(self):
         code = make_code(4, 3, base_code("q3").words + ((0, 0, 0, 0),), inf_id=0)
