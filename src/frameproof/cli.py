@@ -249,6 +249,11 @@ def _cmd_oa(args) -> int:
 
 def _cmd_oa_verify(args) -> int:
     oa = read_oa_file(args.oafile)
+    # refuse before counting: each of the C(k, t) row subsets counts N keys
+    keys = math.comb(oa.constraints, oa.strength) * oa.runs
+    if keys > args.budget:
+        raise BudgetExceeded(f"oa-verify counts C(k,t)*N = {keys} keys, "
+                             f"above the budget of {args.budget}")
     report = verify_oa(oa)
     if report.verdict:
         if not args.quiet:

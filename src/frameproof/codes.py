@@ -129,28 +129,30 @@ def _sorted_rows(words, length: int, q: int) -> np.ndarray | None:
 def _pack(rows: np.ndarray, positions) -> np.ndarray:
     """One int64 key per row, in the order of its projection onto ``positions``.
 
-    Keys are equal exactly when the projections are.  Each column is
-    offset by its least symbol and weighted by its actual range, not by
-    q; before a product would reach 2**63 the keys so far, and if need
-    be the column, are re-ranked with ``np.unique``, which keeps order.
+    Keys are equal exactly when the projections are: each column is
+    offset by its least symbol and weighted by its range in one step.
     """
-    keys = np.zeros(len(rows), dtype=np.int64)
-    span = 1
+    keys, span = np.zeros(len(rows), dtype=np.int64), 1
     for pos in positions:
         col = rows[:, pos]
         if not col.size:
             break
         lo = int(col.min())
-        width = int(col.max()) - lo + 1
-        if span * width >= _SYMBOL_LIMIT:
-            keys = np.unique(keys, return_inverse=True)[1].reshape(-1)
-            span = int(keys.max()) + 1
-            if span * width >= _SYMBOL_LIMIT:
-                col, lo = np.unique(col, return_inverse=True)[1].reshape(-1), 0
-                width = int(col.max()) + 1
-        keys = keys * width + (col - lo)
-        span *= width
+        keys, span = _extend(keys, span, col, lo, int(col.max()) - lo + 1)
     return keys
+
+
+def _extend(keys: np.ndarray, span: int, col: np.ndarray, lo: int, width: int):
+    """``(keys * width + col - lo, span * width)``, for ``col`` in lo .. lo + width - 1."""
+    if span * width >= _SYMBOL_LIMIT:  # re-rank the keys, then the column, keeping order
+        keys = np.unique(keys, return_inverse=True)[1].reshape(-1)
+        span = int(keys.max()) + 1
+        if span * width >= _SYMBOL_LIMIT:
+            col, lo = np.unique(col, return_inverse=True)[1].reshape(-1), 0
+            width = int(col.max()) + 1
+    keys = keys * width
+    keys += col - lo if lo else col
+    return keys, span * width
 
 
 def _checked_words(words, length: int, q: int) -> list[Word]:

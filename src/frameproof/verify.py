@@ -8,10 +8,10 @@ Two independent algorithms decide the frameproof property:
   coalitions of each size the budget admits before it scans them;
 * :func:`is_frameproof_cover` builds a projection index: for every
   proper non-empty position set S it marks the words whose projection
-  onto S is shared with another word.  A word x can be framed exactly
-  when at most c shared sets of x cover every position.  The cost is
-  O(M * 2^l), metered in projections plus cover-search nodes, and the
-  witness frames the smallest framable word.
+  onto S is shared with another word, keying S | {p} from S's keys.  A
+  word x can be framed exactly when at most c shared sets of x cover
+  every position.  The cost is O(M * 2^l), metered in projections plus
+  cover-search nodes, and the witness frames the smallest framable word.
 
 They always agree; having both lets each one act as an oracle for the
 other and for every construction in the package.
@@ -21,13 +21,13 @@ primitive, :func:`_subset_counts`: it reads each column's entries on a
 set of t rows as one mixed-radix key, weighting each row by its actual
 symbol range, and counts the keys of many row sets with one
 ``np.bincount``.  When the keys would span too many bins, the checker
-sorts instead, with the cover index's primitive, ``codes._pack`` (which
-also sorts :func:`~frameproof.codes.make_code`'s rows): it turns the
-rows' projections onto a position set into int64 keys that are equal
-exactly when the projections are, re-ranking with ``np.unique`` before
-a product would pass 2**63, so symbols anywhere in the int64 range are
-handled.  A sort puts equal keys next to each other, and one compare of
-adjacent keys finds every repeat.
+sorts instead with ``codes._pack``, which also sorts ``make_code``'s
+rows: one ``codes._extend`` step per column (the cover index's step)
+turns the rows' projections onto a position set into int64 keys that
+are equal exactly when the projections are, re-ranking with
+``np.unique`` before a product would pass 2**63, so symbols anywhere in
+the int64 range are handled.  A sort puts equal keys next to each
+other, and one compare of adjacent keys finds every repeat.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from math import comb, prod
 
 import numpy as np
 
-from .codes import BudgetExceeded, Code, Witness, _pack
+from .codes import BudgetExceeded, Code, Witness, _extend, _pack
 
 NAIVE_BUDGET = 10**8
 # Coalition chunks grow from _FIRST_CHUNK to _LAST_CHUNK rows, and the masks a
@@ -186,10 +186,6 @@ def is_frameproof_naive(code: Code, c: int, budget: int = NAIVE_BUDGET) -> Verif
     return VerifyReport(True, None, examined, time.perf_counter() - start)
 
 
-def _positions(mask: int) -> list[int]:
-    return [pos for pos in range(mask.bit_length()) if (mask >> pos) & 1]
-
-
 def _cover(shared: int, length: int, c: int, meter: list[int]) -> tuple[int, ...] | None:
     """At most c maximal sets among those in the bitset ``shared`` that cover [l].
 
@@ -223,6 +219,17 @@ def _cover(shared: int, length: int, c: int, meter: list[int]) -> tuple[int, ...
     return tuple(chosen) if dfs(0) else None
 
 
+def _projection_keys(cols: np.ndarray, widths: list[int], mask: int, keys: np.ndarray, span: int):
+    """Yield ``(S, _pack's keys on S)`` for each proper S = ``mask`` + higher positions."""
+    for p in range(mask.bit_length(), len(widths)):
+        sub = mask | 1 << p
+        if sub < (1 << len(widths)) - 1:  # every set but the full one
+            # depth first: S | {p} is S's keys plus a step on column p, entries 0 .. widths[p] - 1
+            sub_keys, sub_span = _extend(keys, span, cols[:, p], 0, widths[p])
+            yield sub, sub_keys
+            yield from _projection_keys(cols, widths, sub, sub_keys, sub_span)
+
+
 def is_frameproof_cover(code: Code, c: int, budget: int = NAIVE_BUDGET) -> VerifyReport:
     """Decide c-frameproofness with a projection index and a set-cover search.
 
@@ -230,15 +237,17 @@ def is_frameproof_cover(code: Code, c: int, budget: int = NAIVE_BUDGET) -> Verif
     projection onto S.  x can be framed by at most c words exactly when at
     most c shared sets cover every position.  The index takes M
     projections for each of the 2^l - 2 proper non-empty S, O(M * 2^l) in
-    all: per S, the rows' packed keys are sorted and adjacent equal keys
-    mark shared projections, into one packed bit row per word.  The
-    depth-<=c search over maximal shared sets then runs once per distinct
-    pattern, in the order of each pattern's first word, so the witness
-    frames the smallest framable word, with the first word in sort order
-    sharing each chosen set as its coalition.  Work is metered
-    in projections plus search nodes, reported as ``subsets_examined``;
-    an index larger than ``budget`` is refused before it is built, and
-    either way :class:`BudgetExceeded` is raised.
+    all: a depth-first walk keys each S | {p}, p above S's highest
+    position, from S's keys by one ``_extend`` step; the keys are sorted
+    and adjacent equal keys mark shared projections, into one packed bit
+    row per word.  One 1-D ``np.unique`` of those rows' packed keys finds
+    the distinct patterns, and the depth-<=c search over maximal shared
+    sets runs once per pattern, in the order of each pattern's first
+    word, so the witness frames the smallest framable word, with the
+    first word in sort order sharing each chosen set as its coalition.
+    Work is metered in projections plus search nodes, reported as
+    ``subsets_examined``; an index larger than ``budget`` is refused
+    before it is built, and either way :class:`BudgetExceeded` is raised.
     """
     if c < 2:
         raise ValueError("c must be at least 2")
@@ -251,19 +260,22 @@ def is_frameproof_cover(code: Code, c: int, budget: int = NAIVE_BUDGET) -> Verif
         raise BudgetExceeded(f"cover verification budget of {budget} is below the "
                              f"{meter[0]} projections of the index", examined=0)
     # per word, the bitset of its shared sets: bit S of row x is set when
-    # x's projection onto S occurs more than once
+    # x's projection onto S occurs more than once (never, with fewer than two words)
     shared = np.zeros((big_m, (full >> 6) + 1), dtype=np.uint64)
-    for mask in range(1, full):
-        keys = _pack(rows, _positions(mask))
-        order = keys.argsort()
-        keys = keys[order]
-        repeated = np.zeros(big_m, dtype=bool)
-        dup = keys[1:] == keys[:-1]
-        repeated[1:] = dup
-        repeated[:-1] |= dup
-        shared[order[repeated], mask >> 6] |= np.uint64(1 << (mask & 63))
+    if big_m > 1:
+        lo, hi = rows.min(axis=0), rows.max(axis=0)
+        widths = [b - a + 1 for a, b in zip(lo.tolist(), hi.tolist())]
+        cols = rows - lo if lo.any() else rows
+        for mask, keys in _projection_keys(cols, widths, 0, np.zeros(big_m, dtype=np.int64), 1):
+            order = keys.argsort()
+            keys = keys[order]
+            repeated = np.zeros(big_m, dtype=bool)
+            dup = keys[1:] == keys[:-1]
+            repeated[1:] = dup
+            repeated[:-1] |= dup
+            shared[order[repeated], mask >> 6] |= np.uint64(1 << (mask & 63))
     # one cover search per distinct pattern, met in word order
-    firsts = np.unique(shared, axis=0, return_index=True)[1]
+    firsts = np.unique(_pack(shared.view(np.int64), range(shared.shape[1])), return_index=True)[1]
     for x in np.sort(firsts).tolist():
         pattern = int.from_bytes(shared[x].astype("<u8").tobytes(), "little")
         cover = _cover(pattern, code.length, c, meter)
@@ -271,7 +283,7 @@ def is_frameproof_cover(code: Code, c: int, budget: int = NAIVE_BUDGET) -> Verif
             continue
         coalition = set()
         for mask in cover:
-            keys = _pack(rows, _positions(mask))
+            keys = _pack(rows, [pos for pos in range(code.length) if mask >> pos & 1])
             y = next(y for y in np.flatnonzero(keys == keys[x]).tolist() if y != x)
             coalition.add(tuple(rows[y].tolist()))
         witness = Witness(kind="framed", coalition=tuple(sorted(coalition)),

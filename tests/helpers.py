@@ -1,10 +1,15 @@
-"""Pure-Python reference implementations the fast checks are compared against.
+"""Reference implementations the fast checks are compared against.
+
+Most are pure-Python loops; :func:`reference_shared_patterns` is the
+cover index built with one ``_pack`` and one argsort per position set.
 
 Also :func:`named_code`, which builds the q5/q10 test codes through the lift.
 """
 
 from collections import Counter
 from itertools import combinations, product
+
+import numpy as np
 
 from frameproof import (
     BudgetExceeded,
@@ -14,6 +19,7 @@ from frameproof import (
     make_field,
     polynomial_lift,
 )
+from frameproof.codes import _pack
 from frameproof.verify import NAIVE_BUDGET
 
 
@@ -134,6 +140,29 @@ def reference_naive(code, c: int, budget: int = NAIVE_BUDGET):
                 )
                 return False, witness, examined
     return True, None, examined
+
+
+def reference_shared_patterns(code):
+    """The cover index built with one ``_pack`` and one argsort per position set, kept as the reference.
+
+    Returns the ``(M, W)`` uint64 array whose row x has bit S set when x's
+    projection onto the proper non-empty position set S occurs more than
+    once, for comparison with the index of :func:`frameproof.is_frameproof_cover`.
+    """
+    rows = code.array
+    big_m = len(rows)
+    full = (1 << code.length) - 1
+    shared = np.zeros((big_m, (full >> 6) + 1), dtype=np.uint64)
+    for mask in range(1, full):
+        keys = _pack(rows, [pos for pos in range(code.length) if mask >> pos & 1])
+        order = keys.argsort()
+        keys = keys[order]
+        repeated = np.zeros(big_m, dtype=bool)
+        dup = keys[1:] == keys[:-1]
+        repeated[1:] = dup
+        repeated[:-1] |= dup
+        shared[order[repeated], mask >> 6] |= np.uint64(1 << (mask & 63))
+    return shared
 
 
 def reference_verify_oa(oa):

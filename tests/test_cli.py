@@ -273,6 +273,14 @@ class TestOaCommands:
         assert run(["oa-verify", str(path)]) == 1
         assert "NOT" in capsys.readouterr().out
 
+    def test_verify_is_refused_above_the_budget(self, tmp_path, capsys):
+        # C(4, 2) row pairs of 9 runs each: 54 key counts
+        path = tmp_path / "a.oa"
+        write_oa_file(build_oa_strength2(3), path)
+        assert run(["--budget", "54", "oa-verify", str(path)]) == 0
+        assert run(["--budget", "53", "oa-verify", str(path)]) == 2
+        assert "C(k,t)*N = 54 keys, above the budget of 53" in capsys.readouterr().err
+
     def test_stdout_array_parses(self, capsys):
         assert run(["oa", "--s", "2"]) == 0
         oa = oa_from_text(capsys.readouterr().out)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import named_code, reference_naive, reference_t_determined
+from helpers import named_code, reference_naive, reference_shared_patterns, reference_t_determined
 
 from frameproof import (
     BudgetExceeded,
@@ -22,11 +22,13 @@ from frameproof import (
     is_frameproof_naive,
     is_t_determined,
     make_code,
+    oa_family_code,
     oa_to_pt_code,
     plan_code,
 )
 from frameproof import verify
 from frameproof.acceptance import plant_framing, random_code
+from frameproof.codes import _pack
 from frameproof.verify import _unranking_tables
 
 FRAMABLE = make_code(2, 2, [(0, 1), (1, 0), (0, 0)])
@@ -57,12 +59,14 @@ def widen(words, q, inf=None):
 
 
 @st.composite
-def codes_with_c(draw, wide=False):
+def codes_with_c(draw, wide=False, long=False):
     """Codes of length 1..6 (single words included), half with a planted framing.
 
-    ``wide`` codes have length 3..5 and every symbol scaled by 2**40.
+    ``wide`` codes have length 3..5 and every symbol scaled by 2**40;
+    ``long`` codes have length 7..8, so their shared-set patterns span
+    two or four 64-bit words.
     """
-    length = draw(st.integers(3, 5) if wide else st.integers(1, 6))
+    length = draw(st.integers(3, 5) if wide else st.integers(7, 8) if long else st.integers(1, 6))
     q = draw(st.integers(2, 4))
     word = st.tuples(*[st.integers(0, q - 1)] * length)
     words = draw(st.sets(word, min_size=1, max_size=8))
@@ -345,7 +349,7 @@ class TestCover:
         assert is_frameproof_naive(code, c).verdict == expected
         assert is_frameproof_cover(code, c).verdict == expected
 
-    @given(st.one_of(codes_with_c(), codes_with_c(wide=True)))
+    @given(st.one_of(codes_with_c(), codes_with_c(wide=True), codes_with_c(long=True)))
     @settings(max_examples=200, derandomize=True, deadline=None)
     def test_witness_frames_the_smallest_framable_word(self, case):
         code, c = case
@@ -360,6 +364,85 @@ class TestCover:
             assert len(set(witness.coalition)) == len(witness.coalition) <= c
             assert set(witness.coalition) <= set(code.words)
             assert framed_witness_holds(witness)
+
+
+def cover_index(code):
+    """The shared-set bitsets ``is_frameproof_cover`` builds, one row per word.
+
+    They are read from the index's first ``_pack`` call, which ranks each
+    word's pattern (the set walk itself calls ``_extend``, not ``_pack``).
+    """
+    seen = []
+
+    def spy(rows, positions):
+        seen.append(rows.view(np.uint64).copy())
+        return _pack(rows, positions)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(verify, "_pack", spy)
+        is_frameproof_cover(code, 2)
+    return seen[0]
+
+
+def searched_nodes(code, c):
+    """The cover report's work count, from the per-set index searched pattern by pattern.
+
+    ``M * (2^l - 2)`` projections, then the search nodes of each distinct
+    pattern in the order of its first word, up to the first that frames.
+    """
+    meter, seen = [code.size * (2**code.length - 2), verify.NAIVE_BUDGET], set()
+    for row in reference_shared_patterns(code).tolist():
+        pattern = sum(word << 64 * i for i, word in enumerate(row))
+        if pattern not in seen:
+            seen.add(pattern)
+            if verify._cover(pattern, code.length, c, meter) is not None:
+                break
+    return meter[0]
+
+
+class TestCoverIndex:
+    @given(st.one_of(codes_with_c(), codes_with_c(wide=True), codes_with_c(long=True),
+                     starred_codes_with_t(), starred_codes_with_t(wide=True)))
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    def test_shared_sets_match_the_per_set_loop(self, case):
+        code = case[0]
+        shared = cover_index(code)
+        assert shared.shape == (code.size, (2**code.length - 1 >> 6) + 1)
+        assert np.array_equal(shared, reference_shared_patterns(code))
+
+    @given(st.one_of(codes_with_c(), codes_with_c(wide=True), codes_with_c(long=True)))
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    def test_one_search_per_distinct_pattern_in_word_order(self, case):
+        code, c = case
+        assert is_frameproof_cover(code, c).subsets_examined == searched_nodes(code, c)
+
+    @given(st.integers(0, 10_000))
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    def test_one_search_per_distinct_pattern_at_lengths_7_and_8(self, seed):
+        # patterns of two or four 64-bit words, often equal in their first word only
+        rng = random.Random(seed)
+        length, q, c = rng.choice([7, 8]), rng.randint(2, 4), rng.randint(2, 4)
+        words = {tuple(rng.randrange(q) for _ in range(length)) for _ in range(rng.randint(2, 9))}
+        code = make_code(length, q, sorted(words))
+        assert is_frameproof_cover(code, c).subsets_examined == searched_nodes(code, c)
+
+    def test_wide_columns_are_re_ranked(self):
+        # each column spans about 2**41, so two positions already pass 2**63
+        words, q, _ = widen([(0, 1, 2, 0), (1, 1, 0, 2), (0, 2, 2, 1), (2, 1, 2, 0)], 3)
+        code = make_code(4, q, words)
+        shared = cover_index(code)
+        assert np.array_equal(shared, reference_shared_patterns(code))
+        # the last word agrees with the first on positions 1..3: every S within them
+        assert shared[3, 0] == sum(1 << mask for mask in range(2, 16, 2))
+
+    @pytest.mark.parametrize("length, words, report", [
+        (3, [], (True, None, 0)),  # no projections, no search
+        (3, [(0, 1, 1)], (True, None, 7)),  # 6 projections, one search node
+        (1, [(0,), (2,)], (True, None, 1)),  # no proper non-empty set, one node
+    ])
+    def test_smallest_codes(self, length, words, report):
+        got = is_frameproof_cover(make_code(length, 3, words), 2)
+        assert (got.verdict, got.witness, got.subsets_examined) == report
 
 
 class TestCoverAtPlanSizes:
@@ -379,6 +462,21 @@ class TestCoverAtPlanSizes:
         witness = report.witness
         assert witness.framed_word <= planted
         assert len(witness.coalition) <= 2 and set(witness.coalition) <= set(bad.words)
+        assert framed_witness_holds(witness)
+
+    def test_length_nine_family_code(self):
+        # 3,087 words of length 9: each word's pattern spans eight 64-bit words
+        code = oa_family_code(7, 7)
+        assert (code.size, code.length) == (3087, 9)
+        assert is_frameproof_cover(code, 7).verdict
+        a, b = code.words[5], code.words[1000]
+        planted = a[:5] + b[5:]
+        assert planted not in set(code.words)
+        bad = make_code(code.length, code.q, code.words + (planted,), inf_id=code.inf_id)
+        report = is_frameproof_cover(bad, 7)
+        assert not report.verdict
+        witness = report.witness
+        assert len(witness.coalition) <= 7 and set(witness.coalition) <= set(bad.words)
         assert framed_witness_holds(witness)
 
 
