@@ -28,6 +28,7 @@ from .oa import (
     oa_from_text,
     oa_to_text,
     read_oa_file,
+    read_oa_header,
     verify_oa,
     write_oa_file,
 )
@@ -248,12 +249,13 @@ def _cmd_oa(args) -> int:
 
 
 def _cmd_oa_verify(args) -> int:
-    oa = read_oa_file(args.oafile)
-    # refuse before counting: each of the C(k, t) row subsets counts N keys
-    keys = math.comb(oa.constraints, oa.strength) * oa.runs
+    # refuse before reading the table: each of the C(k, t) row subsets counts N keys
+    head = read_oa_header(args.oafile)
+    keys = math.comb(head["k"], head["t"]) * head["N"]
     if keys > args.budget:
         raise BudgetExceeded(f"oa-verify counts C(k,t)*N = {keys} keys, "
                              f"above the budget of {args.budget}")
+    oa = read_oa_file(args.oafile)
     report = verify_oa(oa)
     if report.verdict:
         if not args.quiet:

@@ -303,18 +303,12 @@ def code_to_text(code: Code) -> str:
     return _fpc_header(code) + str(_table_bytes(code.array, code.inf_id), "ascii")
 
 
-def _read_table(text: str, magic: str, keys: tuple[str, ...], shape: tuple[str, str],
-                star: str | None = None) -> tuple[dict, np.ndarray]:
-    """The header values and the uint64 table of a ``.fpc`` or ``.oa`` text.
+def _read_header(head: str, magic: str, keys: tuple[str, ...], star: str | None = None) -> dict:
+    """The values of a ``.fpc`` or ``.oa`` header line.
 
     The header is ``magic`` and ``key=value`` for each of ``keys``; the
-    ``star`` key may be ``none`` (read as None), and a ``*`` entry stands
-    for its value.  The body is parsed in one ``np.loadtxt`` pass, and
-    its shape must be the values of the two ``shape`` keys.
+    ``star`` key may be ``none``, read as None.
     """
-    if not text.isascii():
-        raise ValueError(f"{magic} text is not ASCII")
-    head, _, body = text.lstrip().partition("\n")
     parts = head.split()
     if len(parts) != len(keys) + 1 or parts[0] != magic:
         raise ValueError(f"bad {magic} header: {head!r}")
@@ -326,6 +320,22 @@ def _read_table(text: str, magic: str, keys: tuple[str, ...], shape: tuple[str, 
         if not (raw.isdecimal() or (key == star and raw == "none")):
             raise ValueError(f"bad {magic} header field {part!r}: not a decimal number")
         vals[key] = None if raw == "none" else int(raw)
+    return vals
+
+
+def _read_table(text: str, magic: str, keys: tuple[str, ...], shape: tuple[str, str],
+                star: str | None = None) -> tuple[dict, np.ndarray]:
+    """The header values and the uint64 table of a ``.fpc`` or ``.oa`` text.
+
+    The header is read by :func:`_read_header`, and a ``*`` entry stands
+    for the ``star`` key's value.  The body is parsed in one
+    ``np.loadtxt`` pass, and its shape must be the values of the two
+    ``shape`` keys.
+    """
+    if not text.isascii():
+        raise ValueError(f"{magic} text is not ASCII")
+    head, _, body = text.lstrip().partition("\n")
+    vals = _read_header(head, magic, keys, star)
     if star is not None and INF_ALIAS in body:
         if vals[star] is None:
             raise ValueError("'*' used but no infinity id is declared")

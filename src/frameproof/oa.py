@@ -9,7 +9,7 @@ from math import comb
 
 import numpy as np
 
-from .codes import Code, Witness, _read_table, _table_bytes, is_integer, make_code
+from .codes import Code, Witness, _read_header, _read_table, _table_bytes, is_integer, make_code
 from .gf import is_prime_power, make_field
 from .verify import VerifyReport, _subset_counts
 
@@ -159,7 +159,7 @@ def oa_to_pt_code(oa: OrthogonalArray) -> Code:
 
 # --- .oa text format (described and read in codes.py) ----------------------
 
-_OA_MAGIC = "oa1"
+_OA_MAGIC, _OA_KEYS = "oa1", ("N", "k", "s", "t")
 
 
 def _oa_header(oa: OrthogonalArray) -> str:
@@ -172,7 +172,7 @@ def oa_to_text(oa: OrthogonalArray) -> str:
 
 
 def oa_from_text(text: str) -> OrthogonalArray:
-    vals, table = _read_table(text, _OA_MAGIC, ("N", "k", "s", "t"), ("k", "N"))
+    vals, table = _read_table(text, _OA_MAGIC, _OA_KEYS, ("k", "N"))
     return make_oa(table, vals["s"], vals["t"])
 
 
@@ -185,3 +185,10 @@ def write_oa_file(oa: OrthogonalArray, path) -> None:
 def read_oa_file(path) -> OrthogonalArray:
     with open(path, "r", encoding="ascii") as fh:
         return oa_from_text(fh.read())
+
+
+def read_oa_header(path) -> dict[str, int]:
+    """The ``N``, ``k``, ``s`` and ``t`` of an ``.oa`` file, from its first non-blank line alone."""
+    with open(path, "rb") as fh:
+        head = next((line for line in fh if line.strip()), b"")
+    return _read_header(head.decode("ascii"), _OA_MAGIC, _OA_KEYS)

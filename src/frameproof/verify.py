@@ -3,9 +3,13 @@
 Two independent algorithms decide the frameproof property:
 
 * :func:`is_frameproof_naive` enumerates every coalition of at most c
-  codewords and intersects its descendant set with the code, in numpy
-  chunks over packed per-(position, symbol) bit rows, counting the
-  coalitions of each size the budget admits before it scans them;
+  codewords and intersects its descendant set with the code, over
+  packed per-(position, symbol) bit rows, counting the coalitions of
+  each size the budget admits before it scans them.  The k-word
+  coalitions are scanned as blocks of (k-1)-word prefixes, ORed once,
+  by a contiguous range of last words: each position costs one
+  broadcast OR and one AND over a (words, prefixes, last words) block
+  of at most 2**14 uint64 words;
 * :func:`is_frameproof_cover` builds a projection index: for every
   proper non-empty position set S it marks the words whose projection
   onto S is shared with another word, keying S | {p} from S's keys.  A
@@ -42,9 +46,10 @@ import numpy as np
 from .codes import BudgetExceeded, Code, Witness, _extend, _pack
 
 NAIVE_BUDGET = 10**8
-# Coalition chunks grow from _FIRST_CHUNK to _LAST_CHUNK rows, and the masks a
-# chunk gathers at one position never exceed _CHUNK_WORDS words (512 kB).
-_FIRST_CHUNK, _LAST_CHUNK, _CHUNK_WORDS = 256, 2048, 2**16
+# The naive scan's windows grow from _FIRST_WINDOW to _WINDOW_WORDS uint64 words of
+# subsets, each block it scans holds at most _BLOCK_WORDS words (128 kB), and it lays
+# every word's bit rows out once when they take at most _TABLE_WORDS words (8 MB).
+_FIRST_WINDOW, _WINDOW_WORDS, _BLOCK_WORDS, _TABLE_WORDS = 2**10, 2**17, 2**14, 2**20
 _COUNT_CAP = 2**62  # subset counts saturate here
 # _subset_counts counts about _CHUNK_CELLS (subset, column) keys per pass, and leaves
 # the sorting to its caller when a subset's keys span more than _DENSE bins per column.
@@ -62,8 +67,10 @@ class VerifyReport:
 def _symbol_masks(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """One packed bit row per (position, symbol) present, and each word's rows.
 
-    ``masks[ids[pos, x]]`` has bit y set exactly when words x and y hold
-    the same symbol at ``pos``: l * n_sym * ceil(M/64) uint64 words.
+    ``masks[:, ids[pos, x]]`` has bit y set exactly when words x and y
+    hold the same symbol at ``pos``.  The table is word-major, ceil(M/64)
+    by n_sym uint64 words over all l positions, so the bit rows of a run
+    of words, gathered along the last axis, lie contiguous in each word.
     """
     ids = np.empty(rows.T.shape, dtype=np.intp)
     count = 0
@@ -72,8 +79,8 @@ def _symbol_masks(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         ids[pos] = inverse + count
         count += len(symbols)
     word = np.arange(len(rows))
-    masks = np.zeros((count, -(-len(rows) // 64)), dtype=np.uint64)
-    np.bitwise_or.at(masks, (ids, word >> 6), np.uint64(1) << (word & 63).astype(np.uint64))
+    masks = np.zeros((-(-len(rows) // 64), count), dtype=np.uint64)
+    np.bitwise_or.at(masks, (word >> 6, ids), np.uint64(1) << (word & 63).astype(np.uint64))
     return masks, ids
 
 
@@ -106,38 +113,149 @@ def _unranking_tables(big_m: int, k: int) -> dict[int, np.ndarray]:
     return below
 
 
+def _unrank(below: dict[int, np.ndarray], rank: np.ndarray, j: int) -> np.ndarray:
+    """The j-subsets of the given lexicographic ranks, one per column of a (j, n) array.
+
+    One searchsorted per slot over the tables of :func:`_unranking_tables`.
+    """
+    members = np.empty((j, len(rank)), dtype=np.intp)
+    low = 0
+    for slot in range(j):
+        table = below[j - slot]
+        skipped = table[low]
+        members[slot] = np.searchsorted(table, rank + skipped, side="right") - 1
+        rank = rank - (table[members[slot]] - skipped)
+        low = members[slot] + 1
+    return members
+
+
+def _windows(big_m: int, k: int, count: int, words: int):
+    """The first ``count`` k-subsets of range(M) as runs of rows, in lexicographic order.
+
+    A row is a (k-1)-subset, the prefix; its subsets add a last member z
+    from its first column, one past the prefix's largest member, to M - 1.
+    A window is a run of consecutive rows, none starting past the budget,
+    holding about ``_FIRST_WINDOW`` words of subsets at first, doubling
+    up to ``_WINDOW_WORDS``.  Rows are unranked ahead, doubling.
+    Yields ``(prefixes, firsts, ranks)``: the rows' (k-1, n) members,
+    each row's first column and the rank of its first subset.
+    """
+    below = _unranking_tables(big_m, k - 1)
+    rows, row, end, size = comb(big_m, k - 1), 0, 0, _FIRST_WINDOW
+    ahead = np.empty((k - 1, 0), dtype=np.intp)  # the prefixes of rows row, row + 1, ...
+    while end < count:  # end is the rank of row's first subset
+        widths = big_m - 1 - ahead[-1]
+        while widths.sum() * words < size and ahead.shape[1] < rows - row:
+            more = np.arange(row + ahead.shape[1], row + min(rows - row, 2 * ahead.shape[1] + 1))
+            ahead = np.concatenate((ahead, _unrank(below, more, k - 1)), axis=1)
+            widths = big_m - 1 - ahead[-1]
+        ranks = end + np.cumsum(widths) - widths
+        n = int(min(np.searchsorted(ranks, end + -(-size // words)), np.searchsorted(ranks, count)))
+        yield ahead[:, :n], big_m - widths[:n], ranks[:n]
+        end = int(ranks[n - 1] + widths[n - 1])
+        row, ahead = row + n, ahead[:, n:]
+        size = min(2 * size, _WINDOW_WORDS)
+
+
+def _blocks(firsts: np.ndarray, ranks: np.ndarray, count: int, big_m: int, words: int):
+    """A window's rows as blocks of at most ``_BLOCK_WORDS`` words: ``(rows, z0, z1)``.
+
+    Rows are taken in order of first column, so rows sharing a first
+    column share a block.  A block is a run of them times the columns
+    z0 .. z1 - 1, from the first row's first column to M - 1; a row too
+    wide for a block alone is cut into column chunks, none past the budget.
+    """
+    # rows ending at M - 1 have no subsets, and sort last
+    order = np.argsort(firsts, kind="stable")[:np.count_nonzero(firsts < big_m)]
+    i = 0
+    while i < len(order):
+        first = int(firsts[order[i]])
+        fit = _BLOCK_WORDS // (words * (big_m - first))
+        if fit:
+            yield order[i:i + fit], first, big_m
+            i += fit
+            continue
+        step = max(1, _BLOCK_WORDS // words)
+        for z0 in range(first, min(big_m, first + count - int(ranks[order[i]])), step):
+            yield order[i:i + 1], z0, min(big_m, z0 + step)
+        i += 1
+
+
+def _drop_own_bits(rows: np.ndarray, words: np.ndarray) -> np.ndarray:
+    """Clear bit ``words[i]`` of ``rows[:, :, i]``, in a (ceil(M/64), l, n) stack of bit rows, in place."""
+    own = np.uint64(1) << (words & 63).astype(np.uint64)
+    rows[words >> 6, :, np.arange(len(words))] &= ~own[:, None]
+    return rows
+
+
+def _block_framing(bit_rows, count, prefixes, firsts, ranks, z0, z1, buffers):
+    """``(rank, members, framed)`` for the least rank framing in one block, or None.
+
+    ``bit_rows(index)`` gives the bit rows of the words ``index`` (an
+    array or a slice) at every position, (ceil(M/64), l, n), each word's
+    own bit cleared.
+    A row's prefix Q has its bit rows ORed once per position.  For P = Q
+    + {z}, the AND over positions of (Q's OR | column z's bit row) holds
+    the words x that at every position share a symbol with a member of P
+    other than x: the words P frames, and any member framed by the rest
+    of P, which no smaller subset is, as its scan found none.  So each
+    position costs one broadcast OR and one AND over the (words, rows,
+    columns) block, and a cell frames a word exactly when a bit is left.
+    A cell left of its row's first column holds the words framed by a
+    subset of lower rank, met in this window or cleared before it, or,
+    when z is in Q, by Q.  So one OR over the whole block clears it.
+    """
+    gathered = bit_rows(prefixes.ravel())
+    row_or = np.bitwise_or.reduce(gathered.reshape(*gathered.shape[:2], *prefixes.shape), axis=2)
+    col = bit_rows(slice(z0, z1))
+    shape = (col.shape[0], prefixes.shape[1], z1 - z0)
+    block, tmp = (buf[:prod(shape)].reshape(shape) for buf in buffers)
+    np.bitwise_or(row_or[:, 0, :, None], col[:, 0, None, :], out=block)
+    for pos in range(1, col.shape[1]):
+        np.bitwise_or(row_or[:, pos, :, None], col[:, pos, None, :], out=tmp)
+        block &= tmp
+    if not np.bitwise_or.reduce(block, axis=None):
+        return None
+    z = np.arange(z0, z1)
+    cell_ranks = ranks[:, None] + (z - firsts[:, None])
+    hits = block.any(axis=0) & (z >= firsts[:, None]) & (cell_ranks < count)
+    if not hits.any():
+        return None
+    r, j = np.unravel_index(np.argmin(np.where(hits, cell_ranks, count)), hits.shape)
+    framed = int.from_bytes(block[:, r, j].astype("<u8").tobytes(), "little")
+    return int(cell_ranks[r, j]), np.append(prefixes[:, r], z0 + j), (framed & -framed).bit_length() - 1
+
+
 def _first_framing(masks: np.ndarray, ids: np.ndarray, k: int, count: int):
     """``(rank, members, framed)`` for the first framing among the first ``count`` k-subsets.
 
-    Each chunk of coalitions is unranked from its offset with the tables
-    of :func:`_unranking_tables`: one searchsorted per slot gives each
-    member.  Returns None if none frames.
+    No smaller subset may frame a word (the caller scans sizes in
+    order); :func:`_block_framing` relies on it.  Every block of a
+    window of :func:`_windows` is scanned, and the least rank framing
+    among them is the first.  Each word's bit rows at every position are
+    laid out once, (words, l, M), when that takes at most
+    ``_TABLE_WORDS`` words, and gathered per block otherwise.  Returns
+    None if none frames.
     """
-    below = _unranking_tables(ids.shape[1], k)
-    cap = max(1, min(_LAST_CHUNK, _CHUNK_WORDS // (k * masks.shape[1])))
-    start, size = 0, _FIRST_CHUNK
-    while start < count:
-        stop = min(count, start + min(size, cap))
-        rank, low = np.arange(start, stop), 0
-        members = np.empty((k, stop - start), dtype=np.intp)
-        for slot in range(k):
-            table = below[k - slot]
-            skipped = table[low]
-            members[slot] = np.searchsorted(table, rank + skipped, side="right") - 1
-            rank = rank - (table[members[slot]] - skipped)
-            low = members[slot] + 1
-        # desc(P) & C: OR the members' masks at each position, AND the positions;
-        # it always holds P, so more than k bits means P frames a word
-        held = np.full((stop - start, masks.shape[1]), ~np.uint64(0))
-        for row in ids:
-            held &= np.bitwise_or.reduce(np.take(masks, np.take(row, members), axis=0), axis=0)
-        framing = np.flatnonzero(np.bitwise_count(held).sum(axis=1) > k)
-        if framing.size:
-            first = int(framing[0])
-            extra = int.from_bytes(held[first].astype("<u8").tobytes(), "little")
-            extra &= ~sum(1 << y for y in members[:, first].tolist())
-            return start + first, members[:, first], (extra & -extra).bit_length() - 1
-        start, size = stop, size * 2
+    words, big_m = masks.shape[0], ids.shape[1]
+    everyone = np.arange(big_m)
+    table = None
+    if words * ids.size <= _TABLE_WORDS:
+        table = _drop_own_bits(np.take(masks, ids, axis=1), everyone)
+
+    def bit_rows(index):
+        if table is not None:
+            return table[:, :, index]
+        return _drop_own_bits(np.take(masks, ids[:, index], axis=1), everyone[index])
+
+    buffers = [np.empty(max(_BLOCK_WORDS, words), dtype=np.uint64) for _ in range(2)]
+    for prefixes, firsts, ranks in _windows(big_m, k, count, words):
+        hits = [_block_framing(bit_rows, count, prefixes[:, rows], firsts[rows], ranks[rows],
+                               z0, z1, buffers)
+                for rows, z0, z1 in _blocks(firsts, ranks, count, big_m, words)]
+        hits = [hit for hit in hits if hit is not None]
+        if hits:
+            return min(hits, key=lambda hit: hit[0])
     return None
 
 
@@ -147,14 +265,21 @@ def is_frameproof_naive(code: Code, c: int, budget: int = NAIVE_BUDGET) -> Verif
     For every subset P of at most c codewords, desc(P) & C is the AND
     over positions of the OR of P's bit rows, one packed uint64 row per
     (position, symbol) present, and it must be P itself.  Subsets of each
-    size are visited in lexicographic order of word index, in chunks of
-    at most 2,048 unranked from their offset; memory is the rows'
-    l * n_sym * ceil(M/64) words plus one chunk (512 kB per position).
-    The first offending (P, x), x the least framed word, is returned, so
-    reports are deterministic.  Work is metered in (subset, candidate)
-    pairs, M - k per subset of size k; the subsets of a size that fit are
-    counted before it is scanned (a budget spent on singletons builds no
-    table), and the first subset past ``budget`` raises :class:`BudgetExceeded`.
+    size k are scanned in lexicographic order of word index, in windows
+    of consecutive (k-1)-word prefixes growing from 2**10 to 2**17 words
+    of subsets.  A window is cut into blocks of prefixes by a contiguous
+    range of last words z; a prefix's bit rows are ORed once, and each
+    position costs one broadcast OR and one AND over the (ceil(M/64),
+    prefixes, z) block.  Memory is the rows' l * n_sym * ceil(M/64)
+    words, every word's l bit rows when they fit in 8 MB, and two blocks
+    of at most 2**14 words (128 kB).  The least ranked framing in a
+    window is the first offending (P, x), x the least framed word, so
+    reports are deterministic and a framing near the start is found
+    after a few small blocks.  Work is metered in (subset, candidate)
+    pairs, M - k per subset of size k; the subsets of a size that fit
+    are counted before it is scanned (a budget spent on singletons
+    builds no table), and the first subset past ``budget`` raises
+    :class:`BudgetExceeded`.
     """
     if c < 2:
         raise ValueError("c must be at least 2")

@@ -281,6 +281,21 @@ class TestOaCommands:
         assert run(["--budget", "53", "oa-verify", str(path)]) == 2
         assert "C(k,t)*N = 54 keys, above the budget of 53" in capsys.readouterr().err
 
+    def test_verify_is_refused_from_the_header(self, tmp_path, capsys):
+        # a k=18 t=9 full factorial's header over a truncated table: the budget is
+        # checked before the table is read, so the refusal is exit 2, not a parse error
+        path = tmp_path / "ff.oa"
+        path.write_text("oa1 N=262144 k=18 s=2 t=9\n0 1 0 1\n")
+        assert run(["oa-verify", str(path)]) == 2
+        assert "C(k,t)*N = 12745441280 keys" in capsys.readouterr().err
+        assert run(["--budget", "12745441280", "oa-verify", str(path)]) == 64
+        assert "header says k=18 N=262144" in capsys.readouterr().err
+        path.write_text("\n  oa1 N=4 k=3 s=2 t=x\n")
+        assert run(["oa-verify", str(path)]) == 64
+        # only the header is read before the refusal: a stray byte in the table waits
+        path.write_bytes(b"oa1 N=262144 k=18 s=2 t=9\n0 \xff 1\n")
+        assert run(["oa-verify", str(path)]) == 2
+
     def test_stdout_array_parses(self, capsys):
         assert run(["oa", "--s", "2"]) == 0
         oa = oa_from_text(capsys.readouterr().out)

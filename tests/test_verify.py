@@ -1,6 +1,6 @@
 import random
 import tracemalloc
-from itertools import combinations
+from itertools import combinations, permutations
 from math import comb
 
 import numpy as np
@@ -271,6 +271,140 @@ class TestNaiveReference:
         assert report.subsets_examined == 137 + 9038
 
 
+def lone_framing(k, n, members):
+    """n diagonal words (v, ..., v) of length k and one more, framed by the words at ``members`` alone.
+
+    The extra word holds the members' diagonal values, one per position,
+    in an order that puts it next to a member; then no other coalition
+    of at most k words frames anything.  Returns ``(code, extra word)``,
+    or None when no order does (k words in a row, say).
+    """
+    for slot in sorted({m + d for m in members for d in (-1, 1)} - set(members) - {-1, n + 1}):
+        values = [m if m < slot else m - 1 for m in members]
+        for extra in permutations(values):
+            code = make_code(k, n, [(v,) * k for v in range(n)] + [extra])
+            if code.words.index(extra) == slot:
+                return code, extra
+    return None
+
+
+def scan_layout(big_m, k, count):
+    """The naive scan's blocks of k-subsets as (rows, z0, z1), each row (prefix, first column)."""
+    words = -(-big_m // 64)
+    layout = []
+    for prefixes, firsts, ranks in verify._windows(big_m, k, count, words):
+        for rows, z0, z1 in verify._blocks(firsts, ranks, count, big_m, words):
+            layout.append(([(tuple(prefixes[:, r].tolist()), int(firsts[r])) for r in rows], z0, z1))
+    return layout
+
+
+class TestNaiveBlocks:
+    """The only framing coalition placed at the edges of the scan's blocks."""
+
+    def check(self, k, n, members, budget=None):
+        """Compare the scan with the reference loop; False when ``members`` cannot be planted."""
+        planted = lone_framing(k, n, members)
+        if planted is None:
+            return False
+        code, framed = planted
+        args = (code, k) if budget is None else (code, k, budget)
+        try:
+            expected = reference_naive(*args)
+        except BudgetExceeded as exc:
+            with pytest.raises(BudgetExceeded) as got:
+                is_frameproof_naive(*args)
+            assert (got.value.examined, str(got.value)) == (exc.examined, str(exc))
+            return True
+        report = is_frameproof_naive(*args)
+        assert (report.verdict, report.witness, report.subsets_examined) == expected
+        assert report.witness.framed_word == framed
+        assert report.witness.coalition == tuple(code.words[m] for m in members)
+        return True
+
+    def test_first_and_last_row_of_a_block(self):
+        # 71 words at c=3: windows of several blocks, most of several rows
+        layout = scan_layout(71, 3, comb(71, 3))
+        blocks = [rows for rows, _, _ in layout if len(rows) > 2]
+        assert len(blocks) > 10
+        checked = 0
+        for rows in blocks[:: len(blocks) // 5]:
+            (head, first), (tail, _) = rows[0], rows[-1]
+            checked += self.check(3, 70, (*head, first)) + self.check(3, 70, (*tail, 70))
+        assert checked >= 8  # of 12: three words in a row cannot be planted
+
+    def test_block_that_starts_a_window_or_a_new_prefix(self):
+        count = comb(71, 3)
+        # the first row of a window, and a block's first row that starts its head's rows
+        windows = [(tuple(p[:, 0].tolist()), int(f[0])) for p, f, _ in verify._windows(71, 3, count, 2)]
+        starts = [rows[0] for rows, _, _ in scan_layout(71, 3, count)
+                  if rows[0][0][1] == rows[0][0][0] + 1]
+        assert len(windows) > 5 and len(starts) > 5
+        # three words in a row cannot be planted, so also the row's second subset
+        checked = sum(self.check(3, 70, (*prefix, z))
+                      for prefix, first in windows[:6] + starts[:: len(starts) // 5]
+                      for z in (first, first + 1))
+        assert checked >= 15  # of 22
+
+    def test_column_chunk_boundary_with_three_words_or_more(self):
+        # 1,100 words take 18 uint64 words: row 0's 1,099 columns pass 2**14 words
+        # and are cut into chunks of 910
+        (rows, z0, z1), (next_rows, next_z0, _) = scan_layout(1100, 2, comb(1100, 2))[:2]
+        assert rows == next_rows == [((0,), 1)] and (z0, z1, next_z0) == (1, 911, 911)
+        assert all(self.check(2, 1099, (0, z)) for z in (2, z1 - 1, next_z0, next_z0 + 1, 1099))
+
+    def test_column_chunk_boundary_at_c3(self, monkeypatch):
+        # 150 words (3 uint64 words each) with blocks cut to 2**8 words: rows of
+        # more than 85 columns are chunked
+        monkeypatch.setattr(verify, "_BLOCK_WORDS", 2**8)
+        layout = scan_layout(150, 3, comb(150, 3))
+        chunked = [(rows[0][0], z0) for rows, z0, _ in layout if len(rows) == 1 and z0 > rows[0][1]]
+        assert len(chunked) > 10
+        assert all(self.check(3, 149, (*prefix, z))
+                   for prefix, z0 in chunked[:: len(chunked) // 3] for z in (z0 - 1, z0))
+
+    def test_budget_cuts_at_a_column_chunk(self):
+        # the budget admits pairs up to (0, 911), the first of row 0's second chunk
+        before = 1100 * 1099
+        budget = before + 911 * 1098
+        assert self.check(2, 1099, (0, 911), budget)
+        assert self.check(2, 1099, (0, 912), budget)  # refused
+
+    def test_least_rank_framing_in_a_window_comes_first(self, monkeypatch):
+        # two framings in one window; the higher ranked one has the lower first
+        # column, so its block, of at most 2**9 words here, is scanned first
+        monkeypatch.setattr(verify, "_BLOCK_WORDS", 2**9)
+        code = make_code(3, 69, [(v,) * 3 for v in range(69)] + [(42, 0, 40), (5, 3, 1)])
+        where = {w: i for i, w in enumerate(code.words)}
+        low, high = (tuple(sorted(where[(v,) * 3] for v in values))
+                     for values in ((0, 40, 42), (1, 3, 5)))
+        assert low < high
+        words = -(-code.size // 64)
+        for prefixes, firsts, ranks in verify._windows(code.size, 3, comb(code.size, 3), words):
+            rows = [tuple(p) for p in prefixes.T.tolist()]
+            if low[:2] in rows:
+                break
+        assert high[:2] in rows
+        blocks = [[rows[r] for r in block] for block, _, _ in
+                  verify._blocks(firsts, ranks, comb(code.size, 3), code.size, words)]
+        first_block = {row: i for i, block in enumerate(blocks) for row in block}
+        assert first_block[high[:2]] < first_block[low[:2]]
+        report = is_frameproof_naive(code, 3)
+        assert (report.verdict, report.witness, report.subsets_examined) == reference_naive(code, 3)
+        assert report.witness.coalition == tuple(code.words[m] for m in low)
+
+    def test_budget_cuts_inside_a_block(self):
+        big_m, k = 71, 3
+        rank = {s: i for i, s in enumerate(combinations(range(big_m), k))}
+        before = big_m * (big_m - 1) + comb(big_m, 2) * (big_m - 2)
+        for a, b in [(3, 9), (20, 40), (41, 43)]:
+            count = rank[(a, b, b + 1)] + 2  # (a, b, b + 3) is the first subset past the budget
+            rows = next(rows for rows, _, _ in scan_layout(big_m, k, count) if ((a, b), b + 1) in rows)
+            assert len(rows) > 1
+            budget = before + count * (big_m - k)
+            assert self.check(k, big_m - 1, (a, b, b + 3), budget)  # refused
+            assert self.check(k, big_m - 1, (a, b, b + 2), budget)  # the last subset admitted
+
+
 class TestCover:
     def test_quaternary_base_is_3fp(self):
         assert is_frameproof_cover(base_code("q4"), 3).verdict
@@ -478,6 +612,41 @@ class TestCoverAtPlanSizes:
         witness = report.witness
         assert len(witness.coalition) <= 7 and set(witness.coalition) <= set(bad.words)
         assert framed_witness_holds(witness)
+
+
+C2Q15 = execute_plan(plan_code(2, 15))
+
+
+@st.composite
+def permuted_subcodes(draw):
+    """60..150 words of the c=2 q=15 or c=3 q=10 code under a symbol permutation per position.
+
+    Half carry a planted framing; the rest stay frameproof, as a subcode
+    of a frameproof code with its symbols renamed is.
+    """
+    c, base = draw(st.sampled_from([(2, C2Q15), (3, PLANNED)]))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    perms = [rng.sample(range(base.q), base.q) for _ in range(base.length)]
+    words = [tuple(perm[v] for perm, v in zip(perms, w))
+             for w in rng.sample(base.words, draw(st.integers(60, min(150, base.size))))]
+    code = make_code(base.length, base.q, sorted(words))
+    if draw(st.booleans()):
+        code, _ = plant_framing(code, rng, c)
+        return code, c, False
+    return code, c, True
+
+
+class TestOraclesAtPlanSizes:
+    @given(permuted_subcodes())
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    def test_naive_and_cover_agree(self, case):
+        # past 40 words the naive scan runs several windows of several blocks
+        code, c, frameproof = case
+        naive, cover = is_frameproof_naive(code, c), is_frameproof_cover(code, c)
+        assert naive.verdict == cover.verdict == frameproof
+        if not frameproof:
+            assert framed_witness_holds(naive.witness)
+            assert framed_witness_holds(cover.witness)
 
 
 class TestTDetermined:
