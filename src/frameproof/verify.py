@@ -47,9 +47,8 @@ from .codes import BudgetExceeded, Code, Witness, _extend, _pack
 
 NAIVE_BUDGET = 10**8
 # The naive scan's windows grow from _FIRST_WINDOW to _WINDOW_WORDS uint64 words of
-# subsets, each block it scans holds at most _BLOCK_WORDS words (128 kB), and it lays
-# every word's bit rows out once when they take at most _TABLE_WORDS words (8 MB).
-_FIRST_WINDOW, _WINDOW_WORDS, _BLOCK_WORDS, _TABLE_WORDS = 2**10, 2**17, 2**14, 2**20
+# subsets, and each block it scans holds at most _BLOCK_WORDS words (128 kB).
+_FIRST_WINDOW, _WINDOW_WORDS, _BLOCK_WORDS = 2**10, 2**17, 2**14
 _COUNT_CAP = 2**62  # subset counts saturate here
 # _subset_counts counts about _CHUNK_CELLS (subset, column) keys per pass, and leaves
 # the sorting to its caller when a subset's keys span more than _DENSE bins per column.
@@ -181,33 +180,36 @@ def _blocks(firsts: np.ndarray, ranks: np.ndarray, count: int, big_m: int, words
         i += 1
 
 
-def _drop_own_bits(rows: np.ndarray, words: np.ndarray) -> np.ndarray:
-    """Clear bit ``words[i]`` of ``rows[:, :, i]``, in a (ceil(M/64), l, n) stack of bit rows, in place."""
+def _bit_rows(masks: np.ndarray, ids: np.ndarray, words: np.ndarray) -> np.ndarray:
+    """The bit rows of ``words`` at every position, (ceil(M/64), l, n), each word's own bit cleared.
+
+    A word shares its own symbol at every position, so one XOR clears its bit.
+    """
+    rows = masks.take(ids.take(words, axis=1), axis=1)
     own = np.uint64(1) << (words & 63).astype(np.uint64)
-    rows[words >> 6, :, np.arange(len(words))] &= ~own[:, None]
+    rows ^= ((np.arange(len(masks))[:, None] == words >> 6) * own)[:, None, :]
     return rows
 
 
-def _block_framing(bit_rows, count, prefixes, firsts, ranks, z0, z1, buffers):
+def _block_framing(masks, ids, count, prefixes, firsts, ranks, z0, z1, buffers):
     """``(rank, members, framed)`` for the least rank framing in one block, or None.
 
-    ``bit_rows(index)`` gives the bit rows of the words ``index`` (an
-    array or a slice) at every position, (ceil(M/64), l, n), each word's
-    own bit cleared.
-    A row's prefix Q has its bit rows ORed once per position.  For P = Q
-    + {z}, the AND over positions of (Q's OR | column z's bit row) holds
-    the words x that at every position share a symbol with a member of P
-    other than x: the words P frames, and any member framed by the rest
-    of P, which no smaller subset is, as its scan found none.  So each
-    position costs one broadcast OR and one AND over the (words, rows,
-    columns) block, and a cell frames a word exactly when a bit is left.
+    A row's prefix Q has its members' bit rows (:func:`_bit_rows`)
+    gathered and ORed once per position.  For P = Q + {z}, the AND over
+    positions of (Q's OR | column z's bit row) holds the words x that at
+    every position share a symbol with a member of P other than x: the
+    words P frames, and any member framed by the rest of P, which no
+    smaller subset is, as its scan found none.  So each position costs
+    one broadcast OR and one AND over the (words, rows, columns) block,
+    and a cell frames a word exactly when a bit is left.
     A cell left of its row's first column holds the words framed by a
     subset of lower rank, met in this window or cleared before it, or,
     when z is in Q, by Q.  So one OR over the whole block clears it.
     """
-    gathered = bit_rows(prefixes.ravel())
-    row_or = np.bitwise_or.reduce(gathered.reshape(*gathered.shape[:2], *prefixes.shape), axis=2)
-    col = bit_rows(slice(z0, z1))
+    row_or = _bit_rows(masks, ids, prefixes[0])
+    for member in prefixes[1:]:
+        row_or |= _bit_rows(masks, ids, member)
+    col = _bit_rows(masks, ids, np.arange(z0, z1))
     shape = (col.shape[0], prefixes.shape[1], z1 - z0)
     block, tmp = (buf[:prod(shape)].reshape(shape) for buf in buffers)
     np.bitwise_or(row_or[:, 0, :, None], col[:, 0, None, :], out=block)
@@ -232,25 +234,12 @@ def _first_framing(masks: np.ndarray, ids: np.ndarray, k: int, count: int):
     No smaller subset may frame a word (the caller scans sizes in
     order); :func:`_block_framing` relies on it.  Every block of a
     window of :func:`_windows` is scanned, and the least rank framing
-    among them is the first.  Each word's bit rows at every position are
-    laid out once, (words, l, M), when that takes at most
-    ``_TABLE_WORDS`` words, and gathered per block otherwise.  Returns
-    None if none frames.
+    among them is the first.  Returns None if none frames.
     """
     words, big_m = masks.shape[0], ids.shape[1]
-    everyone = np.arange(big_m)
-    table = None
-    if words * ids.size <= _TABLE_WORDS:
-        table = _drop_own_bits(np.take(masks, ids, axis=1), everyone)
-
-    def bit_rows(index):
-        if table is not None:
-            return table[:, :, index]
-        return _drop_own_bits(np.take(masks, ids[:, index], axis=1), everyone[index])
-
     buffers = [np.empty(max(_BLOCK_WORDS, words), dtype=np.uint64) for _ in range(2)]
     for prefixes, firsts, ranks in _windows(big_m, k, count, words):
-        hits = [_block_framing(bit_rows, count, prefixes[:, rows], firsts[rows], ranks[rows],
+        hits = [_block_framing(masks, ids, count, prefixes[:, rows], firsts[rows], ranks[rows],
                                z0, z1, buffers)
                 for rows, z0, z1 in _blocks(firsts, ranks, count, big_m, words)]
         hits = [hit for hit in hits if hit is not None]
@@ -270,15 +259,17 @@ def is_frameproof_naive(code: Code, c: int, budget: int = NAIVE_BUDGET) -> Verif
     of subsets.  A window is cut into blocks of prefixes by a contiguous
     range of last words z; a prefix's bit rows are ORed once, and each
     position costs one broadcast OR and one AND over the (ceil(M/64),
-    prefixes, z) block.  Memory is the rows' l * n_sym * ceil(M/64)
-    words, every word's l bit rows when they fit in 8 MB, and two blocks
-    of at most 2**14 words (128 kB).  The least ranked framing in a
+    prefixes, z) block.  Memory is ceil(M/64) words per (position,
+    symbol) present and, per block, two buffers of at most 2**14 words
+    (128 kB) and three gathers of at most l * 2**14 words each (the
+    prefixes' OR, one member's bit rows, the columns' bit rows): (3l +
+    2) * 2**14 words, 3.7 MB at l = 9.  The least ranked framing in a
     window is the first offending (P, x), x the least framed word, so
     reports are deterministic and a framing near the start is found
     after a few small blocks.  Work is metered in (subset, candidate)
     pairs, M - k per subset of size k; the subsets of a size that fit
     are counted before it is scanned (a budget spent on singletons
-    builds no table), and the first subset past ``budget`` raises
+    builds no bit rows), and the first subset past ``budget`` raises
     :class:`BudgetExceeded`.
     """
     if c < 2:
