@@ -11,11 +11,12 @@ as q grows.
 from fractions import Fraction
 
 from frameproof import (
+    Step,
     achieved_rate,
     blackburn_leading,
     execute_plan,
+    execute_steps,
     format_plan,
-    oa_family_code,
     plan_code,
     ssw_bound,
 )
@@ -35,7 +36,8 @@ for c, qs in families:
     print("      q       M      bound    rate")
     for q in qs:
         if c == 3 and q == 112:
-            code = oa_family_code(3, 37)  # array-seeded relative of the family
+            # array-seeded relative of the family
+            code = execute_steps((Step("base", "oa4"), Step("lift", 37)), 3)
         else:
             code = execute_plan(plan_code(c, q))
         rate = achieved_rate(c, code.length, q, code.size)

@@ -54,7 +54,6 @@ from .plan import (
     execute_plan,
     execute_steps,
     format_plan,
-    oa_family_code,
     plan_code,
     ssw_bound,
 )
@@ -100,7 +99,6 @@ __all__ = [
     "make_code",
     "make_field",
     "make_oa",
-    "oa_family_code",
     "oa_from_text",
     "oa_to_pt_code",
     "oa_to_text",

@@ -22,11 +22,11 @@ from .codes import descendant_contains, enumerate_descendants, framed_witness_ho
 from .construct import base_code, polynomial_lift
 from .oa import build_oa_strength2, make_oa, verify_oa
 from .plan import (
+    Step,
     achieved_rate,
     blackburn_leading,
     execute_plan,
     execute_steps,
-    oa_family_code,
     plan_code,
     ssw_bound,
 )
@@ -148,12 +148,12 @@ def criterion_5_oa_suite(seed: int = SEED):
 
 def criterion_6_oa_family(seed: int = SEED):
     start = time.perf_counter()
-    code = oa_family_code(3, 4)
+    code = execute_steps((Step("base", "oa4"), Step("lift", 4)), 3)
     ok = (code.q, code.size) == (13, 240)
     ok &= 3 * code.size == 5 * (code.q - 1) ** 2
     ok &= is_t_determined(code, 2).verdict
     ok &= is_frameproof_cover(code, 3).verdict
-    wide = oa_family_code(4, 7)
+    wide = execute_steps((Step("base", "oa5"), Step("lift", 7)), 4)
     ok &= (wide.q, wide.length, wide.size) == (29, 6, 1176)
     ok &= 4 * wide.size == 6 * (wide.q - 1) ** 2
     ok &= is_t_determined(wide, 2).verdict
@@ -170,7 +170,7 @@ def criterion_7_rate_convergence(seed: int = SEED):
     rate = achieved_rate(2, 4, 101, code.size)
     ok = rate == Fraction(20001, 10201)
     ok &= rate > 2 * (1 - Fraction(1, 50))
-    fam = oa_family_code(3, 37)
+    fam = execute_steps((Step("base", "oa4"), Step("lift", 37)), 3)
     ok &= fam.q == 112 and fam.q % 6 == 4
     fam_rate = achieved_rate(3, 5, fam.q, fam.size)
     ok &= fam_rate >= Fraction(5, 3) * Fraction(fam.q - 1, fam.q) ** 2
@@ -216,8 +216,8 @@ def criterion_9_bound_dominance(seed: int = SEED):
         (polynomial_lift(base_code("q4"), 3, 2, 3), 3),
         (polynomial_lift(base_code("q3"), 3, 2, 2), 2),
         (polynomial_lift(base_code("q4"), 4, 2, 3), 3),
-        (oa_family_code(3, 4), 3),
-        (oa_family_code(4, 7), 4),
+        (execute_steps((Step("base", "oa4"), Step("lift", 4)), 3), 3),
+        (execute_steps((Step("base", "oa5"), Step("lift", 7)), 4), 4),
     ]
     produced += [(execute_plan(plan_code(2, q)), 2) for q in range(3, 16, 2)]
     produced += [(execute_plan(plan_code(3, q)), 3) for q in (4, 10, 22)]

@@ -10,7 +10,6 @@ import argparse
 import itertools
 import math
 import sys
-from functools import partial
 
 from . import acceptance
 from .codes import (
@@ -22,7 +21,6 @@ from .codes import (
     read_code_file,
     write_code_file,
 )
-from .construct import BASE_CODE_INFO, augment_infinity, base_code, polynomial_lift
 from .oa import (
     build_oa_strength2,
     oa_from_text,
@@ -33,18 +31,17 @@ from .oa import (
     write_oa_file,
 )
 from .plan import (
+    Step,
+    _shapes,
     achieved_rate,
     blackburn_leading,
     execute_plan,
+    execute_steps,
     format_plan,
-    oa_family_code,
     plan_code,
     ssw_bound,
 )
 from .verify import NAIVE_BUDGET, is_frameproof_cover, is_frameproof_naive
-
-_BASE_RECIPES = {f"base-{name}": name for name in BASE_CODE_INFO}
-_RECIPES = sorted(_BASE_RECIPES) + ["poly-lift", "oa-family"]
 
 
 class _UsageError(Exception):
@@ -62,6 +59,23 @@ def _natural(text: str) -> int:
     return int(text)
 
 
+def _steps(spec: str) -> list[Step]:
+    """The ``;``-separated steps ``base NAME``, ``lift M`` and ``augment`` of a chain spec."""
+    steps = []
+    for text in spec.split(";"):
+        match text.split():
+            case ["base", name]:
+                steps.append(Step("base", name))
+            case ["lift", m] if m.isdecimal():
+                steps.append(Step("lift", int(m)))
+            case ["augment"]:
+                steps.append(Step("augment"))
+            case _:
+                raise argparse.ArgumentTypeError(
+                    f"step {text.strip()!r} is not 'base NAME', 'lift M' or 'augment'")
+    return steps
+
+
 def _global_options() -> _Parser:
     parser = _Parser(add_help=False)
     parser.add_argument("--seed", type=int, default=acceptance.SEED,
@@ -77,15 +91,12 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="frameproof", description=__doc__, parents=[_global_options()])
     sub = parser.add_subparsers(dest="command")
 
-    p = sub.add_parser("construct", help="build a code and write it to a file")
-    p.add_argument("--recipe", required=True, choices=_RECIPES)
-    p.add_argument("--m", type=int, help="lift field order")
-    p.add_argument("--c", type=int, help="coalition bound")
-    p.add_argument("--t", type=_natural, help="determinedness parameter (default 2)")
+    p = sub.add_parser("construct", help="build a code from a step chain and write it to a file")
+    p.add_argument("--steps", type=_steps, required=True,
+                   help='chain such as "base oa4; lift 7; augment"')
+    p.add_argument("--c", type=int, required=True, help="coalition bound")
     p.add_argument("--in", dest="parent", metavar="PARENT",
-                   help="parent .fpc file for poly-lift")
-    p.add_argument("--augment-inf", action="store_true",
-                   help="adjoin the all-infinity word afterwards")
+                   help=".fpc file that stands for the base step")
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("verify", help="check a code file for c-frameproofness")
@@ -145,38 +156,12 @@ def _print_witness(witness, code: Code) -> None:
 
 
 def _cmd_construct(args) -> int:
-    recipe = args.recipe
-    t = 2 if args.t is None else args.t
-    # refuse a flag the recipe never reads; --augment-inf reads --c and --t
-    reads = {"poly-lift": "--in --m --c --t", "oa-family": "--m --c"}.get(recipe, "").split()
-    reads += ["--c", "--t"] * args.augment_inf
-    for flag, value in (("--m", args.m), ("--in", args.parent), ("--c", args.c), ("--t", args.t)):
-        if value is not None and flag not in reads:
-            raise _UsageError(f"{flag} does not apply to recipe {recipe}"
-                              + " without --augment-inf" * (flag in ("--c", "--t")))
-    if recipe in _BASE_RECIPES:
-        name = _BASE_RECIPES[recipe]
-        _, length, size, base_c = BASE_CODE_INFO[name]
-        c = base_c if args.c is None else args.c
-        build = partial(base_code, name)
-    elif recipe == "poly-lift":
-        if args.parent is None or args.m is None or args.c is None:
-            raise _UsageError("poly-lift needs --in, --m and --c")
-        parent = read_code_file(args.parent)
-        c, length = args.c, parent.length
-        # a t past the length is refused by the lift; the cap keeps m**t small
-        size = parent.size * args.m ** min(t, length)
-        build = partial(polynomial_lift, parent, args.m, t, c)
-    else:  # oa-family
-        if args.m is None or args.c is None:
-            raise _UsageError("oa-family needs --m and --c")
-        c, length = args.c, args.c + 2
-        size = ((c + 1) ** 2 - 1) * args.m**2
-        build = partial(oa_family_code, c, args.m)
-    _check_budget(args, (size + args.augment_inf) * length)  # the all-star word adds one
-    code = build()
-    if args.augment_inf:
-        code = augment_infinity(code, c, t)
+    steps = args.steps
+    if args.parent is not None:
+        steps = [Step("base", read_code_file(args.parent))] + steps
+    _, length, size = _shapes(steps)[-1]
+    _check_budget(args, size * length)
+    code = execute_steps(steps, args.c)
     write_code_file(code, args.out)
     if not args.quiet:
         print(f"wrote {args.out}: {code!r}")

@@ -93,7 +93,7 @@ def build_oa_strength2(s: int) -> OrthogonalArray:
     :meth:`~frameproof.gf.Field.poly_values` call, whose (b, a) order is
     transposed to (a, b).
     """
-    if is_prime_power(s) is None:
+    if s < 2 or is_prime_power(s) is None:
         raise ValueError(f"{s} is not a prime power")
     field = make_field(s)
     arr = np.empty((s + 1, s, s), dtype=np.int64)

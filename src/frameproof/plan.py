@@ -24,8 +24,8 @@ from .oa import build_oa_strength2, oa_to_pt_code
 
 
 def _seed_order(name) -> int | None:
-    """None for a registered fixture, s for an array seed ``oa<s>``; ValueError otherwise."""
-    if isinstance(name, str) and name in BASE_CODE_INFO:
+    """None for a Code or a registered fixture, s for an array seed ``oa<s>``; else ValueError."""
+    if isinstance(name, Code) or isinstance(name, str) and name in BASE_CODE_INFO:
         return None
     s = int(name[2:]) if isinstance(name, str) and name[2:].isdecimal() else 0
     if name != f"oa{s}" or s < 2 or is_prime_power(s) is None:
@@ -37,19 +37,23 @@ def _seed_order(name) -> int | None:
 class Step(NamedTuple):
     """One plan step, t = 2 throughout.
 
-    ``Step("base", name)`` starts from a fixture or an ``oa<s>`` array
-    seed, ``Step("lift", m)`` lifts by GF(m) and ``Step("augment")``
-    adjoins the all-infinity word.
+    ``Step("base", name)`` starts from a fixture, an ``oa<s>`` array
+    seed or a given :class:`~frameproof.codes.Code`, ``Step("lift", m)``
+    lifts by GF(m) and ``Step("augment")`` adjoins the all-infinity word.
     """
 
     kind: str
-    arg: str | int | None = None
+    arg: str | int | Code | None = None
 
     def shape(self, before: tuple[int, int, int] | None) -> tuple[int, int, int]:
         """(q, l, M) after this step, from (q, l, M) before it (None before the base)."""
         if self.kind == "base":
             s = _seed_order(self.arg)
-            return BASE_CODE_INFO[self.arg][:3] if s is None else (s, s + 1, s * s - 1)
+            if s is not None:
+                return s, s + 1, s * s - 1
+            if isinstance(self.arg, Code):
+                return self.arg.q, self.arg.length, self.arg.size
+            return BASE_CODE_INFO[self.arg][:3]
         q, length, size = before
         if self.kind == "lift":
             m = self.arg
@@ -66,7 +70,9 @@ class Step(NamedTuple):
         """Run this step on the code built so far; each call re-checks its own preconditions."""
         if self.kind == "base":
             s = _seed_order(self.arg)
-            return base_code(self.arg) if s is None else oa_to_pt_code(build_oa_strength2(s))
+            if s is not None:
+                return oa_to_pt_code(build_oa_strength2(s))
+            return self.arg if isinstance(self.arg, Code) else base_code(self.arg)
         if self.kind == "lift":
             return polynomial_lift(code, self.arg, 2, c)
         return augment_infinity(code, c, 2)
@@ -129,8 +135,6 @@ def _chain(c: int, q: int) -> list[Step]:
 def _check_c(c) -> None:
     if not is_integer(c) or c < 2:
         raise ValueError(f"c must be an integer of at least 2, got {c!r}")
-    if is_prime_power(c + 1) is None:
-        raise ValueError(f"no planned family for c={c}: c+1 = {c + 1} is not a prime power")
 
 
 def plan_code(c: int, q: int) -> ConstructionPlan:
@@ -140,24 +144,17 @@ def plan_code(c: int, q: int) -> ConstructionPlan:
     docstring describes; otherwise ValueError gives the reason.
     """
     _check_c(c)
+    if is_prime_power(c + 1) is None:
+        raise ValueError(f"no planned family for c={c}: c+1 = {c + 1} is not a prime power")
     if not is_integer(q) or q < c + 1 or (q - 1) % c:
         raise ValueError(f"q must be 1 mod c={c} and at least {c + 1}, got {q!r}")
     steps = tuple(_chain(c, q)) + (Step("augment"),)
     return ConstructionPlan(c, c + 2, q, (c + 2) * (q - 1) ** 2 // c + 1, steps)
 
 
-def oa_family_code(c: int, m: int) -> Code:
-    """c-frameproof code of length c+2 over q = c*m+1 symbols, size (c+2)/c*(q-1)**2.
-
-    The chain ``oa<c+1>``, lift by GF(m): one lift of the array seed, no
-    augmentation.  m must be a prime power of at least c, as every lift checks.
-    """
-    _check_c(c)
-    return execute_steps((Step("base", f"oa{c + 1}"), Step("lift", m)), c)
-
-
 def execute_steps(steps, c: int) -> Code:
-    """Check a step chain's shape, then replay it; every lift re-validates its parent."""
+    """Check c and the step chain's shape, then replay it; every lift re-validates its parent."""
+    _check_c(c)
     _shapes(steps)
     code = None
     for step in steps:

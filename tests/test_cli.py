@@ -32,86 +32,109 @@ class TestConstruct:
     def test_lift_pipeline_header(self, tmp_path, base_file, capsys):
         out = tmp_path / "q7.fpc"
         rc = run([
-            "construct", "--recipe", "poly-lift", "--in", str(base_file),
-            "--m", "3", "--c", "2", "--out", str(out),
+            "construct", "--in", str(base_file), "--c", "2", "--steps", "lift 3",
+            "--out", str(out),
         ])
         assert rc == 0
         assert out.read_text().splitlines()[0] == "fpc1 q=7 l=4 M=72 inf=0"
 
-    def test_base_recipe_with_augment(self, tmp_path):
+    def test_base_with_augment(self, tmp_path):
         out = tmp_path / "aug.fpc"
-        assert run(["construct", "--recipe", "base-q3", "--augment-inf", "--out", str(out)]) == 0
+        assert run(["construct", "--c", "2", "--steps", "base q3; augment",
+                    "--out", str(out)]) == 0
         assert read_code_file(out).size == 9
 
-    def test_oa_family_recipe(self, tmp_path):
+    def test_array_seed_lift(self, tmp_path):
         out = tmp_path / "fam.fpc"
-        assert run(["construct", "--recipe", "oa-family", "--c", "3", "--m", "4",
+        assert run(["construct", "--c", "3", "--steps", "base oa4; lift 4",
                     "--out", str(out)]) == 0
         code = read_code_file(out)
         assert (code.q, code.size) == (13, 240)
 
-    def test_oa_lift_recipe_removed(self, tmp_path, capsys):
-        # array seeds are lifted through oa-family or the planner; there is no --s
+    def test_recipe_spelling_removed(self, tmp_path, capsys):
+        # chains are spelled with --steps; --recipe, --m, --t and --augment-inf are gone
         out = str(tmp_path / "lift.fpc")
-        assert run(["construct", "--recipe", "oa-lift", "--c", "3", "--m", "4",
+        assert run(["construct", "--recipe", "oa-family", "--c", "3", "--m", "4",
                     "--out", out]) == 64
-        assert run(["construct", "--recipe", "oa-family", "--s", "4", "--c", "3",
-                    "--m", "4", "--out", out]) == 64
+        assert run(["construct", "--recipe", "base-q3", "--augment-inf", "--out", out]) == 64
+        assert run(["construct", "--c", "3", "--steps", "base oa4; lift 4", "--augment-inf",
+                    "--out", out]) == 64
         assert "Traceback" not in capsys.readouterr().err
+        assert not (tmp_path / "lift.fpc").exists()
 
-    def test_short_lift_recipe_replaces_base_q5(self, tmp_path, base_file, capsys):
+    def test_short_lift_replaces_base_q5(self, tmp_path, base_file, capsys):
         out = tmp_path / "q5.fpc"
-        for recipe in ("base-q5", "base-q10"):
-            assert run(["construct", "--recipe", recipe, "--out", str(out)]) == 64
-            assert "invalid choice" in capsys.readouterr().err
-        assert run(["construct", "--recipe", "poly-lift", "--in", str(base_file), "--m", "2",
-                    "--c", "2", "--out", str(out)]) == 0
+        for name in ("q5", "q10"):
+            assert run(["construct", "--c", "2", "--steps", f"base {name}",
+                        "--out", str(out)]) == 64
+            assert "unknown base" in capsys.readouterr().err
+        assert run(["construct", "--in", str(base_file), "--c", "2", "--steps", "lift 2",
+                    "--out", str(out)]) == 0
         assert read_code_file(out) == named_code("q5")
 
-    @pytest.mark.parametrize("argv, flag", [
-        (["--recipe", "oa-family", "--m", "4", "--c", "3", "--in", "/nonexistent.fpc"], "--in"),
-        (["--recipe", "oa-family", "--m", "4", "--c", "3", "--t", "9"], "--t"),
-        (["--recipe", "base-q3", "--t", "3"], "--t"),
-        (["--recipe", "base-q4", "--c", "7"], "--c"),
-        (["--recipe", "base-q3", "--c", "7", "--t", "3"], "--c"),
+    @pytest.mark.parametrize("spec, bad", [
+        ("", ""),
+        ("base q3;", ""),
+        ("base q3;; lift 3", ""),
+        ("base q3; lift 3.0", "lift 3.0"),
+        ("base q3; lift -1", "lift -1"),
+        ("base q3; lift", "lift"),
+        ("base q3; augment 3", "augment 3"),
+        ("base", "base"),
+        ("base q3; twist", "twist"),
     ])
-    def test_unread_flags_are_refused(self, tmp_path, capsys, argv, flag):
+    def test_malformed_steps_are_usage_errors(self, tmp_path, capsys, spec, bad):
         out = tmp_path / "x.fpc"
-        assert run(["construct"] + argv + ["--out", str(out)]) == 64
-        assert f"{flag} does not apply to recipe" in capsys.readouterr().err
+        assert run(["construct", "--c", "2", "--steps", spec, "--out", str(out)]) == 64
+        err = capsys.readouterr().err
+        assert f"step {bad!r} is not 'base NAME', 'lift M' or 'augment'" in err
+        assert "Traceback" not in err
         assert not out.exists()
 
-    def test_augmentation_reads_c_and_t(self, tmp_path):
+    def test_c_below_two_is_refused_on_a_bare_base(self, tmp_path, capsys):
+        out = tmp_path / "x.fpc"
+        assert run(["construct", "--c", "1", "--steps", "base q3", "--out", str(out)]) == 64
+        assert "c must be an integer of at least 2, got 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_in_stands_for_the_base(self, tmp_path, base_file, capsys):
+        out = tmp_path / "x.fpc"
+        assert run(["construct", "--in", str(base_file), "--c", "2",
+                    "--steps", "base q3; lift 3", "--out", str(out)]) == 64
+        assert "start from its one base" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_augmentation_reads_c(self, tmp_path):
         out = str(tmp_path / "x.fpc")
-        assert run(["construct", "--recipe", "base-q3", "--augment-inf", "--c", "2", "--t", "2",
+        assert run(["construct", "--c", "2", "--steps", "base q3; augment", "--out", out]) == 0
+        assert run(["construct", "--c", "3", "--steps", "base oa4; lift 4; augment",
                     "--out", out]) == 0
-        assert run(["construct", "--recipe", "oa-family", "--m", "4", "--c", "3", "--t", "2",
-                    "--augment-inf", "--out", out]) == 0
         assert read_code_file(out).size == 241
 
     def test_missing_inputs_are_usage_errors(self, tmp_path):
         out = str(tmp_path / "x.fpc")
-        assert run(["construct", "--recipe", "poly-lift", "--out", out]) == 64
-        assert run(["construct", "--recipe", "base-q3", "--m", "3", "--out", out]) == 64
+        assert run(["construct", "--c", "2", "--steps", "lift 3", "--out", out]) == 64
+        assert run(["construct", "--steps", "base q3", "--out", out]) == 64
+        assert run(["construct", "--c", "2", "--out", out]) == 64
 
     def test_bad_math_is_reported(self, tmp_path, base_file):
-        rc = run(["construct", "--recipe", "poly-lift", "--in", str(base_file),
-                  "--m", "6", "--c", "2", "--out", str(tmp_path / "x.fpc")])
+        rc = run(["construct", "--in", str(base_file), "--c", "2", "--steps", "lift 6",
+                  "--out", str(tmp_path / "x.fpc")])
         assert rc == 64
 
 
 class TestBuildBudget:
     @pytest.mark.parametrize("argv, symbols", [
-        (["--recipe", "base-q4"], 15 * 5),
-        (["--recipe", "base-q3", "--augment-inf"], (8 + 1) * 4),
-        (["--recipe", "poly-lift", "--m", "3", "--c", "2"], 8 * 3**2 * 4),
-        (["--recipe", "poly-lift", "--m", "3", "--c", "2", "--augment-inf"], (72 + 1) * 4),
-        (["--recipe", "oa-family", "--c", "3", "--m", "4"], 15 * 4**2 * 5),
+        (["--c", "3", "--steps", "base q4"], 15 * 5),
+        (["--c", "2", "--steps", "base q3; augment"], (8 + 1) * 4),
+        (["--c", "2", "--steps", "lift 3"], 8 * 3**2 * 4),
+        (["--c", "2", "--steps", "lift 3; augment"], (72 + 1) * 4),
+        (["--c", "3", "--steps", "base oa4; lift 4"], 15 * 4**2 * 5),
     ])
     def test_construct_is_refused_above_the_budget(self, tmp_path, base_file, capsys,
                                                    argv, symbols):
         argv = ["construct"] + argv + ["--out", str(tmp_path / "x.fpc")]
-        if "poly-lift" in argv:
+        if not argv[4].startswith("base"):  # the chain's base is read from --in
             argv += ["--in", str(base_file)]
         assert run(["--budget", str(symbols - 1)] + argv) == 2
         assert (f"construct builds M*l = {symbols} symbols, above the budget of {symbols - 1}"
@@ -121,14 +144,6 @@ class TestBuildBudget:
         code = read_code_file(tmp_path / "x.fpc")
         assert code.size * code.length == symbols
 
-    def test_lift_size_counts_m_to_the_t(self, tmp_path, base_file, capsys):
-        # checked before the lift, which then refuses the starred parent for t=1
-        argv = ["construct", "--recipe", "poly-lift", "--in", str(base_file), "--m", "3",
-                "--c", "4", "--t", "1", "--out", str(tmp_path / "x.fpc")]
-        assert run(["--budget", "95"] + argv) == 2
-        assert "M*l = 96 symbols" in capsys.readouterr().err
-        assert run(["--budget", "96"] + argv) == 64
-
     def test_oa_is_refused_above_the_budget(self, capsys):
         assert run(["--budget", "11", "oa", "--s", "2"]) == 2
         assert "oa builds k*N = 12 symbols, above the budget of 11" in capsys.readouterr().err
@@ -137,9 +152,9 @@ class TestBuildBudget:
         assert run(["oa", "--s", "4001"]) == 2
         assert time.perf_counter() - start < 1
 
-    def test_negative_t_is_a_usage_error(self, tmp_path, base_file, capsys):
-        assert run(["construct", "--recipe", "poly-lift", "--in", str(base_file), "--m", "3",
-                    "--c", "2", "--t", "-1", "--out", str(tmp_path / "x.fpc")]) == 64
+    def test_t_flag_is_a_usage_error(self, tmp_path, base_file, capsys):
+        assert run(["construct", "--in", str(base_file), "--c", "2", "--steps", "lift 3",
+                    "--t", "-1", "--out", str(tmp_path / "x.fpc")]) == 64
         assert "--t" in capsys.readouterr().err
 
 
@@ -256,10 +271,13 @@ class TestPlanCommand:
 
 
 class TestOaCommands:
-    def test_build_verify_roundtrip(self, tmp_path):
+    def test_build_verify_roundtrip(self, tmp_path, capsys):
         path = tmp_path / "a.oa"
         assert run(["oa", "--s", "4", "--out", str(path)]) == 0
         assert run(["oa-verify", str(path)]) == 0
+        for s in ("0", "1"):
+            assert run(["oa", "--s", s]) == 64
+            assert f"error: {s} is not a prime power" in capsys.readouterr().err
 
     def test_corruption_detected(self, tmp_path, capsys):
         path = tmp_path / "bad.oa"

@@ -11,18 +11,19 @@ from helpers import named_code, reference_lift_words
 
 from frameproof import (
     BASE_CODE_INFO,
+    Step,
     augment_infinity,
     base_code,
     build_oa_strength2,
     code_to_text,
     default_eval_points,
     execute_plan,
+    execute_steps,
     is_frameproof_cover,
     is_frameproof_naive,
     is_t_determined,
     make_code,
     make_field,
-    oa_family_code,
     oa_to_pt_code,
     plan_code,
     polynomial_lift,
@@ -69,7 +70,7 @@ PINNED_CODES = {
         "56eb15104813848ab9d04d55ccbad97860f6ed00bffb568ed1dcfaa7dfd42da4",
     ),
     "oa family c3 m4": (
-        lambda: oa_family_code(3, 4),
+        lambda: execute_steps((Step("base", "oa4"), Step("lift", 4)), 3),
         "43ad299763b3f50b22d17408e7a9752a5d76f1c58b47da8e5abe13bc550eb753",
     ),
     "empty code": (
@@ -244,6 +245,10 @@ def _array_seed(s):
     return oa_to_pt_code(build_oa_strength2(s))
 
 
+def _seed_lift(c, m):
+    return execute_steps((Step("base", f"oa{c + 1}"), Step("lift", m)), c)
+
+
 class TestOaRecipes:
     def test_lift_from_array(self):
         code = polynomial_lift(_array_seed(4), 4, 2, 3)
@@ -264,23 +269,23 @@ class TestOaRecipes:
         assert 4 * code.size == 6 * (code.q - 1) ** 2
 
     def test_family_codes(self):
-        code = oa_family_code(3, 4)
+        code = _seed_lift(3, 4)
         assert (code.q, code.length, code.size) == (13, 5, 240)
-        wide = oa_family_code(4, 7)
+        wide = _seed_lift(4, 7)
         assert (wide.q, wide.length, wide.size) == (29, 6, 1176)
         assert is_t_determined(wide, 2).verdict
 
     def test_family_matches_planned_size(self):
-        code = oa_family_code(2, 3)
+        code = _seed_lift(2, 3)
         assert (code.q, code.size) == (7, 72)
         assert is_frameproof_cover(code, 2).verdict
 
     def test_family_preconditions(self):
         with pytest.raises(ValueError, match="prime power"):
-            oa_family_code(5, 7)  # c+1 = 6 is not a prime power
+            _seed_lift(5, 7)  # oa6: 6 is not a prime power
         with pytest.raises(ValueError, match="too small"):
-            oa_family_code(3, 2)  # m below c
-        short = oa_family_code(3, 3)  # GF(3) is one point short of length 5
+            _seed_lift(3, 2)  # m below c
+        short = _seed_lift(3, 3)  # GF(3) is one point short of length 5
         assert (short.q, short.length, short.size) == (10, 5, 135)
         assert is_t_determined(short, 2).verdict
 

@@ -8,6 +8,7 @@ from frameproof import (
     ConstructionPlan,
     Step,
     achieved_rate,
+    base_code,
     blackburn_leading,
     execute_plan,
     execute_steps,
@@ -15,7 +16,6 @@ from frameproof import (
     format_plan,
     is_frameproof_cover,
     is_t_determined,
-    oa_family_code,
     plan_code,
     ssw_bound,
 )
@@ -185,9 +185,18 @@ class TestAnyC:
         with pytest.raises(ValueError, match="1 mod c"):
             plan_code(4, 12)
 
-    def test_oa_family_is_the_seed_chain(self):
-        steps = (Step("base", "oa5"), Step("lift", 7))
-        assert oa_family_code(4, 7) == execute_steps(steps, 4)
+    @pytest.mark.parametrize("c", [1, 2.0, None, True])
+    def test_c_is_checked_on_a_bare_base(self, c):
+        with pytest.raises(ValueError, match="c must be an integer of at least 2"):
+            execute_steps((Step("base", "q3"),), c)
+
+    def test_a_code_stands_for_the_base(self):
+        base = base_code("q3")
+        assert Step("base", base).shape(None) == (3, 4, 8)
+        steps = (Step("base", base), Step("lift", 3), Step("augment"))
+        assert execute_steps(steps, 2) == execute_plan(plan_code(2, 7))
+        with pytest.raises(ValueError, match="start from its one base"):
+            execute_steps((Step("base", base), Step("base", "q3")), 2)
 
     def test_bad_steps_rejected(self):
         for steps, match in (

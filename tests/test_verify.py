@@ -12,6 +12,7 @@ from helpers import named_code, reference_naive, reference_shared_patterns, refe
 
 from frameproof import (
     BudgetExceeded,
+    Step,
     base_code,
     build_oa_strength2,
     descendant_contains,
@@ -22,7 +23,6 @@ from frameproof import (
     is_frameproof_naive,
     is_t_determined,
     make_code,
-    oa_family_code,
     oa_to_pt_code,
     plan_code,
 )
@@ -600,7 +600,7 @@ class TestCoverAtPlanSizes:
 
     def test_length_nine_family_code(self):
         # 3,087 words of length 9: each word's pattern spans eight 64-bit words
-        code = oa_family_code(7, 7)
+        code = execute_steps((Step("base", "oa8"), Step("lift", 7)), 7)
         assert (code.size, code.length) == (3087, 9)
         assert is_frameproof_cover(code, 7).verdict
         a, b = code.words[5], code.words[1000]
