@@ -53,8 +53,12 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _decimal(text: str) -> bool:  # as in a .fpc header: no sign, space, "_" or other script
+    return text.isascii() and text.isdecimal()
+
+
 def _natural(text: str) -> int:
-    if not text.isdecimal():
+    if not _decimal(text):
         raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
     return int(text)
 
@@ -66,7 +70,7 @@ def _steps(spec: str) -> list[Step]:
         match text.split():
             case ["base", name]:
                 steps.append(Step("base", name))
-            case ["lift", m] if m.isdecimal():
+            case ["lift", m] if _decimal(m):
                 steps.append(Step("lift", int(m)))
             case ["augment"]:
                 steps.append(Step("augment"))
@@ -78,7 +82,7 @@ def _steps(spec: str) -> list[Step]:
 
 def _global_options() -> _Parser:
     parser = _Parser(add_help=False)
-    parser.add_argument("--seed", type=int, default=acceptance.SEED,
+    parser.add_argument("--seed", type=_natural, default=acceptance.SEED,
                         help="seed for randomized checks")
     parser.add_argument("--budget", type=_natural, default=NAIVE_BUDGET,
                         help="work budget for the verifiers, and the most symbols "
@@ -94,33 +98,33 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("construct", help="build a code from a step chain and write it to a file")
     p.add_argument("--steps", type=_steps, required=True,
                    help='chain such as "base oa4; lift 7; augment"')
-    p.add_argument("--c", type=int, required=True, help="coalition bound")
+    p.add_argument("--c", type=_natural, required=True, help="coalition bound")
     p.add_argument("--in", dest="parent", metavar="PARENT",
                    help=".fpc file that stands for the base step")
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("verify", help="check a code file for c-frameproofness")
-    p.add_argument("--c", type=int, required=True)
+    p.add_argument("--c", type=_natural, required=True)
     p.add_argument("--algorithm", choices=["naive", "cover", "both"], default="cover")
     p.add_argument("codefile")
 
     p = sub.add_parser("plan", help="plan (and optionally build) a family code")
-    p.add_argument("--c", type=int, required=True, help="any c with c+1 a prime power")
-    p.add_argument("--q", type=int, required=True)
+    p.add_argument("--c", type=_natural, required=True, help="any c with c+1 a prime power")
+    p.add_argument("--q", type=_natural, required=True)
     p.add_argument("--execute", action="store_true")
     p.add_argument("--out")
 
     p = sub.add_parser("oa", help="emit a strength-2 orthogonal array")
-    p.add_argument("--s", type=int, required=True)
+    p.add_argument("--s", type=_natural, required=True)
     p.add_argument("--out")
 
     p = sub.add_parser("oa-verify", help="exhaustively check an .oa file")
     p.add_argument("oafile")
 
     p = sub.add_parser("bounds", help="cardinality and rate bounds for (c, l, q)")
-    p.add_argument("--c", type=int, required=True)
-    p.add_argument("--l", type=int, required=True)
-    p.add_argument("--q", type=int, required=True)
+    p.add_argument("--c", type=_natural, required=True)
+    p.add_argument("--l", type=_natural, required=True)
+    p.add_argument("--q", type=_natural, required=True)
     p.add_argument("--code", help=".fpc file whose size to compare against the bounds")
 
     sub.add_parser("selftest", help="run the acceptance battery")

@@ -119,7 +119,7 @@ def _sorted_rows(words, length: int, q: int) -> np.ndarray | None:
     keys = _pack(rows, range(length))
     if not (keys[1:] > keys[:-1]).all():
         order = keys.argsort()
-        rows, keys = np.asfortranarray(rows[order]), keys[order]
+        rows, keys = np.take(rows.T, order, axis=1).T, keys[order]
         if (keys[1:] == keys[:-1]).any():
             return None
     rows.flags.writeable = False

@@ -95,42 +95,36 @@ def _smallest_modulus(p: int, e: int) -> tuple[int, ...]:
     raise AssertionError(f"no irreducible of degree {e} over GF({p})")
 
 
-def _encode(digs, p: int) -> int:
-    n = 0
-    for d in reversed(digs):
-        n = n * p + d
-    return n
-
-
-def _times(x, y, modulus, p: int) -> list[int]:
-    """Schoolbook product of two coefficient vectors, reduced by the monic modulus."""
-    prod = [0] * (len(x) + len(y) - 1)
-    for i, a in enumerate(x):
-        if a:
-            for j, b in enumerate(y):
-                prod[i + j] += a * b
-    return _poly_mod([v % p for v in prod], modulus, p)
-
-
 def _powers(p: int, e: int, modulus) -> list[int]:
     """Ids of g**0, g**1, ..., g**(m-2) for the first g, in id order, of order m-1.
 
     m = p**e.  The constants 1..p-1 have order dividing p-1, so the search
-    starts at X (element p); a candidate is dropped as soon as one of its
-    powers is 1 again.  No element has order m-1 unless the modulus is
+    starts at X (element p).  Multiplication by X is one id table over all
+    m elements: each element's base-p digits shift up, and the top digit
+    folds back through the monic modulus.  Applying it e-1 times gives the
+    ids of X**i * a, and a candidate g with digits c_i multiplies by the
+    digit-wise sum of c_i * digits(X**i * a) mod p.  The walk 1, g, g**2,
+    ... through that table stops as soon as it is back at 1.  Every array
+    holds O(m * e) ids.  No element has order m-1 unless the modulus is
     irreducible.
     """
-    one = [1] + [0] * (e - 1)
-    q1 = p**e - 1
-    for g in range(p, p**e):
-        x = _digits(g, p, e)
-        exp, power = [], one
-        for _ in range(q1):
-            exp.append(_encode(power, p))
-            power = _times(power, x, modulus, p)
-            if power == one:
-                break
-        if len(exp) == q1 and power == one:
+    m, q1 = p**e, p**e - 1
+    place = p ** np.arange(e, dtype=np.int64)[:, None]
+    digits = np.arange(m, dtype=np.int64) // place % p  # (e, m): digit i of every id
+    shifted = np.vstack([np.zeros(m, dtype=np.int64), digits[:-1]])  # X * a before the fold
+    shifted -= np.array(modulus[:e], dtype=np.int64)[:, None] * digits[-1]  # X**e = -low terms
+    times_x = (shifted % p * place).sum(axis=0)
+    xs = [np.arange(m, dtype=np.int64)]  # xs[i][a] is the id of X**i * a
+    for _ in range(e - 1):
+        xs.append(times_x[xs[-1]])
+    for g in range(p, m):
+        acc = sum(c * digits[:, x] for c, x in zip(_digits(g, p, e), xs) if c)
+        table = (acc % p * place).sum(axis=0).tolist()
+        exp, power = [1], table[1]
+        while power != 1 and len(exp) < q1:
+            exp.append(power)
+            power = table[power]
+        if len(exp) == q1 and power == 1:
             return exp
     raise ValueError(f"no primitive element: {tuple(modulus)} is not irreducible over GF({p})")
 
@@ -142,10 +136,12 @@ class Field:
     elements 1..p-1 are the prime-field constants, and element p is the
     residue of X.  Prime fields (e = 1) compute with plain ``%`` and keep
     only an O(m) inverse table.  An extension field builds four O(m)
-    tables once, in O(m * e**2) time: powers and discrete logarithms of
-    a primitive element g, Zech logarithms ``log(1 + g**n)`` for
-    addition, and inverses.  Every operation is then a few list reads,
-    and nothing grows as O(m**2).
+    tables once: powers and discrete logarithms of a primitive element g,
+    Zech logarithms ``log(1 + g**n)`` for addition, and inverses.  The
+    search for g (:func:`_powers`) costs one multiply-by-g id table per
+    candidate, O(m * e**2) numpy work, and a walk of g's powers through
+    it.  Every operation is then a few list reads, and nothing grows as
+    O(m**2).
     """
 
     def __init__(self, p: int, e: int, modulus: tuple[int, ...]):

@@ -20,6 +20,7 @@ from frameproof import (
     polynomial_lift,
 )
 from frameproof.codes import _pack
+from frameproof.gf import _digits, _poly_mod
 from frameproof.verify import NAIVE_BUDGET
 
 
@@ -236,6 +237,38 @@ def reference_poly_values(field, t: int, point, polys=None):
     if polys is None:
         polys = product(range(field.order), repeat=t)
     return [leading_coeff(f, t) if point is None else field.eval_poly(f, point) for f in polys]
+
+
+def _times(x, y, modulus, p: int) -> list[int]:
+    """Schoolbook product of two coefficient vectors, reduced by the monic modulus."""
+    prod = [0] * (len(x) + len(y) - 1)
+    for i, a in enumerate(x):
+        if a:
+            for j, b in enumerate(y):
+                prod[i + j] += a * b
+    return _poly_mod([v % p for v in prod], modulus, p)
+
+
+def reference_powers(p: int, e: int, modulus) -> list[int]:
+    """The schoolbook search for a primitive element, as the reference for ``gf._powers``.
+
+    Ids of g**0, ..., g**(m-2) for the first g of order m-1 in id order,
+    starting at X (element p); every power is one schoolbook product and
+    reduction of coefficient vectors.
+    """
+    one = [1] + [0] * (e - 1)
+    q1 = p**e - 1
+    for g in range(p, p**e):
+        x = _digits(g, p, e)
+        exp, power = [], one
+        for _ in range(q1):
+            exp.append(sum(d * p**i for i, d in enumerate(power)))
+            power = _times(power, x, modulus, p)
+            if power == one:
+                break
+        if len(exp) == q1 and power == one:
+            return exp
+    raise ValueError(f"no primitive element: {tuple(modulus)} is not irreducible over GF({p})")
 
 
 def reference_code_text(code) -> str:

@@ -270,6 +270,27 @@ class TestPlanCommand:
         assert f"{n} is too large to factor" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["plan", "--c", "2", "--q", "1_01"],
+    ["plan", "--c", "2", "--q", " 101"],
+    ["plan", "--c", "-2", "--q", "7"],
+    ["oa", "--s", "1_1"],
+    ["oa", "--s", "\u0661\u0661"],
+    ["bounds", "--c", "2", "--l", "+4", "--q", "3"],
+    ["--seed", "0x5", "selftest"],
+    ["--budget", "\u0661" + "\u0660" * 8, "plan", "--c", "2", "--q", "7"],
+    ["construct", "--c", "2", "--steps", "base q3; lift \u0663", "--out", "OUT"],
+    ["construct", "--c", "2", "--steps", "base q3; lift 0_3", "--out", "OUT"],
+])
+def test_integers_are_ascii_decimal(tmp_path, capsys, argv):
+    # the rule of the .fpc header: no sign, space, underscore or non-ASCII digit
+    out = tmp_path / "x.fpc"
+    assert run([str(out) if a == "OUT" else a for a in argv]) == 64
+    err = capsys.readouterr().err
+    assert "must be a non-negative integer" in err or "is not 'base NAME'" in err
+    assert not out.exists()
+
+
 class TestOaCommands:
     def test_build_verify_roundtrip(self, tmp_path, capsys):
         path = tmp_path / "a.oa"

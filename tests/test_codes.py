@@ -101,11 +101,15 @@ class TestMakeCode:
 
 class TestArrayStorage:
     def test_rows_are_a_sorted_read_only_int64_array(self):
-        code = make_code(2, 3, [(2, 0), (0, 1), (1, 1)])
-        assert code.array.dtype == np.int64 and code.array.shape == (3, 2)
-        assert code.array.tolist() == [[0, 1], [1, 1], [2, 0]]
-        with pytest.raises(ValueError):
-            code.array[0, 0] = 2
+        # the cover index and the subset counter read rows.T as C-contiguous columns
+        words = [(2, 0), (0, 1), (1, 1)]
+        for source in (words, np.array(words), np.array(sorted(words))[::-1]):
+            code = make_code(2, 3, source)
+            assert code.array.dtype == np.int64 and code.array.shape == (3, 2)
+            assert code.array.tolist() == [[0, 1], [1, 1], [2, 0]]
+            assert code.array.flags.f_contiguous and not code.array.flags.writeable
+            with pytest.raises(ValueError):
+                code.array[0, 0] = 2
 
     def test_arrays_are_copied_and_checked(self):
         source = np.array([[2, 0], [0, 1]], dtype=np.uint8)

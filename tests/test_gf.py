@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import reference_poly_values
+from helpers import reference_powers, reference_poly_values
 
 from frameproof import (
     Field,
@@ -201,6 +201,16 @@ class TestFields:
     def test_reducible_modulus_rejected(self):
         with pytest.raises(ValueError, match="not irreducible"):
             Field(3, 2, (2, 0, 1))  # X**2 + 2 = (X + 1)(X + 2) over GF(3)
+
+    def test_powers_match_the_schoolbook_search(self):
+        # every extension order up to 2187; for GF(256), X has order 51 and X + 1 is the first g
+        orders = [m for m in range(4, 2188) if (pe := is_prime_power(m)) and pe[1] > 1]
+        assert len(orders) == 32
+        for m in orders:
+            f = make_field(m)
+            assert f._exp[:m - 1] == reference_powers(f.p, f.e, f.modulus), m
+        with pytest.raises(ValueError, match="not irreducible"):
+            reference_powers(3, 2, (2, 0, 1))
 
     def test_multiplicative_order(self):
         for m in PRIME_POWERS_LE_49:
