@@ -1,0 +1,119 @@
+"""End-to-end phase timings of planned codes, one fresh interpreter per row and run.
+
+    python bench/layers.py --out BENCH.json
+
+Each row builds the planned code for (c, q) with ``execute_plan``,
+writes it to a ``.fpc`` file, reads it back, proves the code without
+its all-infinity word 2-determined (``is_t_determined``), and proves the
+whole code c-frameproof with the cover oracle.  The built code is kept
+until the read has been checked against it.  Every run of a row is a
+new process importing ``src/`` of this checkout, so its ``ru_maxrss``
+is that row's own peak.  The JSON records each phase's median, min and
+max over the runs, with the host and Python facts.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import resource
+import statistics
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+ROWS = [(2, 101), (2, 401), (2, 1001), (2, 2001), (3, 112), (4, 141)]
+RUNS = 3
+PHASES = ["build_s", "write_s", "read_s", "tdet_s", "cover_s", "ru_maxrss_mb"]
+
+
+def run_row(c: int, q: int) -> dict:
+    """One row's phases in this process; the code's file goes to a temporary directory."""
+    sys.path.insert(0, str(ROOT / "src"))
+    from frameproof import execute_plan, is_frameproof_cover, is_t_determined, plan_code
+    from frameproof.codes import Code, read_code_file, write_code_file
+
+    out, clock = {}, time.perf_counter
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "code.fpc"
+        start = clock()
+        built = execute_plan(plan_code(c, q))
+        out["build_s"] = clock() - start
+        start = clock()
+        write_code_file(built, path)
+        out["write_s"] = clock() - start
+        start = clock()
+        code = read_code_file(path)
+        out["read_s"] = clock() - start
+        out["M"], out["fpc_bytes"] = code.size, path.stat().st_size
+    if code != built:
+        raise SystemExit(f"c={c} q={q}: the code read back differs from the one written")
+    del built
+    # the proof's code lacks the all-infinity word that the plan's last step adjoins;
+    # with infinity 0 that word sorts first, and a view of the other rows copies nothing
+    skip = int((code.array[0] == code.inf_id).all())
+    start = clock()
+    tdet = is_t_determined(Code(code.length, code.q, code.array[skip:], code.inf_id), 2)
+    out["tdet_s"] = clock() - start
+    start = clock()
+    cover = is_frameproof_cover(code, c, budget=10**12)
+    out["cover_s"] = clock() - start
+    if not (tdet.verdict and cover.verdict):
+        raise SystemExit(f"c={c} q={q}: 2-determined {tdet.verdict}, frameproof {cover.verdict}")
+    out["ru_maxrss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    return out
+
+
+def host_facts() -> dict:
+    import numpy
+
+    cpu = next((line.split(":", 1)[1].strip() for line in _lines("/proc/cpuinfo")
+                if line.startswith("model name")), platform.processor())
+    mem = next((line.split()[1] for line in _lines("/proc/meminfo") if line.startswith("MemTotal")),
+               None)
+    return {"python": platform.python_version(), "numpy": numpy.__version__,
+            "platform": platform.platform(), "cpu": cpu, "nproc": os.cpu_count(),
+            "mem_total_mb": int(mem) // 1024 if mem else None}
+
+
+def _lines(path: str) -> list[str]:
+    try:
+        return Path(path).read_text().splitlines()
+    except OSError:
+        return []
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--out", help="the JSON file to write")
+    parser.add_argument("--row", help=argparse.SUPPRESS)  # c:q, run in this process
+    args = parser.parse_args(argv)
+    if args.row:
+        print(json.dumps(run_row(*map(int, args.row.split(":")))))
+        return 0
+    if not args.out:
+        parser.error("--out is required")
+    samples: dict[tuple, list[dict]] = {row: [] for row in ROWS}
+    for run in range(RUNS):
+        for c, q in ROWS:  # runs go round the rows, so a slow spell of the host hits them all
+            done = subprocess.run([sys.executable, __file__, "--row", f"{c}:{q}"], check=True,
+                                  stdout=subprocess.PIPE, text=True)
+            samples[c, q].append(json.loads(done.stdout))
+            print(f"run {run + 1}/{RUNS} c={c} q={q}: {done.stdout.strip()}", file=sys.stderr)
+    report = {"script": "bench/layers.py", "runs": RUNS, "host": host_facts(), "rows": [
+        {"c": c, "q": q, "M": runs[0]["M"], "fpc_bytes": runs[0]["fpc_bytes"], **{
+            phase: {stat: round(f([r[phase] for r in runs]), 6)
+                    for stat, f in (("median", statistics.median), ("min", min), ("max", max))}
+            for phase in PHASES}}
+        for (c, q), runs in samples.items()]}
+    Path(args.out).write_text(json.dumps(report, indent=1) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -16,6 +16,7 @@ from .codes import (
     INF_ALIAS,
     BudgetExceeded,
     Code,
+    _HEAD,
     code_from_text,
     code_to_text,
     read_code_file,
@@ -309,13 +310,13 @@ def _cmd_export(args) -> int:
 
 
 def _load_any(path):
-    with open(path, "r", encoding="ascii") as fh:
-        text = fh.read()
-    head = (text.split(None, 1) or [""])[0]
+    with open(path, "rb") as fh:
+        data = fh.read()
+    head = (_HEAD.match(data)[1].decode("ascii", "replace").split() or [""])[0]
     if head == "fpc1":
-        return "code", code_from_text(text)
+        return "code", code_from_text(data)
     if head == "oa1":
-        return "oa", oa_from_text(text)
+        return "oa", oa_from_text(data)
     raise ValueError(f"unrecognised file header {head!r}")
 
 

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import functools
-import io
 import itertools
 import numbers
 import re
@@ -254,12 +253,17 @@ def framed_witness_holds(witness: Witness) -> bool:
 # .fpc: fpc1 q=<q> l=<l> M=<M> inf=<id|none>, then M lines of l symbol ids in
 #       lexicographic order, the infinity id written (and accepted) as `*`.
 # .oa:  oa1 N=<N> k=<k> s=<s> t=<t>, then k rows of N symbols (oa.py).
-# Header values and entries are ASCII decimal, `*` only as a whole token;
-# blank lines are ignored, and there are no signs and no comments.
+# Lines end at \n, \r\n or a lone \r, and blank lines are ignored.  Header values
+# and entries are ASCII decimal, split by the blanks space, \t, \v, \f and
+# \x1c-\x1f; entries may have leading zeros and are below 2**64, and `*` is only
+# a whole entry.  There are no signs and no comments.
 
 _FPC_MAGIC = "fpc1"
 INF_ALIAS = "*"
-_LOOSE_STAR = re.compile(r"\*(?:\S|(?<=\S\*))")  # a `*` touching another character
+_HEAD = re.compile(rb"[\t-\r\x1c- ]*([^\n\r]*)")  # blanks and line ends, then the header line
+_TOKEN = re.compile(rb"[^\t-\r\x1c- ]+")
+_BODY_BYTES = b"0123456789 \t\v\f\x1c\x1d\x1e\x1f\n\r"  # digits, blanks, line ends
+_CHUNK_BYTES = 1 << 15
 
 
 def _table_bytes(table: np.ndarray, star: int | None = None) -> np.ndarray:
@@ -323,44 +327,78 @@ def _read_header(head: str, magic: str, keys: tuple[str, ...], star: str | None 
     return vals
 
 
-def _read_table(text: str, magic: str, keys: tuple[str, ...], shape: tuple[str, str],
+def _read_table(text: str | bytes, magic: str, keys: tuple[str, ...], shape: tuple[str, str],
                 star: str | None = None) -> tuple[dict, np.ndarray]:
-    """The header values and the uint64 table of a ``.fpc`` or ``.oa`` text.
+    """The header values and the uint64 table of a ``.fpc`` or ``.oa`` text or its bytes.
 
     The header is read by :func:`_read_header`, and a ``*`` entry stands
-    for the ``star`` key's value.  The body is parsed in one
-    ``np.loadtxt`` pass, and its shape must be the values of the two
-    ``shape`` keys.
+    for the ``star`` key's value.  Per line-aligned chunk of the body, one
+    ``flatnonzero`` finds the token edges, values are summed from digits
+    gathered at the token ends, and ``searchsorted`` counts each line's
+    entries into one output array, whose shape must be the ``shape`` keys' values.
     """
-    if not text.isascii():
+    data = text.encode() if isinstance(text, str) else text
+    if not data.isascii():
         raise ValueError(f"{magic} text is not ASCII")
-    head, _, body = text.lstrip().partition("\n")
-    vals = _read_header(head, magic, keys, star)
-    if star is not None and INF_ALIAS in body:
-        if vals[star] is None:
-            raise ValueError("'*' used but no infinity id is declared")
-        if _LOOSE_STAR.search(body):
-            raise ValueError(f"'*' must be a whole {magic} entry")
-        body = body.replace(INF_ALIAS, str(vals[star]))
-    if "+" in body:
-        raise ValueError(f"{magic} entries take no sign")
-    rows, cols = vals[shape[0]], vals[shape[1]]
-    if not body or body.isspace():  # loadtxt warns on empty input
-        # only a table of width 0 has rows that are all blank
-        table = np.empty((0 if cols else rows, cols), dtype=np.uint64)
-    else:
-        try:
-            table = np.loadtxt(io.StringIO(body), dtype=np.uint64, ndmin=2, comments=None)
-        except ValueError as exc:
-            # drop loadtxt's hint about usecols, which the formats have no use for
-            raise ValueError(f"bad {magic} table: {str(exc).split(';')[0]}") from None
-    if table.shape != (rows, cols):
+    head = _HEAD.match(data)
+    vals = _read_header(head[1].decode(), magic, keys, star)
+    rows, cols, inf = vals[shape[0]], vals[shape[1]], vals.get(star)
+    valid = _BODY_BYTES + (b"" if inf is None else INF_ALIAS.encode())
+    at = head.end() + 1
+    # n entries take at least 2n - 1 bytes, which bounds the header's claim
+    out = np.empty(min(rows * cols, (len(data) - at) // 2 + 1), dtype=np.uint64)
+    filled = lines = width = 0
+    while at < len(data):
+        cut = data.find(b"\n", at + _CHUNK_BYTES) + 1 or len(data)
+        if bad := data[at:cut].translate(None, valid):  # name the token of the first bad byte
+            pos = data.find(bad[:1], at, cut)
+            token = next(m[0] for m in _TOKEN.finditer(data, at, cut) if m.end() > pos).decode()
+            raise ValueError("'*' used but no infinity id is declared" if star and "*" in token
+                             else f"{magic} entries take no sign" if "+" in token
+                             else _unconvertible(magic, token))
+        b = np.frombuffer(data, np.uint8, cut - at, at)
+        word = np.zeros(len(b) + 2, dtype=bool)
+        np.greater(b, ord(" "), out=word[1:-1])  # valid blanks and line ends are all <= space
+        starts, ends = np.flatnonzero(word[1:] != word[:-1]).reshape(-1, 2).T.copy()  # contiguous
+        lens, last, n = ends - starts, b[ends - 1], len(starts)
+        val = out[filled:filled + n] if filled + n <= len(out) else np.empty(n, dtype=np.uint64)
+        np.subtract(last, ord("0"), out=val, casting="unsafe")
+        for k in range(1, min(int(lens.max(initial=0)), 19)):
+            val += (b[ends - 1 - k] - ord("0")) * (lens > k) * np.uint64(10**k)
+        if stars := np.count_nonzero(b == ord(INF_ALIAS)):
+            whole = (lens == 1) & (last == ord(INF_ALIAS))
+            if np.count_nonzero(whole) != stars:
+                raise ValueError(f"'*' must be a whole {magic} entry")
+            if inf >= 2**64:
+                raise ValueError(_unconvertible(magic, str(inf)))
+            val[whole] = inf
+        for i in np.flatnonzero(lens > 19):  # the sums could overflow: 2**64 has 20 digits
+            token = data[at + starts[i]:at + ends[i]].decode()
+            if (value := int(token.lstrip("0")[:21] or "0")) >= 2**64:
+                raise ValueError(_unconvertible(magic, token))
+            val[i] = value
+        breaks = np.ones(len(b) + 2, dtype=bool)  # the line ends, one before and one after b
+        np.logical_or(b == ord("\n"), b == ord("\r"), out=breaks[1:-1])
+        counts = np.diff(np.searchsorted(ends, breaks.nonzero()[0] - 1, "right"))
+        counts = counts[counts > 0]
+        width = width or int(counts[:1].sum())  # the first line's, once there is one
+        if (wrong := np.flatnonzero(counts != width)).size:
+            raise ValueError(f"bad {magic} table: the number of columns changed from {width} "
+                             f"to {counts[wrong[0]]} at row {lines + wrong[0] + 1}")
+        filled, lines, at = filled + n, lines + len(counts), cut
+    if not lines:  # only a table of width 0 has rows that are all blank
+        lines, width = (0 if cols else rows), cols
+    if (lines, width) != (rows, cols):
         raise ValueError(f"header says {shape[0]}={rows} {shape[1]}={cols} but the table "
-                         f"has {len(table)} rows of {table.shape[1]}")
-    return vals, table
+                         f"has {lines} rows of {width}")
+    return vals, out.reshape(rows, cols)
 
 
-def code_from_text(text: str) -> Code:
+def _unconvertible(magic: str, token: str) -> str:
+    return f"bad {magic} table: could not convert string {token!r} to uint64"
+
+
+def code_from_text(text: str | bytes) -> Code:
     vals, table = _read_table(text, _FPC_MAGIC, ("q", "l", "M", "inf"), ("M", "l"), star="inf")
     return make_code(vals["l"], vals["q"], table, vals["inf"])
 
@@ -372,5 +410,5 @@ def write_code_file(code: Code, path) -> None:
 
 
 def read_code_file(path) -> Code:
-    with open(path, "r", encoding="ascii") as fh:
+    with open(path, "rb") as fh:
         return code_from_text(fh.read())

@@ -9,7 +9,8 @@ from math import comb
 
 import numpy as np
 
-from .codes import Code, Witness, _read_header, _read_table, _table_bytes, is_integer, make_code
+from .codes import (_HEAD, Code, Witness, _read_header, _read_table, _table_bytes, is_integer,
+                    make_code)
 from .gf import is_prime_power, make_field
 from .verify import VerifyReport, _subset_counts
 
@@ -171,7 +172,7 @@ def oa_to_text(oa: OrthogonalArray) -> str:
     return _oa_header(oa) + str(_table_bytes(oa.array), "ascii")
 
 
-def oa_from_text(text: str) -> OrthogonalArray:
+def oa_from_text(text: str | bytes) -> OrthogonalArray:
     vals, table = _read_table(text, _OA_MAGIC, _OA_KEYS, ("k", "N"))
     return make_oa(table, vals["s"], vals["t"])
 
@@ -183,12 +184,12 @@ def write_oa_file(oa: OrthogonalArray, path) -> None:
 
 
 def read_oa_file(path) -> OrthogonalArray:
-    with open(path, "r", encoding="ascii") as fh:
+    with open(path, "rb") as fh:
         return oa_from_text(fh.read())
 
 
 def read_oa_header(path) -> dict[str, int]:
     """The ``N``, ``k``, ``s`` and ``t`` of an ``.oa`` file, from its first non-blank line alone."""
-    with open(path, "rb") as fh:
-        head = next((line for line in fh if line.strip()), b"")
+    with open(path, "rb") as fh:  # fh splits lines at \n only; _HEAD ends the header at \r too
+        head = next(filter(None, (_HEAD.match(line)[1] for line in fh)), b"")
     return _read_header(head.decode("ascii"), _OA_MAGIC, _OA_KEYS)

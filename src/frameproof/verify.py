@@ -474,6 +474,8 @@ def is_t_determined(code: Code, t: int) -> VerifyReport:
     Concretely: (a) every word carries at most t-1 infinity entries, and
     (b) no two distinct words agree in t or more positions where both
     are non-infinity.  Clause (a) counts each row's infinity entries.
+    Without an infinity symbol (``inf_id`` None), (a) holds and (b)
+    counts every position.
     For clause (b) the sets S of t positions are taken in chunks: the
     rows with no infinity in S get one key each on S, offset per S, and
     one ``np.bincount`` over the chunk finds every S holding a key twice.
@@ -487,14 +489,12 @@ def is_t_determined(code: Code, t: int) -> VerifyReport:
     the offending word.
     """
     inf = code.inf_id
-    if inf is None:
-        raise ValueError("code has no infinity symbol")
     if t < 1:
         raise ValueError("t must be at least 1")
     start = time.perf_counter()
     rows = code.array
     big_m = len(rows)
-    stars = rows == inf
+    stars = rows == inf  # all False without an infinity symbol
     over = np.flatnonzero(stars.sum(axis=1) >= t)
     if over.size:
         idx = int(over[0])

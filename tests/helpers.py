@@ -6,6 +6,8 @@ cover index built with one ``_pack`` and one argsort per position set.
 Also :func:`named_code`, which builds the q5/q10 test codes through the lift.
 """
 
+import io
+import re
 from collections import Counter
 from itertools import combinations, product
 
@@ -19,7 +21,7 @@ from frameproof import (
     make_field,
     polynomial_lift,
 )
-from frameproof.codes import _pack
+from frameproof.codes import _pack, _read_header
 from frameproof.gf import _digits, _poly_mod
 from frameproof.verify import NAIVE_BUDGET
 
@@ -41,9 +43,7 @@ def reference_t_determined(code, t: int):
     Returns ``(verdict, witness, subsets_examined)`` for comparison with
     :func:`frameproof.is_t_determined`.
     """
-    inf = code.inf_id
-    if inf is None:
-        raise ValueError("code has no infinity symbol")
+    inf = code.inf_id  # None matches no symbol
     if t < 1:
         raise ValueError("t must be at least 1")
     checks = 0
@@ -289,3 +289,39 @@ def reference_oa_text(oa) -> str:
     for row in oa.array:
         lines.append(" ".join(map(str, row.tolist())))
     return "\n".join(lines) + "\n"
+
+
+_LOOSE_STAR = re.compile(r"\*(?:\S|(?<=\S\*))")  # a `*` touching another character
+
+
+def reference_read_table(text: str, magic: str, keys, shape, star=None):
+    """The ``np.loadtxt`` reader, kept as the reference for ``codes._read_table``.
+
+    Lines end at ``\\n`` only: callers turn ``\\r\\n`` and a lone ``\\r``
+    into ``\\n`` first.  Takes the same arguments and returns ``(values,
+    table)`` or raises ``ValueError``.
+    """
+    if not text.isascii():
+        raise ValueError(f"{magic} text is not ASCII")
+    head, _, body = text.lstrip().partition("\n")
+    vals = _read_header(head, magic, keys, star)
+    if star is not None and "*" in body:
+        if vals[star] is None:
+            raise ValueError("'*' used but no infinity id is declared")
+        if _LOOSE_STAR.search(body):
+            raise ValueError(f"'*' must be a whole {magic} entry")
+        body = body.replace("*", str(vals[star]))
+    if "+" in body:
+        raise ValueError(f"{magic} entries take no sign")
+    rows, cols = vals[shape[0]], vals[shape[1]]
+    if not body or body.isspace():  # loadtxt warns on empty input
+        table = np.empty((0 if cols else rows, cols), dtype=np.uint64)
+    else:
+        try:
+            table = np.loadtxt(io.StringIO(body), dtype=np.uint64, ndmin=2, comments=None)
+        except ValueError as exc:
+            raise ValueError(f"bad {magic} table: {str(exc).split(';')[0]}") from None
+    if table.shape != (rows, cols):
+        raise ValueError(f"header says {shape[0]}={rows} {shape[1]}={cols} but the table "
+                         f"has {len(table)} rows of {table.shape[1]}")
+    return vals, table

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import reference_code_text, reference_oa_text
+from helpers import reference_code_text, reference_oa_text, reference_read_table
 from test_verify import codes_with_c, starred_codes_with_t
 
 from frameproof import (
@@ -16,14 +16,20 @@ from frameproof import (
     build_oa_strength2,
     code_from_text,
     code_to_text,
+    execute_plan,
     make_code,
     make_oa,
     oa_from_text,
     oa_to_text,
+    plan_code,
+    read_code_file,
+    read_oa_file,
     write_code_file,
     write_oa_file,
 )
+from frameproof import codes
 from frameproof.cli import run
+from frameproof.oa import read_oa_header
 
 # a valid text of each format, with "{}" where one entry of the first row goes
 FPC = "fpc1 q=20 l=2 M=2 inf=0\n{} 1\n2 3\n"
@@ -99,6 +105,92 @@ class TestStrictGrammar:
             code_from_text(f"fpc1 q={2**64} l=2 M=1 inf=none\n1 {2**64 - 1}\n")
         with pytest.raises(ValueError, match="could not convert"):
             code_from_text(f"fpc1 q={2**65} l=2 M=1 inf=none\n1 {2**64}\n")
+
+
+class TestLineEnds:
+    @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"])
+    def test_every_line_end_reads_the_same(self, tmp_path, capsys, end):
+        # the text and file readers agree, for the header and the body
+        fpc = end.join(["fpc1 q=3 l=2 M=2 inf=0", "1 2", "2 *", ""])
+        oa = end.join(["oa1 N=4 k=2 s=2 t=1", "0 0 1 1", "0 1 0 1", ""])
+        (tmp_path / "a.fpc").write_bytes(fpc.encode())
+        (tmp_path / "a.oa").write_bytes(oa.encode())
+        code, array = read_code_file(tmp_path / "a.fpc"), read_oa_file(tmp_path / "a.oa")
+        assert code_from_text(fpc).words == code.words == ((1, 2), (2, 0))
+        assert oa_from_text(oa).array.tolist() == array.array.tolist() == [[0, 0, 1, 1], [0, 1, 0, 1]]
+        assert _exit_and_err(tmp_path, capsys, fpc, "b.fpc") == (0, "")
+        assert read_oa_header(tmp_path / "a.oa") == {"N": 4, "k": 2, "s": 2, "t": 1}
+        assert run(["--quiet", "oa-verify", str(tmp_path / "a.oa")]) == 0
+
+    def test_mixed_line_ends(self):
+        assert code_from_text("fpc1 q=3 l=2 M=2 inf=0\n1 2\r2 1\n").words == ((1, 2), (2, 1))
+        assert code_from_text("fpc1 q=3 l=2 M=2 inf=0\r\n1 2\r\r\n2 1").words == ((1, 2), (2, 1))
+
+
+# --- the chunked reader against the loadtxt reference ---------------------------
+
+FORMATS = {"fpc1": (("q", "l", "M", "inf"), ("M", "l"), "inf"),
+           "oa1": (("N", "k", "s", "t"), ("k", "N"), None)}
+READABLE = [
+    code_to_text(base_code("q3")),
+    code_to_text(make_code(2, 4, [(0, 3), (3, 0), (2, 2)])),
+    f"fpc1 q={2**65} l=2 M=2 inf={2**64 - 1}\n1 *\n{2**63} 4\n",
+    f"fpc1 q={2**65} l=2 M=1 inf={2**64}\n1 *\n",
+    oa_to_text(build_oa_strength2(3)),
+]
+MUTATIONS = [
+    "\t", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x1f", "\r\n", "\r", " ", "\n", "\n\n", "1 2\n",
+    "0", "000", "9" * 19, "1" + "0" * 18, "0" * 19 + "12", str(2**63), str(2**64 - 1), str(2**64),
+    "1" * 21, "0" * 30 + str(2**64 - 1), "*", "+", "-", "_", "٣", "７",
+]
+
+
+@st.composite
+def mutated_bodies(draw):
+    """A readable text with one to four characters of its body deleted or inserted."""
+    text = draw(st.sampled_from(READABLE))
+    for _ in range(draw(st.integers(1, 4))):
+        pos = draw(st.integers(text.index("\n") + 1, len(text)))
+        if pos < len(text) and draw(st.booleans()):
+            text = text[:pos] + text[pos + 1:]
+        else:
+            text = text[:pos] + draw(st.sampled_from(MUTATIONS)) + text[pos:]
+    return text
+
+
+def _read_or_none(read, text, magic):
+    try:
+        vals, table = read(text, magic, *FORMATS[magic])
+    except ValueError:
+        return None
+    return vals, table.dtype, table.shape, table.tolist()
+
+
+@given(mutated_bodies(), st.sampled_from([1, 2, 3, 5, 8, 13, 1 << 16]), st.booleans())
+@settings(max_examples=1500, derandomize=True, deadline=None)
+def test_chunked_reader_matches_the_loadtxt_reference(text, chunk_bytes, as_bytes):
+    # tiny chunks cut the body at nearly every line end; the reference reads \n lines only
+    magic = text.split(None, 1)[0]
+    expected = _read_or_none(reference_read_table,
+                             text.replace("\r\n", "\n").replace("\r", "\n"), magic)
+    with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
+        warnings.simplefilter("error")
+        mp.setattr(codes, "_CHUNK_BYTES", chunk_bytes)
+        got = _read_or_none(codes._read_table, text.encode() if as_bytes else text, magic)
+    assert got == expected
+
+
+def test_chunks_cut_a_long_body_at_line_ends():
+    text = code_to_text(execute_plan(plan_code(2, 15)))
+    expected = _read_or_none(reference_read_table, text, "fpc1")
+    for chunk_bytes in (1, 7, 64, 1000):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(codes, "_CHUNK_BYTES", chunk_bytes)
+            assert _read_or_none(codes._read_table, text, "fpc1") == expected
+            # the last of the 393 rows loses an entry
+            for read in (codes._read_table, reference_read_table):
+                with pytest.raises(ValueError, match="columns changed from 4 to 3 at row 393"):
+                    read(text[:-3] + "\n", "fpc1", *FORMATS["fpc1"])
 
 
 # --- fuzzing --------------------------------------------------------------------

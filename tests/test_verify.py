@@ -686,9 +686,19 @@ class TestTDetermined:
         assert (report.verdict, report.witness, report.subsets_examined) == (
             reference_t_determined(code, 2))
 
-    def test_requires_infinity_symbol(self):
-        with pytest.raises(ValueError):
-            is_t_determined(make_code(2, 2, [(0, 1)]), 2)
+    def test_without_infinity_symbol(self):
+        # no word has an infinity, and every position counts towards agreement
+        assert is_t_determined(make_code(3, 3, [(0, 1, 2), (0, 2, 1), (1, 1, 1)]), 2).verdict
+        report = is_t_determined(make_code(3, 3, [(0, 0, 1), (0, 0, 2)]), 2)
+        assert not report.verdict and report.witness.positions == (0, 1)
+
+    @given(st.one_of(codes_with_c(), codes_with_c(wide=True)), st.integers(1, 3))
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    def test_matches_the_reference_without_infinity(self, case, t):
+        code = case[0]
+        report = is_t_determined(code, t)
+        assert (report.verdict, report.witness, report.subsets_examined) == (
+            reference_t_determined(code, t))
 
     def test_requires_positive_t(self):
         with pytest.raises(ValueError):
