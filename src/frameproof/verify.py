@@ -12,10 +12,14 @@ Two independent algorithms decide the frameproof property:
   of at most 2**14 uint64 words;
 * :func:`is_frameproof_cover` builds a projection index: for every
   proper non-empty position set S it marks the words whose projection
-  onto S is shared with another word, keying S | {p} from S's keys.  A
-  word x can be framed exactly when at most c shared sets of x cover
-  every position.  The cost is O(M * 2^l), metered in projections plus
-  cover-search nodes, and the witness frames the smallest framable word.
+  onto S is shared with another word, keying S | {p} from S's keys.
+  Dense sets are counted with one ``np.bincount`` (at most 4 bins per
+  word, as in the subset counter) and sparse ones are sorted; the walk
+  stops below a set with no repeat.  A word x can be framed exactly
+  when at most c shared sets of x cover every position.  The cost is
+  O(M * 2^l), metered in the index's nominal M * (2^l - 2) projections
+  plus cover-search nodes, and the witness frames the smallest framable
+  word.
 
 They always agree; having both lets each one act as an oracle for the
 other and for every construction in the package.
@@ -51,7 +55,8 @@ NAIVE_BUDGET = 10**8
 _FIRST_WINDOW, _WINDOW_WORDS, _BLOCK_WORDS = 2**10, 2**17, 2**14
 _COUNT_CAP = 2**62  # subset counts saturate here
 # _subset_counts counts about _CHUNK_CELLS (subset, column) keys per pass, and leaves
-# the sorting to its caller when a subset's keys span more than _DENSE bins per column.
+# the sorting to its caller when a subset's keys span more than _DENSE bins per column;
+# _repeated counts keys spanning at most _DENSE bins per key, and sorts wider ones.
 _CHUNK_CELLS, _DENSE = 2**14, 4
 
 
@@ -302,6 +307,29 @@ def is_frameproof_naive(code: Code, c: int, budget: int = NAIVE_BUDGET) -> Verif
     return VerifyReport(True, None, examined, time.perf_counter() - start)
 
 
+def _maximal_sets(pattern: int, length: int) -> list[int]:
+    """The maximal sets among the proper non-empty sets in the bitset ``pattern``, in order.
+
+    Bit S of ``(pattern >> 2**p) & lacks_p``, lacks_p holding the sets
+    without p, is set when S | {p} is in ``pattern``: l shifts find
+    every set with a superset one position larger.
+    """
+    full = (1 << length) - 1
+    every = (1 << (full + 1)) - 1  # all 2^l sets
+    blocked = 0
+    for p in range(length):
+        # runs of 2^p sets without p, then 2^p with it
+        lacks = every // ((1 << (2 << p)) - 1) * ((1 << (1 << p)) - 1)
+        blocked |= (pattern >> (1 << p)) & lacks
+    rest = pattern & ~blocked & (every ^ 1 ^ 1 << full)  # neither the empty nor the full set
+    sets = []
+    while rest:
+        low = rest & -rest
+        sets.append(low.bit_length() - 1)
+        rest ^= low
+    return sets
+
+
 def _cover(shared: int, length: int, c: int, meter: list[int]) -> tuple[int, ...] | None:
     """At most c maximal sets among those in the bitset ``shared`` that cover [l].
 
@@ -309,8 +337,7 @@ def _cover(shared: int, length: int, c: int, meter: list[int]) -> tuple[int, ...
     ones.  ``meter`` is ``[work done, budget]``; each search node adds one.
     """
     full = (1 << length) - 1
-    masks = [m for m in range(1, full) if (shared >> m) & 1 and not any(
-        (shared >> (m | 1 << pos)) & 1 for pos in range(length) if not (m >> pos) & 1)]
+    masks = _maximal_sets(shared, length)
     by_pos = [[m for m in masks if (m >> pos) & 1] for pos in range(length)]
     chosen: list[int] = []
 
@@ -335,15 +362,44 @@ def _cover(shared: int, length: int, c: int, meter: list[int]) -> tuple[int, ...
     return tuple(chosen) if dfs(0) else None
 
 
-def _projection_keys(cols: np.ndarray, widths: list[int], mask: int, keys: np.ndarray, span: int):
-    """Yield ``(S, _pack's keys on S)`` for each proper S = ``mask`` + higher positions."""
+def _repeated(keys: np.ndarray, span: int) -> np.ndarray:
+    """Per key, in order, whether it occurs more than once; keys lie in 0 .. span - 1.
+
+    Keys spanning at most ``_DENSE`` bins per key are counted with one
+    ``np.bincount``; wider ones are sorted, and adjacent equal keys are
+    the repeats.
+    """
+    if span <= _DENSE * len(keys):
+        return np.bincount(keys, minlength=span)[keys] > 1
+    order = keys.argsort()
+    ranked = keys[order]
+    dup = ranked[1:] == ranked[:-1]
+    flags = np.zeros(len(keys), dtype=bool)
+    flags[1:] = dup
+    flags[:-1] |= dup
+    repeated = np.empty_like(flags)
+    repeated[order] = flags
+    return repeated
+
+
+def _shared_sets(cols: np.ndarray, widths: list[int], shared: np.ndarray, mask: int,
+                 keys: np.ndarray, span: int) -> None:
+    """Set bit S of ``shared`` for each word repeating its projection onto a proper S above ``mask``.
+
+    Depth first: S | {p}, p above S's highest position, is S's keys plus
+    one ``_extend`` step on column p, entries 0 .. widths[p] - 1.  A set
+    on which no projection repeats has no superset on which one does, so
+    the walk stops below it.
+    """
     for p in range(mask.bit_length(), len(widths)):
         sub = mask | 1 << p
-        if sub < (1 << len(widths)) - 1:  # every set but the full one
-            # depth first: S | {p} is S's keys plus a step on column p, entries 0 .. widths[p] - 1
-            sub_keys, sub_span = _extend(keys, span, cols[:, p], 0, widths[p])
-            yield sub, sub_keys
-            yield from _projection_keys(cols, widths, sub, sub_keys, sub_span)
+        if sub == (1 << len(widths)) - 1:  # every set but the full one
+            continue
+        sub_keys, sub_span = _extend(keys, span, cols[:, p], 0, widths[p])
+        repeated = _repeated(sub_keys, sub_span)
+        if repeated.any():
+            shared[:, sub >> 6] |= repeated.astype(np.uint64) << np.uint64(sub & 63)
+            _shared_sets(cols, widths, shared, sub, sub_keys, sub_span)
 
 
 def is_frameproof_cover(code: Code, c: int, budget: int = NAIVE_BUDGET) -> VerifyReport:
@@ -354,13 +410,18 @@ def is_frameproof_cover(code: Code, c: int, budget: int = NAIVE_BUDGET) -> Verif
     most c shared sets cover every position.  The index takes M
     projections for each of the 2^l - 2 proper non-empty S, O(M * 2^l) in
     all: a depth-first walk keys each S | {p}, p above S's highest
-    position, from S's keys by one ``_extend`` step; the keys are sorted
-    and adjacent equal keys mark shared projections, into one packed bit
-    row per word.  One 1-D ``np.unique`` of those rows' packed keys finds
+    position, from S's keys by one ``_extend`` step.  Keys spanning at
+    most 4 bins per word are counted with one ``np.bincount``, as in the
+    subset counter, and wider ones are sorted; the repeats set bit S of
+    one packed bit row per word.  A projection unique on S is unique on
+    every superset, so the walk stops below a set with no repeat, but
+    ``subsets_examined`` still counts the nominal M * (2^l - 2)
+    projections.  One 1-D ``np.unique`` of those rows' packed keys finds
     the distinct patterns, and the depth-<=c search over maximal shared
-    sets runs once per pattern, in the order of each pattern's first
-    word, so the witness frames the smallest framable word, with the
-    first word in sort order sharing each chosen set as its coalition.
+    sets, found by l shifts of the pattern, runs once per pattern, in the
+    order of each pattern's first word, so the witness frames the
+    smallest framable word, with the first word in sort order sharing
+    each chosen set as its coalition.
     Work is metered in projections plus search nodes, reported as
     ``subsets_examined``; an index larger than ``budget`` is refused
     before it is built, and either way :class:`BudgetExceeded` is raised.
@@ -376,20 +437,14 @@ def is_frameproof_cover(code: Code, c: int, budget: int = NAIVE_BUDGET) -> Verif
         raise BudgetExceeded(f"cover verification budget of {budget} is below the "
                              f"{meter[0]} projections of the index", examined=0)
     # per word, the bitset of its shared sets: bit S of row x is set when
-    # x's projection onto S occurs more than once (never, with fewer than two words)
-    shared = np.zeros((big_m, (full >> 6) + 1), dtype=np.uint64)
+    # x's projection onto S occurs more than once (never, with fewer than two
+    # words); stored column-major, as the walk fills it one column at a time
+    shared = np.zeros(((full >> 6) + 1, big_m), dtype=np.uint64).T
     if big_m > 1:
         lo, hi = rows.min(axis=0), rows.max(axis=0)
         widths = [b - a + 1 for a, b in zip(lo.tolist(), hi.tolist())]
         cols = rows - lo if lo.any() else rows
-        for mask, keys in _projection_keys(cols, widths, 0, np.zeros(big_m, dtype=np.int64), 1):
-            order = keys.argsort()
-            keys = keys[order]
-            repeated = np.zeros(big_m, dtype=bool)
-            dup = keys[1:] == keys[:-1]
-            repeated[1:] = dup
-            repeated[:-1] |= dup
-            shared[order[repeated], mask >> 6] |= np.uint64(1 << (mask & 63))
+        _shared_sets(cols, widths, shared, 0, np.zeros(big_m, dtype=np.int64), 1)
     # one cover search per distinct pattern, met in word order
     firsts = np.unique(_pack(shared.view(np.int64), range(shared.shape[1])), return_index=True)[1]
     for x in np.sort(firsts).tolist():

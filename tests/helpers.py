@@ -166,6 +166,17 @@ def reference_shared_patterns(code):
     return shared
 
 
+def reference_maximal_sets(pattern: int, length: int) -> list[int]:
+    """The set-by-set scan for maximal sets, kept as the reference for ``verify._maximal_sets``.
+
+    The proper non-empty sets m in the bitset ``pattern`` such that no
+    m | {pos} is in it, in increasing order.
+    """
+    full = (1 << length) - 1
+    return [m for m in range(1, full) if (pattern >> m) & 1 and not any(
+        (pattern >> (m | 1 << pos)) & 1 for pos in range(length) if not (m >> pos) & 1)]
+
+
 def reference_verify_oa(oa):
     """The ``Counter``-per-subset orthogonal-array check, kept as the reference.
 

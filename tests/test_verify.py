@@ -8,7 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import named_code, reference_naive, reference_shared_patterns, reference_t_determined
+from helpers import (
+    named_code,
+    reference_maximal_sets,
+    reference_naive,
+    reference_shared_patterns,
+    reference_t_determined,
+)
 
 from frameproof import (
     BudgetExceeded,
@@ -577,6 +583,60 @@ class TestCoverIndex:
     def test_smallest_codes(self, length, words, report):
         got = is_frameproof_cover(make_code(length, 3, words), 2)
         assert (got.verdict, got.witness, got.subsets_examined) == report
+
+
+def report_of(report):
+    return report.verdict, report.witness, report.subsets_examined
+
+
+class TestCoverIndexPaths:
+    @given(st.one_of(codes_with_c(), codes_with_c(wide=True), codes_with_c(long=True),
+                     starred_codes_with_t()))
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    def test_counting_and_sorting_build_the_same_index(self, case):
+        code, c = case[0], max(2, case[1])
+        want, reference = report_of(is_frameproof_cover(code, c)), reference_shared_patterns(code)
+        # 0 bins per key sorts every set; narrow codes span at most 5**8 keys on
+        # any set, so 5**8 bins per key counts every set (wide ones would need 2**41)
+        for dense in [0] if code.q > 5 else [0, 5**8]:
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(verify, "_DENSE", dense)
+                assert np.array_equal(cover_index(code), reference)
+                assert report_of(is_frameproof_cover(code, c)) == want
+
+
+def cover_runs(length, patterns):
+    """Per pattern, its maximal sets and ``_cover``'s result and meter.
+
+    Bit 0, the empty set, never changes the sets, so c = 2 plus bit 0
+    searches each set family at c = 2 and at c = 3.
+    """
+    out = []
+    for pattern in patterns:
+        meter = [0, 10**9]
+        cover = verify._cover(pattern, length, 2 + (pattern & 1), meter)
+        out.append((verify._maximal_sets(pattern, length), cover, meter[0]))
+    return out
+
+
+def check_maximal_sets(length, patterns):
+    got = cover_runs(length, patterns)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(verify, "_maximal_sets", reference_maximal_sets)
+        assert got == cover_runs(length, patterns)
+
+
+class TestMaximalSets:
+    @pytest.mark.parametrize("length", [1, 2, 3, 4])
+    def test_every_pattern_up_to_length_4(self, length):
+        check_maximal_sets(length, range(1 << (1 << length)))
+
+    @given(st.integers(5, 8).flatmap(
+        lambda length: st.tuples(st.just(length), st.integers(0, 2**2**length - 1))))
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    def test_patterns_of_one_to_four_words(self, case):
+        length, pattern = case
+        check_maximal_sets(length, [pattern])
 
 
 class TestCoverAtPlanSizes:
