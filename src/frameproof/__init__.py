@@ -54,6 +54,7 @@ from .plan import (
     execute_plan,
     execute_steps,
     format_plan,
+    parse_steps,
     plan_code,
     ssw_bound,
 )
@@ -102,6 +103,7 @@ __all__ = [
     "oa_from_text",
     "oa_to_pt_code",
     "oa_to_text",
+    "parse_steps",
     "plan_code",
     "polynomial_lift",
     "read_code_file",

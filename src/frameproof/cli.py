@@ -16,6 +16,7 @@ from .codes import (
     INF_ALIAS,
     BudgetExceeded,
     Code,
+    _FPC_MAGIC,
     _HEAD,
     code_from_text,
     code_to_text,
@@ -23,6 +24,7 @@ from .codes import (
     write_code_file,
 )
 from .oa import (
+    _OA_MAGIC,
     build_oa_strength2,
     oa_from_text,
     oa_to_text,
@@ -39,6 +41,7 @@ from .plan import (
     execute_plan,
     execute_steps,
     format_plan,
+    parse_steps,
     plan_code,
     ssw_bound,
 )
@@ -54,31 +57,11 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _decimal(text: str) -> bool:  # as in a .fpc header: no sign, space, "_" or other script
-    return text.isascii() and text.isdecimal()
-
-
 def _natural(text: str) -> int:
-    if not _decimal(text):
+    # as in a .fpc header: no sign, space, "_" or other script
+    if not (text.isascii() and text.isdecimal()):
         raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
     return int(text)
-
-
-def _steps(spec: str) -> list[Step]:
-    """The ``;``-separated steps ``base NAME``, ``lift M`` and ``augment`` of a chain spec."""
-    steps = []
-    for text in spec.split(";"):
-        match text.split():
-            case ["base", name]:
-                steps.append(Step("base", name))
-            case ["lift", m] if _decimal(m):
-                steps.append(Step("lift", int(m)))
-            case ["augment"]:
-                steps.append(Step("augment"))
-            case _:
-                raise argparse.ArgumentTypeError(
-                    f"step {text.strip()!r} is not 'base NAME', 'lift M' or 'augment'")
-    return steps
 
 
 def _global_options() -> _Parser:
@@ -97,7 +80,7 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command")
 
     p = sub.add_parser("construct", help="build a code from a step chain and write it to a file")
-    p.add_argument("--steps", type=_steps, required=True,
+    p.add_argument("--steps", required=True,
                    help='chain such as "base oa4; lift 7; augment"')
     p.add_argument("--c", type=_natural, required=True, help="coalition bound")
     p.add_argument("--in", dest="parent", metavar="PARENT",
@@ -161,9 +144,9 @@ def _print_witness(witness, code: Code) -> None:
 
 
 def _cmd_construct(args) -> int:
-    steps = args.steps
+    steps = parse_steps(args.steps)
     if args.parent is not None:
-        steps = [Step("base", read_code_file(args.parent))] + steps
+        steps = (Step("base", read_code_file(args.parent)),) + steps
     _, length, size = _shapes(steps)[-1]
     _check_budget(args, size * length)
     code = execute_steps(steps, args.c)
@@ -313,9 +296,9 @@ def _load_any(path):
     with open(path, "rb") as fh:
         data = fh.read()
     head = (_HEAD.match(data)[1].decode("ascii", "replace").split() or [""])[0]
-    if head == "fpc1":
+    if head == _FPC_MAGIC:
         return "code", code_from_text(data)
-    if head == "oa1":
+    if head == _OA_MAGIC:
         return "oa", oa_from_text(data)
     raise ValueError(f"unrecognised file header {head!r}")
 

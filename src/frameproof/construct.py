@@ -35,11 +35,9 @@ _PLAIN_BASES = {
     )),
 }
 
-# name -> (q, length, size, c)
-BASE_CODE_INFO = {
-    "q3": (3, 4, 8, 2),
-    "q4": (4, 5, 15, 3),
-}
+# name -> (q, length, size, c): k symbols and infinity, k words per pattern, for c = k
+BASE_CODE_INFO = {name: (k + 1, len(patterns[0]), k * len(patterns), k)
+                  for name, (k, patterns) in _PLAIN_BASES.items()}
 
 
 def _lift_words(rows: np.ndarray, m: int, t: int, points) -> np.ndarray:
@@ -76,10 +74,8 @@ def base_code(name: str) -> Code:
         for pattern in patterns
         for i in range(k)
     ]
-    q, length, size, _ = BASE_CODE_INFO[name]
-    code = make_code(length, q, words, inf_id=0)
-    assert code.size == size
-    return code
+    q, length, _, _ = BASE_CODE_INFO[name]
+    return make_code(length, q, words, inf_id=0)
 
 
 def default_eval_points(m: int, length: int) -> tuple[int | None, ...]:
@@ -99,8 +95,6 @@ def default_eval_points(m: int, length: int) -> tuple[int | None, ...]:
 def _check_shape(length: int, c: int, t: int) -> None:
     if c < t:
         raise ValueError(f"need c >= t, got c={c}, t={t}")
-    if 2 * t - 1 > length:
-        raise ValueError(f"need length >= 2t-1 = {2 * t - 1}, got {length}")
     r = length - c * (t - 1)
     if not t <= r <= c:
         raise ValueError(

@@ -13,6 +13,7 @@ equal to c, whose field is one point short of the length.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
@@ -23,15 +24,17 @@ from .gf import factor_prime_powers, is_prime_power
 from .oa import build_oa_strength2, oa_to_pt_code
 
 
-def _seed_order(name) -> int | None:
-    """None for a Code or a registered fixture, s for an array seed ``oa<s>``; else ValueError."""
-    if isinstance(name, Code) or isinstance(name, str) and name in BASE_CODE_INFO:
-        return None
-    s = int(name[2:]) if isinstance(name, str) and name[2:].isdecimal() else 0
-    if name != f"oa{s}" or s < 2 or is_prime_power(s) is None:
-        raise ValueError(f"unknown base {name!r}; choose from {sorted(BASE_CODE_INFO)} "
+def _base(arg) -> tuple[tuple[int, int, int], Callable[[], Code]]:
+    """The (q, l, M) of a base and its builder: a Code, a fixture name or an ``oa<s>`` seed."""
+    if isinstance(arg, Code):
+        return (arg.q, arg.length, arg.size), lambda: arg
+    if isinstance(arg, str) and arg in BASE_CODE_INFO:
+        return BASE_CODE_INFO[arg][:3], lambda: base_code(arg)
+    s = int(arg[2:]) if isinstance(arg, str) and arg[2:].isdecimal() else 0
+    if arg != f"oa{s}" or s < 2 or is_prime_power(s) is None:
+        raise ValueError(f"unknown base {arg!r}; choose from {sorted(BASE_CODE_INFO)} "
                          "or oa<s> for a prime power s")
-    return s
+    return (s, s + 1, s * s - 1), lambda: oa_to_pt_code(build_oa_strength2(s))
 
 
 class Step(NamedTuple):
@@ -40,6 +43,7 @@ class Step(NamedTuple):
     ``Step("base", name)`` starts from a fixture, an ``oa<s>`` array
     seed or a given :class:`~frameproof.codes.Code`, ``Step("lift", m)``
     lifts by GF(m) and ``Step("augment")`` adjoins the all-infinity word.
+    A step prints as :func:`parse_steps` reads it.
     """
 
     kind: str
@@ -48,12 +52,7 @@ class Step(NamedTuple):
     def shape(self, before: tuple[int, int, int] | None) -> tuple[int, int, int]:
         """(q, l, M) after this step, from (q, l, M) before it (None before the base)."""
         if self.kind == "base":
-            s = _seed_order(self.arg)
-            if s is not None:
-                return s, s + 1, s * s - 1
-            if isinstance(self.arg, Code):
-                return self.arg.q, self.arg.length, self.arg.size
-            return BASE_CODE_INFO[self.arg][:3]
+            return _base(self.arg)[0]
         q, length, size = before
         if self.kind == "lift":
             m = self.arg
@@ -69,19 +68,30 @@ class Step(NamedTuple):
     def build(self, code: Code | None, c: int) -> Code:
         """Run this step on the code built so far; each call re-checks its own preconditions."""
         if self.kind == "base":
-            s = _seed_order(self.arg)
-            if s is not None:
-                return oa_to_pt_code(build_oa_strength2(s))
-            return self.arg if isinstance(self.arg, Code) else base_code(self.arg)
+            return _base(self.arg)[1]()
         if self.kind == "lift":
             return polynomial_lift(code, self.arg, 2, c)
         return augment_infinity(code, c, 2)
 
     def __str__(self) -> str:
-        return _LABELS[self.kind].format(self.arg)
+        return self.kind if self.arg is None else f"{self.kind} {self.arg}"
 
 
-_LABELS = {"base": "base {}", "lift": "lift by GF({})", "augment": "augment infinity"}
+def parse_steps(spec: str) -> tuple[Step, ...]:
+    """The ``;``-separated steps ``base NAME``, ``lift M`` and ``augment`` of a chain spec."""
+    steps = []
+    for text in spec.split(";"):
+        match text.split():
+            case ["base", name]:
+                steps.append(Step("base", name))
+            case ["lift", m] if m.isascii() and m.isdecimal():
+                steps.append(Step("lift", int(m)))
+            case ["augment"]:
+                steps.append(Step("augment"))
+            case _:
+                raise ValueError(
+                    f"step {text.strip()!r} is not 'base NAME', 'lift M' or 'augment'")
+    return tuple(steps)
 
 
 def _shapes(steps) -> list[tuple[int, int, int]]:
@@ -173,13 +183,14 @@ def execute_plan(plan: ConstructionPlan) -> Code:
 
 
 def format_plan(plan: ConstructionPlan) -> str:
-    """Render a plan with the running (q, l, M) after each step."""
-    lines = [
-        f"target: c={plan.c} q={plan.q} length={plan.length} "
-        f"size={plan.expected_size} family=c{plan.c}"
-    ]
+    """Render a plan with the running (q, M) after each step.
+
+    The last line, ``steps: ...``, is the chain that :func:`parse_steps` reads back.
+    """
+    lines = [f"target: c={plan.c} q={plan.q} length={plan.length} size={plan.expected_size}"]
     for i, (step, (q, _, size)) in enumerate(zip(plan.steps, _shapes(plan.steps)), 1):
         lines.append(f"  {i}. {step}: q={q} M={size}")
+    lines.append(f"steps: {'; '.join(map(str, plan.steps))}")
     return "\n".join(lines)
 
 
@@ -204,9 +215,8 @@ def blackburn_leading(c: int, length: int) -> Fraction:
     if c < 2 or length < 2:
         raise ValueError("c and length must be at least 2")
     t = (length - 1) % c + 1
+    # with length = a*c + t the denominator is a*(c - t + 1) + 1, at least 1
     denom = length - (t - 1) * (-(-length // c))
-    if denom <= 0:
-        raise ValueError(f"bound denominator {denom} is not positive")
     return Fraction(length, denom)
 
 

@@ -224,7 +224,7 @@ class TestPlanCommand:
     def test_prints_tree(self, capsys):
         assert run(["plan", "--c", "2", "--q", "7"]) == 0
         out = capsys.readouterr().out
-        assert "base q3" in out and "augment infinity" in out
+        assert "base q3" in out and "3. augment: q=7 M=73" in out
 
     def test_execute_writes_file(self, tmp_path):
         out = tmp_path / "q7.fpc"
@@ -247,7 +247,7 @@ class TestPlanCommand:
         assert run(["plan", "--c", "4", "--q", "13"]) == 64
         assert "prime-power factor 3, below c = 4" in capsys.readouterr().err
         assert run(["plan", "--c", "4", "--q", "17"]) == 0  # (q-1)/c = 4 = c
-        assert "1. base oa5: q=5 M=24\n  2. lift by GF(4): q=17 M=384" in capsys.readouterr().out
+        assert "1. base oa5: q=5 M=24\n  2. lift 4: q=17 M=384" in capsys.readouterr().out
 
     def test_build_larger_than_the_budget_is_refused(self, capsys):
         start = time.perf_counter()

@@ -167,10 +167,14 @@ class TestDescendants:
     def test_empty_coalition(self):
         with pytest.raises(ValueError):
             descendant_contains([], (0, 1))
+        with pytest.raises(ValueError, match="non-empty"):
+            enumerate_descendants([])
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             descendant_contains([(0, 1)], (0, 1, 0))
+        with pytest.raises(ValueError, match="equal lengths"):
+            enumerate_descendants([(0, 1), (0, 1, 0)])
 
     def test_two_complementary_words(self):
         got = enumerate_descendants([(0, 0, 0, 0), (1, 1, 1, 1)])

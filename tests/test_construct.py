@@ -29,7 +29,7 @@ from frameproof import (
     polynomial_lift,
     ssw_bound,
 )
-from frameproof.construct import _lift_words
+from frameproof.construct import _check_shape, _lift_words
 
 # sha256 of code_to_text: the bytes every construction must keep producing.
 PINNED_CODES = {
@@ -195,6 +195,8 @@ class TestPolynomialLift:
             polynomial_lift(parent, 3, 3, 2)
         with pytest.raises(ValueError, match="r in"):
             polynomial_lift(parent, 3, 2, 3)  # length 4 != 3*(2-1)+r, r in {2,3}
+        with pytest.raises(ValueError, match="r in"):
+            _check_shape(2, 2, 2)  # length 2 < 2t-1: r = 0 already fails
         with pytest.raises(ValueError, match="infinity"):
             polynomial_lift(make_code(4, 3, [(1, 1, 1, 1)]), 3, 2, 2)
         bad = make_code(4, 3, [(1, 1, 1, 1), (1, 1, 1, 2)], inf_id=0)

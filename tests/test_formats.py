@@ -68,6 +68,10 @@ class TestStrictGrammar:
         rc, err = _exit_and_err(tmp_path, capsys, text, name)
         assert rc == 64 and "header field" in err and "Traceback" not in err
 
+    def test_zero_length_is_an_input_error(self, tmp_path, capsys):
+        rc, err = _exit_and_err(tmp_path, capsys, "fpc1 q=3 l=0 M=0 inf=none\n", "a.fpc")
+        assert rc == 64 and err == "error: length must be a positive integer\n"
+
     @pytest.mark.parametrize("entry", BAD_ENTRIES + ["٣"])
     def test_bad_entry_through_the_library(self, entry):
         with pytest.raises(ValueError):

@@ -172,6 +172,8 @@ class TestVerifier:
             make_oa([[0, 1, 0]], 2, 1)  # runs not divisible by s**t
         with pytest.raises(ValueError):
             make_oa([[0, 1]], 2, 2)  # strength above row count
+        with pytest.raises(ValueError, match="levels must be at least 2"):
+            make_oa([[0]], 1, 1)
 
     @pytest.mark.parametrize(
         "rows, bad",

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -15,7 +16,9 @@ from frameproof import (
     factor_prime_powers,
     format_plan,
     is_frameproof_cover,
+    is_prime_power,
     is_t_determined,
+    parse_steps,
     plan_code,
     ssw_bound,
 )
@@ -160,6 +163,25 @@ class TestAnyC:
                     reached = False
                 assert reached == _rule_reaches(c, q), (c, q)
 
+    @given(st.data())
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    def test_printed_steps_read_back(self, data):
+        # the steps: line of format_plan is the chain that construct --steps reads
+        c = data.draw(st.sampled_from([c for c in range(2, 32) if is_prime_power(c + 1)]))
+        q = data.draw(st.sampled_from([q for q in range(c + 1, 3000, c) if _rule_reaches(c, q)]))
+        plan = plan_code(c, q)
+        *_, line = format_plan(plan).splitlines()
+        assert line.startswith("steps: ")
+        assert parse_steps(line.removeprefix("steps: ")) == plan.steps
+        # one malformed step anywhere in the chain is named
+        bad = data.draw(st.sampled_from(["", "lift", "lift 3.0", "lift -1", "lift \u0663",
+                                         "lift 0_3", "augment 3", "base", "base q3 q4", "twist"]))
+        texts = [str(step) for step in plan.steps]
+        texts.insert(data.draw(st.integers(0, len(texts))), bad)
+        message = f"step {bad!r} is not 'base NAME', 'lift M' or 'augment'"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            parse_steps("; ".join(texts))
+
     def test_rates_rise_towards_leading(self):
         for c in (4, 6, 7):
             leading = blackburn_leading(c, c + 2)
@@ -213,9 +235,9 @@ class TestAnyC:
 
     def test_format_names_the_array_seed(self):
         text = format_plan(plan_code(6, 43))
-        assert "target: c=6 q=43 length=8 size=2353 family=c6" in text
+        assert text.startswith("target: c=6 q=43 length=8 size=2353\n")
         assert "1. base oa7: q=7 M=48" in text
-        assert "2. lift by GF(7): q=43 M=2352" in text
+        assert "2. lift 7: q=43 M=2352" in text
 
 
 class TestExecution:
@@ -248,9 +270,9 @@ class TestExecution:
     def test_format_plan_tracks_parameters(self):
         text = format_plan(plan_code(2, 25))
         assert "target: c=2 q=25 length=4 size=1153" in text
-        assert "lift by GF(4): q=9 M=128" in text
-        assert "lift by GF(3): q=25 M=1152" in text
-        assert text.strip().endswith("augment infinity: q=25 M=1153")
+        assert "lift 4: q=9 M=128" in text
+        assert "lift 3: q=25 M=1152" in text
+        assert text.endswith("augment: q=25 M=1153\nsteps: base q3; lift 4; lift 3; augment")
 
 
 class TestFactorization:
@@ -265,12 +287,18 @@ class TestBounds:
         assert ssw_bound(2, 4, 7) == 96
         assert ssw_bound(3, 5, 10) == 297
         assert ssw_bound(2, 4, 3) == 16
+        for args in ((1, 4, 3), (2, 1, 3), (2, 4, 1)):
+            with pytest.raises(ValueError, match="must all be at least 2"):
+                ssw_bound(*args)
 
     def test_leading_values(self):
         assert blackburn_leading(3, 5) == Fraction(5, 3)
         assert blackburn_leading(2, 4) == Fraction(2)
         assert blackburn_leading(3, 4) == Fraction(1)  # length = 1 mod c
         assert blackburn_leading(2, 6) == Fraction(2)
+        for args in ((1, 4), (2, 1)):
+            with pytest.raises(ValueError, match="must be at least 2"):
+                blackburn_leading(*args)
 
     def test_rates(self):
         assert achieved_rate(2, 4, 7, 73) == Fraction(73, 49)

@@ -1,5 +1,6 @@
 import random
 import tracemalloc
+from dataclasses import replace
 from itertools import combinations, permutations
 from math import comb
 
@@ -138,6 +139,8 @@ class TestNaive:
     def test_rejects_small_c(self):
         with pytest.raises(ValueError):
             is_frameproof_naive(base_code("q3"), 1)
+        with pytest.raises(ValueError, match="c must be at least 2"):
+            is_frameproof_cover(base_code("q3"), 1)
 
     def test_budget_exceeded(self):
         with pytest.raises(BudgetExceeded) as exc:
@@ -420,6 +423,9 @@ class TestCover:
         assert not report.verdict
         assert report.witness.framed_word == (0, 0)
         assert framed_witness_holds(report.witness)
+        assert not framed_witness_holds(replace(report.witness, coalition=None))
+        with pytest.raises(ValueError, match="not a framing witness"):
+            framed_witness_holds(replace(report.witness, kind="agreement"))
 
     def test_reports_are_deterministic(self):
         for code in (named_code("q5"), FRAMABLE):
