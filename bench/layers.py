@@ -5,7 +5,9 @@
 Each row builds the planned code for (c, q) with ``execute_plan``,
 writes it to a ``.fpc`` file, reads it back, proves the code without
 its all-infinity word 2-determined (``is_t_determined``), and proves the
-whole code c-frameproof with the cover oracle.  The built code is kept
+whole code c-frameproof with the cover oracle and, where its coalitions
+fit in ``NAIVE_BUDGET`` (subset, candidate) pairs, with the naive
+oracle; other rows record ``naive_s`` as null.  The built code is kept
 until the read has been checked against it.  Every run of a row is a
 new process importing ``src/`` of this checkout, so its ``ru_maxrss``
 is that row's own peak.  The JSON records each phase's median, min and
@@ -24,18 +26,21 @@ import subprocess
 import sys
 import tempfile
 import time
+from math import comb
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-ROWS = [(2, 101), (2, 401), (2, 1001), (2, 2001), (3, 112), (4, 141)]
+ROWS = [(2, 15), (3, 16), (2, 101), (2, 401), (2, 1001), (2, 2001), (3, 112), (4, 141)]
 RUNS = 3
-PHASES = ["build_s", "write_s", "read_s", "tdet_s", "cover_s", "ru_maxrss_mb"]
+PHASES = ["build_s", "write_s", "read_s", "tdet_s", "cover_s", "naive_s", "ru_maxrss_mb"]
+NAIVE_BUDGET = 3_400_000_000  # the full naive proof of c=3 q=16 takes 3.3e9 pairs
 
 
 def run_row(c: int, q: int) -> dict:
     """One row's phases in this process; the code's file goes to a temporary directory."""
     sys.path.insert(0, str(ROOT / "src"))
-    from frameproof import execute_plan, is_frameproof_cover, is_t_determined, plan_code
+    from frameproof import (execute_plan, is_frameproof_cover, is_frameproof_naive,
+                            is_t_determined, plan_code)
     from frameproof.codes import Code, read_code_file, write_code_file
 
     out, clock = {}, time.perf_counter
@@ -65,6 +70,14 @@ def run_row(c: int, q: int) -> dict:
     out["cover_s"] = clock() - start
     if not (tdet.verdict and cover.verdict):
         raise SystemExit(f"c={c} q={q}: 2-determined {tdet.verdict}, frameproof {cover.verdict}")
+    out["naive_s"] = None
+    m = code.size
+    if sum(comb(m, k) * (m - k) for k in range(1, c + 1)) <= NAIVE_BUDGET:
+        start = clock()
+        naive = is_frameproof_naive(code, c, budget=NAIVE_BUDGET)
+        out["naive_s"] = clock() - start
+        if not naive.verdict:
+            raise SystemExit(f"c={c} q={q}: the naive oracle finds a framing")
     out["ru_maxrss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     return out
 
@@ -107,8 +120,9 @@ def main(argv=None) -> int:
             print(f"run {run + 1}/{RUNS} c={c} q={q}: {done.stdout.strip()}", file=sys.stderr)
     report = {"script": "bench/layers.py", "runs": RUNS, "host": host_facts(), "rows": [
         {"c": c, "q": q, "M": runs[0]["M"], "fpc_bytes": runs[0]["fpc_bytes"], **{
-            phase: {stat: round(f([r[phase] for r in runs]), 6)
-                    for stat, f in (("median", statistics.median), ("min", min), ("max", max))}
+            phase: None if runs[0][phase] is None else {
+                stat: round(f([r[phase] for r in runs]), 6)
+                for stat, f in (("median", statistics.median), ("min", min), ("max", max))}
             for phase in PHASES}}
         for (c, q), runs in samples.items()]}
     Path(args.out).write_text(json.dumps(report, indent=1) + "\n")

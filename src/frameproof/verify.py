@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations, islice
 from math import comb, prod
 
 import numpy as np
@@ -53,7 +53,6 @@ NAIVE_BUDGET = 10**8
 # The naive scan's windows grow from _FIRST_WINDOW to _WINDOW_WORDS uint64 words of
 # subsets, and each block it scans holds at most _BLOCK_WORDS words (128 kB).
 _FIRST_WINDOW, _WINDOW_WORDS, _BLOCK_WORDS = 2**10, 2**17, 2**14
-_COUNT_CAP = 2**62  # subset counts saturate here
 # _subset_counts counts about _CHUNK_CELLS (subset, column) keys per pass, and leaves
 # the sorting to its caller when a subset's keys span more than _DENSE bins per column;
 # _repeated counts keys spanning at most _DENSE bins per key, and sorts wider ones.
@@ -88,51 +87,6 @@ def _symbol_masks(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return masks, ids
 
 
-def _capped_cumsum(x: np.ndarray) -> np.ndarray:
-    """Running sums of int64 ``x`` (entries in 0..2**62), exact below 2**62 and 2**62 from there on.
-
-    A sum first reaching 2**62 adds at most 2**62 to one below it, so it
-    is found before any int64 wrap.
-    """
-    out = np.cumsum(x)
-    over = out >= _COUNT_CAP
-    if over.any():
-        out[over.argmax():] = _COUNT_CAP
-    return out
-
-
-def _unranking_tables(big_m: int, k: int) -> dict[int, np.ndarray]:
-    """``below[j][b]``, j = 1..k: the j-subsets of range(M) whose least element is under b.
-
-    That is the sum of C(M-1-i, j-1) over i < b.  The binomial columns
-    come from Pascal's rule, C(n, j) = sum of C(n', j-1) over n' < n, as
-    running sums capped at 2**62, past any rank a scan can reach.
-    """
-    col = np.ones(big_m, dtype=np.int64)  # C(n, 0) for n = 0..M-1
-    below = {}
-    for j in range(1, k + 1):
-        below[j] = np.concatenate(([0], _capped_cumsum(col[::-1])))
-        col[1:] = _capped_cumsum(col[:-1])
-        col[:1] = 0
-    return below
-
-
-def _unrank(below: dict[int, np.ndarray], rank: np.ndarray, j: int) -> np.ndarray:
-    """The j-subsets of the given lexicographic ranks, one per column of a (j, n) array.
-
-    One searchsorted per slot over the tables of :func:`_unranking_tables`.
-    """
-    members = np.empty((j, len(rank)), dtype=np.intp)
-    low = 0
-    for slot in range(j):
-        table = below[j - slot]
-        skipped = table[low]
-        members[slot] = np.searchsorted(table, rank + skipped, side="right") - 1
-        rank = rank - (table[members[slot]] - skipped)
-        low = members[slot] + 1
-    return members
-
-
 def _windows(big_m: int, k: int, count: int, words: int):
     """The first ``count`` k-subsets of range(M) as runs of rows, in lexicographic order.
 
@@ -140,24 +94,27 @@ def _windows(big_m: int, k: int, count: int, words: int):
     from its first column, one past the prefix's largest member, to M - 1.
     A window is a run of consecutive rows, none starting past the budget,
     holding about ``_FIRST_WINDOW`` words of subsets at first, doubling
-    up to ``_WINDOW_WORDS``.  Rows are unranked ahead, doubling.
-    Yields ``(prefixes, firsts, ranks)``: the rows' (k-1, n) members,
-    each row's first column and the rank of its first subset.
+    up to ``_WINDOW_WORDS``.  Rows are read ahead from ``combinations``
+    in doubling batches.  Yields ``(prefixes, firsts, ranks)``: the
+    rows' (k-1, n) members, each row's first column and the rank of its
+    first subset.
     """
-    below = _unranking_tables(big_m, k - 1)
-    rows, row, end, size = comb(big_m, k - 1), 0, 0, _FIRST_WINDOW
-    ahead = np.empty((k - 1, 0), dtype=np.intp)  # the prefixes of rows row, row + 1, ...
-    while end < count:  # end is the rank of row's first subset
+    source, more = combinations(range(big_m), k - 1), True
+    end, size = 0, _FIRST_WINDOW
+    ahead = np.empty((k - 1, 0), dtype=np.intp)  # the prefixes of the rows not yet yielded
+    while end < count:  # end is the rank of ahead's first subset
         widths = big_m - 1 - ahead[-1]
-        while widths.sum() * words < size and ahead.shape[1] < rows - row:
-            more = np.arange(row + ahead.shape[1], row + min(rows - row, 2 * ahead.shape[1] + 1))
-            ahead = np.concatenate((ahead, _unrank(below, more, k - 1)), axis=1)
+        while more and widths.sum() * words < size:
+            want = ahead.shape[1] + 1
+            batch = np.fromiter(chain.from_iterable(islice(source, want)), np.intp).reshape(-1, k - 1).T
+            more = batch.shape[1] == want
+            ahead = np.concatenate((ahead, batch), axis=1)
             widths = big_m - 1 - ahead[-1]
         ranks = end + np.cumsum(widths) - widths
         n = int(min(np.searchsorted(ranks, end + -(-size // words)), np.searchsorted(ranks, count)))
         yield ahead[:, :n], big_m - widths[:n], ranks[:n]
         end = int(ranks[n - 1] + widths[n - 1])
-        row, ahead = row + n, ahead[:, n:]
+        ahead = ahead[:, n:]
         size = min(2 * size, _WINDOW_WORDS)
 
 

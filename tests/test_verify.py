@@ -1,7 +1,7 @@
 import random
 import tracemalloc
 from dataclasses import replace
-from itertools import combinations, permutations
+from itertools import combinations, islice, permutations
 from math import comb
 
 import numpy as np
@@ -36,7 +36,6 @@ from frameproof import (
 from frameproof import verify
 from frameproof.acceptance import plant_framing, random_code
 from frameproof.codes import _pack
-from frameproof.verify import _unranking_tables
 
 FRAMABLE = make_code(2, 2, [(0, 1), (1, 0), (0, 0)])
 
@@ -230,25 +229,20 @@ def naive_cases(draw):
     return code, c, full if draw(st.booleans()) else rng.randint(0, full)
 
 
-def comb_tables(big_m, k):
-    return {j: [min(comb(big_m, j) - comb(big_m - b, j), 2**62) for b in range(big_m + 1)]
-            for j in range(1, k + 1)}
-
-
-class TestUnrankingTables:
+class TestWindows:
+    @pytest.mark.parametrize("k", range(2, 6))
     @pytest.mark.parametrize("big_m", [*range(41), *range(41, 2001, 97), 2000])
-    def test_match_the_comb_formula(self, big_m):
-        for k in range(1, 5):
-            got = _unranking_tables(big_m, k)
-            assert {j: v.tolist() for j, v in got.items()} == comb_tables(big_m, k), k
-
-    def test_saturate_past_2_62(self):
-        # C(2**17, 4) is about 1.2e19; the tables stay exact below 2**62
-        big_m = 2**17
-        assert comb(big_m, 4) > 2**62 > comb(big_m, 3)
-        got = _unranking_tables(big_m, 4)
-        assert {j: v.tolist() for j, v in got.items()} == comb_tables(big_m, 4)
-        assert got[4][-1] == 2**62 and got[4][1] == comb(big_m - 1, 3)
+    def test_rows_list_the_first_subsets(self, big_m, k):
+        # each row's subsets follow the ranks before it, and no row starts past the count
+        words = -(-big_m // 64)
+        for cut in (1, 777, 3000):
+            count = min(cut, comb(big_m, k))
+            subsets = []
+            for prefixes, firsts, ranks in verify._windows(big_m, k, count, words):
+                for prefix, first, rank in zip(prefixes.T.tolist(), firsts.tolist(), ranks.tolist()):
+                    assert rank == len(subsets) < count, cut
+                    subsets += [(*prefix, z) for z in range(first, big_m)]
+            assert subsets[:count] == list(islice(combinations(range(big_m), k), count)), cut
 
 
 class TestNaiveReference:
