@@ -1,17 +1,21 @@
-"""End-to-end phase timings of planned codes, one fresh interpreter per row and run.
+"""End-to-end phase timings of planned codes and arrays, one fresh interpreter per row and run.
 
     python bench/layers.py --out BENCH.json
+    python bench/layers.py --row 2:101     # one row in this process, printed as JSON
 
-Each row builds the planned code for (c, q) with ``execute_plan``,
-writes it to a ``.fpc`` file, reads it back, proves the code without
-its all-infinity word 2-determined (``is_t_determined``), and proves the
-whole code c-frameproof with the cover oracle and, where its coalitions
-fit in ``NAIVE_BUDGET`` (subset, candidate) pairs, with the naive
-oracle; other rows record ``naive_s`` as null.  The built code is kept
-until the read has been checked against it.  Every run of a row is a
-new process importing ``src/`` of this checkout, so its ``ru_maxrss``
-is that row's own peak.  The JSON records each phase's median, min and
-max over the runs, with the host and Python facts.
+A plan row ``c:q`` builds the planned code for (c, q) with
+``execute_plan``, writes it to a ``.fpc`` file, reads it back, proves
+the code without its all-infinity word 2-determined
+(``is_t_determined``), and proves the whole code c-frameproof with the
+cover oracle and, where its coalitions fit in ``NAIVE_BUDGET``
+(subset, candidate) pairs, with the naive oracle; other rows record
+``naive_s`` as null.  The built code is kept until the read has been
+checked against it.  An array row builds ``build_oa_strength2(s)``,
+then ``seed:s`` proves its seed code ``oa_to_pt_code`` 2-determined
+and ``oa:s`` checks the array with ``verify_oa``.  Every run of a row
+is a new process importing ``src/`` of this checkout, so its
+``ru_maxrss`` is that row's own peak.  The JSON records each phase's
+median, min and max over the runs, with the host and Python facts.
 """
 
 from __future__ import annotations
@@ -30,20 +34,57 @@ from math import comb
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-ROWS = [(2, 15), (3, 16), (2, 101), (2, 401), (2, 1001), (2, 2001), (3, 112), (4, 141)]
+ROWS = ["2:15", "3:16", "2:101", "2:401", "2:1001", "2:2001", "3:112", "4:141",
+        "seed:64", "seed:128", "oa:128"]
 RUNS = 3
-PHASES = ["build_s", "write_s", "read_s", "tdet_s", "cover_s", "naive_s", "ru_maxrss_mb"]
+SIZES = ["c", "q", "M", "fpc_bytes", "s", "N"]  # recorded once per row; the rest are phases
 NAIVE_BUDGET = 3_400_000_000  # the full naive proof of c=3 q=16 takes 3.3e9 pairs
 
 
-def run_row(c: int, q: int) -> dict:
-    """One row's phases in this process; the code's file goes to a temporary directory."""
+def run_row(row: str) -> dict:
+    """One row's sizes and phases in this process."""
     sys.path.insert(0, str(ROOT / "src"))
+    kind, arg = row.split(":")
+    runner = {"seed": run_seed_row, "oa": run_oa_row}.get(kind)
+    out = runner(int(arg)) if runner else run_plan_row(int(kind), int(arg))
+    out["ru_maxrss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    return out
+
+
+def timed(f, *args):
+    start = time.perf_counter()
+    return f(*args), time.perf_counter() - start
+
+
+def run_seed_row(s: int) -> dict:
+    """The seed code of the s-level strength-2 array, proved 2-determined."""
+    from frameproof import build_oa_strength2, is_t_determined, oa_to_pt_code
+
+    seed, build_s = timed(lambda: oa_to_pt_code(build_oa_strength2(s)))
+    report, tdet_s = timed(is_t_determined, seed, 2)
+    if not report.verdict:
+        raise SystemExit(f"seed:{s}: not 2-determined: {report.witness}")
+    return {"s": s, "M": seed.size, "build_s": build_s, "tdet_s": tdet_s}
+
+
+def run_oa_row(s: int) -> dict:
+    """The s-level strength-2 array, checked by ``verify_oa``."""
+    from frameproof import build_oa_strength2, verify_oa
+
+    oa, build_s = timed(build_oa_strength2, s)
+    report, verify_s = timed(verify_oa, oa)
+    if not report.verdict:
+        raise SystemExit(f"oa:{s}: not an orthogonal array: {report.witness}")
+    return {"s": s, "N": oa.array.shape[1], "build_s": build_s, "verify_oa_s": verify_s}
+
+
+def run_plan_row(c: int, q: int) -> dict:
+    """A plan row's phases; the code's file goes to a temporary directory."""
     from frameproof import (execute_plan, is_frameproof_cover, is_frameproof_naive,
                             is_t_determined, plan_code)
     from frameproof.codes import Code, read_code_file, write_code_file
 
-    out, clock = {}, time.perf_counter
+    out, clock = {"c": c, "q": q}, time.perf_counter
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "code.fpc"
         start = clock()
@@ -78,7 +119,6 @@ def run_row(c: int, q: int) -> dict:
         out["naive_s"] = clock() - start
         if not naive.verdict:
             raise SystemExit(f"c={c} q={q}: the naive oracle finds a framing")
-    out["ru_maxrss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     return out
 
 
@@ -104,27 +144,28 @@ def _lines(path: str) -> list[str]:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--out", help="the JSON file to write")
-    parser.add_argument("--row", help=argparse.SUPPRESS)  # c:q, run in this process
+    parser.add_argument("--row", choices=ROWS, metavar="ROW",
+                        help=f"run one row in this process and print it: one of {', '.join(ROWS)}")
     args = parser.parse_args(argv)
     if args.row:
-        print(json.dumps(run_row(*map(int, args.row.split(":")))))
+        print(json.dumps(run_row(args.row)))
         return 0
     if not args.out:
         parser.error("--out is required")
-    samples: dict[tuple, list[dict]] = {row: [] for row in ROWS}
+    samples: dict[str, list[dict]] = {row: [] for row in ROWS}
     for run in range(RUNS):
-        for c, q in ROWS:  # runs go round the rows, so a slow spell of the host hits them all
-            done = subprocess.run([sys.executable, __file__, "--row", f"{c}:{q}"], check=True,
+        for row in ROWS:  # runs go round the rows, so a slow spell of the host hits them all
+            done = subprocess.run([sys.executable, __file__, "--row", row], check=True,
                                   stdout=subprocess.PIPE, text=True)
-            samples[c, q].append(json.loads(done.stdout))
-            print(f"run {run + 1}/{RUNS} c={c} q={q}: {done.stdout.strip()}", file=sys.stderr)
+            samples[row].append(json.loads(done.stdout))
+            print(f"run {run + 1}/{RUNS} {row}: {done.stdout.strip()}", file=sys.stderr)
     report = {"script": "bench/layers.py", "runs": RUNS, "host": host_facts(), "rows": [
-        {"c": c, "q": q, "M": runs[0]["M"], "fpc_bytes": runs[0]["fpc_bytes"], **{
+        {**{key: runs[0][key] for key in SIZES if key in runs[0]}, **{
             phase: None if runs[0][phase] is None else {
                 stat: round(f([r[phase] for r in runs]), 6)
                 for stat, f in (("median", statistics.median), ("min", min), ("max", max))}
-            for phase in PHASES}}
-        for (c, q), runs in samples.items()]}
+            for phase in runs[0] if phase not in SIZES}}
+        for runs in samples.values()]}
     Path(args.out).write_text(json.dumps(report, indent=1) + "\n")
     return 0
 

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from itertools import combinations
 from math import comb
 
 import numpy as np
@@ -123,9 +122,9 @@ def verify_oa(oa: OrthogonalArray) -> VerifyReport:
         # no runs: every tuple is seen index = 0 times
         return VerifyReport(True, None, comb(k, t), time.perf_counter() - start)
     examined = 0
-    # N = index * s**t keys span s**t bins, so _subset_counts always counts them; each
+    # N = index * s**t keys span s**t bins, within _DENSE bins per column; each
     # subset's N keys sum to index * s**t, so its counts all equal index when none passes it
-    for subsets, counts in _subset_counts(oa.array, np.zeros(k, dtype=np.int64), [s] * k, t):
+    for subsets, counts in _subset_counts(oa.array, [s] * k, t):
         if counts.max() == lam:
             examined += len(subsets)
             continue

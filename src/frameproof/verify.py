@@ -28,14 +28,13 @@ other and for every construction in the package.
 primitive, :func:`_subset_counts`: it reads each column's entries on a
 set of t rows as one mixed-radix key, weighting each row by its actual
 symbol range, and counts the keys of many row sets with one
-``np.bincount``.  When the keys would span too many bins, the checker
-sorts instead with ``codes._pack``, which also sorts ``make_code``'s
-rows: one ``codes._extend`` step per column (the cover index's step)
-turns the rows' projections onto a position set into int64 keys that
-are equal exactly when the projections are, re-ranking with
-``np.unique`` before a product would pass 2**63, so symbols anywhere in
-the int64 range are handled.  A sort puts equal keys next to each
-other, and one compare of adjacent keys finds every repeat.
+``np.bincount``.  A code whose keys would span too many bins has its
+t-sets sorted one set at a time by :func:`_repeated`, the cover index's
+helper: ``codes._pack``, which also sorts ``make_code``'s rows, turns
+the rows' projections onto the set into int64 keys that are equal
+exactly when the projections are, one ``codes._extend`` step per column,
+re-ranking with ``np.unique`` before a product would pass 2**63, so
+symbols anywhere in the int64 range are handled.
 """
 
 from __future__ import annotations
@@ -53,9 +52,8 @@ NAIVE_BUDGET = 10**8
 # The naive scan's windows grow from _FIRST_WINDOW to _WINDOW_WORDS uint64 words of
 # subsets, and each block it scans holds at most _BLOCK_WORDS words (128 kB).
 _FIRST_WINDOW, _WINDOW_WORDS, _BLOCK_WORDS = 2**10, 2**17, 2**14
-# _subset_counts counts about _CHUNK_CELLS (subset, column) keys per pass, and leaves
-# the sorting to its caller when a subset's keys span more than _DENSE bins per column;
-# _repeated counts keys spanning at most _DENSE bins per key, and sorts wider ones.
+# _subset_counts counts about _CHUNK_CELLS (subset, column) keys per pass; keys spanning
+# at most _DENSE bins per key are counted, and _repeated sorts wider ones.
 _CHUNK_CELLS, _DENSE = 2**14, 4
 
 
@@ -420,64 +418,49 @@ def is_frameproof_cover(code: Code, c: int, budget: int = NAIVE_BUDGET) -> Verif
     return VerifyReport(True, None, meter[0], time.perf_counter() - start)
 
 
-def _subset_counts(table: np.ndarray, lo: np.ndarray, widths: list[int], t: int, dead=None):
+def _subset_counts(table: np.ndarray, widths: list[int], t: int, dead=None):
     """Count the keys of many t-subsets of the rows of ``table`` per numpy pass.
 
-    ``table`` is ``(rows, n)``, row r holding entries in lo[r] .. lo[r] +
-    widths[r] - 1.  A column's key in a subset S of rows reads its
-    entries on S in mixed radix, the first row most significant and each
-    row weighted by its width; it is dropped where ``dead`` holds on
-    any row of S.  Each subset gets ``span`` bins, the product of the t
-    largest widths (Python ints, so it cannot overflow).  Subsets come
-    in ``combinations`` order, in chunks that share all rows but the
-    last, of about ``_CHUNK_CELLS`` (subset, column) cells or one subset:
-    a chunk's last rows are one slice of ``table``, so nothing is
-    gathered.  Yields
-    ``(subsets, counts)`` per chunk, ``counts[i, key]`` the columns with
-    ``key`` in ``subsets[i]``, from one ``np.bincount``.  When ``span``
-    passes ``_DENSE`` bins per column, counts is None and the caller
-    sorts instead.
+    ``table`` is ``(rows, n)``, row r holding entries in 0 .. widths[r] -
+    1.  A column's key in a subset S of rows reads its entries on S in
+    mixed radix, the first row most significant and each row weighted by
+    its width; it is dropped where ``dead`` holds on any row of S.  Each
+    subset gets ``span`` bins, the product of the t largest widths, which
+    the caller keeps within ``_DENSE`` bins per column.  Subsets come in
+    ``combinations`` order, in chunks that share all rows but the last,
+    of about ``_CHUNK_CELLS`` (subset, column) cells or one subset: a
+    chunk's last rows are one slice of ``table``, so nothing is gathered.
+    Yields ``(subsets, counts)`` per chunk, ``counts[i, key]`` the columns
+    with ``key`` in ``subsets[i]``, from one ``np.bincount``.
     """
     rows, n = table.shape
     span = prod(sorted(widths)[-t:])
-    dense = span <= _DENSE * n
-    if dense:
-        table = table - lo[:, None] if lo.any() else table
-        weight = np.array(widths, dtype=np.int64)[:, None]
+    weight = np.array(widths, dtype=np.int64)[:, None]
     per = max(1, _CHUNK_CELLS // max(n, 1))
     # a chunk's i-th subset counts its keys from i * span on
-    starts = np.repeat(np.arange(per) * span, n).reshape(per, n) if dense and per > 1 else None
+    starts = np.repeat(np.arange(per) * span, n).reshape(per, n) if per > 1 else None
     for prefix in combinations(range(rows), t - 1):
-        if dense:
-            # the prefix's keys, and its columns dropped, are shared by the whole run
-            head = table[prefix[0]] if prefix else np.zeros(n, dtype=np.int64)
-            for r in prefix[1:]:
-                head = head * weight[r] + table[r]
-            gone = None if dead is None else np.logical_or.reduce(dead[list(prefix)], axis=0)
+        # the prefix's keys, and its columns dropped, are shared by the whole run
+        head = table[prefix[0]] if prefix else np.zeros(n, dtype=np.int64)
+        for r in prefix[1:]:
+            head = head * weight[r] + table[r]
+        gone = None if dead is None else np.logical_or.reduce(dead[list(prefix)], axis=0)
         for a in range(prefix[-1] + 1 if prefix else 0, rows, per):
             b = min(rows, a + per)
-            subsets = [(*prefix, r) for r in range(a, b)]
-            if not dense:
-                yield subsets, None
-                continue
             keys = weight[a:b] * head
             keys += table[a:b]
             if b - a > 1:
                 keys += starts[:b - a]
             if dead is not None:
                 keys = keys[~(dead[a:b] | gone)]
-            yield subsets, np.bincount(keys.reshape(-1), minlength=(b - a) * span).reshape(-1, span)
+            yield ([(*prefix, r) for r in range(a, b)],
+                   np.bincount(keys.reshape(-1), minlength=(b - a) * span).reshape(-1, span))
 
 
 def _live_keys(rows: np.ndarray, stars: np.ndarray, subset) -> tuple[np.ndarray, np.ndarray]:
     """The rows with no infinity on ``subset``, and their packed keys on it."""
     valid = ~stars[:, subset].any(axis=1)
     return valid, _pack(rows, subset)[valid]
-
-
-def _repeats(keys: np.ndarray) -> bool:
-    ranked = np.sort(keys)
-    return bool((ranked[1:] == ranked[:-1]).any())
 
 
 def is_t_determined(code: Code, t: int) -> VerifyReport:
@@ -491,11 +474,12 @@ def is_t_determined(code: Code, t: int) -> VerifyReport:
     For clause (b) the sets S of t positions are taken in chunks: the
     rows with no infinity in S get one key each on S, offset per S, and
     one ``np.bincount`` over the chunk finds every S holding a key twice.
-    That is O(C(l, t) * M) counting.  A chunk whose symbols are too wide
-    or sparse to count packs each S's keys instead, sorts them and
-    compares neighbours.  Only the first failing S is argsorted stably,
-    so the witness is the first word, in sort order, that repeats a
-    projection, paired with the first word that had it.  Work is counted
+    That is O(C(l, t) * M) counting.  When the product of the t largest
+    symbol ranges passes ``_DENSE`` bins per word, the symbols are too
+    wide or sparse to count, and each S in turn has its keys packed and
+    sorted by :func:`_repeated`.  Only the first failing S is argsorted
+    stably, so the witness is the first word, in sort order, that repeats
+    a projection, paired with the first word that had it.  Work is counted
     in words examined, reported as ``subsets_examined``: M for clause
     (a), then M per t-subset, or, on a violation, up to and including
     the offending word.
@@ -517,14 +501,18 @@ def is_t_determined(code: Code, t: int) -> VerifyReport:
         return VerifyReport(True, None, 0, time.perf_counter() - start)
     lo, hi = rows.min(axis=0), rows.max(axis=0)
     widths = [b - a + 1 for a, b in zip(lo.tolist(), hi.tolist())]
-    dead = stars.T if stars.any() else None
+    span = prod(sorted(widths)[-t:])
+    # per chunk of t-sets, the index of its first set holding a live key twice, or None
+    if span <= _DENSE * big_m:
+        table = rows.T - lo[:, None] if lo.any() else rows.T
+        dead = stars.T if stars.any() else None
+        chunks = ((subsets, int(np.argmax(counts > 1)) // span if counts.max() > 1 else None)
+                  for subsets, counts in _subset_counts(table, widths, t, dead))
+    else:
+        chunks = (([subset], 0 if _repeated(_live_keys(rows, stars, subset)[1], span).any()
+                   else None) for subset in combinations(range(code.length), t))
     checks = big_m
-    for subsets, counts in _subset_counts(rows.T, lo, widths, t, dead):
-        if counts is None:
-            bad = next((i for i, subset in enumerate(subsets)
-                        if _repeats(_live_keys(rows, stars, subset)[1])), None)
-        else:
-            bad = int(np.argmax(counts > 1)) // counts.shape[1] if counts.max() > 1 else None
+    for subsets, bad in chunks:
         if bad is None:
             checks += big_m * len(subsets)
             continue

@@ -773,6 +773,19 @@ class TestTDetermined:
             reference_t_determined(code, t)
         )
 
+    @given(st.one_of(starred_codes_with_t(), starred_codes_with_t(wide=True)))
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    def test_counting_and_sorting_give_the_same_report(self, case):
+        code, t = case
+        want = report_of(is_t_determined(code, t))
+        assert want == reference_t_determined(code, t)
+        # 0 bins per word sorts every t-set; narrow codes span at most 5**3 keys on
+        # any t-set, so 5**3 bins per word counts every set
+        for dense in [0] if code.q > 5 else [0, 5**3]:
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(verify, "_DENSE", dense)
+                assert report_of(is_t_determined(code, t)) == want
+
     def test_plan_size_work_count(self):
         code = execute_steps(plan_code(3, 136).steps[:-1], 3)
         report = is_t_determined(code, 2)
@@ -787,11 +800,11 @@ class TestTDetermined:
         # symbols send every chunk to the sort
         if cells is not None:
             monkeypatch.setattr(verify, "_CHUNK_CELLS", cells)
-        sorts, repeats = [], verify._repeats
-        monkeypatch.setattr(verify, "_repeats", lambda keys: sorts.append(1) or repeats(keys))
+        sorts, repeated = [], verify._repeated
+        monkeypatch.setattr(verify, "_repeated",
+                            lambda keys, span: sorts.append(1) or repeated(keys, span))
         seed = oa_to_pt_code(build_oa_strength2(16))
-        chunks = [subsets for subsets, _ in verify._subset_counts(
-            seed.array.T, np.zeros(17, dtype=np.int64), [16] * 17, 2)]
+        chunks = [subsets for subsets, _ in verify._subset_counts(seed.array.T, [16] * 17, 2)]
         order = list(combinations(range(17), 2))
         assert [subset for chunk in chunks for subset in chunk] == order
         for target in (chunks[0][-1], chunks[1][0], chunks[1][len(chunks[1]) // 2]):
