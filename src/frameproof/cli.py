@@ -48,6 +48,9 @@ from .plan import (
 from .verify import NAIVE_BUDGET, is_frameproof_cover, is_frameproof_naive
 
 
+_ORACLES = {"naive": is_frameproof_naive, "cover": is_frameproof_cover}
+
+
 class _UsageError(Exception):
     pass
 
@@ -89,7 +92,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("verify", help="check a code file for c-frameproofness")
     p.add_argument("--c", type=_natural, required=True)
-    p.add_argument("--algorithm", choices=["naive", "cover", "both"], default="cover")
+    p.add_argument("--algorithm", choices=[*_ORACLES, "both"], default="cover")
     p.add_argument("codefile")
 
     p = sub.add_parser("plan", help="plan (and optionally build) a family code")
@@ -165,32 +168,23 @@ def _check_budget(args, symbols: int, name: str = "M*l") -> None:
 
 def _cmd_verify(args) -> int:
     code = read_code_file(args.codefile)
-    algorithms = ["naive", "cover"] if args.algorithm == "both" else [args.algorithm]
-    violated = False
-    exceeded = False
-    for name in algorithms:
+    rc = 0  # a violation (1) outranks a budget stop (2)
+    for name in _ORACLES if args.algorithm == "both" else [args.algorithm]:
         try:
-            if name == "naive":
-                report = is_frameproof_naive(code, args.c, budget=args.budget)
-            else:
-                report = is_frameproof_cover(code, args.c, budget=args.budget)
+            report = _ORACLES[name](code, args.c, budget=args.budget)
         except BudgetExceeded as exc:
             print(f"{name}: budget exceeded ({exc})")
-            exceeded = True
+            rc = rc or 2
             continue
         if report.verdict:
             if not args.quiet:
                 print(f"{name}: frameproof (c={args.c}), "
                       f"examined={report.subsets_examined}, elapsed={report.elapsed:.3f}s")
         else:
-            violated = True
+            rc = 1
             print(f"{name}: NOT frameproof (c={args.c})")
             _print_witness(report.witness, code)
-    if violated:
-        return 1
-    if exceeded:
-        return 2
-    return 0
+    return rc
 
 
 def _cmd_plan(args) -> int:

@@ -94,6 +94,13 @@ def is_integer(v) -> bool:
     return isinstance(v, numbers.Integral) and not isinstance(v, bool)
 
 
+def _check_count(name: str, v, least: int) -> int:
+    """The count c or t as an int, so -t cannot wrap; ValueError unless an integer >= ``least``."""
+    if not is_integer(v) or v < least:
+        raise ValueError(f"{name} must be an integer of at least {least}, got {v!r}")
+    return int(v)
+
+
 def _sorted_rows(words, length: int, q: int) -> np.ndarray | None:
     """The words as a sorted, read-only, column-major int64 array; None unless all are valid.
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .codes import Code, make_code
+from .codes import Code, _check_count, make_code
 from .gf import is_prime_power, make_field
 from .verify import is_t_determined
 
@@ -93,6 +93,8 @@ def default_eval_points(m: int, length: int) -> tuple[int | None, ...]:
 
 
 def _check_shape(length: int, c: int, t: int) -> None:
+    _check_count("c", c, 2)
+    _check_count("t", t, 1)
     if c < t:
         raise ValueError(f"need c >= t, got c={c}, t={t}")
     r = length - c * (t - 1)

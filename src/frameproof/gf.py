@@ -24,14 +24,8 @@ def _least_prime_factor(n: int, p: int = 2) -> int:
 
 def is_prime_power(n: int) -> tuple[int, int] | None:
     """Return ``(p, e)`` with ``n == p**e`` and p prime, or None."""
-    if n < 2:
-        raise ValueError("n must be at least 2")
-    p = _least_prime_factor(n)
-    e, r = 0, n
-    while r % p == 0:
-        r //= p
-        e += 1
-    return (p, e) if r == 1 else None
+    factors = factor_prime_powers(n)
+    return factors[0] if len(factors) == 1 else None
 
 
 def factor_prime_powers(n: int) -> tuple[tuple[int, int], ...]:

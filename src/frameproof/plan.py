@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
-from .codes import Code, is_integer
+from .codes import Code, _check_count, is_integer
 from .construct import BASE_CODE_INFO, augment_infinity, base_code, polynomial_lift
 from .gf import factor_prime_powers, is_prime_power
 from .oa import build_oa_strength2, oa_to_pt_code
@@ -142,18 +142,13 @@ def _chain(c: int, q: int) -> list[Step]:
     return [Step("base", base)] + lifts
 
 
-def _check_c(c) -> None:
-    if not is_integer(c) or c < 2:
-        raise ValueError(f"c must be an integer of at least 2, got {c!r}")
-
-
 def plan_code(c: int, q: int) -> ConstructionPlan:
     """Plan a q-ary c-frameproof length-(c+2) code of size (c+2)(q-1)**2/c + 1.
 
     c+1 must be a prime power and q = c*m + 1 reachable as the module
     docstring describes; otherwise ValueError gives the reason.
     """
-    _check_c(c)
+    c = _check_count("c", c, 2)
     if is_prime_power(c + 1) is None:
         raise ValueError(f"no planned family for c={c}: c+1 = {c + 1} is not a prime power")
     if not is_integer(q) or q < c + 1 or (q - 1) % c:
@@ -164,7 +159,7 @@ def plan_code(c: int, q: int) -> ConstructionPlan:
 
 def execute_steps(steps, c: int) -> Code:
     """Check c and the step chain's shape, then replay it; every lift re-validates its parent."""
-    _check_c(c)
+    c = _check_count("c", c, 2)
     _shapes(steps)
     code = None
     for step in steps:

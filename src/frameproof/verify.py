@@ -46,12 +46,13 @@ from math import comb, prod
 
 import numpy as np
 
-from .codes import BudgetExceeded, Code, Witness, _extend, _pack
+from .codes import BudgetExceeded, Code, Witness, _check_count, _extend, _pack
 
 NAIVE_BUDGET = 10**8
-# The naive scan's windows grow from _FIRST_WINDOW to _WINDOW_WORDS uint64 words of
-# subsets, and each block it scans holds at most _BLOCK_WORDS words (128 kB).
-_FIRST_WINDOW, _WINDOW_WORDS, _BLOCK_WORDS = 2**10, 2**17, 2**14
+# The naive scan's first window holds about _FIRST_WINDOW uint64 words of subsets, and
+# each later one twice the rows, up to _WINDOW_ROWS; each block it scans holds at most
+# _BLOCK_WORDS words (128 kB).
+_FIRST_WINDOW, _WINDOW_ROWS, _BLOCK_WORDS = 2**10, 2**16, 2**14
 # _subset_counts counts about _CHUNK_CELLS (subset, column) keys per pass; keys spanning
 # at most _DENSE bins per key are counted, and _repeated sorts wider ones.
 _CHUNK_CELLS, _DENSE = 2**14, 4
@@ -90,30 +91,24 @@ def _windows(big_m: int, k: int, count: int, words: int):
 
     A row is a (k-1)-subset, the prefix; its subsets add a last member z
     from its first column, one past the prefix's largest member, to M - 1.
-    A window is a run of consecutive rows, none starting past the budget,
-    holding about ``_FIRST_WINDOW`` words of subsets at first, doubling
-    up to ``_WINDOW_WORDS``.  Rows are read ahead from ``combinations``
-    in doubling batches.  Yields ``(prefixes, firsts, ranks)``: the
-    rows' (k-1, n) members, each row's first column and the rank of its
-    first subset.
+    A window is one read of consecutive rows from ``combinations``: about
+    ``_FIRST_WINDOW`` words of subsets at first, then twice the rows of
+    the one before, up to ``_WINDOW_ROWS``; rows starting past the budget
+    are cut.  Yields ``(prefixes, firsts, ranks)``: the rows' (k-1, n)
+    members, each row's first column and the rank of its first subset.
     """
-    source, more = combinations(range(big_m), k - 1), True
-    end, size = 0, _FIRST_WINDOW
-    ahead = np.empty((k - 1, 0), dtype=np.intp)  # the prefixes of the rows not yet yielded
-    while end < count:  # end is the rank of ahead's first subset
-        widths = big_m - 1 - ahead[-1]
-        while more and widths.sum() * words < size:
-            want = ahead.shape[1] + 1
-            batch = np.fromiter(chain.from_iterable(islice(source, want)), np.intp).reshape(-1, k - 1).T
-            more = batch.shape[1] == want
-            ahead = np.concatenate((ahead, batch), axis=1)
-            widths = big_m - 1 - ahead[-1]
+    source = combinations(range(big_m), k - 1)
+    end, n = 0, max(1, _FIRST_WINDOW // max(1, words * big_m))
+    while end < count:  # end is the rank of the next row's first subset
+        prefixes = np.fromiter(chain.from_iterable(islice(source, n)), np.intp).reshape(-1, k - 1).T
+        widths = big_m - 1 - prefixes[-1]
         ranks = end + np.cumsum(widths) - widths
-        n = int(min(np.searchsorted(ranks, end + -(-size // words)), np.searchsorted(ranks, count)))
-        yield ahead[:, :n], big_m - widths[:n], ranks[:n]
-        end = int(ranks[n - 1] + widths[n - 1])
-        ahead = ahead[:, n:]
-        size = min(2 * size, _WINDOW_WORDS)
+        cut = int(np.searchsorted(ranks, count))
+        yield prefixes[:, :cut], big_m - widths[:cut], ranks[:cut]
+        if len(widths) < n:
+            return
+        end = int(ranks[-1] + widths[-1])
+        n = min(2 * n, _WINDOW_ROWS)
 
 
 def _blocks(firsts: np.ndarray, ranks: np.ndarray, count: int, big_m: int, words: int):
@@ -121,23 +116,21 @@ def _blocks(firsts: np.ndarray, ranks: np.ndarray, count: int, big_m: int, words
 
     Rows are taken in order of first column, so rows sharing a first
     column share a block.  A block is a run of them times the columns
-    z0 .. z1 - 1, from the first row's first column to M - 1; a row too
-    wide for a block alone is cut into column chunks, none past the budget.
+    z0 .. z1 - 1.  Rows that fit run from the first row's first column
+    to M - 1; a row too wide for a block alone is cut into column
+    chunks, none past the budget.
     """
     # rows ending at M - 1 have no subsets, and sort last
     order = np.argsort(firsts, kind="stable")[:np.count_nonzero(firsts < big_m)]
     i = 0
     while i < len(order):
         first = int(firsts[order[i]])
-        fit = _BLOCK_WORDS // (words * (big_m - first))
-        if fit:
-            yield order[i:i + fit], first, big_m
-            i += fit
-            continue
-        step = max(1, _BLOCK_WORDS // words)
+        fit = max(1, _BLOCK_WORDS // (words * (big_m - first)))
+        step = max(1, _BLOCK_WORDS // (words * fit))
+        # only a lone row is chunked: with more, step covers every column
         for z0 in range(first, min(big_m, first + count - int(ranks[order[i]])), step):
-            yield order[i:i + 1], z0, min(big_m, z0 + step)
-        i += 1
+            yield order[i:i + fit], z0, min(big_m, z0 + step)
+        i += fit
 
 
 def _bit_rows(masks: np.ndarray, ids: np.ndarray, words: np.ndarray) -> np.ndarray:
@@ -215,25 +208,25 @@ def is_frameproof_naive(code: Code, c: int, budget: int = NAIVE_BUDGET) -> Verif
     over positions of the OR of P's bit rows, one packed uint64 row per
     (position, symbol) present, and it must be P itself.  Subsets of each
     size k are scanned in lexicographic order of word index, in windows
-    of consecutive (k-1)-word prefixes growing from 2**10 to 2**17 words
-    of subsets.  A window is cut into blocks of prefixes by a contiguous
-    range of last words z; a prefix's bit rows are ORed once, and each
-    position costs one broadcast OR and one AND over the (ceil(M/64),
-    prefixes, z) block.  Memory is ceil(M/64) words per (position,
-    symbol) present and, per block, two buffers of at most 2**14 words
-    (128 kB) and three gathers of at most l * 2**14 words each (the
-    prefixes' OR, one member's bit rows, the columns' bit rows): (3l +
-    2) * 2**14 words, 3.7 MB at l = 9.  The least ranked framing in a
-    window is the first offending (P, x), x the least framed word, so
-    reports are deterministic and a framing near the start is found
-    after a few small blocks.  Work is metered in (subset, candidate)
-    pairs, M - k per subset of size k; the subsets of a size that fit
-    are counted before it is scanned (a budget spent on singletons
-    builds no bit rows), and the first subset past ``budget`` raises
-    :class:`BudgetExceeded`.
+    of consecutive (k-1)-word prefixes: about 2**10 words of subsets at
+    first, then twice the prefixes of the window before, up to 2**16.  A
+    window is cut into blocks of prefixes by a contiguous range of last
+    words z; a prefix's bit rows are ORed once, and each position costs
+    one broadcast OR and one AND over the (ceil(M/64), prefixes, z)
+    block.  Memory is ceil(M/64) words per (position, symbol) present,
+    (k-1) * 2**16 prefix members per window and, per block, two buffers
+    of at most 2**14 words (128 kB) and three gathers of at most l *
+    2**14 words each (the prefixes' OR, one member's bit rows, the
+    columns' bit rows): (3l + 2) * 2**14 words, 3.7 MB at l = 9.  The
+    least ranked framing in a window is the first offending (P, x), x
+    the least framed word, so reports are deterministic and a framing
+    near the start is found after a few small blocks.  Work is metered
+    in (subset, candidate) pairs, M - k per subset of size k; the
+    subsets of a size that fit are counted before it is scanned (a
+    budget spent on singletons builds no bit rows), and the first subset
+    past ``budget`` raises :class:`BudgetExceeded`.
     """
-    if c < 2:
-        raise ValueError("c must be at least 2")
+    c = _check_count("c", c, 2)
     start = time.perf_counter()
     rows, big_m = code.array, code.size
     masks = ids = None
@@ -381,8 +374,7 @@ def is_frameproof_cover(code: Code, c: int, budget: int = NAIVE_BUDGET) -> Verif
     ``subsets_examined``; an index larger than ``budget`` is refused
     before it is built, and either way :class:`BudgetExceeded` is raised.
     """
-    if c < 2:
-        raise ValueError("c must be at least 2")
+    c = _check_count("c", c, 2)
     start = time.perf_counter()
     rows = code.array
     big_m = len(rows)
@@ -485,8 +477,7 @@ def is_t_determined(code: Code, t: int) -> VerifyReport:
     the offending word.
     """
     inf = code.inf_id
-    if t < 1:
-        raise ValueError("t must be at least 1")
+    t = _check_count("t", t, 1)
     start = time.perf_counter()
     rows = code.array
     big_m = len(rows)

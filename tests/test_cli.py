@@ -182,6 +182,17 @@ class TestVerify:
         assert run(["--budget", "5", "verify", "--c", "2", "--algorithm", "cover",
                     str(path)]) == 2
 
+    def test_violation_outranks_a_budget_stop(self, tmp_path, capsys):
+        # every word of a full 4 x 4 square is framed: cover finds one within
+        # its 32 projections and a few nodes, while naive's 16 * 15 singleton pairs pass 100
+        path = tmp_path / "square.fpc"
+        write_code_file(make_code(2, 4, list(itertools.product(range(4), repeat=2))), path)
+        assert run(["--budget", "100", "verify", "--c", "2", "--algorithm", "both",
+                    str(path)]) == 1
+        out = capsys.readouterr().out.splitlines()
+        assert out[0].startswith("naive: budget exceeded (")
+        assert out[1] == "cover: NOT frameproof (c=2)"
+
     def test_negative_budget_is_a_usage_error(self, base_file, capsys):
         assert run(["--budget", "-1", "verify", "--c", "2", str(base_file)]) == 64
         assert "--budget" in capsys.readouterr().err

@@ -203,6 +203,21 @@ class TestPolynomialLift:
         with pytest.raises(ValueError, match="determined"):
             polynomial_lift(bad, 3, 2, 2)
 
+    @pytest.mark.parametrize("bad", [True, 2.0, "2"])
+    def test_counts_are_integers(self, bad):
+        parent = base_code("q3")
+        for c, t, name in ((bad, 2, "c"), (2, bad, "t")):
+            with pytest.raises(ValueError, match=f"{name} must be an integer of at least"):
+                polynomial_lift(parent, 3, t, c)
+            with pytest.raises(ValueError, match=f"{name} must be an integer of at least"):
+                augment_infinity(parent, c, t)
+
+    def test_numpy_counts_are_integers(self):
+        # numpy integers pass, an unsigned t included: it comes back as an int, so -t cannot wrap
+        parent, c, t = base_code("q3"), np.int64(2), np.uint8(2)
+        assert polynomial_lift(parent, 3, t, c) == polynomial_lift(parent, 3, 2, 2)
+        assert augment_infinity(parent, c, t) == augment_infinity(parent, 2, 2)
+
     def test_checks_run_in_order(self):
         # infinity, then prime power, then too small, then an infinity in every word
         # (a field one point short), then shape, then determinedness: each input below

@@ -138,8 +138,24 @@ class TestNaive:
     def test_rejects_small_c(self):
         with pytest.raises(ValueError):
             is_frameproof_naive(base_code("q3"), 1)
-        with pytest.raises(ValueError, match="c must be at least 2"):
+        with pytest.raises(ValueError, match="c must be an integer of at least 2, got 1"):
             is_frameproof_cover(base_code("q3"), 1)
+
+    @pytest.mark.parametrize("bad", [True, 2.0, "2"])
+    def test_counts_are_integers(self, bad):
+        # refused, not coerced: True would run as 1
+        code = base_code("q3")
+        for oracle, name in ((is_frameproof_naive, "c"), (is_frameproof_cover, "c"),
+                             (is_t_determined, "t")):
+            with pytest.raises(ValueError, match=f"{name} must be an integer of at least"):
+                oracle(code, bad)
+
+    def test_numpy_counts_are_integers(self):
+        code = base_code("q3")
+        assert is_frameproof_naive(code, np.int64(2)).verdict
+        assert is_frameproof_cover(code, np.int32(2)).verdict
+        # unsigned: -t must not wrap to 254 when the t widest symbol ranges are sliced
+        assert is_t_determined(code, np.uint8(2)).subsets_examined == 8 + 6 * 8
 
     def test_budget_exceeded(self):
         with pytest.raises(BudgetExceeded) as exc:
@@ -376,10 +392,10 @@ class TestNaiveBlocks:
         # two framings in one window; the higher ranked one has the lower first
         # column, so its block, of at most 2**9 words here, is scanned first
         monkeypatch.setattr(verify, "_BLOCK_WORDS", 2**9)
-        code = make_code(3, 69, [(v,) * 3 for v in range(69)] + [(42, 0, 40), (5, 3, 1)])
+        code = make_code(3, 69, [(v,) * 3 for v in range(69)] + [(60, 0, 55), (5, 3, 1)])
         where = {w: i for i, w in enumerate(code.words)}
         low, high = (tuple(sorted(where[(v,) * 3] for v in values))
-                     for values in ((0, 40, 42), (1, 3, 5)))
+                     for values in ((0, 55, 60), (1, 3, 5)))
         assert low < high
         words = -(-code.size // 64)
         for prefixes, firsts, ranks in verify._windows(code.size, 3, comb(code.size, 3), words):
