@@ -137,10 +137,6 @@ def _print_witness(witness, code: Code) -> None:
             print(f"  {_print_word(w, code)}")
         print("framed word:")
         print(f"  {_print_word(witness.framed_word, code)}")
-    elif witness.kind in ("inf_count", "agreement"):
-        for w in witness.pair:
-            print(f"  {_print_word(w, code)}")
-        print(f"  positions: {list(witness.positions)}")
     else:
         print(f"  rows {list(witness.rows)}: tuple {list(witness.symbols)} "
               f"appears {witness.count} times, expected {witness.expected}")

@@ -63,21 +63,16 @@ def make_code(length: int, q: int, words, inf_id: int | None = None) -> Code:
     """Validate and canonicalise a word collection into a :class:`Code`.
 
     ``words`` is an integer ``(M, l)`` array or an iterable of words.
-    Symbols and ``inf_id`` must be integers (numpy integers are
-    converted; floats, bools, ``None`` symbols and strings are rejected)
-    that fit in int64.  Duplicate words, wrong lengths, non-integer and
-    out-of-range symbols are all rejected with distinct diagnostics
-    naming the first offending word.
+    ``length``, ``q``, ``inf_id`` and the symbols are ints or numpy
+    integers, stored as ``int``; floats, bools, strings and ``None``
+    raise ValueError, as do symbols past int64.  Duplicate words, wrong
+    lengths and out-of-range symbols are rejected with distinct
+    diagnostics naming the first offending word.
     """
-    if length < 1:
-        raise ValueError("length must be a positive integer")
-    if q < 2:
-        raise ValueError("alphabet size must be at least 2")
+    length, q = _check_count("length", length, 1), _check_count("q", q, 2)
     if inf_id is not None:
-        if not is_integer(inf_id):
-            raise ValueError(f"inf_id {inf_id!r} is not an integer")
-        inf_id = int(inf_id)
-        if not 0 <= inf_id < q:
+        inf_id = _check_count("inf_id", inf_id, 0)
+        if inf_id >= q:
             raise ValueError(f"inf_id {inf_id} out of range 0..{q - 1}")
     if not isinstance(words, np.ndarray):
         words = [tuple(w) for w in words]
@@ -95,7 +90,7 @@ def is_integer(v) -> bool:
 
 
 def _check_count(name: str, v, least: int) -> int:
-    """The count c or t as an int, so -t cannot wrap; ValueError unless an integer >= ``least``."""
+    """``v`` as an int, so no arithmetic on it wraps; ValueError unless an integer >= ``least``."""
     if not is_integer(v) or v < least:
         raise ValueError(f"{name} must be an integer of at least {least}, got {v!r}")
     return int(v)

@@ -131,6 +131,7 @@ def polynomial_lift(code: Code, m: int, t: int, c: int) -> Code:
     length = code.length
     if code.inf_id != 0:
         raise ValueError("parent code must designate infinity as symbol 0")
+    m = _check_count("m", m, 2)
     if is_prime_power(m) is None:
         raise ValueError(f"{m} is not a prime power")
     short = m == length - 2

@@ -7,6 +7,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
+from .codes import _check_count
 
 TRIAL_DIVISION_LIMIT = 2**40  # about 0.1 s of trial division at the limit
 
@@ -30,8 +31,7 @@ def is_prime_power(n: int) -> tuple[int, int] | None:
 
 def factor_prime_powers(n: int) -> tuple[tuple[int, int], ...]:
     """Full prime factorisation of n grouped as ``((p, e), ...)``, p ascending."""
-    if n < 2:
-        raise ValueError("n must be at least 2")
+    n = _check_count("n", n, 2)
     out = []
     r, p = n, 2
     while r > 1:
@@ -216,8 +216,7 @@ class Field:
         by the point and adds every constant c to them, as row c of the
         next values.
         """
-        if t < 1:
-            raise ValueError("t must be at least 1")
+        t = _check_count("t", t, 1)
         m = self.order
         values = np.arange(m, dtype=np.int64)
         if point is None:
@@ -255,7 +254,7 @@ class Field:
         return f"GF({self.order})"
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # 9.0 must not find the field of np.int64(9)
 def make_field(m: int) -> Field:
     pe = is_prime_power(m)
     if pe is None:

@@ -8,8 +8,8 @@ from math import comb
 
 import numpy as np
 
-from .codes import (_HEAD, Code, Witness, _read_header, _read_table, _table_bytes, is_integer,
-                    make_code)
+from .codes import (_HEAD, Code, Witness, _check_count, _read_header, _read_table, _table_bytes,
+                    is_integer, make_code)
 from .gf import is_prime_power, make_field
 from .verify import VerifyReport, _subset_counts
 
@@ -21,9 +21,9 @@ class OrthogonalArray:
     Balanced means: restricted to any t rows, each of the s**t column
     tuples appears exactly ``index`` = N / s**t times.  Construction
     checks the shape bookkeeping and freezes an int64 copy of the array:
-    integer ``levels`` >= 2 and ``strength`` in 1..k, integer entries in
-    0..s-1 (floats, bools and strings are rejected, not truncated), and
-    N a multiple of s**t.  :func:`verify_oa` checks the balance itself.
+    ``levels`` >= 2 and ``strength`` in 1..k, stored as ``int``, entries in
+    0..s-1 (numpy integers pass; any float, bool or string raises
+    ValueError), and N a multiple of s**t.  :func:`verify_oa` checks the balance.
     """
 
     levels: int  # s
@@ -31,11 +31,8 @@ class OrthogonalArray:
     array: np.ndarray  # k x N, entries 0..s-1
 
     def __post_init__(self):
-        for name in ("levels", "strength"):
-            v = getattr(self, name)
-            if not is_integer(v):
-                raise ValueError(f"{name} {v!r} is not an integer")
-            object.__setattr__(self, name, int(v))
+        object.__setattr__(self, "levels", _check_count("levels", self.levels, 2))
+        object.__setattr__(self, "strength", _check_count("strength", self.strength, 1))
         arr = np.asarray(self.array)
         if arr.ndim != 2:
             raise ValueError("array must be two-dimensional")
@@ -45,9 +42,7 @@ class OrthogonalArray:
                     raise ValueError(f"entry {v!r} is not an integer")
         arr = arr.astype(np.int64)
         k, n = arr.shape
-        if self.levels < 2:
-            raise ValueError("levels must be at least 2")
-        if not 1 <= self.strength <= k:
+        if self.strength > k:
             raise ValueError(f"strength {self.strength} out of range 1..{k}")
         if arr.size and (arr.min() < 0 or arr.max() >= self.levels):
             raise ValueError(f"entries must lie in 0..{self.levels - 1}")

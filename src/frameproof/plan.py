@@ -194,8 +194,8 @@ def format_plan(plan: ConstructionPlan) -> str:
 
 def ssw_bound(c: int, length: int, q: int) -> int:
     """Classical cardinality upper bound c * (q**ceil(l/c) - 1)."""
-    if c < 2 or length < 2 or q < 2:
-        raise ValueError("c, length and q must all be at least 2")
+    c, length = _check_count("c", c, 2), _check_count("length", length, 2)
+    q = _check_count("q", q, 2)
     return c * (q ** (-(-length // c)) - 1)
 
 
@@ -207,8 +207,7 @@ def blackburn_leading(c: int, length: int) -> Fraction:
     the underlying cardinality bound carries no explicit constant, so
     only this asymptotic coefficient is exposed.
     """
-    if c < 2 or length < 2:
-        raise ValueError("c and length must be at least 2")
+    c, length = _check_count("c", c, 2), _check_count("length", length, 2)
     t = (length - 1) % c + 1
     # with length = a*c + t the denominator is a*(c - t + 1) + 1, at least 1
     denom = length - (t - 1) * (-(-length // c))
@@ -217,4 +216,6 @@ def blackburn_leading(c: int, length: int) -> Fraction:
 
 def achieved_rate(c: int, length: int, q: int, size: int) -> Fraction:
     """Exact rate M / q**ceil(l/c) of a code of the given size."""
+    c, length = _check_count("c", c, 2), _check_count("length", length, 2)
+    q, size = _check_count("q", q, 2), _check_count("size", size, 0)
     return Fraction(size, q ** (-(-length // c)))

@@ -33,6 +33,8 @@ TERNARY_WORDS = [
     (2, 2, 1, 0),
 ]
 
+COUNT_KINDS = (int, np.int8, np.uint8, np.int32, np.uint64, float, np.float64, bool)
+
 
 @st.composite
 def word_pools(draw):
@@ -49,6 +51,10 @@ class TestMakeCode:
         code = make_code(4, 3, TERNARY_WORDS, inf_id=0)
         assert code.size == 8
         assert code.words == base_code("q3").words
+        with pytest.raises(ValueError, match="q must be an integer of at least 2, got 3.0"):
+            make_code(4, 3.0, TERNARY_WORDS)
+        with pytest.raises(ValueError, match="length must be an integer of at least 1, got 4.0"):
+            make_code(4.0, 3, np.array(TERNARY_WORDS))
 
     def test_duplicate_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
@@ -68,7 +74,7 @@ class TestMakeCode:
 
     @pytest.mark.parametrize("inf_id", [1.0, True, np.bool_(True), "1", np.float64(0.0)])
     def test_non_integer_inf_id_rejected(self, inf_id):
-        with pytest.raises(ValueError, match="inf_id .* is not an integer"):
+        with pytest.raises(ValueError, match="inf_id must be an integer of at least 0, got"):
             make_code(2, 3, [(1, 2), (2, 1)], inf_id=inf_id)
 
     def test_numpy_integer_inf_id_accepted(self):
@@ -91,6 +97,24 @@ class TestMakeCode:
         code = make_code(2, 3, [np.array([2, 0]), (np.int64(0), np.uint8(1))])
         assert code.words == ((0, 1), (2, 0))
         assert all(type(v) is int for w in code.words for v in w)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_length_and_q_are_ints_or_refused(self, data):
+        # ints and numpy integers are stored as int and read back; integral floats and
+        # bools are refused, as are values below 1 and 2
+        length, q = data.draw(st.integers(0, 4)), data.draw(st.integers(0, 5))
+        symbol = st.integers(0, max(q - 1, 0))
+        words = data.draw(st.lists(st.tuples(*[symbol] * length), max_size=6, unique=True))
+        kinds = [data.draw(st.sampled_from(COUNT_KINDS)) for _ in range(2)]
+        args = [kind(v) for kind, v in zip(kinds, (length, q))]
+        if {float, np.float64, bool} & set(kinds) or length < 1 or q < 2:
+            with pytest.raises(ValueError):
+                make_code(*args, words)
+            return
+        code = make_code(*args, words)
+        assert type(code.length) is int and type(code.q) is int
+        assert code_from_text(code_to_text(code)) == code
 
     def test_first_bad_word_is_reported(self):
         with pytest.raises(ValueError, match=r"length 1"):

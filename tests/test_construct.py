@@ -189,6 +189,8 @@ class TestPolynomialLift:
         parent = base_code("q3")
         with pytest.raises(ValueError, match="prime power"):
             polynomial_lift(parent, 6, 2, 2)
+        with pytest.raises(ValueError, match="m must be an integer of at least 2, got 3.0"):
+            polynomial_lift(parent, 3.0, 2, 2)
         with pytest.raises(ValueError, match="too small"):
             polynomial_lift(base_code("q4"), 2, 2, 3)  # GF(2) is two points short
         with pytest.raises(ValueError, match="c >= t"):
@@ -217,6 +219,11 @@ class TestPolynomialLift:
         parent, c, t = base_code("q3"), np.int64(2), np.uint8(2)
         assert polynomial_lift(parent, 3, t, c) == polynomial_lift(parent, 3, 2, 2)
         assert augment_infinity(parent, c, t) == augment_infinity(parent, 2, 2)
+        # numpy q and m are stored as ints, so the lifted alphabet (q-1)*m + 1 cannot wrap
+        parent = make_code(4, np.uint8(3), parent.array, inf_id=0)
+        lifted = polynomial_lift(parent, 131, 2, 2)
+        assert lifted.q == 263 and type(lifted.q) is int
+        assert polynomial_lift(parent, np.uint8(131), 2, 2) == lifted
 
     def test_checks_run_in_order(self):
         # infinity, then prime power, then too small, then an infinity in every word

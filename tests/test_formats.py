@@ -70,7 +70,7 @@ class TestStrictGrammar:
 
     def test_zero_length_is_an_input_error(self, tmp_path, capsys):
         rc, err = _exit_and_err(tmp_path, capsys, "fpc1 q=3 l=0 M=0 inf=none\n", "a.fpc")
-        assert rc == 64 and err == "error: length must be a positive integer\n"
+        assert rc == 64 and err == "error: length must be an integer of at least 1, got 0\n"
 
     @pytest.mark.parametrize("entry", BAD_ENTRIES + ["٣"])
     def test_bad_entry_through_the_library(self, entry):

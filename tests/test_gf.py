@@ -42,6 +42,10 @@ class TestPrimePower:
         assert factor_prime_powers(2**10) == ((2, 10),)
         with pytest.raises(ValueError):
             factor_prime_powers(1)
+        make_field(np.int64(9))  # a cached field, which a float 9.0 must not find
+        for fn, n in ((factor_prime_powers, 12.0), (is_prime_power, 9.0), (make_field, 9.0)):
+            with pytest.raises(ValueError, match=f"n must be an integer of at least 2, got {n}"):
+                fn(n)
 
     def test_trial_division_is_bounded(self):
         assert factor_prime_powers(2**40 - 1) == (

@@ -95,6 +95,8 @@ class TestBuilder:
     def test_rejects_non_prime_power(self):
         with pytest.raises(ValueError):
             build_oa_strength2(6)
+        with pytest.raises(ValueError, match="n must be an integer of at least 2, got 4.0"):
+            build_oa_strength2(4.0)
 
     def test_columns_agree_in_under_t_rows(self):
         # index-1 strength-t: distinct columns share at most t-1 entries
@@ -171,7 +173,7 @@ class TestVerifier:
             make_oa([[0, 1, 0]], 2, 1)  # runs not divisible by s**t
         with pytest.raises(ValueError):
             make_oa([[0, 1]], 2, 2)  # strength above row count
-        with pytest.raises(ValueError, match="levels must be at least 2"):
+        with pytest.raises(ValueError, match="levels must be an integer of at least 2, got 1"):
             make_oa([[0]], 1, 1)
 
     @pytest.mark.parametrize(
@@ -198,7 +200,7 @@ class TestVerifier:
         ],
     )
     def test_non_integer_parameters_rejected(self, levels, strength, bad):
-        with pytest.raises(ValueError, match=f"{bad} is not an integer"):
+        with pytest.raises(ValueError, match=bad.replace(" ", " must be an integer .*, got ")):
             make_oa([[0, 1], [1, 0]], levels, strength)
 
     def test_numpy_integers_accepted(self):

@@ -287,8 +287,9 @@ class TestBounds:
         assert ssw_bound(2, 4, 7) == 96
         assert ssw_bound(3, 5, 10) == 297
         assert ssw_bound(2, 4, 3) == 16
-        for args in ((1, 4, 3), (2, 1, 3), (2, 4, 1)):
-            with pytest.raises(ValueError, match="must all be at least 2"):
+        for args, name in (((1, 4, 3), "c"), ((2, 1, 3), "length"), ((2, 4, 1), "q"),
+                           ((2.0, 4, 3), "c"), ((2, 4, True), "q")):
+            with pytest.raises(ValueError, match=f"^{name} must be an integer of at least 2"):
                 ssw_bound(*args)
 
     def test_leading_values(self):
@@ -296,13 +297,18 @@ class TestBounds:
         assert blackburn_leading(2, 4) == Fraction(2)
         assert blackburn_leading(3, 4) == Fraction(1)  # length = 1 mod c
         assert blackburn_leading(2, 6) == Fraction(2)
-        for args in ((1, 4), (2, 1)):
-            with pytest.raises(ValueError, match="must be at least 2"):
+        for args, name in (((1, 4), "c"), ((2, 1), "length"), ((2.0, 4), "c"),
+                           ((2, True), "length")):
+            with pytest.raises(ValueError, match=f"^{name} must be an integer of at least 2"):
                 blackburn_leading(*args)
 
     def test_rates(self):
         assert achieved_rate(2, 4, 7, 73) == Fraction(73, 49)
         assert achieved_rate(3, 5, 4, 16) == Fraction(1)
+        for args, name in (((2, 4, True, 8), "q"), ((2, 4, 7, -3), "size"),
+                           ((2, 4, 7, 2.5), "size")):
+            with pytest.raises(ValueError, match=f"^{name} must be an integer of at least"):
+                achieved_rate(*args)
 
     def test_rates_increase_towards_leading(self):
         previous = Fraction(0)
