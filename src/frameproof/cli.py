@@ -18,6 +18,7 @@ from .codes import (
     Code,
     _FPC_MAGIC,
     _HEAD,
+    _check_count,
     code_from_text,
     code_to_text,
     read_code_file,
@@ -230,8 +231,8 @@ def _cmd_oa_verify(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
-    if min(args.c, args.l, args.q) < 2:
-        raise ValueError("c, length and q must all be at least 2")
+    lead = blackburn_leading(args.c, args.l)  # refuses c or length below 2, by name
+    _check_count("q", args.q, 2)
     # refuse before any power: a bound too long to print would take minutes to compute
     # with the limit off (0, or no limit before 3.10.7) the interpreter's default applies
     limit = (getattr(sys, "get_int_max_str_digits", int)()
@@ -248,7 +249,6 @@ def _cmd_bounds(args) -> int:
             )
         achieved = code.size
     ssw = ssw_bound(args.c, args.l, args.q)
-    lead = blackburn_leading(args.c, args.l)
     if achieved is not None and achieved > ssw:
         raise ValueError(f"size {achieved} exceeds the cardinality bound {ssw}")
     if not args.quiet:

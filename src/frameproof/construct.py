@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .codes import Code, _check_count, make_code
-from .gf import is_prime_power, make_field
+from .gf import make_field
 from .verify import is_t_determined
 
 # Fixture word patterns.  A pattern entry is None for an infinity slot or
@@ -85,7 +85,7 @@ def default_eval_points(m: int, length: int) -> tuple[int | None, ...]:
     evaluates at these points (word by word at l - 1 of them when m = l - 2),
     so they are part of the reproducibility contract.
     """
-    if m < length - 1:
+    if _check_count("m", m, 2) < length - 1:
         raise ValueError(f"field order {m} too small for length {length}")
     if length <= m:
         return tuple(range(length))
@@ -131,9 +131,7 @@ def polynomial_lift(code: Code, m: int, t: int, c: int) -> Code:
     length = code.length
     if code.inf_id != 0:
         raise ValueError("parent code must designate infinity as symbol 0")
-    m = _check_count("m", m, 2)
-    if is_prime_power(m) is None:
-        raise ValueError(f"{m} is not a prime power")
+    m = make_field(m).order
     short = m == length - 2
     # point ids, m standing for the infinity point
     pts = np.array([m if p is None else p for p in default_eval_points(m, length - short)])

@@ -256,7 +256,7 @@ class Field:
 
 @lru_cache(maxsize=None, typed=True)  # 9.0 must not find the field of np.int64(9)
 def make_field(m: int) -> Field:
-    pe = is_prime_power(m)
+    pe = is_prime_power(_check_count("m", m, 2))
     if pe is None:
         raise ValueError(f"{m} is not a prime power")
     p, e = pe
@@ -265,7 +265,7 @@ def make_field(m: int) -> Field:
 
 def leading_coeff(coeffs, t: int) -> int:
     """Coefficient of X**(t-1) in a polynomial of degree at most t-1."""
-    coeffs = tuple(coeffs)
+    coeffs, t = tuple(coeffs), _check_count("t", t, 1)
     if any(coeffs[i] for i in range(t, len(coeffs))):
         raise ValueError(f"polynomial degree exceeds {t - 1}")
     return coeffs[t - 1] if len(coeffs) >= t else 0

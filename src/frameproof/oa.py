@@ -4,13 +4,12 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from math import comb
 
 import numpy as np
 
 from .codes import (_HEAD, Code, Witness, _check_count, _read_header, _read_table, _table_bytes,
                     is_integer, make_code)
-from .gf import is_prime_power, make_field
+from .gf import make_field
 from .verify import VerifyReport, _subset_counts
 
 
@@ -88,8 +87,7 @@ def build_oa_strength2(s: int) -> OrthogonalArray:
     :meth:`~frameproof.gf.Field.poly_values` call, whose (b, a) order is
     transposed to (a, b).
     """
-    if s < 2 or is_prime_power(s) is None:
-        raise ValueError(f"{s} is not a prime power")
+    s = _check_count("s", s, 2)
     field = make_field(s)
     arr = np.empty((s + 1, s, s), dtype=np.int64)
     for row, alpha in zip(arr, (*range(s), None)):
@@ -111,11 +109,8 @@ def verify_oa(oa: OrthogonalArray) -> VerifyReport:
     Entries lie in 0..s-1, which :class:`OrthogonalArray` guarantees.
     """
     start = time.perf_counter()
-    k, n = oa.array.shape
+    k = oa.constraints
     t, s, lam = oa.strength, oa.levels, oa.index
-    if not n:
-        # no runs: every tuple is seen index = 0 times
-        return VerifyReport(True, None, comb(k, t), time.perf_counter() - start)
     examined = 0
     # N = index * s**t keys span s**t bins, within _DENSE bins per column; each
     # subset's N keys sum to index * s**t, so its counts all equal index when none passes it

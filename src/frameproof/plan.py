@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
-from .codes import Code, _check_count, is_integer
+from .codes import Code, _check_count
 from .construct import BASE_CODE_INFO, augment_infinity, base_code, polynomial_lift
 from .gf import factor_prime_powers, is_prime_power
 from .oa import build_oa_strength2, oa_to_pt_code
@@ -55,9 +55,9 @@ class Step(NamedTuple):
             return _base(self.arg)[0]
         q, length, size = before
         if self.kind == "lift":
-            m = self.arg
-            if not is_integer(m) or m < 2 or is_prime_power(m) is None:
-                raise ValueError(f"lift order {m!r} is not a prime power")
+            m = _check_count("m", self.arg, 2)
+            if is_prime_power(m) is None:
+                raise ValueError(f"lift order {m} is not a prime power")
             if m < length - 2:
                 raise ValueError(f"lift order {m} too small for length {length}")
             return (q - 1) * m + 1, length, size * m * m
@@ -151,8 +151,9 @@ def plan_code(c: int, q: int) -> ConstructionPlan:
     c = _check_count("c", c, 2)
     if is_prime_power(c + 1) is None:
         raise ValueError(f"no planned family for c={c}: c+1 = {c + 1} is not a prime power")
-    if not is_integer(q) or q < c + 1 or (q - 1) % c:
-        raise ValueError(f"q must be 1 mod c={c} and at least {c + 1}, got {q!r}")
+    q = _check_count("q", q, c + 1)
+    if (q - 1) % c:
+        raise ValueError(f"q must be 1 mod c={c}, got {q}")
     steps = tuple(_chain(c, q)) + (Step("augment"),)
     return ConstructionPlan(c, c + 2, q, (c + 2) * (q - 1) ** 2 // c + 1, steps)
 

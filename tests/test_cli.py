@@ -309,7 +309,7 @@ class TestOaCommands:
         assert run(["oa-verify", str(path)]) == 0
         for s in ("0", "1"):
             assert run(["oa", "--s", s]) == 64
-            assert f"error: {s} is not a prime power" in capsys.readouterr().err
+            assert f"error: s must be an integer of at least 2, got {s}" in capsys.readouterr().err
 
     def test_corruption_detected(self, tmp_path, capsys):
         path = tmp_path / "bad.oa"
@@ -418,11 +418,14 @@ class TestBounds:
         # 10,000 digits, printable with the limit off, is refused too
         assert run(["bounds", "--c", "2", "--l", "20000", "--q", "10"]) == 64
 
-    @pytest.mark.parametrize("flags", [["--c", "0", "--l", "4"], ["--c", "2", "--l", "1"],
-                                       ["--c", "2", "--l", "4", "--q", "0"]])
-    def test_parameters_below_two_refused(self, flags, capsys):
+    @pytest.mark.parametrize("flags, name", [
+        pytest.param(["--c", "0", "--l", "4"], "c", id="flags0"),
+        pytest.param(["--c", "2", "--l", "1"], "length", id="flags1"),
+        pytest.param(["--c", "2", "--l", "4", "--q", "0"], "q", id="flags2"),
+    ])
+    def test_parameters_below_two_refused(self, flags, name, capsys):
         assert run(["bounds", "--q", "3"] + flags) == 64
-        assert "must all be at least 2" in capsys.readouterr().err
+        assert f"error: {name} must be an integer of at least 2" in capsys.readouterr().err
 
 
 class TestPassthrough:

@@ -135,6 +135,11 @@ class TestEvalPoints:
         with pytest.raises(ValueError):
             default_eval_points(2, 4)
 
+    @pytest.mark.parametrize("m, length", [(3.0, 4), (True, 2)])
+    def test_order_must_be_a_count(self, m, length):
+        with pytest.raises(ValueError, match=f"m must be an integer of at least 2, got {m}"):
+            default_eval_points(m, length)
+
 
 class TestPolynomialLift:
     def test_smallest_lift(self):

@@ -43,8 +43,9 @@ class TestPrimePower:
         with pytest.raises(ValueError):
             factor_prime_powers(1)
         make_field(np.int64(9))  # a cached field, which a float 9.0 must not find
-        for fn, n in ((factor_prime_powers, 12.0), (is_prime_power, 9.0), (make_field, 9.0)):
-            with pytest.raises(ValueError, match=f"n must be an integer of at least 2, got {n}"):
+        for fn, name, n in ((factor_prime_powers, "n", 12.0), (is_prime_power, "n", 9.0),
+                            (make_field, "m", 9.0)):
+            with pytest.raises(ValueError, match=f"{name} must be an integer of at least 2, got {n}"):
                 fn(n)
 
     def test_trial_division_is_bounded(self):
@@ -253,6 +254,8 @@ class TestPolyEval:
         assert leading_coeff((1, 2, 0, 0), 3) == 0
         with pytest.raises(ValueError):
             leading_coeff((1, 2, 5), 2)
+        with pytest.raises(ValueError, match="t must be an integer of at least 1, got True"):
+            leading_coeff((0, 1), True)
 
     def test_poly_values_match_the_reference_loop(self):
         # every point and infinity; t = 3 only up to m = 64, since at m = 256

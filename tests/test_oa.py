@@ -95,8 +95,9 @@ class TestBuilder:
     def test_rejects_non_prime_power(self):
         with pytest.raises(ValueError):
             build_oa_strength2(6)
-        with pytest.raises(ValueError, match="n must be an integer of at least 2, got 4.0"):
-            build_oa_strength2(4.0)
+        for s in (4.0, True):
+            with pytest.raises(ValueError, match=f"s must be an integer of at least 2, got {s}"):
+                build_oa_strength2(s)
 
     def test_columns_agree_in_under_t_rows(self):
         # index-1 strength-t: distinct columns share at most t-1 entries
@@ -137,7 +138,8 @@ class TestVerifier:
             reference_verify_oa(oa)
         )
 
-    @pytest.mark.parametrize("rows, s, t", [([[], []], 3, 1), ([[]] * 3, 3, 2)])
+    @pytest.mark.parametrize("rows, s, t", [([[], []], 3, 1), ([[]] * 3, 3, 2),
+                                             ([[]] * 5, 2, 3)])
     def test_no_runs_is_balanced(self, rows, s, t):
         # index 0: every tuple is seen 0 times in each of the C(k, t) subsets
         report = verify_oa(make_oa(rows, s, t))

@@ -1,6 +1,7 @@
 import re
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,6 +23,7 @@ from frameproof import (
     plan_code,
     ssw_bound,
 )
+from frameproof.plan import _shapes
 
 
 class TestPlanning:
@@ -206,6 +208,9 @@ class TestAnyC:
             plan_code(1, 3)
         with pytest.raises(ValueError, match="1 mod c"):
             plan_code(4, 12)
+        # a numpy q is read as an int, so the size (q-1)**2 + 1 cannot wrap in int64
+        plan = plan_code(2, np.int64(2**31 + 1))
+        assert type(plan.q) is int and plan.expected_size == 2**63 + 1
 
     @pytest.mark.parametrize("c", [1, 2.0, None, True])
     def test_c_is_checked_on_a_bare_base(self, c):
@@ -224,7 +229,7 @@ class TestAnyC:
         for steps, match in (
             ((Step("base", "oa6"),), "unknown base"),
             ((Step("base", "q7"),), "unknown base"),
-            ((Step("base", "q3"), Step("lift", 3.0)), "prime power"),
+            ((Step("base", "q3"), Step("lift", 3.0)), "m must be an integer of at least 2, got 3.0"),
             ((Step("lift", 3),), "start from its one base"),
             ((Step("base", "q3"), Step("base", "q3")), "start from its one base"),
             ((Step("base", "q3"), Step("twist")), "unknown step kind"),
@@ -232,6 +237,11 @@ class TestAnyC:
         ):
             with pytest.raises(ValueError, match=match):
                 execute_steps(steps, 2)
+        # a numpy order is read as an int: the planned shape is the built one, not a wrapped one
+        steps = (Step("base", "q3"), Step("lift", np.uint8(131)), Step("augment"))
+        assert _shapes(steps)[-1] == (263, 4, 137289)
+        code = execute_steps(steps, 2)
+        assert (code.q, code.length, code.size) == (263, 4, 137289)
 
     def test_format_names_the_array_seed(self):
         text = format_plan(plan_code(6, 43))
