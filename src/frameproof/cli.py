@@ -11,14 +11,16 @@ import itertools
 import math
 import sys
 
+import numpy as np
+
 from . import acceptance
 from .codes import (
-    INF_ALIAS,
     BudgetExceeded,
     Code,
     _FPC_MAGIC,
     _HEAD,
     _check_count,
+    _table_bytes,
     code_from_text,
     code_to_text,
     read_code_file,
@@ -127,17 +129,11 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _print_word(word, code: Code) -> str:
-    return " ".join(INF_ALIAS if v == code.inf_id else str(v) for v in word)
-
-
 def _print_witness(witness, code: Code) -> None:
     if witness.kind == "framed":
-        print("coalition:")
-        for w in witness.coalition:
-            print(f"  {_print_word(w, code)}")
-        print("framed word:")
-        print(f"  {_print_word(witness.framed_word, code)}")
+        words = np.array([*witness.coalition, witness.framed_word], dtype=np.int64)
+        *members, framed = str(_table_bytes(words, code.inf_id), "ascii").splitlines()
+        print("coalition:", *(f"  {w}" for w in members), "framed word:", f"  {framed}", sep="\n")
     else:
         print(f"  rows {list(witness.rows)}: tuple {list(witness.symbols)} "
               f"appears {witness.count} times, expected {witness.expected}")

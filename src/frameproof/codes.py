@@ -89,10 +89,14 @@ def is_integer(v) -> bool:
     return isinstance(v, numbers.Integral) and not isinstance(v, bool)
 
 
-def _check_count(name: str, v, least: int) -> int:
-    """``v`` as an int, so no arithmetic on it wraps; ValueError unless an integer >= ``least``."""
-    if not is_integer(v) or v < least:
-        raise ValueError(f"{name} must be an integer of at least {least}, got {v!r}")
+def _check_count(name: str, v, least: int | None) -> int:
+    """``v`` as an int, so no arithmetic on it wraps; ValueError unless an integer >= ``least``.
+
+    A ``least`` of None admits every integer, negative ones included.
+    """
+    if not is_integer(v) or least is not None and v < least:
+        floor = "" if least is None else f" of at least {least}"
+        raise ValueError(f"{name} must be an integer{floor}, got {v!r}")
     return int(v)
 
 
@@ -196,6 +200,7 @@ def enumerate_descendants(coalition, cap: int = DESCENDANT_CAP) -> set[Word]:
     Membership questions should go through :func:`descendant_contains`,
     which never enumerates.
     """
+    cap = _check_count("cap", cap, None)
     pool = [tuple(y) for y in coalition]
     if not pool:
         raise ValueError("coalition must be non-empty")
@@ -268,36 +273,33 @@ _BODY_BYTES = b"0123456789 \t\v\f\x1c\x1d\x1e\x1f\n\r"  # digits, blanks, line e
 _CHUNK_BYTES = 1 << 15
 
 
-def _table_bytes(table: np.ndarray, star: int | None = None) -> np.ndarray:
+def _table_bytes(table: np.ndarray, star: int | None = None) -> bytes:
     """The rows of a nonnegative int64 table as lines of decimal tokens, ``*`` for ``star``.
 
-    The ASCII text is a uint8 array, which a file writes and ``str``
-    decodes without a ``bytes`` copy.  One byte row per distinct symbol
-    holds its token right-aligned after zero padding, then a space; each
-    entry's row is gathered with one ``take``, the space after a line's
-    last token becomes a newline, and one compress drops the padding.
-    The symbols are min..max when that is no larger than the table, else
-    ``np.unique`` of it, so a few words with huge symbols stay cheap.
+    The ASCII text is returned as ``bytes``.  Each distinct symbol has one
+    fixed-width token: its digits, cast to bytes and NUL-padded, then a
+    space in the last byte.  One ``take`` gathers a token per entry, the
+    space after each line's last token becomes a newline, and one
+    ``translate`` deletes the padding.  The symbols are min..max when that
+    is no larger than the table, else ``np.unique`` of it, so a few words
+    with huge symbols stay cheap.
     """
     if not table.size:
-        return np.full(0 if table.shape[1] else len(table), ord("\n"), dtype=np.uint8)
+        return b"\n" * (0 if table.shape[1] else len(table))
     lo, hi = int(table.min()), int(table.max())
     if hi - lo < table.size:
         symbols, ids = lo + np.arange(hi - lo + 1), table - lo if lo else table
     else:
         symbols, ids = np.unique(table, return_inverse=True)
         ids = ids.reshape(table.shape)
-    powers = 10 ** np.arange(len(str(hi)) - 1, -1, -1, dtype=np.int64)
-    shown = symbols[:, None] >= powers
-    shown[:, -1] = True  # 0 is written "0"
-    tokens = np.where(shown, ord("0") + symbols[:, None] // powers % 10, 0)
+    width = len(str(hi)) + 1  # no token fills the last byte, which takes the space
+    tokens = symbols.astype(f"S{width}")
     if star is not None:
-        tokens[symbols == star] = [0] * (len(powers) - 1) + [ord(INF_ALIAS)]
-    rows = np.empty((len(symbols), len(powers) + 1), dtype=np.uint8)
-    rows[:, :-1], rows[:, -1] = tokens, ord(" ")
-    out = np.take(rows, ids, axis=0)
-    out[:, -1, -1] = ord("\n")
-    return out[out != 0]
+        tokens[symbols == star] = INF_ALIAS
+    tokens.view(np.uint8)[width - 1::width] = ord(" ")
+    out = np.take(tokens, ids)  # C order, so each line's bytes are one row of the view
+    out.view(np.uint8)[:, -1] = ord("\n")
+    return out.tobytes().translate(None, b"\0")
 
 
 def _fpc_header(code: Code) -> str:

@@ -85,7 +85,8 @@ def default_eval_points(m: int, length: int) -> tuple[int | None, ...]:
     evaluates at these points (word by word at l - 1 of them when m = l - 2),
     so they are part of the reproducibility contract.
     """
-    if _check_count("m", m, 2) < length - 1:
+    m, length = _check_count("m", m, 2), _check_count("length", length, 1)
+    if m < length - 1:
         raise ValueError(f"field order {m} too small for length {length}")
     if length <= m:
         return tuple(range(length))

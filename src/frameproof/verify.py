@@ -226,7 +226,7 @@ def is_frameproof_naive(code: Code, c: int, budget: int = NAIVE_BUDGET) -> Verif
     budget spent on singletons builds no bit rows), and the first subset
     past ``budget`` raises :class:`BudgetExceeded`.
     """
-    c = _check_count("c", c, 2)
+    c, budget = _check_count("c", c, 2), _check_count("budget", budget, None)
     start = time.perf_counter()
     rows, big_m = code.array, code.size
     masks = ids = None
@@ -374,7 +374,7 @@ def is_frameproof_cover(code: Code, c: int, budget: int = NAIVE_BUDGET) -> Verif
     ``subsets_examined``; an index larger than ``budget`` is refused
     before it is built, and either way :class:`BudgetExceeded` is raised.
     """
-    c = _check_count("c", c, 2)
+    c, budget = _check_count("c", c, 2), _check_count("budget", budget, None)
     start = time.perf_counter()
     rows = code.array
     big_m = len(rows)

@@ -219,6 +219,13 @@ class TestDescendants:
         with pytest.raises(BudgetExceeded):
             enumerate_descendants(pool, cap=1000)
 
+    @pytest.mark.parametrize("cap", [True, 2.5, "1024"])
+    def test_cap_must_be_an_integer(self, cap):
+        pool = [(0,) * 10, (1,) * 10]
+        with pytest.raises(ValueError, match=f"cap must be an integer, got {cap!r}"):
+            enumerate_descendants(pool, cap=cap)
+        assert len(enumerate_descendants(pool, cap=np.int64(1024))) == 1024
+
     @given(word_pools())
     @settings(max_examples=120, derandomize=True)
     def test_cardinality_is_position_product(self, data):

@@ -140,6 +140,14 @@ class TestEvalPoints:
         with pytest.raises(ValueError, match=f"m must be an integer of at least 2, got {m}"):
             default_eval_points(m, length)
 
+    @pytest.mark.parametrize("length", [True, 2.0])
+    def test_length_must_be_a_count(self, length):
+        # not read as 1 (True) or left to fail in range() (2.0)
+        message = f"length must be an integer of at least 1, got {length}"
+        with pytest.raises(ValueError, match=message):
+            default_eval_points(5, length)
+        assert default_eval_points(5, np.int64(3)) == (0, 1, 2)
+
 
 class TestPolynomialLift:
     def test_smallest_lift(self):

@@ -4,6 +4,7 @@ import contextlib
 import io
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -335,6 +336,20 @@ class TestWriter:
             assert code_to_text(code) == reference_code_text(code)
         empty = make_oa([[], []], 3, 1)
         assert oa_to_text(empty) == reference_oa_text(empty) == "oa1 N=0 k=2 s=3 t=1\n\n\n"
+
+    def test_many_symbol_tables(self, tmp_path):
+        # 10**5 consecutive symbols whose names grow from 6 to 7 digits, the star among them
+        dense = 999_950 + np.arange(10**5)
+        sparse = np.concatenate([[7, 40], 2**62 + np.arange(3000) * 987_654_321_001])
+        for symbols, star in ((dense, 1_000_003), (sparse, int(sparse[1500]))):
+            rows = np.stack([symbols, np.roll(symbols, 1)], axis=1)
+            code = make_code(2, int(symbols.max()) + 1, rows, inf_id=star)
+            text = code_to_text(code)
+            # lists, which pytest reports by first differing line: its diff of two long
+            # strings runs for minutes
+            assert text.split("\n") == reference_code_text(code).split("\n") and "*" in text
+            write_code_file(code, tmp_path / "a.fpc")
+            assert (tmp_path / "a.fpc").read_bytes() == text.encode()
 
     @pytest.mark.parametrize("rows, s, t", [([[], []], 3, 1), ([[]] * 3, 3, 2)])
     def test_arrays_with_no_runs_read_back(self, rows, s, t):

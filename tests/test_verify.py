@@ -149,11 +149,17 @@ class TestNaive:
                              (is_t_determined, "t")):
             with pytest.raises(ValueError, match=f"{name} must be an integer of at least"):
                 oracle(code, bad)
+        # budgets too: True is not a budget of 1, nor 2.0 one metered in floats
+        for oracle in (is_frameproof_naive, is_frameproof_cover):
+            with pytest.raises(ValueError, match=f"budget must be an integer, got {bad!r}"):
+                oracle(code, 2, budget=bad)
 
     def test_numpy_counts_are_integers(self):
         code = base_code("q3")
         assert is_frameproof_naive(code, np.int64(2)).verdict
         assert is_frameproof_cover(code, np.int32(2)).verdict
+        assert is_frameproof_naive(code, 2, budget=np.uint32(10**6)).verdict
+        assert is_frameproof_cover(code, 2, budget=np.int64(10**6)).verdict
         # unsigned: -t must not wrap to 254 when the t widest symbol ranges are sliced
         assert is_t_determined(code, np.uint8(2)).subsets_examined == 8 + 6 * 8
 
