@@ -12,8 +12,9 @@ cover oracle and, where its coalitions fit in ``NAIVE_BUDGET``
 ``naive_s`` as null.  The built code is kept until the read has been
 checked against it.  An array row builds ``build_oa_strength2(s)``,
 then ``seed:s`` proves its seed code ``oa_to_pt_code`` 2-determined
-and ``oa:s`` checks the array with ``verify_oa``.  Every run of a row
-is a new process importing ``src/`` of this checkout, so its
+and ``oa:s`` writes the array to a ``.oa`` file, reads it back, checks
+the read against it and checks it with ``verify_oa``.  Every run of a
+row is a new process importing ``src/`` of this checkout, so its
 ``ru_maxrss`` is that row's own peak.  Build, write and read are timed
 by this script's clock; the proof phases (``tdet_s``, ``cover_s``,
 ``naive_s``, ``verify_oa_s``) are the ``elapsed`` of their reports.
@@ -40,7 +41,8 @@ ROOT = Path(__file__).resolve().parents[1]
 ROWS = ["2:15", "3:16", "2:101", "2:401", "2:1001", "2:2001", "3:112", "4:141",
         "seed:64", "seed:128", "oa:128"]
 RUNS = 3
-SIZES = ["c", "q", "M", "fpc_bytes", "s", "N"]  # recorded once per row; the rest are phases
+# recorded once per row; the rest are phases
+SIZES = ["c", "q", "M", "fpc_bytes", "oa_bytes", "s", "N"]
 NAIVE_BUDGET = 3_400_000_000  # the full naive proof of c=3 q=16 takes 3.3e9 pairs
 
 
@@ -71,14 +73,24 @@ def run_seed_row(s: int) -> dict:
 
 
 def run_oa_row(s: int) -> dict:
-    """The s-level strength-2 array, checked by ``verify_oa``."""
-    from frameproof import build_oa_strength2, verify_oa
+    """The s-level strength-2 array: its ``.oa`` file written and read back, then ``verify_oa``."""
+    import numpy as np
+    from frameproof import build_oa_strength2, read_oa_file, verify_oa, write_oa_file
 
     oa, build_s = timed(build_oa_strength2, s)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "array.oa"
+        _, write_s = timed(write_oa_file, oa, path)
+        back, read_s = timed(read_oa_file, path)
+        oa_bytes = path.stat().st_size
+    same = (back.levels, back.strength) == (oa.levels, oa.strength)
+    if not (same and np.array_equal(back.array, oa.array)):
+        raise SystemExit(f"oa:{s}: the array read back differs from the one written")
     report = verify_oa(oa)
     if not report.verdict:
         raise SystemExit(f"oa:{s}: not an orthogonal array: {report.witness}")
-    return {"s": s, "N": oa.array.shape[1], "build_s": build_s, "verify_oa_s": report.elapsed}
+    return {"s": s, "N": oa.array.shape[1], "oa_bytes": oa_bytes, "build_s": build_s,
+            "write_s": write_s, "read_s": read_s, "verify_oa_s": report.elapsed}
 
 
 def run_plan_row(c: int, q: int) -> dict:

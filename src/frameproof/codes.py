@@ -257,8 +257,8 @@ def framed_witness_holds(witness: Witness) -> bool:
 
 # --- .fpc and .oa text formats ----------------------------------------------
 #
-# .fpc: fpc1 q=<q> l=<l> M=<M> inf=<id|none>, then M lines of l symbol ids in
-#       lexicographic order, the infinity id written (and accepted) as `*`.
+# .fpc: fpc1 q=<q> l=<l> M=<M> inf=<id|none>, then M distinct lines of l symbol ids, `*` for
+#       the infinity id, written in lexicographic order and read in any order.
 # .oa:  oa1 N=<N> k=<k> s=<s> t=<t>, then k rows of N symbols (oa.py).
 # Lines end at \n, \r\n or a lone \r, and blank lines are ignored.  Header values
 # and entries are ASCII decimal, split by the blanks space, \t, \v, \f and

@@ -32,19 +32,21 @@ class OrthogonalArray:
     def __post_init__(self):
         object.__setattr__(self, "levels", _check_count("levels", self.levels, 2))
         object.__setattr__(self, "strength", _check_count("strength", self.strength, 1))
-        arr = np.asarray(self.array)
+        arr = self.array
+        if not (isinstance(arr, np.ndarray) and arr.dtype.kind in "iu"):
+            arr = np.array(arr, dtype=object)  # Python values: none is rounded or overflows
         if arr.ndim != 2:
             raise ValueError("array must be two-dimensional")
         if arr.dtype.kind not in "iu":
             for v in arr.ravel().tolist():
                 if not is_integer(v):
                     raise ValueError(f"entry {v!r} is not an integer")
-        arr = arr.astype(np.int64)
         k, n = arr.shape
         if self.strength > k:
             raise ValueError(f"strength {self.strength} out of range 1..{k}")
-        if arr.size and (arr.min() < 0 or arr.max() >= self.levels):
+        if arr.size and (arr.min() < 0 or arr.max() >= min(self.levels, 2**63)):
             raise ValueError(f"entries must lie in 0..{self.levels - 1}")
+        arr = arr.astype(np.int64)
         if n % self.levels**self.strength != 0:
             raise ValueError(f"run count {n} is not a multiple of {self.levels}**{self.strength}")
         arr.flags.writeable = False
@@ -71,7 +73,7 @@ class OrthogonalArray:
 
 def make_oa(rows, levels: int, strength: int) -> OrthogonalArray:
     """Read a k x N nested sequence or array as an :class:`OrthogonalArray`, which validates it."""
-    return OrthogonalArray(levels, strength, np.asarray(rows))
+    return OrthogonalArray(levels, strength, rows)
 
 
 def build_oa_strength2(s: int) -> OrthogonalArray:

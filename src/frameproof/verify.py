@@ -449,12 +449,6 @@ def _subset_counts(table: np.ndarray, widths: list[int], t: int, dead=None):
                    np.bincount(keys.reshape(-1), minlength=(b - a) * span).reshape(-1, span))
 
 
-def _live_keys(rows: np.ndarray, stars: np.ndarray, subset) -> tuple[np.ndarray, np.ndarray]:
-    """The rows with no infinity on ``subset``, and their packed keys on it."""
-    valid = ~stars[:, subset].any(axis=1)
-    return valid, _pack(rows, subset)[valid]
-
-
 def is_t_determined(code: Code, t: int) -> VerifyReport:
     """Check that any t non-infinity coordinates pin down a codeword.
 
@@ -469,12 +463,12 @@ def is_t_determined(code: Code, t: int) -> VerifyReport:
     That is O(C(l, t) * M) counting.  When the product of the t largest
     symbol ranges passes ``_DENSE`` bins per word, the symbols are too
     wide or sparse to count, and each S in turn has its keys packed and
-    sorted by :func:`_repeated`.  Only the first failing S is argsorted
-    stably, so the witness is the first word, in sort order, that repeats
-    a projection, paired with the first word that had it.  Work is counted
-    in words examined, reported as ``subsets_examined``: M for clause
-    (a), then M per t-subset, or, on a violation, up to and including
-    the offending word.
+    sorted by :func:`_repeated`.  On the first failing S, ``np.unique``'s
+    first occurrences give the witness: the first word, in sort order,
+    that repeats a projection, paired with the first word that had it.
+    Work is counted in words examined, reported as ``subsets_examined``:
+    M for clause (a), then M per t-subset, or, on a violation, up to and
+    including the offending word.
     """
     inf = code.inf_id
     t = _check_count("t", t, 1)
@@ -500,8 +494,8 @@ def is_t_determined(code: Code, t: int) -> VerifyReport:
         chunks = ((subsets, int(np.argmax(counts > 1)) // span if counts.max() > 1 else None)
                   for subsets, counts in _subset_counts(table, widths, t, dead))
     else:
-        chunks = (([subset], 0 if _repeated(_live_keys(rows, stars, subset)[1], span).any()
-                   else None) for subset in combinations(range(code.length), t))
+        chunks = (([s], 0 if _repeated(_pack(rows, s)[~stars[:, s].any(axis=1)], span).any() else None)
+                  for s in combinations(range(code.length), t))
     checks = big_m
     for subsets, bad in chunks:
         if bad is None:
@@ -509,13 +503,14 @@ def is_t_determined(code: Code, t: int) -> VerifyReport:
             continue
         subset = subsets[bad]
         checks += big_m * bad
-        valid, keys = _live_keys(rows, stars, subset)
-        # a stable argsort keeps equal keys in word order: the least row that
-        # repeats a key is the first repeat, and its run starts with the earlier word
-        where, order = np.flatnonzero(valid), keys.argsort(kind="stable")
-        ranked = keys[order]
-        later = order[1:][ranked[1:] == ranked[:-1]].min()
-        x, y = rows[where[order[np.searchsorted(ranked, keys[later])]]], rows[where[later]]
+        where = np.flatnonzero(~stars[:, subset].any(axis=1))
+        # first[i] is the least live row with row i's key: the least row with an
+        # earlier one is the first repeat, and that earlier row is its partner
+        _, first, inverse = np.unique(_pack(rows, subset)[where], return_index=True,
+                                      return_inverse=True)
+        first = first[inverse]
+        later = int(np.argmax(first < np.arange(len(first))))
+        x, y = rows[where[first[later]]], rows[where[later]]
         witness = Witness(kind="agreement", pair=(tuple(x.tolist()), tuple(y.tolist())),
                           positions=tuple(np.flatnonzero((x == y) & (y != inf)).tolist()))
         return VerifyReport(False, witness, checks + int(where[later]) + 1,

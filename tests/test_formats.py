@@ -269,6 +269,15 @@ def test_text_round_trip(code):
     assert code_from_text(code_to_text(code)) == code
 
 
+def test_fpc_words_may_come_in_any_order():
+    # readers sort the words and refuse repeats; writers emit lexicographic order
+    code = code_from_text("fpc1 q=3 l=2 M=2 inf=none\n2 1\n1 2\n")
+    assert code == code_from_text("fpc1 q=3 l=2 M=2 inf=none\n1 2\n2 1\n")
+    assert code_to_text(code) == "fpc1 q=3 l=2 M=2 inf=none\n1 2\n2 1\n"
+    with pytest.raises(ValueError, match=r"duplicate word \(2, 1\)"):
+        code_from_text("fpc1 q=3 l=2 M=2 inf=none\n2 1\n2 1\n")
+
+
 # --- the byte-table writer --------------------------------------------------------
 
 

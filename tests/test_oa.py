@@ -178,6 +178,16 @@ class TestVerifier:
         with pytest.raises(ValueError, match="levels must be an integer of at least 2, got 1"):
             make_oa([[0]], 1, 1)
 
+    @pytest.mark.parametrize("rows", [[[2**63, 0]], [[2**70, 1]]])
+    def test_entries_past_int64_are_out_of_range(self, rows):
+        # read as Python ints: neither rounded to a float nor an OverflowError
+        with pytest.raises(ValueError, match=r"entries must lie in 0\.\.1"):
+            make_oa(rows, 2, 1)
+
+    def test_ragged_rows_are_not_two_dimensional(self):
+        with pytest.raises(ValueError, match="two-dimensional"):
+            make_oa([[0, 1], [1]], 2, 1)
+
     @pytest.mark.parametrize(
         "rows, bad",
         [

@@ -768,6 +768,19 @@ class TestTDetermined:
         assert (report.verdict, report.witness, report.subsets_examined) == (
             reference_t_determined(code, 2))
 
+    @pytest.mark.parametrize("dense", [verify._DENSE, 0])
+    def test_witness_pairs_the_first_repeat_with_its_own_key(self, monkeypatch, dense):
+        # (0, 1) and (0, 2) are clean; on (1, 2) the keys run A, B, B, A, so B repeats
+        # first, while the first row of a repeated key would be (0, 0, 0) with (2, 0, 0)
+        monkeypatch.setattr(verify, "_DENSE", dense)
+        code = make_code(3, 3, [(0, 0, 0), (0, 1, 1), (1, 1, 1), (2, 0, 0)])
+        report = is_t_determined(code, 2)
+        assert report.witness.pair == ((0, 1, 1), (1, 1, 1))
+        assert report.witness.positions == (1, 2)
+        assert report.subsets_examined == 15
+        assert (report.verdict, report.witness, report.subsets_examined) == (
+            reference_t_determined(code, 2))
+
     def test_without_infinity_symbol(self):
         # no word has an infinity, and every position counts towards agreement
         assert is_t_determined(make_code(3, 3, [(0, 1, 2), (0, 2, 1), (1, 1, 1)]), 2).verdict
