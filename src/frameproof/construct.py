@@ -1,11 +1,8 @@
 """Built-in base codes and the alphabet-expanding composition operators.
 
-Every tagged code comes from one operation, :func:`_lift_words`: each
-non-infinity symbol b is paired with the value y of a polynomial over
-GF(m) and flattened to ``(b-1)*m + y + 1``, infinity staying 0.
-:func:`polynomial_lift` is its one caller: one evaluation point per
-position, or, when the field is one point short, points that follow
-each word's non-infinity positions.
+Every tagged code comes from one operation, :func:`_lift_words`, whose
+one caller is :func:`polynomial_lift`.  It and :func:`augment_infinity`
+admit the t that :func:`~frameproof.verify.lemma_t` admits.
 """
 
 from __future__ import annotations
@@ -14,7 +11,7 @@ import numpy as np
 
 from .codes import Code, _check_count, make_code
 from .gf import make_field
-from .verify import is_t_determined
+from .verify import is_t_determined, lemma_t
 
 # Fixture word patterns.  A pattern entry is None for an infinity slot or
 # the shift added to the running index i (symbol (i+shift) mod k, encoded
@@ -40,27 +37,29 @@ BASE_CODE_INFO = {name: (k + 1, len(patterns[0]), k * len(patterns), k)
                   for name, (k, patterns) in _PLAIN_BASES.items()}
 
 
-def _lift_words(rows: np.ndarray, m: int, t: int, points) -> np.ndarray:
+def _lift_words(rows: np.ndarray, m: int, t: int, points, star: int | None) -> np.ndarray:
     """The m**t polynomial-tagged children of every row, parent by parent.
 
-    ``points`` holds one evaluation point per position, or per row and
-    position (shape ``(l,)`` or ``(M, l)``); m stands for the infinity
-    point, whose "value" is the leading coefficient.  The point at an
-    infinity position is ignored.  Children follow the polynomials'
-    coefficient order, low degree first.  Each point's m**t values are
-    computed once, by :meth:`~frameproof.gf.Field.poly_values`, into a
-    tag table, which is then broadcast against the parent rows.
+    ``star`` is the rows' infinity, 0 or None.  ``points`` holds one
+    evaluation point per position, or per row and position (shape
+    ``(l,)`` or ``(M, l)``), ignored at infinity positions; m stands for
+    the infinity point, whose "value" is the leading coefficient.
+    Children follow the polynomials' coefficient order, low degree
+    first.  Each point's m**t values are computed once, by
+    :meth:`~frameproof.gf.Field.poly_values`, into a tag table, which is
+    then broadcast against the parent rows.
     """
     if not rows.size:  # no children, and per-row points would name no point
         return rows
-    if (int(rows.max()) - 1) * m + m >= 2**63:
+    s = int(star is not None)
+    if (int(rows.max()) - s + 1) * m + s - 1 >= 2**63:
         raise ValueError(f"lifted symbols out of range 0..{2**63 - 1}")
     field = make_field(m)
     used, where = np.unique(points, return_inverse=True)
     tags = np.stack([field.poly_values(t, None if alpha == m else alpha)
                      for alpha in used.tolist()])[where.reshape(np.shape(points))]
     parent = rows[:, :, None]
-    out = np.where(parent == 0, 0, (parent - 1) * m + 1 + tags)
+    out = np.where(parent == star, 0, (parent - s) * m + s + tags)  # no match for None
     return out.transpose(0, 2, 1).reshape(-1, rows.shape[1])
 
 
@@ -93,59 +92,43 @@ def default_eval_points(m: int, length: int) -> tuple[int | None, ...]:
     return tuple(range(m)) + (None,)
 
 
-def _check_shape(length: int, c: int, t: int) -> None:
-    _check_count("c", c, 2)
-    _check_count("t", t, 1)
-    if c < t:
-        raise ValueError(f"need c >= t, got c={c}, t={t}")
-    r = length - c * (t - 1)
-    if not t <= r <= c:
-        raise ValueError(
-            f"length {length} is not c*(t-1)+r with r in {{t..c}} for c={c}, t={t}"
-        )
-
-
 def polynomial_lift(code: Code, m: int, t: int, c: int) -> Code:
     """Expand a t-determined code over a larger alphabet with polynomial tags.
 
-    Every non-infinity parent symbol b at position j becomes the
-    flattened pair (b-1)*m + y_j + 1, where for a polynomial f over
-    GF(m) of degree < t and points = ``default_eval_points(m, length)``
-
-        y_j = f(points[j])   at an ordinary evaluation point,
-        y_j = lead(f)        when points[j] is the infinity point,
-
-    and infinity positions stay infinity (0).  When m = length - 2 the
-    field is one point short: every parent word must then carry an
-    infinity, and each word's non-infinity positions take
-    ``default_eval_points(m, length - 1)`` in order.  Running f over all
-    m**t polynomials multiplies the size by m**t and grows the alphabet
-    to q = (s-1)*m + 1.  Two distinct output words can agree in at most
-    t-1 non-infinity positions (t agreements would force equal parents
-    and equal polynomials), so the result is again c-frameproof and
-    t-determined whenever length = c*(t-1)+r with r in {t..c}.
-
-    The parent's t-determinedness is re-verified on every call; its
-    frameproofness follows from that check and the length arithmetic,
-    so no expensive coalition search runs here.
+    Each non-infinity symbol b at position j becomes (b-s)*m + s + y_j,
+    with s = 1 if the parent's infinity is 0 and s = 0 if it has none:
+    y_j is a polynomial f over GF(m) of degree < t evaluated at point j
+    of ``default_eval_points(m, length)``, or f's leading coefficient at
+    the infinity point.  When m = length - 2 the field is one point
+    short: every parent word must carry an infinity, and each word's
+    non-infinity positions take ``default_eval_points(m, length - 1)``
+    in order.  The m**t polynomials multiply the size by m**t; the
+    alphabet becomes (q-s)*m + s.  Two distinct output words agree in at
+    most t-1 non-infinity positions (t agreements would force equal
+    parents and polynomials), so the result is t-determined, and
+    c-frameproof for every t that :func:`~frameproof.verify.lemma_t`
+    admits.  The parent's t-determinedness is re-checked on every call.
     """
-    length = code.length
-    if code.inf_id != 0:
-        raise ValueError("parent code must designate infinity as symbol 0")
+    length, star = code.length, code.inf_id
+    if star not in (0, None):
+        raise ValueError(f"parent code's infinity must be symbol 0 or none, got {star}")
     m = make_field(m).order
     short = m == length - 2
     # point ids, m standing for the infinity point
     pts = np.array([m if p is None else p for p in default_eval_points(m, length - short)])
-    if short and (code.array != 0).all(axis=1).any():
+    s, stars = int(star is not None), code.array == star  # all False without an infinity
+    if short and not stars.any(axis=1).all():
         raise ValueError(f"GF({m}) is one point short for length {length}: "
                          "every parent word needs an infinity")
-    _check_shape(length, c, t)
+    c, t = _check_count("c", c, 2), _check_count("t", t, 1)
+    if t > (most := lemma_t(length, c, star is not None)):
+        raise ValueError(f"lemma_t admits t <= {most} at length {length} and c={c}, got t={t}")
     report = is_t_determined(code, t)
     if not report.verdict:
         raise ValueError(f"parent code is not {t}-determined: {report.witness}")
     # one point short: the k-th non-infinity position of a word takes point k
-    out = _lift_words(code.array, m, t, pts[(code.array != 0).cumsum(axis=1) - 1] if short else pts)
-    lifted = make_code(length, (code.q - 1) * m + 1, out, inf_id=0)
+    out = _lift_words(code.array, m, t, pts[(~stars).cumsum(axis=1) - 1] if short else pts, star)
+    lifted = make_code(length, (code.q - s) * m + s, out, inf_id=star)
     assert lifted.size == code.size * m**t
     return lifted
 
@@ -153,18 +136,19 @@ def polynomial_lift(code: Code, m: int, t: int, c: int) -> Code:
 def augment_infinity(code: Code, c: int, t: int) -> Code:
     """Adjoin the all-infinity word to a t-determined code.
 
-    The enlarged code is still c-frameproof: coalition members carry too
-    few infinity entries to assemble the new word, and the new word
-    contributes nothing towards framing anybody else.  The output is no
-    longer t-determined, so augmentation must come after all lifts (a
-    second augmentation fails the t-determined check).
+    The result is c-frameproof for every t that :func:`~frameproof.verify.lemma_t`
+    admits, but no longer t-determined, so augmentation comes after all
+    lifts (a second augmentation fails the t-determined check).
     """
     if code.inf_id is None:
         raise ValueError("code has no infinity symbol")
-    _check_shape(code.length, c, t)
+    length = code.length
+    c, t = _check_count("c", c, 2), _check_count("t", t, 1)
+    if t > (most := lemma_t(length, c, True)):
+        raise ValueError(f"lemma_t admits t <= {most} at length {length} and c={c}, got t={t}")
     report = is_t_determined(code, t)
     if not report.verdict:
         raise ValueError(f"code is not {t}-determined: {report.witness}")
     # first, so that with infinity 0 the rows arrive sorted and make_code need not sort them
-    all_inf = np.full((1, code.length), code.inf_id)
-    return make_code(code.length, code.q, np.vstack([all_inf, code.array]), code.inf_id)
+    all_inf = np.full((1, length), code.inf_id)
+    return make_code(length, code.q, np.vstack([all_inf, code.array]), code.inf_id)

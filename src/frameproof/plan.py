@@ -49,8 +49,9 @@ class Step(NamedTuple):
     kind: str
     arg: str | int | Code | None = None
 
-    def shape(self, before: tuple[int, int, int] | None) -> tuple[int, int, int]:
-        """(q, l, M) after this step, from (q, l, M) before it (None before the base)."""
+    def shape(self, before: tuple[int, int, int] | None,
+              star: int | None = 0) -> tuple[int, int, int]:
+        """(q, l, M) after this step, from the (q, l, M) before it, or None, and the star."""
         if self.kind == "base":
             return _base(self.arg)[0]
         q, length, size = before
@@ -60,7 +61,8 @@ class Step(NamedTuple):
                 raise ValueError(f"lift order {m} is not a prime power")
             if m < length - 2:
                 raise ValueError(f"lift order {m} too small for length {length}")
-            return (q - 1) * m + 1, length, size * m * m
+            s = int(star is not None)
+            return (q - s) * m + s, length, size * m * m
         if self.kind == "augment":
             return q, length, size + 1
         raise ValueError(f"unknown step kind {self.kind!r}")
@@ -98,7 +100,7 @@ def _shapes(steps) -> list[tuple[int, int, int]]:
     """The (q, l, M) after each step, checking the chain is one base, lifts, an augment."""
     if not steps:
         raise ValueError("plan has no steps")
-    shapes = []
+    shapes, star = [], 0
     for i, step in enumerate(steps):
         if not isinstance(step, Step):
             raise ValueError(f"step {step!r} is not a Step")
@@ -106,7 +108,8 @@ def _shapes(steps) -> list[tuple[int, int, int]]:
             raise ValueError("a plan must start from its one base step")
         if i and steps[i - 1].kind == "augment":
             raise ValueError("augmentation must be the final step")
-        shapes.append(step.shape(shapes[-1] if shapes else None))
+        star = step.arg.inf_id if i == 0 and isinstance(step.arg, Code) else star
+        shapes.append(step.shape(shapes[-1] if shapes else None, star))
     return shapes
 
 

@@ -516,3 +516,15 @@ def is_t_determined(code: Code, t: int) -> VerifyReport:
         return VerifyReport(False, witness, checks + int(where[later]) + 1,
                             time.perf_counter() - start)
     return VerifyReport(True, None, checks, time.perf_counter() - start)
+
+
+def lemma_t(length: int, c: int, starred: bool) -> int:
+    """The largest t with (t-1)(c + starred) < length, from the lemma the builders rest on.
+
+    Lemma: a t-determined code with at most k infinities per word (k =
+    t-1 if starred, else 0) is c-frameproof when c(t-1) + k < l, since c
+    words other than x share at most c(t-1) of x's l - k or more
+    non-infinity positions.  An adjoined all-infinity word shares none,
+    and c words hold at most c(t-1) < l infinities, too few to frame it.
+    """
+    return (length - 1) // (c + starred) + 1

@@ -207,32 +207,35 @@ def reference_verify_oa(oa):
     return True, None, examined
 
 
-def reference_lift_words(words, m: int, t: int, points_of):
+def reference_lift_words(words, m: int, t: int, points_of, star=0):
     """The word-by-word polynomial lift, kept as the reference.
 
     ``points_of(word)`` gives one evaluation point per position (``None``
     is the infinity point, whose "value" is the leading coefficient).
+    ``star`` is the words' infinity, 0 or None: symbol b is tagged into
+    (b-1)*m + 1 + y with infinity staying 0, or into b*m + y without one.
     Returns the m**t children of every word, parent by parent, in the
     polynomials' coefficient order, for comparison with
     ``frameproof.construct._lift_words``.
     """
     field = make_field(m)
     polys = list(product(range(m), repeat=t))
-    stars = (0,) * len(polys)
+    infinities = (0,) * len(polys)
+    s = 0 if star is None else 1
     values = {}
     out = []
     for word in words:
         columns = []
         for b, alpha in zip(word, points_of(word)):
-            if b == 0:
-                columns.append(stars)
+            if b == star:
+                columns.append(infinities)
                 continue
             if alpha not in values:
                 values[alpha] = [
                     leading_coeff(f, t) if alpha is None else field.eval_poly(f, alpha)
                     for f in polys
                 ]
-            base = (b - 1) * m + 1
+            base = (b - s) * m + s
             columns.append([base + y for y in values[alpha]])
         out.extend(zip(*columns))
     return out

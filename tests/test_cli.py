@@ -110,6 +110,8 @@ class TestConstruct:
         assert run(["construct", "--c", "3", "--steps", "base oa4; lift 4; augment",
                     "--out", out]) == 0
         assert read_code_file(out).size == 241
+        # length 4 with a star admits no t = 2 at c = 3: (2-1)*(3+1) is not below 4
+        assert run(["construct", "--c", "3", "--steps", "base q3; augment", "--out", out]) == 64
 
     def test_missing_inputs_are_usage_errors(self, tmp_path):
         out = str(tmp_path / "x.fpc")

@@ -29,7 +29,8 @@ from frameproof import (
     polynomial_lift,
     ssw_bound,
 )
-from frameproof.construct import _check_shape, _lift_words
+from frameproof.construct import _lift_words
+from frameproof.verify import lemma_t
 
 # sha256 of code_to_text: the bytes every construction must keep producing.
 PINNED_CODES = {
@@ -206,14 +207,17 @@ class TestPolynomialLift:
             polynomial_lift(parent, 3.0, 2, 2)
         with pytest.raises(ValueError, match="too small"):
             polynomial_lift(base_code("q4"), 2, 2, 3)  # GF(2) is two points short
-        with pytest.raises(ValueError, match="c >= t"):
+        with pytest.raises(ValueError, match="lemma_t admits t <= 2 at length 4 and c=2, got t=3"):
             polynomial_lift(parent, 3, 3, 2)
-        with pytest.raises(ValueError, match="r in"):
-            polynomial_lift(parent, 3, 2, 3)  # length 4 != 3*(2-1)+r, r in {2,3}
-        with pytest.raises(ValueError, match="r in"):
-            _check_shape(2, 2, 2)  # length 2 < 2t-1: r = 0 already fails
-        with pytest.raises(ValueError, match="infinity"):
-            polynomial_lift(make_code(4, 3, [(1, 1, 1, 1)]), 3, 2, 2)
+        with pytest.raises(ValueError, match="lemma_t admits t <= 1 at length 4 and c=3, got t=2"):
+            polynomial_lift(parent, 3, 2, 3)  # (2-1)*(3+1) = 4 is not below length 4
+        with pytest.raises(ValueError, match="lemma_t admits t <= 1 at length 2 and c=2, got t=2"):
+            polynomial_lift(make_code(2, 3, [(0, 1), (1, 2)], inf_id=0), 3, 2, 2)
+        with pytest.raises(ValueError, match="infinity must be symbol 0 or none, got 1"):
+            polynomial_lift(make_code(4, 3, [(0, 0, 0, 2)], inf_id=1), 3, 2, 2)
+        # a code without a star lifts too: the symbols b become b*m + y
+        plain = polynomial_lift(make_code(4, 3, [(1, 1, 1, 1)]), 3, 2, 2)
+        assert repr(plain) == "Code(q=9, l=4, M=9, inf=none)"
         bad = make_code(4, 3, [(1, 1, 1, 1), (1, 1, 1, 2)], inf_id=0)
         with pytest.raises(ValueError, match="determined"):
             polynomial_lift(bad, 3, 2, 2)
@@ -240,20 +244,23 @@ class TestPolynomialLift:
 
     def test_checks_run_in_order(self):
         # infinity, then prime power, then too small, then an infinity in every word
-        # (a field one point short), then shape, then determinedness: each input below
-        # fails the named check and every later one
-        no_inf = make_code(10, 3, [(1,) * 10, (2,) * 10])
+        # (a field one point short), then the lemma, then determinedness: each input
+        # below fails the named check and every later one (c=10 is above what
+        # lemma_t admits at length 10)
+        inf_one = make_code(10, 3, [(0,) * 10, (0,) * 9 + (2,)], inf_id=1)
         with pytest.raises(ValueError, match="infinity"):
-            polynomial_lift(no_inf, 6, 2, 3)
+            polynomial_lift(inf_one, 6, 2, 10)
         long_bad = make_code(10, 3, [(1,) * 10, (1,) * 9 + (2,)], inf_id=0)
         with pytest.raises(ValueError, match="prime power"):
-            polynomial_lift(long_bad, 6, 2, 3)
+            polynomial_lift(long_bad, 6, 2, 10)
         with pytest.raises(ValueError, match="too small"):
-            polynomial_lift(long_bad, 7, 2, 3)
+            polynomial_lift(long_bad, 7, 2, 10)
         with pytest.raises(ValueError, match="needs an infinity"):
-            polynomial_lift(long_bad, 8, 2, 3)
+            polynomial_lift(long_bad, 8, 2, 10)
+        with pytest.raises(ValueError, match="lemma_t admits t <= 1 at length 10 and c=10"):
+            polynomial_lift(long_bad, 9, 2, 10)
         bad = make_code(4, 3, [(1, 1, 1, 1), (1, 1, 1, 2)], inf_id=0)
-        with pytest.raises(ValueError, match="r in"):
+        with pytest.raises(ValueError, match="lemma_t admits"):
             polynomial_lift(bad, 3, 2, 3)
 
 
@@ -276,6 +283,49 @@ class TestAugment:
     def test_requires_infinity(self):
         with pytest.raises(ValueError):
             augment_infinity(make_code(4, 3, [(1, 1, 1, 1)]), 2, 2)
+
+
+@st.composite
+def _determined_lifts(draw):
+    """(code, t, m): a t-determined code with infinity 0 or none, kept word by word from
+    drawn words, and a field order m >= l - 1 with at most 150 lifted words."""
+    length, t = draw(st.integers(2, 6)), draw(st.integers(1, 3))
+    q, inf = draw(st.integers(2, 7)), draw(st.sampled_from([0, None]))
+    m = draw(st.sampled_from([m for m in (2, 3, 4, 5) if m >= length - 1]))
+    # a word's symbols off infinity, and at most t-1 positions set to infinity 0
+    symbols = st.tuples(*[st.integers(0 if inf is None else 1, q - 1)] * length)
+    holes = st.sets(st.integers(0, length - 1), max_size=0 if inf is None else t - 1)
+    words = []
+    for w, at in draw(st.lists(st.tuples(symbols, holes), min_size=1, max_size=12)):
+        w = tuple(0 if j in at else v for j, v in enumerate(w))
+        if w not in words and all(sum(a == b != inf for a, b in zip(w, x)) < t for x in words):
+            words.append(w)  # at most t-1 agreements off infinity with every kept word
+    return make_code(length, q, sorted(words[: 150 // m**t]), inf_id=inf), t, m
+
+
+class TestLemma:
+    def test_lemma_t_is_the_largest_t_of_the_inequality(self):
+        for length in range(1, 31):
+            for c in range(2, 13):
+                for starred in (False, True):
+                    most = max(t for t in range(1, length + 2) if (t - 1) * (c + starred) < length)
+                    assert lemma_t(length, c, starred) == most, (length, c, starred)
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(_determined_lifts())
+    def test_lifts_the_lemma_admits_are_frameproof(self, drawn):
+        # the lemma is sufficient only, so a t it refuses is not asserted to fail
+        parent, t, m = drawn
+        assert is_t_determined(parent, t).verdict
+        starred = parent.inf_id is not None
+        for c in (2, 3):
+            if t <= lemma_t(parent.length, c, starred):
+                lifted = polynomial_lift(parent, m, t, c)
+                assert lifted.q == (parent.q - starred) * m + starred
+                assert is_t_determined(lifted, t).verdict
+                assert is_frameproof_naive(lifted, c).verdict
+                if starred:
+                    assert is_frameproof_naive(augment_infinity(lifted, c, t), c).verdict
 
 
 def _array_seed(s):
@@ -337,13 +387,14 @@ SEEDS = ("q3", "q4", "q5", "q10", "oa3", "oa4", "oa5")
 class TestArrayLift:
     @settings(max_examples=80, derandomize=True, deadline=None)
     @given(st.sampled_from(SEEDS), st.sampled_from([2, 3, 4, 5, 7, 8, 9]),
-           st.integers(1, 3), st.data())
-    def test_matches_the_reference_lift(self, name, m, t, data):
+           st.integers(1, 3), st.sampled_from([0, None]), st.data())
+    def test_matches_the_reference_lift(self, name, m, t, star, data):
+        # star None reads the seed's words as a plain code, its 0 an ordinary symbol
         parent = _seed(name)
         assume(m >= parent.length - 1 and parent.size * m**t <= 20_000)
         pts = data.draw(st.permutations(list(range(m)) + [None]))[: parent.length]
-        got = _lift_words(parent.array, m, t, np.array([m if p is None else p for p in pts]))
-        want = reference_lift_words(parent.words, m, t, lambda word: pts)
+        got = _lift_words(parent.array, m, t, np.array([m if p is None else p for p in pts]), star)
+        want = reference_lift_words(parent.words, m, t, lambda word: pts, star)
         assert got.tolist() == [list(w) for w in want]
 
     @settings(max_examples=25, derandomize=True, deadline=None)
@@ -403,7 +454,7 @@ class TestShortFieldLift:
         points_of = _short_points_of(m, len(words[0]))
         want = reference_lift_words(words, m, 2, points_of)
         per_row = np.array([[m if p is None else p for p in points_of(w)] for w in words])
-        assert _lift_words(base_code(parent).array, m, 2, per_row).tolist() == [
+        assert _lift_words(base_code(parent).array, m, 2, per_row, 0).tolist() == [
             list(w) for w in want
         ]
         assert polynomial_lift(base_code(parent), m, 2, m).words == tuple(sorted(want))

@@ -12,6 +12,7 @@ from frameproof import (
     achieved_rate,
     base_code,
     blackburn_leading,
+    build_oa_strength2,
     execute_plan,
     execute_steps,
     factor_prime_powers,
@@ -19,6 +20,7 @@ from frameproof import (
     is_frameproof_cover,
     is_prime_power,
     is_t_determined,
+    make_code,
     parse_steps,
     plan_code,
     ssw_bound,
@@ -272,6 +274,14 @@ class TestExecution:
         )
         with pytest.raises(RuntimeError, match="expected"):
             execute_plan(plan)
+
+    @pytest.mark.parametrize("m", [3, 4, 5])
+    def test_plain_base_shapes_match_the_build(self, m):
+        # a base Code without a star lifts its q symbols into q*m
+        oa = build_oa_strength2(3)
+        steps = (Step("base", make_code(oa.constraints, oa.levels, oa.array.T)), Step("lift", m))
+        code = execute_steps(steps, 3)
+        assert _shapes(steps)[-1] == (code.q, code.length, code.size) == (3 * m, 4, 9 * m * m)
 
     def test_empty_steps(self):
         with pytest.raises(ValueError):
