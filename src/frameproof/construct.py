@@ -2,7 +2,8 @@
 
 Every tagged code comes from one operation, :func:`_lift_words`, whose
 one caller is :func:`polynomial_lift`.  It and :func:`augment_infinity`
-admit the t that :func:`~frameproof.verify.lemma_t` admits.
+admit the t that :func:`~frameproof.verify.lemma_t` admits.  Their word-free
+refusals are :func:`_lift_shape` and :func:`_augment_shape`, which plan's ``Step.shape`` calls.
 """
 
 from __future__ import annotations
@@ -10,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .codes import Code, _check_count, make_code
-from .gf import make_field
+from .gf import _check_order, make_field
 from .verify import is_t_determined, lemma_t
 
 # Fixture word patterns.  A pattern entry is None for an infinity slot or
@@ -35,6 +36,7 @@ _PLAIN_BASES = {
 # name -> (q, length, size, c): k symbols and infinity, k words per pattern, for c = k
 BASE_CODE_INFO = {name: (k + 1, len(patterns[0]), k * len(patterns), k)
                   for name, (k, patterns) in _PLAIN_BASES.items()}
+_ONE_SHORT = "GF({}) is one point short for length {}: every parent word needs an infinity"
 
 
 def _lift_words(rows: np.ndarray, m: int, t: int, points, star: int | None) -> np.ndarray:
@@ -92,6 +94,19 @@ def default_eval_points(m: int, length: int) -> tuple[int | None, ...]:
     return tuple(range(m)) + (None,)
 
 
+def _lift_shape(q: int, length: int, size: int, star, m, t) -> tuple[int, int, int]:
+    """(q, l, M) after a lift by GF(m) at t: the lift's word-free refusals; builds no field."""
+    if star not in (0, None):
+        raise ValueError(f"parent code's infinity must be symbol 0 or none, got {star}")
+    _check_order(m)
+    short = (m := int(m)) == length - 2
+    default_eval_points(m, length - short)  # "too small", even one point short
+    if short and size and star is None:
+        raise ValueError(_ONE_SHORT.format(m, length))
+    s = int(star is not None)
+    return (q - s) * m + s, length, size * m ** _check_count("t", t, 1)
+
+
 def polynomial_lift(code: Code, m: int, t: int, c: int) -> Code:
     """Expand a t-determined code over a larger alphabet with polynomial tags.
 
@@ -110,16 +125,13 @@ def polynomial_lift(code: Code, m: int, t: int, c: int) -> Code:
     admits.  The parent's t-determinedness is re-checked on every call.
     """
     length, star = code.length, code.inf_id
-    if star not in (0, None):
-        raise ValueError(f"parent code's infinity must be symbol 0 or none, got {star}")
-    m = make_field(m).order
-    short = m == length - 2
+    q, _, size = _lift_shape(code.q, length, code.size, star, m, t)
+    short = (m := int(m)) == length - 2  # an integer, as _lift_shape checked
     # point ids, m standing for the infinity point
     pts = np.array([m if p is None else p for p in default_eval_points(m, length - short)])
-    s, stars = int(star is not None), code.array == star  # all False without an infinity
+    stars = code.array == star  # all False without an infinity
     if short and not stars.any(axis=1).all():
-        raise ValueError(f"GF({m}) is one point short for length {length}: "
-                         "every parent word needs an infinity")
+        raise ValueError(_ONE_SHORT.format(m, length))
     c, t = _check_count("c", c, 2), _check_count("t", t, 1)
     if t > (most := lemma_t(length, c, star is not None)):
         raise ValueError(f"lemma_t admits t <= {most} at length {length} and c={c}, got t={t}")
@@ -128,9 +140,16 @@ def polynomial_lift(code: Code, m: int, t: int, c: int) -> Code:
         raise ValueError(f"parent code is not {t}-determined: {report.witness}")
     # one point short: the k-th non-infinity position of a word takes point k
     out = _lift_words(code.array, m, t, pts[(~stars).cumsum(axis=1) - 1] if short else pts, star)
-    lifted = make_code(length, (code.q - s) * m + s, out, inf_id=star)
-    assert lifted.size == code.size * m**t
+    lifted = make_code(length, q, out, inf_id=star)
+    assert lifted.size == size
     return lifted
+
+
+def _augment_shape(q: int, length: int, size: int, star) -> tuple[int, int, int]:
+    """(q, l, M) after adjoining the all-infinity word; refuses a code with no infinity."""
+    if star is None:
+        raise ValueError("code has no infinity symbol")
+    return q, length, size + 1
 
 
 def augment_infinity(code: Code, c: int, t: int) -> Code:
@@ -140,9 +159,7 @@ def augment_infinity(code: Code, c: int, t: int) -> Code:
     admits, but no longer t-determined, so augmentation comes after all
     lifts (a second augmentation fails the t-determined check).
     """
-    if code.inf_id is None:
-        raise ValueError("code has no infinity symbol")
-    length = code.length
+    q, length, _ = _augment_shape(code.q, code.length, code.size, code.inf_id)
     c, t = _check_count("c", c, 2), _check_count("t", t, 1)
     if t > (most := lemma_t(length, c, True)):
         raise ValueError(f"lemma_t admits t <= {most} at length {length} and c={c}, got t={t}")
@@ -151,4 +168,4 @@ def augment_infinity(code: Code, c: int, t: int) -> Code:
         raise ValueError(f"code is not {t}-determined: {report.witness}")
     # first, so that with infinity 0 the rows arrive sorted and make_code need not sort them
     all_inf = np.full((1, length), code.inf_id)
-    return make_code(length, code.q, np.vstack([all_inf, code.array]), code.inf_id)
+    return make_code(length, q, np.vstack([all_inf, code.array]), code.inf_id)

@@ -254,12 +254,17 @@ class Field:
         return f"GF({self.order})"
 
 
-@lru_cache(maxsize=None, typed=True)  # 9.0 must not find the field of np.int64(9)
-def make_field(m: int) -> Field:
+def _check_order(m) -> tuple[int, int]:
+    """``(p, e)`` with ``m == p**e``, or ValueError, without building the field."""
     pe = is_prime_power(_check_count("m", m, 2))
     if pe is None:
         raise ValueError(f"{m} is not a prime power")
-    p, e = pe
+    return pe
+
+
+@lru_cache(maxsize=None, typed=True)  # 9.0 must not find the field of np.int64(9)
+def make_field(m: int) -> Field:
+    p, e = _check_order(m)
     return Field(p, e, _smallest_modulus(p, e))
 
 

@@ -8,7 +8,8 @@ array of order c+1.  With q - 1 = c*m, q is reachable exactly when every
 full prime-power factor of m is at least c.  The chain lifts last by the
 largest odd such factor above c (an even one if none is odd), recurses
 on (q-1)/factor + 1 until it meets the base, and lifts first by a factor
-equal to c, whose field is one point short of the length.
+equal to c, whose field is one point short of the length.  A step's
+word-free rules are its builder's: construct's ``_lift_shape`` and ``_augment_shape``.
 """
 
 from __future__ import annotations
@@ -19,7 +20,8 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .codes import Code, _check_count
-from .construct import BASE_CODE_INFO, augment_infinity, base_code, polynomial_lift
+from .construct import (BASE_CODE_INFO, _augment_shape, _lift_shape, augment_infinity,
+                        base_code, polynomial_lift)
 from .gf import factor_prime_powers, is_prime_power
 from .oa import build_oa_strength2, oa_to_pt_code
 
@@ -43,7 +45,8 @@ class Step(NamedTuple):
     ``Step("base", name)`` starts from a fixture, an ``oa<s>`` array
     seed or a given :class:`~frameproof.codes.Code`, ``Step("lift", m)``
     lifts by GF(m) and ``Step("augment")`` adjoins the all-infinity word.
-    A step prints as :func:`parse_steps` reads it.
+    A step prints as :func:`parse_steps` reads it, except a base Code, which prints
+    as its repr and which :func:`format_plan`'s ``steps:`` line leaves out.
     """
 
     kind: str
@@ -54,17 +57,10 @@ class Step(NamedTuple):
         """(q, l, M) after this step, from the (q, l, M) before it, or None, and the star."""
         if self.kind == "base":
             return _base(self.arg)[0]
-        q, length, size = before
         if self.kind == "lift":
-            m = _check_count("m", self.arg, 2)
-            if is_prime_power(m) is None:
-                raise ValueError(f"lift order {m} is not a prime power")
-            if m < length - 2:
-                raise ValueError(f"lift order {m} too small for length {length}")
-            s = int(star is not None)
-            return (q - s) * m + s, length, size * m * m
+            return _lift_shape(*before, star, self.arg, 2)
         if self.kind == "augment":
-            return q, length, size + 1
+            return _augment_shape(*before, star)
         raise ValueError(f"unknown step kind {self.kind!r}")
 
     def build(self, code: Code | None, c: int) -> Code:
@@ -184,12 +180,14 @@ def execute_plan(plan: ConstructionPlan) -> Code:
 def format_plan(plan: ConstructionPlan) -> str:
     """Render a plan with the running (q, M) after each step.
 
-    The last line, ``steps: ...``, is the chain that :func:`parse_steps` reads back.
+    The last line, ``steps: ...``, is the chain that :func:`parse_steps` reads back;
+    for a base Code it lists the steps after the base, which ``construct --in`` replays.
     """
     lines = [f"target: c={plan.c} q={plan.q} length={plan.length} size={plan.expected_size}"]
     for i, (step, (q, _, size)) in enumerate(zip(plan.steps, _shapes(plan.steps)), 1):
         lines.append(f"  {i}. {step}: q={q} M={size}")
-    lines.append(f"steps: {'; '.join(map(str, plan.steps))}")
+    chain = plan.steps[1:] if isinstance(plan.steps[0].arg, Code) else plan.steps
+    lines.append(f"steps: {'; '.join(map(str, chain))}")
     return "\n".join(lines)
 
 

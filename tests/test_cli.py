@@ -5,19 +5,24 @@ import time
 import pytest
 
 from frameproof import (
+    ConstructionPlan,
+    Step,
     augment_infinity,
     base_code,
     build_oa_strength2,
+    execute_steps,
+    format_plan,
     make_code,
     make_oa,
     oa_from_text,
+    parse_steps,
     read_code_file,
     write_code_file,
     write_oa_file,
 )
 from helpers import named_code
 
-from frameproof import acceptance
+from frameproof import acceptance, construct
 from frameproof.cli import run
 
 
@@ -123,6 +128,37 @@ class TestConstruct:
         rc = run(["construct", "--in", str(base_file), "--c", "2", "--steps", "lift 6",
                   "--out", str(tmp_path / "x.fpc")])
         assert rc == 64
+
+    @pytest.mark.parametrize("inf, steps, message", [
+        (None, "lift 3; augment", "code has no infinity symbol"),
+        (None, "lift 2",
+         "GF(2) is one point short for length 4: every parent word needs an infinity"),
+        (5, "lift 3", "parent code's infinity must be symbol 0 or none, got 5"),
+    ])
+    def test_chains_the_builders_refuse_build_nothing(self, tmp_path, capsys, monkeypatch,
+                                                      inf, steps, message):
+        # refused from the chain's shapes, before any lift and before the budget check
+        monkeypatch.setattr(construct, "_lift_words", lambda *args: pytest.fail("lifted"))
+        oa = build_oa_strength2(3)
+        path, out = tmp_path / "columns.fpc", tmp_path / "x.fpc"
+        write_code_file(make_code(4, 3 if inf is None else 7, oa.array.T, inf_id=inf), path)
+        for budget in ([], ["--budget", "1"]):
+            assert run(budget + ["construct", "--in", str(path), "--c", "3", "--steps", steps,
+                                 "--out", str(out)]) == 64
+            err = capsys.readouterr().err
+            assert message in err and "Traceback" not in err
+            assert not out.exists()
+
+    def test_planned_steps_after_a_code_base_replay_with_in(self, tmp_path, base_file):
+        steps = (Step("base", read_code_file(base_file)), Step("lift", 3), Step("augment"))
+        *_, line = format_plan(ConstructionPlan(2, 4, 7, 73, steps)).splitlines()
+        chain = line.removeprefix("steps: ")
+        assert chain == "lift 3; augment" and parse_steps(chain) == steps[1:]
+        out, want = tmp_path / "x.fpc", tmp_path / "want.fpc"
+        assert run(["construct", "--in", str(base_file), "--c", "2", "--steps", chain,
+                    "--out", str(out)]) == 0
+        write_code_file(execute_steps(steps, 2), want)
+        assert out.read_bytes() == want.read_bytes()
 
 
 class TestBuildBudget:

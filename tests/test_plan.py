@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from frameproof import (
@@ -23,9 +23,10 @@ from frameproof import (
     make_code,
     parse_steps,
     plan_code,
+    polynomial_lift,
     ssw_bound,
 )
-from frameproof.plan import _shapes
+from frameproof.plan import _base, _shapes
 
 
 class TestPlanning:
@@ -293,6 +294,102 @@ class TestExecution:
         assert "lift 4: q=9 M=128" in text
         assert "lift 3: q=25 M=1152" in text
         assert text.endswith("augment: q=25 M=1153\nsteps: base q3; lift 4; lift 3; augment")
+
+
+# the builders' refusals that read words or c, which _shapes cannot foresee
+_WORD_RULES = ("every parent word needs an infinity", "lemma_t admits", "-determined")
+
+
+def _assert_shapes_agree(steps, c):
+    """Build step by step: _shapes refuses as the builder does, and predicts what it builds."""
+    predicted, refused = [], None
+    for i in range(len(steps)):
+        try:
+            predicted = _shapes(steps[:i + 1])
+        except ValueError as exc:
+            refused = i, str(exc)
+            break
+    assume(all(size <= 20_000 for *_, size in predicted))
+    code = None
+    for i, step in enumerate(steps):
+        try:
+            code = step.build(code, c)
+        except ValueError as exc:
+            if refused is not None and refused[0] == i:
+                assert str(exc) == refused[1]
+            else:
+                assert any(text in str(exc) for text in _WORD_RULES), str(exc)
+            return
+        assert refused is None or i < refused[0], f"built {code!r}, refused {refused}"
+        assert (code.q, code.length, code.size) == predicted[i]
+
+
+@st.composite
+def _chains(draw):
+    """A base, up to two lifts by m in 2..9 and an optional augment, with c in 2..4."""
+    base = draw(st.sampled_from(["q3", "q4", "oa3", "oa4", "oa5", "code"]))
+    if base == "code":  # a small code whose infinity is 0, none or another symbol
+        length, q = draw(st.integers(3, 5)), draw(st.integers(2, 4))
+        word = st.tuples(*[st.integers(0, q - 1)] * length)
+        base = make_code(length, q, draw(st.lists(word, max_size=6, unique=True)),
+                         inf_id=draw(st.sampled_from([0, None, 1, q - 1])))
+    length = _base(base)[0][1]
+    orders = st.integers(2, 9) | st.just(max(length - 2, 2))  # often one point short
+    steps = [Step("base", base)] + [Step("lift", m) for m in draw(st.lists(orders, max_size=2))]
+    steps += [Step("augment")] if draw(st.booleans()) else []
+    return tuple(steps), draw(st.integers(2, 4))
+
+
+_PLAIN = make_code(4, 3, [(1, 1, 1, 1)])
+_BUILDERS_REFUSE = [
+    ((Step("base", _PLAIN), Step("augment")), "code has no infinity symbol"),
+    ((Step("base", _PLAIN), Step("lift", 2)),
+     "GF(2) is one point short for length 4: every parent word needs an infinity"),
+    ((Step("base", make_code(4, 7, [(5, 1, 2, 3)], inf_id=5)), Step("lift", 3)),
+     "parent code's infinity must be symbol 0 or none, got 5"),
+]
+
+
+class TestWordFreeRules:
+    @pytest.mark.parametrize("steps, message", _BUILDERS_REFUSE)
+    def test_shapes_refuse_what_the_builders_refuse(self, steps, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            _shapes(steps)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ConstructionPlan(2, 4, 3, 2, steps)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            steps[-1].build(steps[0].build(None, 2), 2)
+
+    def test_texts_are_the_builders(self):
+        # the order and the field size are refused with the lift's own texts
+        for m, message in ((6, "6 is not a prime power"),
+                           (2, "field order 2 too small for length 5")):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                _shapes((Step("base", "q4"), Step("lift", m)))
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                polynomial_lift(base_code("q4"), m, 2, 3)
+        # an empty code without an infinity has no word to miss one
+        empty = (Step("base", make_code(4, 3, [])), Step("lift", 2))
+        code = execute_steps(empty, 2)
+        assert _shapes(empty)[-1] == (code.q, code.length, code.size) == (6, 4, 0)
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(_chains())
+    @example(chain=(_BUILDERS_REFUSE[0][0], 2))
+    @example(chain=(_BUILDERS_REFUSE[1][0], 2))
+    @example(chain=(_BUILDERS_REFUSE[2][0], 2))
+    def test_shapes_agree_with_the_builders(self, chain):
+        _assert_shapes_agree(*chain)
+
+    def test_no_field_is_built_at_plan_time(self, monkeypatch):
+        def refuse(m):
+            raise AssertionError(f"GF({m}) built at plan time")
+        for module in ("plan", "construct", "gf"):
+            monkeypatch.setattr(f"frameproof.{module}.make_field", refuse, raising=False)
+        text = format_plan(plan_code(2, 2**20 + 1))
+        assert text.endswith("steps: base q3; lift 524288; augment")
+        m = 2**19
+        assert _shapes((Step("base", "q3"), Step("lift", m)))[-1] == (2 * m + 1, 4, 8 * m * m)
 
 
 class TestFactorization:
