@@ -143,7 +143,7 @@ def _cmd_construct(args) -> int:
     steps = parse_steps(args.steps)
     if args.parent is not None:
         steps = (Step("base", read_code_file(args.parent)),) + steps
-    _, length, size = _shapes(steps)[-1]
+    _, length, size = _shapes(steps, args.c)[-1]
     _check_budget(args, size * length)
     code = execute_steps(steps, args.c)
     write_code_file(code, args.out)

@@ -1,9 +1,9 @@
 """Built-in base codes and the alphabet-expanding composition operators.
 
 Every tagged code comes from one operation, :func:`_lift_words`, whose
-one caller is :func:`polynomial_lift`.  It and :func:`augment_infinity`
-admit the t that :func:`~frameproof.verify.lemma_t` admits.  Their word-free
-refusals are :func:`_lift_shape` and :func:`_augment_shape`, which plan's ``Step.shape`` calls.
+one caller is :func:`polynomial_lift`.  The word-free refusals of it and of
+:func:`augment_infinity` are :func:`_lift_shape` and :func:`_augment_shape`, which plan's
+``Step.shape`` calls.  Both end in :func:`_admit`, the one owner of the lemma's refusal.
 """
 
 from __future__ import annotations
@@ -94,8 +94,16 @@ def default_eval_points(m: int, length: int) -> tuple[int | None, ...]:
     return tuple(range(m)) + (None,)
 
 
-def _lift_shape(q: int, length: int, size: int, star, m, t) -> tuple[int, int, int]:
-    """(q, l, M) after a lift by GF(m) at t: the lift's word-free refusals; builds no field."""
+def _admit(length: int, c, t, starred: bool) -> int:
+    """t as an int, if :func:`~frameproof.verify.lemma_t` admits it for c: the lemma's refusal."""
+    c, t = _check_count("c", c, 2), _check_count("t", t, 1)
+    if t > (most := lemma_t(length, c, starred)):
+        raise ValueError(f"lemma_t admits t <= {most} at length {length} and c={c}, got t={t}")
+    return t
+
+
+def _lift_shape(q: int, length: int, size: int, star, m, t, c) -> tuple[int, int, int]:
+    """(q, l, M) after a lift by GF(m) at t for c: the lift's word-free refusals; no field."""
     if star not in (0, None):
         raise ValueError(f"parent code's infinity must be symbol 0 or none, got {star}")
     _check_order(m)
@@ -104,7 +112,7 @@ def _lift_shape(q: int, length: int, size: int, star, m, t) -> tuple[int, int, i
     if short and size and star is None:
         raise ValueError(_ONE_SHORT.format(m, length))
     s = int(star is not None)
-    return (q - s) * m + s, length, size * m ** _check_count("t", t, 1)
+    return (q - s) * m + s, length, size * m ** _admit(length, c, t, bool(s))
 
 
 def polynomial_lift(code: Code, m: int, t: int, c: int) -> Code:
@@ -125,16 +133,13 @@ def polynomial_lift(code: Code, m: int, t: int, c: int) -> Code:
     admits.  The parent's t-determinedness is re-checked on every call.
     """
     length, star = code.length, code.inf_id
-    q, _, size = _lift_shape(code.q, length, code.size, star, m, t)
+    q, _, size = _lift_shape(code.q, length, code.size, star, m, t, c)
     short = (m := int(m)) == length - 2  # an integer, as _lift_shape checked
     # point ids, m standing for the infinity point
     pts = np.array([m if p is None else p for p in default_eval_points(m, length - short)])
     stars = code.array == star  # all False without an infinity
     if short and not stars.any(axis=1).all():
         raise ValueError(_ONE_SHORT.format(m, length))
-    c, t = _check_count("c", c, 2), _check_count("t", t, 1)
-    if t > (most := lemma_t(length, c, star is not None)):
-        raise ValueError(f"lemma_t admits t <= {most} at length {length} and c={c}, got t={t}")
     report = is_t_determined(code, t)
     if not report.verdict:
         raise ValueError(f"parent code is not {t}-determined: {report.witness}")
@@ -145,10 +150,11 @@ def polynomial_lift(code: Code, m: int, t: int, c: int) -> Code:
     return lifted
 
 
-def _augment_shape(q: int, length: int, size: int, star) -> tuple[int, int, int]:
-    """(q, l, M) after adjoining the all-infinity word; refuses a code with no infinity."""
+def _augment_shape(q: int, length: int, size: int, star, c, t) -> tuple[int, int, int]:
+    """(q, l, M) after adjoining the all-infinity word at t for c: its word-free refusals."""
     if star is None:
         raise ValueError("code has no infinity symbol")
+    _admit(length, c, t, True)
     return q, length, size + 1
 
 
@@ -159,10 +165,7 @@ def augment_infinity(code: Code, c: int, t: int) -> Code:
     admits, but no longer t-determined, so augmentation comes after all
     lifts (a second augmentation fails the t-determined check).
     """
-    q, length, _ = _augment_shape(code.q, code.length, code.size, code.inf_id)
-    c, t = _check_count("c", c, 2), _check_count("t", t, 1)
-    if t > (most := lemma_t(length, c, True)):
-        raise ValueError(f"lemma_t admits t <= {most} at length {length} and c={c}, got t={t}")
+    q, length, _ = _augment_shape(code.q, code.length, code.size, code.inf_id, c, t)
     report = is_t_determined(code, t)
     if not report.verdict:
         raise ValueError(f"code is not {t}-determined: {report.witness}")

@@ -8,8 +8,8 @@ array of order c+1.  With q - 1 = c*m, q is reachable exactly when every
 full prime-power factor of m is at least c.  The chain lifts last by the
 largest odd such factor above c (an even one if none is odd), recurses
 on (q-1)/factor + 1 until it meets the base, and lifts first by a factor
-equal to c, whose field is one point short of the length.  A step's
-word-free rules are its builder's: construct's ``_lift_shape`` and ``_augment_shape``.
+equal to c, whose field is one point short of the length.  A step's word-free rules are
+its builder's, in construct: ``_lift_shape``, ``_augment_shape`` and the lemma's ``_admit``.
 """
 
 from __future__ import annotations
@@ -52,15 +52,15 @@ class Step(NamedTuple):
     kind: str
     arg: str | int | Code | None = None
 
-    def shape(self, before: tuple[int, int, int] | None,
+    def shape(self, before: tuple[int, int, int] | None, c: int,
               star: int | None = 0) -> tuple[int, int, int]:
-        """(q, l, M) after this step, from the (q, l, M) before it, or None, and the star."""
+        """(q, l, M) after this step for c, refused as its builder and the lemma's ``_admit`` do."""
         if self.kind == "base":
             return _base(self.arg)[0]
         if self.kind == "lift":
-            return _lift_shape(*before, star, self.arg, 2)
+            return _lift_shape(*before, star, self.arg, 2, c)
         if self.kind == "augment":
-            return _augment_shape(*before, star)
+            return _augment_shape(*before, star, c, 2)
         raise ValueError(f"unknown step kind {self.kind!r}")
 
     def build(self, code: Code | None, c: int) -> Code:
@@ -76,9 +76,9 @@ class Step(NamedTuple):
 
 
 def parse_steps(spec: str) -> tuple[Step, ...]:
-    """The ``;``-separated steps ``base NAME``, ``lift M`` and ``augment`` of a chain spec."""
+    """The ``;``-separated steps ``base NAME``, ``lift M`` and ``augment``; blanks are ``()``."""
     steps = []
-    for text in spec.split(";"):
+    for text in spec.split(";") if spec.strip() else ():
         match text.split():
             case ["base", name]:
                 steps.append(Step("base", name))
@@ -92,8 +92,9 @@ def parse_steps(spec: str) -> tuple[Step, ...]:
     return tuple(steps)
 
 
-def _shapes(steps) -> list[tuple[int, int, int]]:
-    """The (q, l, M) after each step, checking the chain is one base, lifts, an augment."""
+def _shapes(steps, c) -> list[tuple[int, int, int]]:
+    """The (q, l, M) after each step: c, one base, lifts, an augment, and each step's rules."""
+    _check_count("c", c, 2)
     if not steps:
         raise ValueError("plan has no steps")
     shapes, star = [], 0
@@ -105,7 +106,7 @@ def _shapes(steps) -> list[tuple[int, int, int]]:
         if i and steps[i - 1].kind == "augment":
             raise ValueError("augmentation must be the final step")
         star = step.arg.inf_id if i == 0 and isinstance(step.arg, Code) else star
-        shapes.append(step.shape(shapes[-1] if shapes else None, star))
+        shapes.append(step.shape(shapes[-1] if shapes else None, c, star))
     return shapes
 
 
@@ -120,7 +121,7 @@ class ConstructionPlan:
     steps: tuple[Step, ...]
 
     def __post_init__(self):
-        _shapes(self.steps)
+        _shapes(self.steps, self.c)
 
 
 def _chain(c: int, q: int) -> list[Step]:
@@ -158,9 +159,8 @@ def plan_code(c: int, q: int) -> ConstructionPlan:
 
 
 def execute_steps(steps, c: int) -> Code:
-    """Check c and the step chain's shape, then replay it; every lift re-validates its parent."""
-    c = _check_count("c", c, 2)
-    _shapes(steps)
+    """Check the chain's word-free rules for c, then replay it; every lift re-checks its parent."""
+    _shapes(steps, c)
     code = None
     for step in steps:
         code = step.build(code, c)
@@ -184,7 +184,7 @@ def format_plan(plan: ConstructionPlan) -> str:
     for a base Code it lists the steps after the base, which ``construct --in`` replays.
     """
     lines = [f"target: c={plan.c} q={plan.q} length={plan.length} size={plan.expected_size}"]
-    for i, (step, (q, _, size)) in enumerate(zip(plan.steps, _shapes(plan.steps)), 1):
+    for i, (step, (q, _, size)) in enumerate(zip(plan.steps, _shapes(plan.steps, plan.c)), 1):
         lines.append(f"  {i}. {step}: q={q} M={size}")
     chain = plan.steps[1:] if isinstance(plan.steps[0].arg, Code) else plan.steps
     lines.append(f"steps: {'; '.join(map(str, chain))}")

@@ -519,7 +519,7 @@ def is_t_determined(code: Code, t: int) -> VerifyReport:
 
 
 def lemma_t(length: int, c: int, starred: bool) -> int:
-    """The largest t with (t-1)(c + starred) < length, from the lemma the builders rest on.
+    """The largest t with (t-1)(c + starred) < length; construct's ``_admit`` refuses t above it.
 
     Lemma: a t-determined code with at most k infinities per word (k =
     t-1 if starred, else 0) is c-frameproof when c(t-1) + k < l, since c

@@ -78,7 +78,7 @@ class TestConstruct:
         assert read_code_file(out) == named_code("q5")
 
     @pytest.mark.parametrize("spec, bad", [
-        ("", ""),
+        (";", ""),
         ("base q3;", ""),
         ("base q3;; lift 3", ""),
         ("base q3; lift 3.0", "lift 3.0"),
@@ -94,6 +94,22 @@ class TestConstruct:
         err = capsys.readouterr().err
         assert f"step {bad!r} is not 'base NAME', 'lift M' or 'augment'" in err
         assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_an_empty_chain_is_the_in_file(self, tmp_path, base_file, capsys):
+        # the steps: line of a plan that is only a base Code replays with --in
+        plan = ConstructionPlan(2, 4, 3, 8, (Step("base", base_code("q3")),))
+        assert format_plan(plan).endswith("\nsteps: ") and parse_steps(" \t") == ()
+        out, want = tmp_path / "x.fpc", tmp_path / "want.fpc"
+        assert run(["export", str(base_file), "--out", str(want)]) == 0
+        for spec in ("", " "):
+            assert run(["construct", "--in", str(base_file), "--c", "2", "--steps", spec,
+                        "--out", str(out)]) == 0
+            assert out.read_bytes() == want.read_bytes()
+        out.unlink()
+        assert run(["construct", "--c", "2", "--steps", "", "--out", str(out)]) == 64
+        err = capsys.readouterr().err
+        assert "plan has no steps" in err and "Traceback" not in err
         assert not out.exists()
 
     def test_c_below_two_is_refused_on_a_bare_base(self, tmp_path, capsys):
@@ -148,6 +164,26 @@ class TestConstruct:
             err = capsys.readouterr().err
             assert message in err and "Traceback" not in err
             assert not out.exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--in", "columns.fpc", "--c", "4", "--steps", "lift 3"],
+         "lemma_t admits t <= 1 at length 4 and c=4, got t=2"),
+        (["--c", "5", "--steps", "base q3; augment"],
+         "lemma_t admits t <= 1 at length 4 and c=5, got t=2"),
+        (["--c", "1", "--steps", "base q3; lift 3"], "c must be an integer of at least 2, got 1"),
+    ])
+    def test_chains_that_cannot_be_built_for_c_exit_64_at_any_budget(
+            self, tmp_path, capsys, monkeypatch, argv, message):
+        # the lemma and the c count are word-free rules: refused before the budget check
+        monkeypatch.setattr(construct, "_lift_words", lambda *args: pytest.fail("lifted"))
+        oa = build_oa_strength2(3)
+        write_code_file(make_code(4, 3, oa.array.T), tmp_path / "columns.fpc")
+        argv = [str(tmp_path / a) if a == "columns.fpc" else a for a in argv]
+        out = tmp_path / "x.fpc"
+        assert run(["--budget", "1", "construct"] + argv + ["--out", str(out)]) == 64
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+        assert not out.exists()
 
     def test_planned_steps_after_a_code_base_replay_with_in(self, tmp_path, base_file):
         steps = (Step("base", read_code_file(base_file)), Step("lift", 3), Step("augment"))

@@ -230,6 +230,11 @@ class TestPolynomialLift:
                 polynomial_lift(parent, 3, t, c)
             with pytest.raises(ValueError, match=f"{name} must be an integer of at least"):
                 augment_infinity(parent, c, t)
+        # both counts bad: both builders name c first, as construct._admit counts c, then t
+        with pytest.raises(ValueError, match="c must be an integer of at least"):
+            polynomial_lift(parent, 3, bad, bad)
+        with pytest.raises(ValueError, match="c must be an integer of at least"):
+            augment_infinity(parent, bad, bad)
 
     def test_numpy_counts_are_integers(self):
         # numpy integers pass, an unsigned t included: it comes back as an int, so -t cannot wrap
@@ -243,10 +248,10 @@ class TestPolynomialLift:
         assert polynomial_lift(parent, np.uint8(131), 2, 2) == lifted
 
     def test_checks_run_in_order(self):
-        # infinity, then prime power, then too small, then an infinity in every word
-        # (a field one point short), then the lemma, then determinedness: each input
+        # infinity, then prime power, then too small, then the lemma, then an infinity
+        # in every word (a field one point short), then determinedness: each input
         # below fails the named check and every later one (c=10 is above what
-        # lemma_t admits at length 10)
+        # lemma_t admits at length 10, and c=2 is not)
         inf_one = make_code(10, 3, [(0,) * 10, (0,) * 9 + (2,)], inf_id=1)
         with pytest.raises(ValueError, match="infinity"):
             polynomial_lift(inf_one, 6, 2, 10)
@@ -255,8 +260,10 @@ class TestPolynomialLift:
             polynomial_lift(long_bad, 6, 2, 10)
         with pytest.raises(ValueError, match="too small"):
             polynomial_lift(long_bad, 7, 2, 10)
-        with pytest.raises(ValueError, match="needs an infinity"):
+        with pytest.raises(ValueError, match="lemma_t admits t <= 1 at length 10 and c=10"):
             polynomial_lift(long_bad, 8, 2, 10)
+        with pytest.raises(ValueError, match="needs an infinity"):
+            polynomial_lift(long_bad, 8, 2, 2)
         with pytest.raises(ValueError, match="lemma_t admits t <= 1 at length 10 and c=10"):
             polynomial_lift(long_bad, 9, 2, 10)
         bad = make_code(4, 3, [(1, 1, 1, 1), (1, 1, 1, 2)], inf_id=0)

@@ -222,7 +222,7 @@ class TestAnyC:
 
     def test_a_code_stands_for_the_base(self):
         base = base_code("q3")
-        assert Step("base", base).shape(None) == (3, 4, 8)
+        assert Step("base", base).shape(None, 2) == (3, 4, 8)
         steps = (Step("base", base), Step("lift", 3), Step("augment"))
         assert execute_steps(steps, 2) == execute_plan(plan_code(2, 7))
         with pytest.raises(ValueError, match="start from its one base"):
@@ -242,7 +242,7 @@ class TestAnyC:
                 execute_steps(steps, 2)
         # a numpy order is read as an int: the planned shape is the built one, not a wrapped one
         steps = (Step("base", "q3"), Step("lift", np.uint8(131)), Step("augment"))
-        assert _shapes(steps)[-1] == (263, 4, 137289)
+        assert _shapes(steps, 2)[-1] == (263, 4, 137289)
         code = execute_steps(steps, 2)
         assert (code.q, code.length, code.size) == (263, 4, 137289)
 
@@ -282,7 +282,7 @@ class TestExecution:
         oa = build_oa_strength2(3)
         steps = (Step("base", make_code(oa.constraints, oa.levels, oa.array.T)), Step("lift", m))
         code = execute_steps(steps, 3)
-        assert _shapes(steps)[-1] == (code.q, code.length, code.size) == (3 * m, 4, 9 * m * m)
+        assert _shapes(steps, 3)[-1] == (code.q, code.length, code.size) == (3 * m, 4, 9 * m * m)
 
     def test_empty_steps(self):
         with pytest.raises(ValueError):
@@ -296,16 +296,19 @@ class TestExecution:
         assert text.endswith("augment: q=25 M=1153\nsteps: base q3; lift 4; lift 3; augment")
 
 
-# the builders' refusals that read words or c, which _shapes cannot foresee
-_WORD_RULES = ("every parent word needs an infinity", "lemma_t admits", "-determined")
+# the builders' refusals that read words, which _shapes cannot foresee
+_WORD_RULES = ("every parent word needs an infinity", "-determined")
 
 
 def _assert_shapes_agree(steps, c):
-    """Build step by step: _shapes refuses as the builder does, and predicts what it builds."""
+    """Build step by step: _shapes refuses as the builder does, and predicts what it builds.
+
+    A base reads no c, so a c that _shapes refuses at the base is refused by the next step.
+    """
     predicted, refused = [], None
     for i in range(len(steps)):
         try:
-            predicted = _shapes(steps[:i + 1])
+            predicted = _shapes(steps[:i + 1], c)
         except ValueError as exc:
             refused = i, str(exc)
             break
@@ -315,18 +318,21 @@ def _assert_shapes_agree(steps, c):
         try:
             code = step.build(code, c)
         except ValueError as exc:
-            if refused is not None and refused[0] == i:
+            if refused is not None and refused[0] <= i:
                 assert str(exc) == refused[1]
             else:
                 assert any(text in str(exc) for text in _WORD_RULES), str(exc)
             return
-        assert refused is None or i < refused[0], f"built {code!r}, refused {refused}"
+        if refused is not None and refused[0] <= i:
+            assert step.kind == "base", f"built {code!r}, refused {refused}"
+            continue
         assert (code.q, code.length, code.size) == predicted[i]
+    assert refused is None, f"built every step, refused {refused}"
 
 
 @st.composite
 def _chains(draw):
-    """A base, up to two lifts by m in 2..9 and an optional augment, with c in 2..4."""
+    """A base, up to two lifts by m in 2..9 and an optional augment, with c in 2..5."""
     base = draw(st.sampled_from(["q3", "q4", "oa3", "oa4", "oa5", "code"]))
     if base == "code":  # a small code whose infinity is 0, none or another symbol
         length, q = draw(st.integers(3, 5)), draw(st.integers(2, 4))
@@ -337,7 +343,7 @@ def _chains(draw):
     orders = st.integers(2, 9) | st.just(max(length - 2, 2))  # often one point short
     steps = [Step("base", base)] + [Step("lift", m) for m in draw(st.lists(orders, max_size=2))]
     steps += [Step("augment")] if draw(st.booleans()) else []
-    return tuple(steps), draw(st.integers(2, 4))
+    return tuple(steps), draw(st.integers(2, 5))
 
 
 _PLAIN = make_code(4, 3, [(1, 1, 1, 1)])
@@ -348,36 +354,59 @@ _BUILDERS_REFUSE = [
     ((Step("base", make_code(4, 7, [(5, 1, 2, 3)], inf_id=5)), Step("lift", 3)),
      "parent code's infinity must be symbol 0 or none, got 5"),
 ]
+# the 9 columns of the order-3 array: 2-determined, without a star
+_COLUMNS = make_code(4, 3, build_oa_strength2(3).array.T)
+# chains that no c-frameproof code comes from: the lemma admits no t = 2, or c is below 2
+_REFUSED_FOR_C = [
+    ((Step("base", _COLUMNS), Step("lift", 3)), 4,
+     "lemma_t admits t <= 1 at length 4 and c=4, got t=2"),
+    ((Step("base", "q3"), Step("augment")), 5,
+     "lemma_t admits t <= 1 at length 4 and c=5, got t=2"),
+    ((Step("base", "q3"), Step("lift", 3), Step("augment")), 1,
+     "c must be an integer of at least 2, got 1"),
+]
 
 
 class TestWordFreeRules:
     @pytest.mark.parametrize("steps, message", _BUILDERS_REFUSE)
     def test_shapes_refuse_what_the_builders_refuse(self, steps, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            _shapes(steps)
+            _shapes(steps, 2)
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             ConstructionPlan(2, 4, 3, 2, steps)
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             steps[-1].build(steps[0].build(None, 2), 2)
+
+    @pytest.mark.parametrize("steps, c, message", _REFUSED_FOR_C)
+    def test_chains_that_cannot_be_built_for_c_are_refused(self, steps, c, message):
+        # refused when the plan is made, before format_plan prints it or a step builds
+        base = steps[0].build(None, c)  # a base reads no c
+        for refuse in (lambda: _shapes(steps, c), lambda: ConstructionPlan(c, 4, 9, 81, steps),
+                       lambda: execute_steps(steps, c), lambda: steps[1].build(base, c)):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                refuse()
 
     def test_texts_are_the_builders(self):
         # the order and the field size are refused with the lift's own texts
         for m, message in ((6, "6 is not a prime power"),
                            (2, "field order 2 too small for length 5")):
             with pytest.raises(ValueError, match=f"^{message}$"):
-                _shapes((Step("base", "q4"), Step("lift", m)))
+                _shapes((Step("base", "q4"), Step("lift", m)), 3)
             with pytest.raises(ValueError, match=f"^{message}$"):
                 polynomial_lift(base_code("q4"), m, 2, 3)
         # an empty code without an infinity has no word to miss one
         empty = (Step("base", make_code(4, 3, [])), Step("lift", 2))
         code = execute_steps(empty, 2)
-        assert _shapes(empty)[-1] == (code.q, code.length, code.size) == (6, 4, 0)
+        assert _shapes(empty, 2)[-1] == (code.q, code.length, code.size) == (6, 4, 0)
 
     @settings(max_examples=300, derandomize=True, deadline=None)
     @given(_chains())
     @example(chain=(_BUILDERS_REFUSE[0][0], 2))
     @example(chain=(_BUILDERS_REFUSE[1][0], 2))
     @example(chain=(_BUILDERS_REFUSE[2][0], 2))
+    @example(chain=_REFUSED_FOR_C[0][:2])
+    @example(chain=_REFUSED_FOR_C[1][:2])
+    @example(chain=_REFUSED_FOR_C[2][:2])
     def test_shapes_agree_with_the_builders(self, chain):
         _assert_shapes_agree(*chain)
 
@@ -389,7 +418,7 @@ class TestWordFreeRules:
         text = format_plan(plan_code(2, 2**20 + 1))
         assert text.endswith("steps: base q3; lift 524288; augment")
         m = 2**19
-        assert _shapes((Step("base", "q3"), Step("lift", m)))[-1] == (2 * m + 1, 4, 8 * m * m)
+        assert _shapes((Step("base", "q3"), Step("lift", m)), 2)[-1] == (2 * m + 1, 4, 8 * m * m)
 
 
 class TestFactorization:
