@@ -36,18 +36,8 @@ from .oa import (
     verify_oa,
     write_oa_file,
 )
-from .plan import (
-    Step,
-    _shapes,
-    achieved_rate,
-    blackburn_leading,
-    execute_plan,
-    execute_steps,
-    format_plan,
-    parse_steps,
-    plan_code,
-    ssw_bound,
-)
+from .plan import (ConstructionPlan, Step, achieved_rate, blackburn_leading, execute_plan,
+                   format_plan, parse_steps, plan_code, ssw_bound)
 from .verify import NAIVE_BUDGET, is_frameproof_cover, is_frameproof_naive
 
 
@@ -143,9 +133,9 @@ def _cmd_construct(args) -> int:
     steps = parse_steps(args.steps)
     if args.parent is not None:
         steps = (Step("base", read_code_file(args.parent)),) + steps
-    _, length, size = _shapes(steps, args.c)[-1]
-    _check_budget(args, size * length)
-    code = execute_steps(steps, args.c)
+    plan = ConstructionPlan(args.c, steps)
+    _check_budget(args, plan.expected_size * plan.length)
+    code = execute_plan(plan)
     write_code_file(code, args.out)
     if not args.quiet:
         print(f"wrote {args.out}: {code!r}")

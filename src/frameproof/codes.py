@@ -65,8 +65,9 @@ def make_code(length: int, q: int, words, inf_id: int | None = None) -> Code:
     ``words`` is an integer ``(M, l)`` array or an iterable of words.
     ``length``, ``q``, ``inf_id`` and the symbols are ints or numpy
     integers, stored as ``int``; floats, bools, strings and ``None``
-    raise ValueError, as do symbols past int64.  Duplicate words, wrong
-    lengths and out-of-range symbols are rejected with distinct
+    raise ValueError, as do symbols past int64.  An array that is not
+    2-D is refused, and duplicate words, wrong lengths, out-of-range
+    symbols and words that are not sequences are rejected with distinct
     diagnostics naming the first offending word.
     """
     length, q = _check_count("length", length, 1), _check_count("q", q, 2)
@@ -74,8 +75,16 @@ def make_code(length: int, q: int, words, inf_id: int | None = None) -> Code:
         inf_id = _check_count("inf_id", inf_id, 0)
         if inf_id >= q:
             raise ValueError(f"inf_id {inf_id} out of range 0..{q - 1}")
+    if isinstance(words, np.ndarray) and words.ndim != 2:
+        raise ValueError(f"words must be a 2-D array, got shape {words.shape}")
     if not isinstance(words, np.ndarray):
-        words = [tuple(w) for w in words]
+        words = list(words)  # a list, so that the except clause can walk it again
+        try:
+            words = [tuple(w) for w in words]
+        except TypeError:
+            for bad in (w for w in words if not np.iterable(w)):
+                raise ValueError(f"word {bad!r} is not a sequence") from None
+            raise
     rows = _sorted_rows(words, length, q)
     if rows is None:
         # the word-by-word walk raises at the first bad word, or returns

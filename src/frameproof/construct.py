@@ -133,7 +133,7 @@ def polynomial_lift(code: Code, m: int, t: int, c: int) -> Code:
     admits.  The parent's t-determinedness is re-checked on every call.
     """
     length, star = code.length, code.inf_id
-    q, _, size = _lift_shape(code.q, length, code.size, star, m, t, c)
+    q = _lift_shape(code.q, length, code.size, star, m, t, c)[0]
     short = (m := int(m)) == length - 2  # an integer, as _lift_shape checked
     # point ids, m standing for the infinity point
     pts = np.array([m if p is None else p for p in default_eval_points(m, length - short)])
@@ -145,9 +145,7 @@ def polynomial_lift(code: Code, m: int, t: int, c: int) -> Code:
         raise ValueError(f"parent code is not {t}-determined: {report.witness}")
     # one point short: the k-th non-infinity position of a word takes point k
     out = _lift_words(code.array, m, t, pts[(~stars).cumsum(axis=1) - 1] if short else pts, star)
-    lifted = make_code(length, q, out, inf_id=star)
-    assert lifted.size == size
-    return lifted
+    return make_code(length, q, out, inf_id=star)
 
 
 def _augment_shape(q: int, length: int, size: int, star, c, t) -> tuple[int, int, int]:

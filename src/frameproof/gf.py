@@ -2,12 +2,11 @@
 
 from __future__ import annotations
 
-import operator
 from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .codes import _check_count
+from .codes import _check_count, is_integer
 
 TRIAL_DIVISION_LIMIT = 2**40  # about 0.1 s of trial division at the limit
 
@@ -168,9 +167,9 @@ class Field:
         self._inv = [None] + [exp[-log[a]] for a in range(1, m)]
 
     def _element(self, a) -> int:
-        if type(a) is not int:
-            a = operator.index(a)  # numpy integers and bools to int; TypeError otherwise
-        if not 0 <= a < self.order:
+        if type(a) is not int and not is_integer(a):  # numpy integers pass; bools do not
+            raise TypeError(f"element {a!r} is not an integer")
+        if not 0 <= (a := int(a)) < self.order:
             raise ValueError(f"element {a} out of range 0..{self.order - 1}")
         return a
 

@@ -8,14 +8,16 @@ array of order c+1.  With q - 1 = c*m, q is reachable exactly when every
 full prime-power factor of m is at least c.  The chain lifts last by the
 largest odd such factor above c (an even one if none is odd), recurses
 on (q-1)/factor + 1 until it meets the base, and lifts first by a factor
-equal to c, whose field is one point short of the length.  A step's word-free rules are
-its builder's, in construct: ``_lift_shape``, ``_augment_shape`` and the lemma's ``_admit``.
+equal to c, whose field is one point short of the length.  A :class:`ConstructionPlan`
+is c and its steps.  Before any word exists, it reads each step's (q, l, M), the last being
+its target, from the builders' word-free rules in construct (``_lift_shape``, ``_augment_shape``
+and the lemma's ``_admit``); :func:`execute_plan` checks each step's code against them.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -112,16 +114,19 @@ def _shapes(steps, c) -> list[tuple[int, int, int]]:
 
 @dataclass(frozen=True)
 class ConstructionPlan:
-    """A replayable recipe for a target (c, length, q) code of known size."""
+    """Steps for c; ``shapes`` holds each step's (q, l, M), and the target is the last."""
 
     c: int
-    length: int
-    q: int
-    expected_size: int
     steps: tuple[Step, ...]
+    shapes: tuple[tuple[int, int, int], ...] = field(init=False, repr=False, compare=False)
+    q = property(lambda self: self.shapes[-1][0])
+    length = property(lambda self: self.shapes[-1][1])
+    expected_size = property(lambda self: self.shapes[-1][2])
 
     def __post_init__(self):
-        _shapes(self.steps, self.c)
+        object.__setattr__(self, "shapes", tuple(_shapes(self.steps, self.c)))
+        object.__setattr__(self, "c", int(self.c))
+        object.__setattr__(self, "steps", tuple(self.steps))  # so no step can leave its shape
 
 
 def _chain(c: int, q: int) -> list[Step]:
@@ -154,27 +159,25 @@ def plan_code(c: int, q: int) -> ConstructionPlan:
     q = _check_count("q", q, c + 1)
     if (q - 1) % c:
         raise ValueError(f"q must be 1 mod c={c}, got {q}")
-    steps = tuple(_chain(c, q)) + (Step("augment"),)
-    return ConstructionPlan(c, c + 2, q, (c + 2) * (q - 1) ** 2 // c + 1, steps)
-
-
-def execute_steps(steps, c: int) -> Code:
-    """Check the chain's word-free rules for c, then replay it; every lift re-checks its parent."""
-    _shapes(steps, c)
-    code = None
-    for step in steps:
-        code = step.build(code, c)
-    return code
+    plan = ConstructionPlan(c, tuple(_chain(c, q)) + (Step("augment"),))
+    if plan.shapes[-1] != (want := (q, c + 2, (c + 2) * (q - 1) ** 2 // c + 1)):
+        raise RuntimeError(f"plan for c={c} q={q} reaches {plan.shapes[-1]}, expected {want}")
+    return plan
 
 
 def execute_plan(plan: ConstructionPlan) -> Code:
-    """Replay a plan and insist the result matches its declared target."""
-    code = execute_steps(plan.steps, plan.c)
-    got = (code.q, code.length, code.size)
-    want = (plan.q, plan.length, plan.expected_size)
-    if got != want:
-        raise RuntimeError(f"plan produced (q, l, M)={got}, expected {want}")
+    """Build a plan step by step; each step's code must have the (q, l, M) planned for it."""
+    code = None
+    for i, (step, want) in enumerate(zip(plan.steps, plan.shapes), 1):
+        code = step.build(code, plan.c)
+        if (got := (code.q, code.length, code.size)) != want:
+            raise RuntimeError(f"step {i} ({step}) produced (q, l, M)={got}, expected {want}")
     return code
+
+
+def execute_steps(steps, c: int) -> Code:
+    """Plan the chain for c and build it: ``execute_plan(ConstructionPlan(c, steps))``."""
+    return execute_plan(ConstructionPlan(c, steps))
 
 
 def format_plan(plan: ConstructionPlan) -> str:
@@ -184,7 +187,7 @@ def format_plan(plan: ConstructionPlan) -> str:
     for a base Code it lists the steps after the base, which ``construct --in`` replays.
     """
     lines = [f"target: c={plan.c} q={plan.q} length={plan.length} size={plan.expected_size}"]
-    for i, (step, (q, _, size)) in enumerate(zip(plan.steps, _shapes(plan.steps, plan.c)), 1):
+    for i, (step, (q, _, size)) in enumerate(zip(plan.steps, plan.shapes), 1):
         lines.append(f"  {i}. {step}: q={q} M={size}")
     chain = plan.steps[1:] if isinstance(plan.steps[0].arg, Code) else plan.steps
     lines.append(f"steps: {'; '.join(map(str, chain))}")

@@ -98,7 +98,7 @@ class TestConstruct:
 
     def test_an_empty_chain_is_the_in_file(self, tmp_path, base_file, capsys):
         # the steps: line of a plan that is only a base Code replays with --in
-        plan = ConstructionPlan(2, 4, 3, 8, (Step("base", base_code("q3")),))
+        plan = ConstructionPlan(2, (Step("base", base_code("q3")),))
         assert format_plan(plan).endswith("\nsteps: ") and parse_steps(" \t") == ()
         out, want = tmp_path / "x.fpc", tmp_path / "want.fpc"
         assert run(["export", str(base_file), "--out", str(want)]) == 0
@@ -187,7 +187,7 @@ class TestConstruct:
 
     def test_planned_steps_after_a_code_base_replay_with_in(self, tmp_path, base_file):
         steps = (Step("base", read_code_file(base_file)), Step("lift", 3), Step("augment"))
-        *_, line = format_plan(ConstructionPlan(2, 4, 7, 73, steps)).splitlines()
+        *_, line = format_plan(ConstructionPlan(2, steps)).splitlines()
         chain = line.removeprefix("steps: ")
         assert chain == "lift 3; augment" and parse_steps(chain) == steps[1:]
         out, want = tmp_path / "x.fpc", tmp_path / "want.fpc"

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 
 import numpy as np
 import pytest
@@ -115,6 +116,21 @@ class TestMakeCode:
         code = make_code(*args, words)
         assert type(code.length) is int and type(code.q) is int
         assert code_from_text(code_to_text(code)) == code
+
+    @pytest.mark.parametrize("words, message", [
+        (np.array([0, 1, 2]), "words must be a 2-D array, got shape (3,)"),
+        (np.zeros((2, 1, 1), dtype=np.int64), "words must be a 2-D array, got shape (2, 1, 1)"),
+        (np.array(0), "words must be a 2-D array, got shape ()"),
+        ([0, 1, 2], "word 0 is not a sequence"),
+        ([(0,), None], "word None is not a sequence"),
+        (((1,), np.int64(2)), "word np.int64(2) is not a sequence"),
+    ])
+    def test_words_are_rows_of_an_array_or_sequences(self, words, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            make_code(1, 3, words)
+
+    def test_words_may_come_from_a_generator(self):
+        assert make_code(1, 3, ((v,) for v in (2, 0))).words == ((0,), (2,))
 
     def test_first_bad_word_is_reported(self):
         with pytest.raises(ValueError, match=r"length 1"):

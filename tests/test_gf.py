@@ -196,12 +196,17 @@ class TestFields:
             assert values == (f.add(3, 5), f.mul(3, 5), f.inv(3), f.eval_poly((3, 5), 2))
 
     def test_non_integer_elements_rejected(self):
-        f = make_field(9)
-        for bad in (1.0, "1", None):
-            with pytest.raises(TypeError):
-                f.add(bad, 1)
-            with pytest.raises(TypeError):
-                f.eval_poly((1, bad), 2)
+        for f in (make_field(9), make_field(5)):
+            for bad in (1.0, "1", None, True, False, np.True_):
+                with pytest.raises(TypeError):
+                    f.add(bad, 1)
+                with pytest.raises(TypeError):
+                    f.eval_poly((1, bad), 2)
+                with pytest.raises(TypeError):
+                    f.eval_poly((1, 2), bad)
+                if bad is not None:  # None is the infinity point
+                    with pytest.raises(TypeError):
+                        f.poly_values(2, bad)
 
     def test_reducible_modulus_rejected(self):
         with pytest.raises(ValueError, match="not irreducible"):

@@ -91,15 +91,27 @@ class TestPlanning:
 
     def test_bad_plans_rejected_at_construction(self):
         with pytest.raises(ValueError, match="no steps"):
-            ConstructionPlan(2, 4, 7, 73, ())
+            ConstructionPlan(2, ())
         with pytest.raises(ValueError, match="prime power"):
-            ConstructionPlan(
-                2, 4, 13, 289, (Step("base", "q3"), Step("lift", 6), Step("augment"))
-            )
+            ConstructionPlan(2, (Step("base", "q3"), Step("lift", 6), Step("augment")))
         with pytest.raises(ValueError, match="final"):
-            ConstructionPlan(
-                2, 4, 3, 9, (Step("base", "q3"), Step("augment"), Step("lift", 3))
-            )
+            ConstructionPlan(2, (Step("base", "q3"), Step("augment"), Step("lift", 3)))
+
+    def test_the_target_is_read_from_the_steps(self):
+        plan = ConstructionPlan(2, (Step("base", "q3"), Step("lift", 3), Step("augment")))
+        assert (plan.q, plan.length, plan.expected_size) == (7, 4, 73)
+        assert plan.shapes == ((3, 4, 8), (7, 4, 72), (7, 4, 73))
+        assert plan == plan_code(2, 7)
+        for name in ("q", "length", "expected_size", "shapes"):
+            with pytest.raises(AttributeError):
+                setattr(plan, name, 999)
+        # a step list is copied, so a step added later is not built without its shape
+        steps = [Step("base", "q3"), Step("lift", 3)]
+        plan = ConstructionPlan(np.int64(2), steps)
+        steps.append(Step("augment"))
+        assert plan.steps == tuple(steps[:2]) and type(plan.c) is int
+        assert execute_plan(plan).size == plan.expected_size == 72
+        assert hash(plan) == hash(ConstructionPlan(2, tuple(steps[:2])))
 
 
 def _rule_reaches(c, q):
@@ -269,12 +281,29 @@ class TestExecution:
         code = execute_plan(plan_code(2, 9))
         assert is_frameproof_cover(code, 2).verdict
 
-    def test_mismatch_fails_loudly(self):
-        plan = ConstructionPlan(
-            2, 4, 7, 99, (Step("base", "q3"), Step("lift", 3), Step("augment"))
-        )
-        with pytest.raises(RuntimeError, match="expected"):
-            execute_plan(plan)
+    def test_a_step_that_misses_its_shape_stops_the_build(self, monkeypatch):
+        def one_word_short(code, m, t, c):
+            lifted = polynomial_lift(code, m, t, c)
+            return make_code(lifted.length, lifted.q, lifted.array[1:], lifted.inf_id)
+
+        def never(*args):
+            raise AssertionError("a step after the failing one ran")
+        monkeypatch.setattr("frameproof.plan.polynomial_lift", one_word_short)
+        monkeypatch.setattr("frameproof.plan.augment_infinity", never)
+        steps = (Step("base", "q3"), Step("lift", 3), Step("augment"))
+        message = "step 2 (lift 3) produced (q, l, M)=(7, 4, 71), expected (7, 4, 72)"
+        with pytest.raises(RuntimeError, match=f"^{re.escape(message)}$"):
+            execute_steps(steps, 2)
+
+    def test_a_chain_that_misses_the_family_is_refused_before_any_word(self, monkeypatch):
+        def never(*args):
+            raise AssertionError("a word was built at plan time")
+        monkeypatch.setattr("frameproof.construct._lift_words", never)
+        monkeypatch.setattr("frameproof.plan._chain", lambda c, q: [Step("base", "q3"),
+                                                                    Step("lift", 2)])
+        message = "plan for c=2 q=7 reaches (5, 4, 33), expected (7, 4, 73)"
+        with pytest.raises(RuntimeError, match=f"^{re.escape(message)}$"):
+            plan_code(2, 7)
 
     @pytest.mark.parametrize("m", [3, 4, 5])
     def test_plain_base_shapes_match_the_build(self, m):
@@ -373,7 +402,7 @@ class TestWordFreeRules:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             _shapes(steps, 2)
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            ConstructionPlan(2, 4, 3, 2, steps)
+            ConstructionPlan(2, steps)
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             steps[-1].build(steps[0].build(None, 2), 2)
 
@@ -381,7 +410,7 @@ class TestWordFreeRules:
     def test_chains_that_cannot_be_built_for_c_are_refused(self, steps, c, message):
         # refused when the plan is made, before format_plan prints it or a step builds
         base = steps[0].build(None, c)  # a base reads no c
-        for refuse in (lambda: _shapes(steps, c), lambda: ConstructionPlan(c, 4, 9, 81, steps),
+        for refuse in (lambda: _shapes(steps, c), lambda: ConstructionPlan(c, steps),
                        lambda: execute_steps(steps, c), lambda: steps[1].build(base, c)):
             with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
                 refuse()
