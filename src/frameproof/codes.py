@@ -171,8 +171,7 @@ def _extend(keys: np.ndarray, span: int, col: np.ndarray, lo: int, width: int):
 
 def _checked_words(words, length: int, q: int) -> list[Word]:
     top = min(q, _SYMBOL_LIMIT)
-    seen: set[Word] = set()
-    out: list[Word] = []
+    out: dict[Word, None] = {}  # the words in order, and the set of those seen
     for w in words:
         for v in w:
             if not is_integer(v):
@@ -183,11 +182,10 @@ def _checked_words(words, length: int, q: int) -> list[Word]:
         for v in tup:
             if not 0 <= v < top:
                 raise ValueError(f"symbol {v} out of range 0..{top - 1} in word {tup}")
-        if tup in seen:
+        if tup in out:
             raise ValueError(f"duplicate word {tup}")
-        seen.add(tup)
-        out.append(tup)
-    return out
+        out[tup] = None
+    return list(out)
 
 
 def descendant_contains(coalition, word) -> bool:
@@ -320,6 +318,14 @@ def code_to_text(code: Code) -> str:
     return _fpc_header(code) + str(_table_bytes(code.array, code.inf_id), "ascii")
 
 
+def _decimal(text: str, what: str) -> int:
+    """Decimal ``text`` as an int; ValueError naming ``what`` if it is too long for int()."""
+    try:
+        return int(text)
+    except ValueError:  # more digits than sys.get_int_max_str_digits() allows
+        raise ValueError(f"{what} has {len(text)} digits, more than int() converts") from None
+
+
 def _read_header(head: str, magic: str, keys: tuple[str, ...], star: str | None = None) -> dict:
     """The values of a ``.fpc`` or ``.oa`` header line.
 
@@ -336,7 +342,7 @@ def _read_header(head: str, magic: str, keys: tuple[str, ...], star: str | None 
             raise ValueError(f"bad {magic} header field {part!r}, expected {key}=...")
         if not (raw.isdecimal() or (key == star and raw == "none")):
             raise ValueError(f"bad {magic} header field {part!r}: not a decimal number")
-        vals[key] = None if raw == "none" else int(raw)
+        vals[key] = None if raw == "none" else _decimal(raw, f"{magic} header field {key}")
     return vals
 
 

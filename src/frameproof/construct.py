@@ -102,8 +102,8 @@ def _admit(length: int, c, t, starred: bool) -> int:
     return t
 
 
-def _lift_shape(q: int, length: int, size: int, star, m, t, c) -> tuple[int, int, int]:
-    """(q, l, M) after a lift by GF(m) at t for c: the lift's word-free refusals; no field."""
+def _lift_shape(q: int, length: int, size: int, star, m, t, c) -> tuple[int, int, int, int | None]:
+    """(q, l, M, inf) after a lift by GF(m) at t for c: the lift's word-free refusals; no field."""
     if star not in (0, None):
         raise ValueError(f"parent code's infinity must be symbol 0 or none, got {star}")
     _check_order(m)
@@ -112,7 +112,7 @@ def _lift_shape(q: int, length: int, size: int, star, m, t, c) -> tuple[int, int
     if short and size and star is None:
         raise ValueError(_ONE_SHORT.format(m, length))
     s = int(star is not None)
-    return (q - s) * m + s, length, size * m ** _admit(length, c, t, bool(s))
+    return (q - s) * m + s, length, size * m ** _admit(length, c, t, bool(s)), star
 
 
 def polynomial_lift(code: Code, m: int, t: int, c: int) -> Code:
@@ -132,8 +132,7 @@ def polynomial_lift(code: Code, m: int, t: int, c: int) -> Code:
     c-frameproof for every t that :func:`~frameproof.verify.lemma_t`
     admits.  The parent's t-determinedness is re-checked on every call.
     """
-    length, star = code.length, code.inf_id
-    q = _lift_shape(code.q, length, code.size, star, m, t, c)[0]
+    q, length, _, star = _lift_shape(code.q, code.length, code.size, code.inf_id, m, t, c)
     short = (m := int(m)) == length - 2  # an integer, as _lift_shape checked
     # point ids, m standing for the infinity point
     pts = np.array([m if p is None else p for p in default_eval_points(m, length - short)])
@@ -148,12 +147,12 @@ def polynomial_lift(code: Code, m: int, t: int, c: int) -> Code:
     return make_code(length, q, out, inf_id=star)
 
 
-def _augment_shape(q: int, length: int, size: int, star, c, t) -> tuple[int, int, int]:
-    """(q, l, M) after adjoining the all-infinity word at t for c: its word-free refusals."""
+def _augment_shape(q: int, length: int, size: int, star, c, t) -> tuple[int, int, int, int]:
+    """(q, l, M, inf) after adjoining the all-infinity word at t for c: its word-free refusals."""
     if star is None:
         raise ValueError("code has no infinity symbol")
     _admit(length, c, t, True)
-    return q, length, size + 1
+    return q, length, size + 1, star
 
 
 def augment_infinity(code: Code, c: int, t: int) -> Code:
@@ -163,10 +162,10 @@ def augment_infinity(code: Code, c: int, t: int) -> Code:
     admits, but no longer t-determined, so augmentation comes after all
     lifts (a second augmentation fails the t-determined check).
     """
-    q, length, _ = _augment_shape(code.q, code.length, code.size, code.inf_id, c, t)
+    q, length, _, star = _augment_shape(code.q, code.length, code.size, code.inf_id, c, t)
     report = is_t_determined(code, t)
     if not report.verdict:
         raise ValueError(f"code is not {t}-determined: {report.witness}")
     # first, so that with infinity 0 the rows arrive sorted and make_code need not sort them
-    all_inf = np.full((1, length), code.inf_id)
-    return make_code(length, q, np.vstack([all_inf, code.array]), code.inf_id)
+    all_inf = np.full((1, length), star)
+    return make_code(length, q, np.vstack([all_inf, code.array]), star)

@@ -183,4 +183,6 @@ def read_oa_header(path) -> dict[str, int]:
     """The ``N``, ``k``, ``s`` and ``t`` of an ``.oa`` file, from its first non-blank line alone."""
     with open(path, "rb") as fh:  # fh splits lines at \n only; _HEAD ends the header at \r too
         head = next(filter(None, (_HEAD.match(line)[1] for line in fh)), b"")
-    return _read_header(head.decode("ascii"), _OA_MAGIC, _OA_KEYS)
+    if not head.isascii():  # refused as _read_table refuses it
+        raise ValueError(f"{_OA_MAGIC} text is not ASCII")
+    return _read_header(head.decode(), _OA_MAGIC, _OA_KEYS)

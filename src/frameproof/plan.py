@@ -9,9 +9,9 @@ full prime-power factor of m is at least c.  The chain lifts last by the
 largest odd such factor above c (an even one if none is odd), recurses
 on (q-1)/factor + 1 until it meets the base, and lifts first by a factor
 equal to c, whose field is one point short of the length.  A :class:`ConstructionPlan`
-is c and its steps.  Before any word exists, it reads each step's (q, l, M), the last being
-its target, from the builders' word-free rules in construct (``_lift_shape``, ``_augment_shape``
-and the lemma's ``_admit``); :func:`execute_plan` checks each step's code against them.
+is c and its steps.  Before any word exists, it reads each step's shape, the (q, l, M, inf) of
+a ``.fpc`` header, the last being its target, from construct's word-free rules (``_lift_shape``,
+``_augment_shape`` and the lemma's ``_admit``); :func:`execute_plan` checks each code against them.
 """
 
 from __future__ import annotations
@@ -21,24 +21,25 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
 
-from .codes import Code, _check_count
+from .codes import Code, _check_count, _decimal
 from .construct import (BASE_CODE_INFO, _augment_shape, _lift_shape, augment_infinity,
                         base_code, polynomial_lift)
 from .gf import factor_prime_powers, is_prime_power
 from .oa import build_oa_strength2, oa_to_pt_code
 
 
-def _base(arg) -> tuple[tuple[int, int, int], Callable[[], Code]]:
-    """The (q, l, M) of a base and its builder: a Code, a fixture name or an ``oa<s>`` seed."""
+def _base(arg) -> tuple[tuple[int, int, int, int | None], Callable[[], Code]]:
+    """The (q, l, M, inf) of a base and its builder: a Code, a fixture or an ``oa<s>`` seed."""
     if isinstance(arg, Code):
-        return (arg.q, arg.length, arg.size), lambda: arg
+        return (arg.q, arg.length, arg.size, arg.inf_id), lambda: arg
     if isinstance(arg, str) and arg in BASE_CODE_INFO:
-        return BASE_CODE_INFO[arg][:3], lambda: base_code(arg)
-    s = int(arg[2:]) if isinstance(arg, str) and arg[2:].isdecimal() else 0
+        return (*BASE_CODE_INFO[arg][:3], 0), lambda: base_code(arg)
+    oa = isinstance(arg, str) and arg[:2] == "oa" and arg[2:].isdecimal()
+    s = _decimal(arg[2:], "the s of base 'oa<s>'") if oa else 0
     if arg != f"oa{s}" or s < 2 or is_prime_power(s) is None:
         raise ValueError(f"unknown base {arg!r}; choose from {sorted(BASE_CODE_INFO)} "
                          "or oa<s> for a prime power s")
-    return (s, s + 1, s * s - 1), lambda: oa_to_pt_code(build_oa_strength2(s))
+    return (s, s + 1, s * s - 1, 0), lambda: oa_to_pt_code(build_oa_strength2(s))
 
 
 class Step(NamedTuple):
@@ -54,15 +55,16 @@ class Step(NamedTuple):
     kind: str
     arg: str | int | Code | None = None
 
-    def shape(self, before: tuple[int, int, int] | None, c: int,
-              star: int | None = 0) -> tuple[int, int, int]:
-        """(q, l, M) after this step for c, refused as its builder and the lemma's ``_admit`` do."""
+    def shape(self, before: tuple[int, int, int, int | None] | None, c: int) -> tuple:
+        """(q, l, M, inf) after this step for c, refused as its builder and ``_admit`` do."""
         if self.kind == "base":
             return _base(self.arg)[0]
         if self.kind == "lift":
-            return _lift_shape(*before, star, self.arg, 2, c)
+            return _lift_shape(*before, self.arg, 2, c)
         if self.kind == "augment":
-            return _augment_shape(*before, star, c, 2)
+            if self.arg is not None:
+                raise ValueError(f"augment takes no argument, got {self.arg!r}")
+            return _augment_shape(*before, c, 2)
         raise ValueError(f"unknown step kind {self.kind!r}")
 
     def build(self, code: Code | None, c: int) -> Code:
@@ -85,7 +87,7 @@ def parse_steps(spec: str) -> tuple[Step, ...]:
             case ["base", name]:
                 steps.append(Step("base", name))
             case ["lift", m] if m.isascii() and m.isdecimal():
-                steps.append(Step("lift", int(m)))
+                steps.append(Step("lift", _decimal(m, "the M of step 'lift M'")))
             case ["augment"]:
                 steps.append(Step("augment"))
             case _:
@@ -94,12 +96,12 @@ def parse_steps(spec: str) -> tuple[Step, ...]:
     return tuple(steps)
 
 
-def _shapes(steps, c) -> list[tuple[int, int, int]]:
-    """The (q, l, M) after each step: c, one base, lifts, an augment, and each step's rules."""
+def _shapes(steps, c) -> list[tuple[int, int, int, int | None]]:
+    """The (q, l, M, inf) after each step: c, one base, lifts, an augment, each step's rules."""
     _check_count("c", c, 2)
     if not steps:
         raise ValueError("plan has no steps")
-    shapes, star = [], 0
+    shapes = []
     for i, step in enumerate(steps):
         if not isinstance(step, Step):
             raise ValueError(f"step {step!r} is not a Step")
@@ -107,18 +109,17 @@ def _shapes(steps, c) -> list[tuple[int, int, int]]:
             raise ValueError("a plan must start from its one base step")
         if i and steps[i - 1].kind == "augment":
             raise ValueError("augmentation must be the final step")
-        star = step.arg.inf_id if i == 0 and isinstance(step.arg, Code) else star
-        shapes.append(step.shape(shapes[-1] if shapes else None, c, star))
+        shapes.append(step.shape(shapes[-1] if shapes else None, c))
     return shapes
 
 
 @dataclass(frozen=True)
 class ConstructionPlan:
-    """Steps for c; ``shapes`` holds each step's (q, l, M), and the target is the last."""
+    """Steps for c; ``shapes`` holds each step's (q, l, M, inf), and the target is the last."""
 
     c: int
     steps: tuple[Step, ...]
-    shapes: tuple[tuple[int, int, int], ...] = field(init=False, repr=False, compare=False)
+    shapes: tuple[tuple, ...] = field(init=False, repr=False, compare=False)
     q = property(lambda self: self.shapes[-1][0])
     length = property(lambda self: self.shapes[-1][1])
     expected_size = property(lambda self: self.shapes[-1][2])
@@ -160,18 +161,18 @@ def plan_code(c: int, q: int) -> ConstructionPlan:
     if (q - 1) % c:
         raise ValueError(f"q must be 1 mod c={c}, got {q}")
     plan = ConstructionPlan(c, tuple(_chain(c, q)) + (Step("augment"),))
-    if plan.shapes[-1] != (want := (q, c + 2, (c + 2) * (q - 1) ** 2 // c + 1)):
+    if plan.shapes[-1] != (want := (q, c + 2, (c + 2) * (q - 1) ** 2 // c + 1, 0)):
         raise RuntimeError(f"plan for c={c} q={q} reaches {plan.shapes[-1]}, expected {want}")
     return plan
 
 
 def execute_plan(plan: ConstructionPlan) -> Code:
-    """Build a plan step by step; each step's code must have the (q, l, M) planned for it."""
+    """Build a plan step by step; each step's code must have the (q, l, M, inf) planned for it."""
     code = None
     for i, (step, want) in enumerate(zip(plan.steps, plan.shapes), 1):
         code = step.build(code, plan.c)
-        if (got := (code.q, code.length, code.size)) != want:
-            raise RuntimeError(f"step {i} ({step}) produced (q, l, M)={got}, expected {want}")
+        if (got := (code.q, code.length, code.size, code.inf_id)) != want:
+            raise RuntimeError(f"step {i} ({step}) produced (q, l, M, inf)={got}, expected {want}")
     return code
 
 
@@ -187,7 +188,7 @@ def format_plan(plan: ConstructionPlan) -> str:
     for a base Code it lists the steps after the base, which ``construct --in`` replays.
     """
     lines = [f"target: c={plan.c} q={plan.q} length={plan.length} size={plan.expected_size}"]
-    for i, (step, (q, _, size)) in enumerate(zip(plan.steps, plan.shapes), 1):
+    for i, (step, (q, _, size, _)) in enumerate(zip(plan.steps, plan.shapes), 1):
         lines.append(f"  {i}. {step}: q={q} M={size}")
     chain = plan.steps[1:] if isinstance(plan.steps[0].arg, Code) else plan.steps
     lines.append(f"steps: {'; '.join(map(str, chain))}")

@@ -3,15 +3,18 @@
 Most are pure-Python loops; :func:`reference_shared_patterns` is the
 cover index built with one ``_pack`` and one argsort per position set.
 
-Also :func:`named_code`, which builds the q5/q10 test codes through the lift.
+Also :func:`named_code`, which builds the q5/q10 test codes through the lift, and
+:func:`digits_past_int_limit`, the length of a decimal text that ``int()`` refuses.
 """
 
 import io
 import re
+import sys
 from collections import Counter
 from itertools import combinations, product
 
 import numpy as np
+import pytest
 
 from frameproof import (
     BudgetExceeded,
@@ -24,6 +27,14 @@ from frameproof import (
 from frameproof.codes import _pack, _read_header
 from frameproof.gf import _digits, _poly_mod
 from frameproof.verify import NAIVE_BUDGET
+
+
+def digits_past_int_limit() -> int:
+    """100 digits past the interpreter's limit for ``int()``; the test is skipped without one."""
+    limit = getattr(sys, "get_int_max_str_digits", int)()  # 0, no limit, before 3.10.7
+    if not limit:
+        pytest.skip("int() converts decimal text of any length")
+    return limit + 100
 
 
 def named_code(name):

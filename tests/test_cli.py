@@ -20,7 +20,7 @@ from frameproof import (
     write_code_file,
     write_oa_file,
 )
-from helpers import named_code
+from helpers import digits_past_int_limit, named_code
 
 from frameproof import acceptance, construct
 from frameproof.cli import run
@@ -94,6 +94,17 @@ class TestConstruct:
         err = capsys.readouterr().err
         assert f"step {bad!r} is not 'base NAME', 'lift M' or 'augment'" in err
         assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("spec, what", [("base q3; lift {}", "the M of step 'lift M'"),
+                                            ("base oa{}", "the s of base 'oa<s>'")])
+    def test_numbers_too_long_for_int_name_their_step(self, tmp_path, capsys, spec, what):
+        digits = digits_past_int_limit()
+        out = tmp_path / "x.fpc"
+        argv = ["construct", "--c", "2", "--steps", spec.format("7" * digits), "--out", str(out)]
+        assert run(argv) == 64
+        err = capsys.readouterr().err
+        assert err == f"error: {what} has {digits} digits, more than int() converts\n"
         assert not out.exists()
 
     def test_an_empty_chain_is_the_in_file(self, tmp_path, base_file, capsys):
@@ -419,6 +430,22 @@ class TestOaCommands:
         # only the header is read before the refusal: a stray byte in the table waits
         path.write_bytes(b"oa1 N=262144 k=18 s=2 t=9\n0 \xff 1\n")
         assert run(["oa-verify", str(path)]) == 2
+
+    def test_header_too_long_for_int_names_its_field(self, tmp_path, capsys):
+        digits = digits_past_int_limit()
+        path = tmp_path / "t.oa"
+        path.write_text(f"oa1 N=4 k=2 s=2 t={'1' * digits}\n0 0 1 1\n0 1 0 1\n")
+        for command in ("import", "oa-verify"):
+            assert run([command, str(path)]) == 64
+            err = capsys.readouterr().err
+            assert err == f"error: oa1 header field t has {digits} digits, more than int() converts\n"
+
+    def test_both_readers_refuse_a_non_ascii_header_alike(self, tmp_path, capsys):
+        path = tmp_path / "t.oa"
+        path.write_bytes("oa1 N=4 k=2 s=2 t=\u0661\n0 0 1 1\n0 1 0 1\n".encode())
+        for command in ("import", "oa-verify"):
+            assert run([command, str(path)]) == 64
+            assert capsys.readouterr().err == "error: oa1 text is not ASCII\n"
 
     def test_stdout_array_parses(self, capsys):
         assert run(["oa", "--s", "2"]) == 0

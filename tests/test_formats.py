@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import reference_code_text, reference_oa_text, reference_read_table
+from helpers import digits_past_int_limit, reference_code_text, reference_oa_text, reference_read_table
 from test_verify import codes_with_c, starred_codes_with_t
 
 from frameproof import (
@@ -83,6 +83,15 @@ class TestStrictGrammar:
     def test_non_ascii_header_digits_are_refused(self):
         with pytest.raises(ValueError, match="not ASCII"):
             code_from_text("fpc1 q=٣ l=2 M=1 inf=none\n1 2\n")
+
+    def test_header_too_long_for_int_names_its_field(self, tmp_path, capsys):
+        digits = digits_past_int_limit()
+        text = f"fpc1 q={'9' * digits} l=2 M=1 inf=none\n1 2\n"
+        message = f"fpc1 header field q has {digits} digits, more than int() converts"
+        with pytest.raises(ValueError) as exc:
+            code_from_text(text)
+        assert str(exc.value) == message
+        assert _exit_and_err(tmp_path, capsys, text, "q.fpc") == (64, f"error: {message}\n")
 
     def test_a_star_must_be_a_whole_token(self):
         with pytest.raises(ValueError, match="whole"):

@@ -27,6 +27,7 @@ from frameproof import (
     ssw_bound,
 )
 from frameproof.plan import _base, _shapes
+from helpers import digits_past_int_limit
 
 
 class TestPlanning:
@@ -100,7 +101,7 @@ class TestPlanning:
     def test_the_target_is_read_from_the_steps(self):
         plan = ConstructionPlan(2, (Step("base", "q3"), Step("lift", 3), Step("augment")))
         assert (plan.q, plan.length, plan.expected_size) == (7, 4, 73)
-        assert plan.shapes == ((3, 4, 8), (7, 4, 72), (7, 4, 73))
+        assert plan.shapes == ((3, 4, 8, 0), (7, 4, 72, 0), (7, 4, 73, 0))
         assert plan == plan_code(2, 7)
         for name in ("q", "length", "expected_size", "shapes"):
             with pytest.raises(AttributeError):
@@ -234,7 +235,7 @@ class TestAnyC:
 
     def test_a_code_stands_for_the_base(self):
         base = base_code("q3")
-        assert Step("base", base).shape(None, 2) == (3, 4, 8)
+        assert Step("base", base).shape(None, 2) == (3, 4, 8, 0)
         steps = (Step("base", base), Step("lift", 3), Step("augment"))
         assert execute_steps(steps, 2) == execute_plan(plan_code(2, 7))
         with pytest.raises(ValueError, match="start from its one base"):
@@ -254,9 +255,33 @@ class TestAnyC:
                 execute_steps(steps, 2)
         # a numpy order is read as an int: the planned shape is the built one, not a wrapped one
         steps = (Step("base", "q3"), Step("lift", np.uint8(131)), Step("augment"))
-        assert _shapes(steps, 2)[-1] == (263, 4, 137289)
+        assert _shapes(steps, 2)[-1] == (263, 4, 137289, 0)
         code = execute_steps(steps, 2)
-        assert (code.q, code.length, code.size) == (263, 4, 137289)
+        assert (code.q, code.length, code.size, code.inf_id) == (263, 4, 137289, 0)
+
+    def test_augment_takes_no_argument(self):
+        # Step("augment", 5) would print as "augment 5", a line parse_steps refuses
+        steps = (Step("base", "q3"), Step("augment", 5))
+        for refuse in (lambda: _shapes(steps, 2), lambda: ConstructionPlan(2, steps),
+                       lambda: execute_steps(steps, 2)):
+            with pytest.raises(ValueError, match="^augment takes no argument, got 5$"):
+                refuse()
+
+    def test_an_order_too_long_for_int_names_its_step(self):
+        nines = "9" * digits_past_int_limit()
+        message = f"the M of step 'lift M' has {len(nines)} digits, more than int() converts"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            parse_steps(f"base q3; lift {nines}")
+
+    def test_an_array_seed_too_long_for_int_names_its_step(self):
+        sevens = "7" * digits_past_int_limit()
+        message = f"the s of base 'oa<s>' has {len(sevens)} digits, more than int() converts"
+        steps = parse_steps(f"base oa{sevens}")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ConstructionPlan(2, steps)
+        # text that is not oa<digits> stays an unknown base, however long
+        with pytest.raises(ValueError, match="^unknown base 'x"):
+            ConstructionPlan(2, (Step("base", f"x{sevens}"),))
 
     def test_format_names_the_array_seed(self):
         text = format_plan(plan_code(6, 43))
@@ -291,9 +316,20 @@ class TestExecution:
         monkeypatch.setattr("frameproof.plan.polynomial_lift", one_word_short)
         monkeypatch.setattr("frameproof.plan.augment_infinity", never)
         steps = (Step("base", "q3"), Step("lift", 3), Step("augment"))
-        message = "step 2 (lift 3) produced (q, l, M)=(7, 4, 71), expected (7, 4, 72)"
+        message = "step 2 (lift 3) produced (q, l, M, inf)=(7, 4, 71, 0), expected (7, 4, 72, 0)"
         with pytest.raises(RuntimeError, match=f"^{re.escape(message)}$"):
             execute_steps(steps, 2)
+
+    def test_a_step_that_changes_the_star_stops_the_build(self, monkeypatch):
+        def starless(code, m, t, c):
+            lifted = polynomial_lift(code, m, t, c)
+            return make_code(lifted.length, lifted.q, lifted.array, None)
+
+        monkeypatch.setattr("frameproof.plan.polynomial_lift", starless)
+        plan = ConstructionPlan(2, (Step("base", "q3"), Step("lift", 3)))
+        message = "step 2 (lift 3) produced (q, l, M, inf)=(7, 4, 72, None), expected (7, 4, 72, 0)"
+        with pytest.raises(RuntimeError, match=f"^{re.escape(message)}$"):
+            execute_plan(plan)
 
     def test_a_chain_that_misses_the_family_is_refused_before_any_word(self, monkeypatch):
         def never(*args):
@@ -301,7 +337,7 @@ class TestExecution:
         monkeypatch.setattr("frameproof.construct._lift_words", never)
         monkeypatch.setattr("frameproof.plan._chain", lambda c, q: [Step("base", "q3"),
                                                                     Step("lift", 2)])
-        message = "plan for c=2 q=7 reaches (5, 4, 33), expected (7, 4, 73)"
+        message = "plan for c=2 q=7 reaches (5, 4, 33, 0), expected (7, 4, 73, 0)"
         with pytest.raises(RuntimeError, match=f"^{re.escape(message)}$"):
             plan_code(2, 7)
 
@@ -311,7 +347,17 @@ class TestExecution:
         oa = build_oa_strength2(3)
         steps = (Step("base", make_code(oa.constraints, oa.levels, oa.array.T)), Step("lift", m))
         code = execute_steps(steps, 3)
-        assert _shapes(steps, 3)[-1] == (code.q, code.length, code.size) == (3 * m, 4, 9 * m * m)
+        shape = (code.q, code.length, code.size, code.inf_id)
+        assert _shapes(steps, 3)[-1] == shape == (3 * m, 4, 9 * m * m, None)
+
+    def test_a_starless_chain_keeps_no_star(self):
+        # two lifts of the 9 columns: the second reads the star from the first's shape
+        oa = build_oa_strength2(3)
+        base = make_code(oa.constraints, oa.levels, oa.array.T)
+        plan = ConstructionPlan(3, (Step("base", base), Step("lift", 3), Step("lift", 4)))
+        code = execute_plan(plan)
+        assert plan.shapes[-1] == (code.q, code.length, code.size, code.inf_id)
+        assert plan.shapes[-1] == (36, 4, 1296, None)
 
     def test_empty_steps(self):
         with pytest.raises(ValueError):
@@ -341,7 +387,7 @@ def _assert_shapes_agree(steps, c):
         except ValueError as exc:
             refused = i, str(exc)
             break
-    assume(all(size <= 20_000 for *_, size in predicted))
+    assume(all(size <= 20_000 for _, _, size, _ in predicted))
     code = None
     for i, step in enumerate(steps):
         try:
@@ -355,7 +401,7 @@ def _assert_shapes_agree(steps, c):
         if refused is not None and refused[0] <= i:
             assert step.kind == "base", f"built {code!r}, refused {refused}"
             continue
-        assert (code.q, code.length, code.size) == predicted[i]
+        assert (code.q, code.length, code.size, code.inf_id) == predicted[i]
     assert refused is None, f"built every step, refused {refused}"
 
 
@@ -426,7 +472,8 @@ class TestWordFreeRules:
         # an empty code without an infinity has no word to miss one
         empty = (Step("base", make_code(4, 3, [])), Step("lift", 2))
         code = execute_steps(empty, 2)
-        assert _shapes(empty, 2)[-1] == (code.q, code.length, code.size) == (6, 4, 0)
+        shape = (code.q, code.length, code.size, code.inf_id)
+        assert _shapes(empty, 2)[-1] == shape == (6, 4, 0, None)
 
     @settings(max_examples=300, derandomize=True, deadline=None)
     @given(_chains())
@@ -447,7 +494,7 @@ class TestWordFreeRules:
         text = format_plan(plan_code(2, 2**20 + 1))
         assert text.endswith("steps: base q3; lift 524288; augment")
         m = 2**19
-        assert _shapes((Step("base", "q3"), Step("lift", m)), 2)[-1] == (2 * m + 1, 4, 8 * m * m)
+        assert _shapes((Step("base", "q3"), Step("lift", m)), 2)[-1] == (2 * m + 1, 4, 8 * m * m, 0)
 
 
 class TestFactorization:
