@@ -1,6 +1,8 @@
-"""The two hand-made base codes, their short lifts, and what makes them special.
+"""The two named base codes, their short lifts, and what makes them special.
 
-Each base code designates symbol 0 as the infinity (star) marker.  Every
+q3 and q4 are the seeds of the strength-2 orthogonal arrays of order 3
+and 4 (``oa3`` and ``oa4``) with the slope position moved first.  Each
+base code designates symbol 0 as the infinity (star) marker.  Every
 word carries at most one star, and any two non-star agreements pin a
 word down uniquely ("2-determined"), which is exactly the structure the
 lift construction needs.  Lifting q3 by GF(2) and q4 by GF(3), fields
@@ -9,7 +11,6 @@ has a star, so each word's other positions still get distinct points.
 """
 
 from frameproof import (
-    BASE_CODE_INFO,
     base_code,
     code_to_text,
     polynomial_lift,
@@ -18,16 +19,16 @@ from frameproof import (
     ssw_bound,
 )
 
-for name, (q, length, size, c) in sorted(BASE_CODE_INFO.items(), key=lambda kv: kv[1][0]):
+for name, c in (("q3", 2), ("q4", 3)):
     base = base_code(name)
     # c = length - 2: GF(c) has one point too few for every position
     lifted = polynomial_lift(base, c, 2, c)
     for label, code in ((name, base), (f"{name} lifted by GF({c})", lifted)):
         fp = is_frameproof_cover(code, c)
         det = is_t_determined(code, 2)
-        bound = ssw_bound(c, length, code.q)
+        bound = ssw_bound(c, code.length, code.q)
         print(
-            f"{label:>18}: q={code.q:2d} l={length} M={code.size:3d}  "
+            f"{label:>18}: q={code.q:2d} l={code.length} M={code.size:3d}  "
             f"{c}-frameproof={fp.verdict}  2-determined={det.verdict}  "
             f"cardinality bound={bound}"
         )
@@ -35,4 +36,4 @@ for name, (q, length, size, c) in sorted(BASE_CODE_INFO.items(), key=lambda kv: 
 print("\nthe smallest base code in file form:")
 print(code_to_text(base_code("q3")), end="")
 
-print("every star pattern appears once per position, shifted copies fill the rest.")
+print("one star per word, in each position twice: the 9 columns of oa3 less the all-zero one.")

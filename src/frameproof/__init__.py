@@ -22,7 +22,6 @@ from .codes import (
     write_code_file,
 )
 from .construct import (
-    BASE_CODE_INFO,
     augment_infinity,
     base_code,
     default_eval_points,
@@ -68,7 +67,6 @@ from .verify import (
 __version__ = "1.0.0"
 
 __all__ = [
-    "BASE_CODE_INFO",
     "BudgetExceeded",
     "Code",
     "ConstructionPlan",

@@ -20,6 +20,7 @@ from .codes import (
     _FPC_MAGIC,
     _HEAD,
     _check_count,
+    _decimal,
     _table_bytes,
     code_from_text,
     code_to_text,
@@ -57,7 +58,10 @@ def _natural(text: str) -> int:
     # as in a .fpc header: no sign, space, "_" or other script
     if not (text.isascii() and text.isdecimal()):
         raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
-    return int(text)
+    try:
+        return _decimal(text, "the number")
+    except ValueError as exc:  # too long for int(); argparse would echo every digit
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _global_options() -> _Parser:

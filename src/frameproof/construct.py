@@ -1,5 +1,6 @@
-"""Built-in base codes and the alphabet-expanding composition operators.
+"""Named base codes and the alphabet-expanding composition operators.
 
+Every named base is a strength-2 array's seed, and :func:`_seed_order` alone parses its name.
 Every tagged code comes from one operation, :func:`_lift_words`, whose
 one caller is :func:`polynomial_lift`.  The word-free refusals of it and of
 :func:`augment_infinity` are :func:`_lift_shape` and :func:`_augment_shape`, which plan's
@@ -10,32 +11,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from .codes import Code, _check_count, make_code
-from .gf import _check_order, make_field
+from .codes import Code, _check_count, _decimal, make_code
+from .gf import _check_order, is_prime_power, make_field
+from .oa import build_oa_strength2, make_oa, oa_to_pt_code
 from .verify import is_t_determined, lemma_t
 
-# Fixture word patterns.  A pattern entry is None for an infinity slot or
-# the shift added to the running index i (symbol (i+shift) mod k, encoded
-# as value+1 with infinity as 0).
-_PLAIN_BASES = {
-    "q3": (2, (
-        (None, 0, 0, 0),
-        (0, None, 0, 1),
-        (0, 1, None, 0),
-        (0, 0, 1, None),
-    )),
-    "q4": (3, (
-        (None, 0, 0, 0, 0),
-        (0, None, 0, 1, 2),
-        (0, 0, None, 2, 1),
-        (0, 1, 2, None, 0),
-        (0, 2, 1, 0, None),
-    )),
-}
-
-# name -> (q, length, size, c): k symbols and infinity, k words per pattern, for c = k
-BASE_CODE_INFO = {name: (k + 1, len(patterns[0]), k * len(patterns), k)
-                  for name, (k, patterns) in _PLAIN_BASES.items()}
+_SLOPE_FIRST = {"q3": 3, "q4": 4}
 _ONE_SHORT = "GF({}) is one point short for length {}: every parent word needs an infinity"
 
 
@@ -65,18 +46,29 @@ def _lift_words(rows: np.ndarray, m: int, t: int, points, star: int | None) -> n
     return out.transpose(0, 2, 1).reshape(-1, rows.shape[1])
 
 
+def _seed_order(name) -> int:
+    """The order s that a base name stands for: ``q3``, ``q4``, or ``oa<s>`` for a prime power s."""
+    if isinstance(name, str) and name in _SLOPE_FIRST:
+        return _SLOPE_FIRST[name]
+    oa = isinstance(name, str) and name[:2] == "oa" and name[2:].isdecimal()
+    s = _decimal(name[2:], "the s of base 'oa<s>'") if oa else 0
+    if s < 2 or name != f"oa{s}" or is_prime_power(s) is None:  # ASCII digits, no leading zero
+        raise ValueError(f"unknown base {name!r}; choose from {sorted(_SLOPE_FIRST)} "
+                         "or oa<s> for a prime power s")
+    return s
+
+
 def base_code(name: str) -> Code:
-    """One of the two hand-made 2-determined base codes, ``q3`` and ``q4``."""
-    if name not in _PLAIN_BASES:
-        raise ValueError(f"unknown base code {name!r}; choose from {sorted(BASE_CODE_INFO)}")
-    k, patterns = _PLAIN_BASES[name]
-    words = [
-        tuple(0 if e is None else (i + e) % k + 1 for e in pattern)
-        for pattern in patterns
-        for i in range(k)
-    ]
-    q, length, _, _ = BASE_CODE_INFO[name]
-    return make_code(length, q, words, inf_id=0)
+    """The (s, s+1, s**2 - 1, 0) seed of the strength-2 array of order s that a name stands for.
+
+    ``oa<s>`` is ``oa_to_pt_code(build_oa_strength2(s))``; ``q3`` and ``q4``, the paper's c=2
+    and c=3 bases, are the seeds of order 3 and 4 with the slope position first.
+    """
+    s = _seed_order(name)
+    oa = build_oa_strength2(s)
+    if name in _SLOPE_FIRST:  # the slope row, last, moves first
+        oa = make_oa(np.roll(oa.array, 1, axis=0), s, 2)
+    return oa_to_pt_code(oa)
 
 
 def default_eval_points(m: int, length: int) -> tuple[int | None, ...]:

@@ -1,16 +1,14 @@
 """One planner for R_{c,c+2} = (c+2)/c: every c >= 2 with c+1 a prime power.
 
-A plan is a replayable chain of typed :class:`Step` values: one base,
-polynomial lifts, then the all-infinity word, reaching a c-frameproof
-length-(c+2) code of (c+2)/c * (q-1)**2 + 1 words.  The base is q3 for
-c=2, q4 for c=3, else ``oa<c+1>``, the seed read off the strength-2
-array of order c+1.  With q - 1 = c*m, q is reachable exactly when every
-full prime-power factor of m is at least c.  The chain lifts last by the
-largest odd such factor above c (an even one if none is odd), recurses
-on (q-1)/factor + 1 until it meets the base, and lifts first by a factor
-equal to c, whose field is one point short of the length.  A :class:`ConstructionPlan`
-is c and its steps.  Before any word exists, it reads each step's shape, the (q, l, M, inf) of
-a ``.fpc`` header, the last being its target, from construct's word-free rules (``_lift_shape``,
+A plan is a replayable chain of typed :class:`Step` values: one base, polynomial lifts, then the
+all-infinity word, reaching a c-frameproof length-(c+2) code of (c+2)/c * (q-1)**2 + 1 words.  The
+base is the seed of the strength-2 array of order c+1, ``oa<c+1>``, with its slope position first
+for c=2 and c=3 (``q3`` and ``q4``).  With q - 1 = c*m, q is reachable exactly when every full
+prime-power factor of m is at least c.  The chain lifts last by the largest odd such factor above c
+(an even one if none is odd), recurses on (q-1)/factor + 1 until it meets the base, and lifts first
+by a factor equal to c, whose field is one point short of the length.  A :class:`ConstructionPlan`
+is c and its steps.  Before any word exists, it reads each step's shape, the (q, l, M, inf) of a
+``.fpc`` header, the last being its target, from construct's word-free rules (``_lift_shape``,
 ``_augment_shape`` and the lemma's ``_admit``); :func:`execute_plan` checks each code against them.
 """
 
@@ -22,31 +20,24 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .codes import Code, _check_count, _decimal
-from .construct import (BASE_CODE_INFO, _augment_shape, _lift_shape, augment_infinity,
+from .construct import (_SLOPE_FIRST, _augment_shape, _lift_shape, _seed_order, augment_infinity,
                         base_code, polynomial_lift)
 from .gf import factor_prime_powers, is_prime_power
-from .oa import build_oa_strength2, oa_to_pt_code
 
 
 def _base(arg) -> tuple[tuple[int, int, int, int | None], Callable[[], Code]]:
-    """The (q, l, M, inf) of a base and its builder: a Code, a fixture or an ``oa<s>`` seed."""
+    """The (q, l, M, inf) of a base and its builder: a Code, or a name that ``base_code`` builds."""
     if isinstance(arg, Code):
         return (arg.q, arg.length, arg.size, arg.inf_id), lambda: arg
-    if isinstance(arg, str) and arg in BASE_CODE_INFO:
-        return (*BASE_CODE_INFO[arg][:3], 0), lambda: base_code(arg)
-    oa = isinstance(arg, str) and arg[:2] == "oa" and arg[2:].isdecimal()
-    s = _decimal(arg[2:], "the s of base 'oa<s>'") if oa else 0
-    if arg != f"oa{s}" or s < 2 or is_prime_power(s) is None:
-        raise ValueError(f"unknown base {arg!r}; choose from {sorted(BASE_CODE_INFO)} "
-                         "or oa<s> for a prime power s")
-    return (s, s + 1, s * s - 1, 0), lambda: oa_to_pt_code(build_oa_strength2(s))
+    s = _seed_order(arg)
+    return (s, s + 1, s * s - 1, 0), lambda: base_code(arg)
 
 
 class Step(NamedTuple):
     """One plan step, t = 2 throughout.
 
-    ``Step("base", name)`` starts from a fixture, an ``oa<s>`` array
-    seed or a given :class:`~frameproof.codes.Code`, ``Step("lift", m)``
+    ``Step("base", name)`` starts from a named array seed (``q3``, ``q4``
+    or ``oa<s>``) or a given :class:`~frameproof.codes.Code`, ``Step("lift", m)``
     lifts by GF(m) and ``Step("augment")`` adjoins the all-infinity word.
     A step prints as :func:`parse_steps` reads it, except a base Code, which prints
     as its repr and which :func:`format_plan`'s ``steps:`` line leaves out.
@@ -132,7 +123,7 @@ class ConstructionPlan:
 
 def _chain(c: int, q: int) -> list[Step]:
     """Base and lifts to (c+2)/c*(q-1)**2 words; the recursion, unrolled so errors name q."""
-    base = next((name for name, info in BASE_CODE_INFO.items() if info[3] == c), f"oa{c + 1}")
+    base = next((name for name, s in _SLOPE_FIRST.items() if s == c + 1), f"oa{c + 1}")
     lifts, inner = [], q
     while inner > c + 1:
         factors = [p**e for p, e in factor_prime_powers((inner - 1) // c)]

@@ -387,6 +387,19 @@ def test_integers_are_ascii_decimal(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["plan", "--c", "2", "--q", "NINES"],
+    ["--budget", "NINES", "plan", "--c", "2", "--q", "7"],
+])
+def test_an_integer_too_long_for_int_names_its_digits(capsys, argv):
+    # argparse's own refusal would echo every digit and name the private type function
+    digits = digits_past_int_limit()
+    assert run(["9" * digits if a == "NINES" else a for a in argv]) == 64
+    err = capsys.readouterr().err
+    assert f"has {digits} digits, more than int() converts" in err
+    assert len(err) < 200
+
+
 class TestOaCommands:
     def test_build_verify_roundtrip(self, tmp_path, capsys):
         path = tmp_path / "a.oa"

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import re
 from collections import Counter
 
 import numpy as np
@@ -10,7 +11,6 @@ from hypothesis import strategies as st
 from helpers import named_code, reference_lift_words
 
 from frameproof import (
-    BASE_CODE_INFO,
     Step,
     augment_infinity,
     base_code,
@@ -87,9 +87,9 @@ PINNED_CODES = {
 
 class TestBaseCodes:
     def test_parameters(self):
-        for name, (q, length, size, c) in BASE_CODE_INFO.items():
+        for name, shape in (("q3", (3, 4, 8)), ("q4", (4, 5, 15))):
             code = base_code(name)
-            assert (code.q, code.length, code.size) == (q, length, size), name
+            assert (code.q, code.length, code.size) == shape, name
             assert code.inf_id == 0
 
     def test_known_members(self):
@@ -102,7 +102,7 @@ class TestBaseCodes:
         assert by_inf == {0: 3, 1: 3, 2: 3, 3: 3, 4: 3}
 
     def test_star_structure(self):
-        for name in BASE_CODE_INFO:
+        for name in ("q3", "q4"):
             assert is_t_determined(base_code(name), 2).verdict, name
 
     def test_small_bases_frameproof(self):
@@ -111,9 +111,14 @@ class TestBaseCodes:
         assert is_frameproof_naive(named_code("q5"), 2).verdict
 
     def test_unknown_name(self):
-        for name in ("q6", "q5", "q10"):  # q5 and q10 are lifts of q3 and q4
-            with pytest.raises(ValueError, match="unknown base code"):
+        for name in ("q6", "q5", "q10", "oa6", "oa03", ["q3"], 5, None):
+            # q5 and q10 are lifts of q3 and q4; a name that is not a string is refused by name
+            message = f"unknown base {name!r}; choose from ['q3', 'q4'] or oa<s> for a prime power s"
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
                 base_code(name)
+
+    def test_array_seed_by_name(self):
+        assert base_code("oa5") == oa_to_pt_code(build_oa_strength2(5))
 
 
 class TestConstructionBytes:

@@ -30,6 +30,10 @@ from frameproof.plan import _base, _shapes
 from helpers import digits_past_int_limit
 
 
+def _unknown(name) -> str:
+    return f"unknown base {name!r}; choose from ['q3', 'q4'] or oa<s> for a prime power s"
+
+
 class TestPlanning:
     def test_smallest_composed_plan(self):
         plan = plan_code(2, 7)
@@ -243,8 +247,8 @@ class TestAnyC:
 
     def test_bad_steps_rejected(self):
         for steps, match in (
-            ((Step("base", "oa6"),), "unknown base"),
-            ((Step("base", "q7"),), "unknown base"),
+            ((Step("base", "oa6"),), "^" + re.escape(_unknown("oa6")) + "$"),
+            ((Step("base", "q7"),), "^" + re.escape(_unknown("q7")) + "$"),
             ((Step("base", "q3"), Step("lift", 3.0)), "m must be an integer of at least 2, got 3.0"),
             ((Step("lift", 3),), "start from its one base"),
             ((Step("base", "q3"), Step("base", "q3")), "start from its one base"),
@@ -258,6 +262,12 @@ class TestAnyC:
         assert _shapes(steps, 2)[-1] == (263, 4, 137289, 0)
         code = execute_steps(steps, 2)
         assert (code.q, code.length, code.size, code.inf_id) == (263, 4, 137289, 0)
+
+    @pytest.mark.parametrize("name", [["q3"], 5, None])
+    def test_a_name_that_is_not_a_string_is_an_unknown_base(self, name):
+        # base_code refuses them alike (test_construct's test_unknown_name)
+        with pytest.raises(ValueError, match=f"^{re.escape(_unknown(name))}$"):
+            ConstructionPlan(2, (Step("base", name),))
 
     def test_augment_takes_no_argument(self):
         # Step("augment", 5) would print as "augment 5", a line parse_steps refuses
