@@ -21,6 +21,7 @@ from .codes import (
     _HEAD,
     _check_count,
     _decimal,
+    _echo,
     _table_bytes,
     code_from_text,
     code_to_text,
@@ -57,7 +58,7 @@ class _Parser(argparse.ArgumentParser):
 def _natural(text: str) -> int:
     # as in a .fpc header: no sign, space, "_" or other script
     if not (text.isascii() and text.isdecimal()):
-        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {_echo(text)}")
     try:
         return _decimal(text, "the number")
     except ValueError as exc:  # too long for int(); argparse would echo every digit
@@ -280,7 +281,7 @@ def _load_any(path):
         return "code", code_from_text(data)
     if head == _OA_MAGIC:
         return "oa", oa_from_text(data)
-    raise ValueError(f"unrecognised file header {head!r}")
+    raise ValueError(f"unrecognised file header {_echo(head)}")
 
 
 # --- selftest ---------------------------------------------------------------

@@ -326,6 +326,13 @@ def _decimal(text: str, what: str) -> int:
         raise ValueError(f"{what} has {len(text)} digits, more than int() converts") from None
 
 
+def _echo(text, keep: int = 40) -> str:
+    """``repr(text)``, or for a str longer than ``keep`` its first characters and its length."""
+    if not isinstance(text, str) or len(text) <= keep:
+        return repr(text)
+    return f"{text[:keep]!r}... ({len(text)} characters)"
+
+
 def _read_header(head: str, magic: str, keys: tuple[str, ...], star: str | None = None) -> dict:
     """The values of a ``.fpc`` or ``.oa`` header line.
 
@@ -334,14 +341,14 @@ def _read_header(head: str, magic: str, keys: tuple[str, ...], star: str | None 
     """
     parts = head.split()
     if len(parts) != len(keys) + 1 or parts[0] != magic:
-        raise ValueError(f"bad {magic} header: {head!r}")
+        raise ValueError(f"bad {magic} header: {_echo(head)}")
     vals = {}
     for part, key in zip(parts[1:], keys):
         name, _, raw = part.partition("=")
         if name != key:
-            raise ValueError(f"bad {magic} header field {part!r}, expected {key}=...")
+            raise ValueError(f"bad {magic} header field {_echo(part)}, expected {key}=...")
         if not (raw.isdecimal() or (key == star and raw == "none")):
-            raise ValueError(f"bad {magic} header field {part!r}: not a decimal number")
+            raise ValueError(f"bad {magic} header field {_echo(part)}: not a decimal number")
         vals[key] = None if raw == "none" else _decimal(raw, f"{magic} header field {key}")
     return vals
 

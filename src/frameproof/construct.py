@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .codes import Code, _check_count, _decimal, make_code
+from .codes import Code, _check_count, _decimal, _echo, make_code
 from .gf import _check_order, is_prime_power, make_field
 from .oa import build_oa_strength2, make_oa, oa_to_pt_code
 from .verify import is_t_determined, lemma_t
@@ -28,19 +28,18 @@ def _lift_words(rows: np.ndarray, m: int, t: int, points, star: int | None) -> n
     ``(l,)`` or ``(M, l)``), ignored at infinity positions; m stands for
     the infinity point, whose "value" is the leading coefficient.
     Children follow the polynomials' coefficient order, low degree
-    first.  Each point's m**t values are computed once, by
-    :meth:`~frameproof.gf.Field.poly_values`, into a tag table, which is
-    then broadcast against the parent rows.
+    first.  The m**t values of every distinct point are one tag table,
+    from one :meth:`~frameproof.gf.Field.poly_table` call, which is then
+    broadcast against the parent rows.
     """
     if not rows.size:  # no children, and per-row points would name no point
         return rows
     s = int(star is not None)
     if (int(rows.max()) - s + 1) * m + s - 1 >= 2**63:
         raise ValueError(f"lifted symbols out of range 0..{2**63 - 1}")
-    field = make_field(m)
     used, where = np.unique(points, return_inverse=True)
-    tags = np.stack([field.poly_values(t, None if alpha == m else alpha)
-                     for alpha in used.tolist()])[where.reshape(np.shape(points))]
+    tags = make_field(m).poly_table(t, [None if alpha == m else alpha for alpha in used.tolist()])
+    tags = tags[where.reshape(np.shape(points))]
     parent = rows[:, :, None]
     out = np.where(parent == star, 0, (parent - s) * m + s + tags)  # no match for None
     return out.transpose(0, 2, 1).reshape(-1, rows.shape[1])
@@ -53,7 +52,7 @@ def _seed_order(name) -> int:
     oa = isinstance(name, str) and name[:2] == "oa" and name[2:].isdecimal()
     s = _decimal(name[2:], "the s of base 'oa<s>'") if oa else 0
     if s < 2 or name != f"oa{s}" or is_prime_power(s) is None:  # ASCII digits, no leading zero
-        raise ValueError(f"unknown base {name!r}; choose from {sorted(_SLOPE_FIRST)} "
+        raise ValueError(f"unknown base {_echo(name)}; choose from {sorted(_SLOPE_FIRST)} "
                          "or oa<s> for a prime power s")
     return s
 

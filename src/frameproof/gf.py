@@ -197,7 +197,7 @@ class Field:
     def eval_poly(self, coeffs, point: int) -> int:
         """Horner evaluation with checked ``add`` and ``mul``; ``coeffs`` is low-degree-first.
 
-        :meth:`poly_values` evaluates all m**t polynomials of degree below t at once.
+        :meth:`poly_table` evaluates all m**t polynomials of degree below t at once.
         """
         point = self._element(point)
         acc = 0
@@ -206,36 +206,43 @@ class Field:
         return acc
 
     def poly_values(self, t: int, point) -> np.ndarray:
-        """The values at ``point`` of all m**t polynomials of degree below t.
+        """The values at ``point`` of all m**t polynomials of degree below t: one poly_table row."""
+        return self.poly_table(t, [point])[0]
+
+    def poly_table(self, t: int, points) -> np.ndarray:
+        """The values of all m**t polynomials of degree below t, one row per point of ``points``.
 
         Polynomials are low-degree-first coefficient tuples in
         ``itertools.product(range(m), repeat=t)`` order.  ``None`` is the
         infinity point, whose value is the leading coefficient.  Horner's
-        rule runs on whole arrays: each step multiplies the values so far
-        by the point and adds every constant c to them, as row c of the
-        next values.
+        rule runs on the whole table at once: each step multiplies every
+        row's values so far by its point and adds every constant c to
+        them, as block c of the row's next values.  A prime field adds
+        with ``%``; an extension field reads the sums from an m x m table
+        built with the Zech logarithms.  Infinity rows run at point 0 and
+        are then overwritten with the leading coefficients.
         """
         t = _check_count("t", t, 1)
         m = self.order
-        values = np.arange(m, dtype=np.int64)
-        if point is None:
-            return np.tile(values, m ** (t - 1))
-        point = self._element(point)
-        if self.e == 1:
-            for _ in range(t - 1):
-                values = np.add.outer(np.arange(m), values * point)
-                values %= m
-            return values.ravel()
-        exp, log, zech = self._tables
-        lc = log[1:, None]  # c = 1..m-1
-        for _ in range(t - 1):
-            scaled = exp[log[values] + log[point]]  # the log of zero reads 0 from exp
-            values = np.empty((m, len(scaled)), dtype=np.int64)
-            values[0] = scaled
+        points = tuple(points)
+        at = [0 if a is None else self._element(a) for a in points]
+        elements = np.arange(m, dtype=np.int64)
+        values = np.tile(elements, (len(at), 1))  # the leading coefficients
+        x = np.array(at, dtype=np.int64)[:, None]
+        if self.e > 1 and t > 1:
+            exp, log, zech = self._tables
+            lx, lc = log[x], log[1:, None]  # c = 1..m-1
             # c + a = g**lc * (1 + g**(la - lc)); for a = 0, la = 3*(m-1) reads 0
             # from the Zech padding, which leaves c
-            values[1:] = exp[lc + zech[log[scaled] + (m - 1 - lc)]]
-            values = values.ravel()
+            sums = np.vstack([elements, exp[lc + zech[log + (m - 1 - lc)]]])
+        for size in (m**k for k in range(2, t + 1)):
+            if self.e == 1:
+                values = elements[:, None] + (values * x)[:, None]
+                values %= m
+            else:  # the log of zero reads 0 from exp
+                values = sums[elements[:, None], exp[log[values] + lx][:, None]]
+            values = values.reshape(len(at), size)
+        values[[i for i, a in enumerate(points) if a is None]] = np.tile(elements, m ** (t - 1))
         return values
 
     @cached_property

@@ -85,38 +85,36 @@ def build_oa_strength2(s: int) -> OrthogonalArray:
     every pair of symbols appears exactly once.
 
     Row alpha is the polynomial b + a*X at alpha and the slope row is
-    its leading coefficient, so each row is one
-    :meth:`~frameproof.gf.Field.poly_values` call, whose (b, a) order is
-    transposed to (a, b).
+    its leading coefficient, so the s+1 rows are one
+    :meth:`~frameproof.gf.Field.poly_table` call at the points 0..s-1
+    and infinity, whose (b, a) order is transposed to (a, b).
     """
     s = _check_count("s", s, 2)
-    field = make_field(s)
-    arr = np.empty((s + 1, s, s), dtype=np.int64)
-    for row, alpha in zip(arr, (*range(s), None)):
-        row[...] = field.poly_values(2, alpha).reshape(s, s).T
-    return make_oa(arr.reshape(s + 1, s * s), s, 2)
+    # one expression, so that the (b, a) table is freed before make_oa copies the transpose
+    return make_oa(make_field(s).poly_table(2, (*range(s), None))
+                   .reshape(s + 1, s, s).transpose(0, 2, 1).reshape(s + 1, s * s), s, 2)
 
 
 def verify_oa(oa: OrthogonalArray) -> VerifyReport:
     """Exhaustively count column tuples in every t-row submatrix.
 
     Row subsets are taken in ``combinations`` order, many per numpy
-    pass.  The columns of a subset are read as base-s keys, its first
-    row most significant, and offset by s**t per earlier subset in the
-    pass, so one ``np.bincount`` counts every s**t tuple of every subset
-    at once, each subset's in ``product`` order: O(C(k, t) * N)
-    counting.  The first subset with a tuple seen other than ``index``
-    times is the witness, together with its first such tuple;
-    ``subsets_examined`` counts the subsets up to and including it.
+    pass, by :func:`~frameproof.verify._subset_counts` with width s: the
+    columns of a subset are read as base-s keys, its first row most
+    significant, and offset by s**t per earlier subset in the pass, so
+    one ``np.bincount`` counts every s**t tuple of every subset at once,
+    each subset's in ``product`` order: O(C(k, t) * N) counting.  The
+    first subset with a tuple seen other than ``index`` times is the
+    witness, together with its first such tuple; ``subsets_examined``
+    counts the subsets up to and including it.
     Entries lie in 0..s-1, which :class:`OrthogonalArray` guarantees.
     """
     start = time.perf_counter()
-    k = oa.constraints
     t, s, lam = oa.strength, oa.levels, oa.index
     examined = 0
     # N = index * s**t keys span s**t bins, within _DENSE bins per column; each
     # subset's N keys sum to index * s**t, so its counts all equal index when none passes it
-    for subsets, counts in _subset_counts(oa.array, [s] * k, t):
+    for subsets, counts in _subset_counts(oa.array, s, t):
         if counts.max() == lam:
             examined += len(subsets)
             continue

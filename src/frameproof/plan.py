@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
 
-from .codes import Code, _check_count, _decimal
+from .codes import Code, _check_count, _decimal, _echo
 from .construct import (_SLOPE_FIRST, _augment_shape, _lift_shape, _seed_order, augment_infinity,
                         base_code, polynomial_lift)
 from .gf import factor_prime_powers, is_prime_power
@@ -83,7 +83,7 @@ def parse_steps(spec: str) -> tuple[Step, ...]:
                 steps.append(Step("augment"))
             case _:
                 raise ValueError(
-                    f"step {text.strip()!r} is not 'base NAME', 'lift M' or 'augment'")
+                    f"step {_echo(text.strip())} is not 'base NAME', 'lift M' or 'augment'")
     return tuple(steps)
 
 

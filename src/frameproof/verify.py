@@ -26,15 +26,17 @@ other and for every construction in the package.
 
 :func:`is_t_determined` and :func:`~frameproof.oa.verify_oa` share one
 primitive, :func:`_subset_counts`: it reads each column's entries on a
-set of t rows as one mixed-radix key, weighting each row by its actual
-symbol range, and counts the keys of many row sets with one
-``np.bincount``.  A code whose keys would span too many bins has its
-t-sets sorted one set at a time by :func:`_repeated`, the cover index's
-helper: ``codes._pack``, which also sorts ``make_code``'s rows, turns
-the rows' projections onto the set into int64 keys that are equal
-exactly when the projections are, one ``codes._extend`` step per column,
-re-ranking with ``np.unique`` before a product would pass 2**63, so
-symbols anywhere in the int64 range are handled.
+set of t rows as the digits of one key in a single radix, the widest
+column's, and counts the keys of many row sets with one ``np.add`` and
+one ``np.bincount``.  ``is_t_determined`` reads the star as digit 0 and
+counts only the bins with no 0 digit.  A code whose keys would span too
+many bins has its t-sets sorted one set at a time by :func:`_repeated`,
+the cover index's helper: ``codes._pack``, which also sorts
+``make_code``'s rows, turns the rows' projections onto the set into
+int64 keys that are equal exactly when the projections are, one
+``codes._extend`` step per column, re-ranking with ``np.unique`` before
+a product would pass 2**63, so symbols anywhere in the int64 range are
+handled.
 """
 
 from __future__ import annotations
@@ -410,43 +412,54 @@ def is_frameproof_cover(code: Code, c: int, budget: int = NAIVE_BUDGET) -> Verif
     return VerifyReport(True, None, meter[0], time.perf_counter() - start)
 
 
-def _subset_counts(table: np.ndarray, widths: list[int], t: int, dead=None):
+def _subset_counts(table: np.ndarray, width: int, t: int):
     """Count the keys of many t-subsets of the rows of ``table`` per numpy pass.
 
-    ``table`` is ``(rows, n)``, row r holding entries in 0 .. widths[r] -
-    1.  A column's key in a subset S of rows reads its entries on S in
-    mixed radix, the first row most significant and each row weighted by
-    its width; it is dropped where ``dead`` holds on any row of S.  Each
-    subset gets ``span`` bins, the product of the t largest widths, which
-    the caller keeps within ``_DENSE`` bins per column.  Subsets come in
-    ``combinations`` order, in chunks that share all rows but the last,
-    of about ``_CHUNK_CELLS`` (subset, column) cells or one subset: a
-    chunk's last rows are one slice of ``table``, so nothing is gathered.
+    ``table`` is ``(rows, n)``, its entries in 0 .. width - 1.  A column's
+    key in a subset S of rows reads its entries on S as base-``width``
+    digits, the first row most significant, so each subset gets ``span``
+    = width**t bins, which the caller keeps within ``_DENSE`` bins per
+    column.  Subsets come in ``combinations`` order, in chunks that share
+    all rows but the last, of about ``_CHUNK_CELLS`` (subset, column)
+    cells or one subset.  When a chunk holds more than one subset, row r
+    is offset by r * span once per call, so that a chunk's i-th subset
+    counts from i * span on; a chunk's keys are then one ``np.add`` of
+    its prefix's key to a slice of the rows, into one reused buffer.
     Yields ``(subsets, counts)`` per chunk, ``counts[i, key]`` the columns
     with ``key`` in ``subsets[i]``, from one ``np.bincount``.
     """
     rows, n = table.shape
-    span = prod(sorted(widths)[-t:])
-    weight = np.array(widths, dtype=np.int64)[:, None]
+    span = width**t
     per = max(1, _CHUNK_CELLS // max(n, 1))
-    # a chunk's i-th subset counts its keys from i * span on
-    starts = np.repeat(np.arange(per) * span, n).reshape(per, n) if per > 1 else None
+    # the rows a chunk ends its subsets with: row r counts from r * span on, and a chunk
+    # from row a takes a * span off its prefix's key
+    shift = span if per > 1 else 0
+    last = np.add(table, np.arange(rows)[:, None] * shift, order="C") if shift else table
+    buf = np.empty((min(per, rows), n), dtype=np.int64)
     for prefix in combinations(range(rows), t - 1):
-        # the prefix's keys, and its columns dropped, are shared by the whole run
-        head = table[prefix[0]] if prefix else np.zeros(n, dtype=np.int64)
+        # the prefix's digits, shared by the whole run, with room for the last row's
+        head = table[prefix[0]] * width if prefix else 0
         for r in prefix[1:]:
-            head = head * weight[r] + table[r]
-        gone = None if dead is None else np.logical_or.reduce(dead[list(prefix)], axis=0)
+            head = (head + table[r]) * width
         for a in range(prefix[-1] + 1 if prefix else 0, rows, per):
             b = min(rows, a + per)
-            keys = weight[a:b] * head
-            keys += table[a:b]
-            if b - a > 1:
-                keys += starts[:b - a]
-            if dead is not None:
-                keys = keys[~(dead[a:b] | gone)]
+            keys = buf[:b - a]
+            np.add(last[a:b], head - a * shift if shift else head, out=keys)
             yield ([(*prefix, r) for r in range(a, b)],
                    np.bincount(keys.reshape(-1), minlength=(b - a) * span).reshape(-1, span))
+
+
+def _first_live_repeat(counts: np.ndarray, width: int, t: int) -> int | None:
+    """The first subset of ``counts`` with a key counted twice among those with no 0 digit, or None.
+
+    A 0 digit is a star in the subset, so those bins are cleared first.
+    """
+    bins = counts.reshape(-1, *[width] * t)
+    for axis in range(1, t + 1):
+        bins[(slice(None),) * axis + (0,)] = 0
+    if counts.max() <= 1:
+        return None
+    return int(np.argmax(counts > 1)) // width**t
 
 
 def is_t_determined(code: Code, t: int) -> VerifyReport:
@@ -457,13 +470,17 @@ def is_t_determined(code: Code, t: int) -> VerifyReport:
     are non-infinity.  Clause (a) counts each row's infinity entries.
     Without an infinity symbol (``inf_id`` None), (a) holds and (b)
     counts every position.
-    For clause (b) the sets S of t positions are taken in chunks: the
-    rows with no infinity in S get one key each on S, offset per S, and
-    one ``np.bincount`` over the chunk finds every S holding a key twice.
-    That is O(C(l, t) * M) counting.  When the product of the t largest
-    symbol ranges passes ``_DENSE`` bins per word, the symbols are too
-    wide or sparse to count, and each S in turn has its keys packed and
-    sorted by :func:`_repeated`.  On the first failing S, ``np.unique``'s
+    For clause (b) the sets S of t positions are taken in chunks by
+    :func:`_subset_counts`: every row gets one key on S, offset per S,
+    and one ``np.bincount`` over the chunk counts them.  The keys' digits
+    read the star as 0 and live symbols as 1 and up (with the star at 0
+    the rows are read in place, otherwise from one remapped copy), so the
+    bins with no 0 digit hold the rows with no infinity in S, and one
+    there counted twice is a failing S.  That is O(C(l, t) * M) counting.
+    When the radix, the widest column's, to the t-th power passes
+    ``_DENSE`` bins per word, the symbols are too wide or sparse to
+    count, and each S in turn has its keys packed and sorted by
+    :func:`_repeated`.  On the first failing S, ``np.unique``'s
     first occurrences give the witness: the first word, in sort order,
     that repeats a projection, paired with the first word that had it.
     Work is counted in words examined, reported as ``subsets_examined``:
@@ -484,15 +501,21 @@ def is_t_determined(code: Code, t: int) -> VerifyReport:
         return VerifyReport(False, witness, idx + 1, time.perf_counter() - start)
     if not big_m:
         return VerifyReport(True, None, 0, time.perf_counter() - start)
-    lo, hi = rows.min(axis=0), rows.max(axis=0)
-    widths = [b - a + 1 for a, b in zip(lo.tolist(), hi.tolist())]
-    span = prod(sorted(widths)[-t:])
+    # the star reads digit 0 and live symbols 1 and up: a star at 0 is read as it is, no
+    # star shifts every symbol up one, and a star k > 0 reads 0 and the symbols below it move up
+    hi = int(rows.max())
+    width = hi + 2 if inf is None else max(hi, inf) + 1
+    span = width**t
     # per chunk of t-sets, the index of its first set holding a live key twice, or None
     if span <= _DENSE * big_m:
-        table = rows.T - lo[:, None] if lo.any() else rows.T
-        dead = stars.T if stars.any() else None
-        chunks = ((subsets, int(np.argmax(counts > 1)) // span if counts.max() > 1 else None)
-                  for subsets, counts in _subset_counts(table, widths, t, dead))
+        table = rows.T
+        if inf is None:
+            table = table + 1
+        elif inf:
+            table = table + (table < inf)
+            table[stars.T] = 0
+        chunks = ((subsets, _first_live_repeat(counts, width, t))
+                  for subsets, counts in _subset_counts(table, width, t))
     else:
         chunks = (([s], 0 if _repeated(_pack(rows, s)[~stars[:, s].any(axis=1)], span).any() else None)
                   for s in combinations(range(code.length), t))

@@ -400,6 +400,23 @@ def test_an_integer_too_long_for_int_names_its_digits(capsys, argv):
     assert len(err) < 200
 
 
+@pytest.mark.parametrize("argv", [
+    ["plan", "--c", "2", "--q", "NINESx"],
+    ["construct", "--c", "2", "--steps", "base qNINESx", "--out", "OUT"],
+    ["construct", "--c", "2", "--steps", "base q3; lift NINESx", "--out", "OUT"],
+])
+def test_a_long_refused_value_is_echoed_short(tmp_path, capsys, argv):
+    # text that is not all digits is echoed as a prefix and its length, not in full
+    nines = "9" * 5000
+    out = tmp_path / "x.fpc"
+    argv = [str(out) if a == "OUT" else a.replace("NINES", nines) for a in argv]
+    assert run(argv) == 64
+    err = capsys.readouterr().err
+    assert "characters)" in err and "Traceback" not in err
+    assert len(err) < 300
+    assert not out.exists()
+
+
 class TestOaCommands:
     def test_build_verify_roundtrip(self, tmp_path, capsys):
         path = tmp_path / "a.oa"

@@ -69,6 +69,18 @@ class TestStrictGrammar:
         rc, err = _exit_and_err(tmp_path, capsys, text, name)
         assert rc == 64 and "header field" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("text, name", [
+        ("fpc1 q=3 l=2 M=1 inf=0 LONG\n1 2\n", "a.fpc"),
+        ("fpc1 q=3 l=2 M=1 inf=LONG\n1 2\n", "a.fpc"),
+        ("oa1 N=4 k=2 s=2 LONG\n0 1 0 1\n1 0 1 0\n", "a.oa"),
+        ("LONG\n1 2\n", "a.fpc"),
+    ])
+    def test_a_long_bad_header_is_echoed_short(self, tmp_path, capsys, text, name):
+        # the refused header, field or magic is echoed as a prefix and its length
+        rc, err = _exit_and_err(tmp_path, capsys, text.replace("LONG", "y" * 5000), name)
+        assert rc == 64 and "characters)" in err and "Traceback" not in err
+        assert len(err) < 300
+
     def test_zero_length_is_an_input_error(self, tmp_path, capsys):
         rc, err = _exit_and_err(tmp_path, capsys, "fpc1 q=3 l=0 M=0 inf=none\n", "a.fpc")
         assert rc == 64 and err == "error: length must be an integer of at least 1, got 0\n"

@@ -281,6 +281,24 @@ class TestPolyEval:
                     got = got.tolist() if index is None else got[index].tolist()
                     assert got == reference_poly_values(f, t, point, polys), (m, t, point)
 
+    @given(st.sampled_from([2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 32]), st.integers(1, 3), st.data())
+    @settings(max_examples=80, derandomize=True, deadline=None)
+    def test_poly_table_stacks_the_rows_of_its_points(self, m, t, data):
+        # prime and extension fields, infinity and repeated points; every row is
+        # poly_values at its point, and eval_poly (leading_coeff at infinity) on up to
+        # 64 polynomials picked by index
+        f = make_field(m)
+        points = data.draw(st.lists(st.one_of(st.none(), st.integers(0, m - 1)), max_size=5))
+        points += points[:1]
+        table = f.poly_table(t, points)
+        assert table.dtype == np.int64 and table.shape == (len(points), m**t)
+        rows = [f.poly_values(t, point) for point in points]
+        assert np.array_equal(table, np.array(rows, dtype=np.int64).reshape(len(points), m**t))
+        index = data.draw(st.lists(st.integers(0, m**t - 1), min_size=1, max_size=64))
+        polys = [tuple(i // m ** (t - 1 - k) % m for k in range(t)) for i in index]
+        for row, point in zip(table, points):
+            assert row[index].tolist() == reference_poly_values(f, t, point, polys), point
+
     def test_poly_values_checks_its_arguments(self):
         f = make_field(9)
         assert f.poly_values(2, np.int64(3)).tolist() == f.poly_values(2, 3).tolist()

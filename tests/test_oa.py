@@ -156,7 +156,7 @@ class TestVerifier:
             monkeypatch.setattr(verify, "_CHUNK_CELLS", cells)
         oa = build_oa_strength2(s)
         k = oa.constraints
-        chunks = [subsets for subsets, _ in verify._subset_counts(oa.array, [s] * k, 2)]
+        chunks = [subsets for subsets, _ in verify._subset_counts(oa.array, s, 2)]
         assert len(chunks) > 2
         order = list(combinations(range(k), 2))
         assert [subset for chunk in chunks for subset in chunk] == order

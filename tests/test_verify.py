@@ -839,7 +839,7 @@ class TestTDetermined:
         monkeypatch.setattr(verify, "_repeated",
                             lambda keys, span: sorts.append(1) or repeated(keys, span))
         seed = oa_to_pt_code(build_oa_strength2(16))
-        chunks = [subsets for subsets, _ in verify._subset_counts(seed.array.T, [16] * 17, 2)]
+        chunks = [subsets for subsets, _ in verify._subset_counts(seed.array.T, 16, 2)]
         order = list(combinations(range(17), 2))
         assert [subset for chunk in chunks for subset in chunk] == order
         for target in (chunks[0][-1], chunks[1][0], chunks[1][len(chunks[1]) // 2]):
@@ -853,11 +853,69 @@ class TestTDetermined:
             assert (report.verdict, report.witness, report.subsets_examined) == expected
         assert bool(sorts) == wide
 
+    def test_a_star_other_than_zero_is_remapped_to_digit_zero(self, monkeypatch):
+        # the oa16 seed with symbols 0 and 15 swapped has its star at q - 1; the counter
+        # reads a copy in which the star is digit 0 and every live symbol reads 1 and up
+        tables = spy_on_subset_counts(monkeypatch)
+        seed = oa_to_pt_code(build_oa_strength2(16))
+        for code in (seed, plant_agreement(seed, (0, 5))):
+            rows = np.where(code.array == 0, 15, np.where(code.array == 15, 0, code.array))
+            swapped = make_code(code.length, code.q, rows, inf_id=15)
+            report = is_t_determined(swapped, 2)
+            assert report_of(report) == reference_t_determined(swapped, 2)
+            table = tables.pop()
+            assert not np.shares_memory(table, swapped.array)
+            assert np.array_equal(table == 0, swapped.array.T == 15)
+            assert table.min(initial=1, where=table != 0) == 1
+        assert not report.verdict
+
+    def test_a_star_at_zero_is_read_in_place(self, monkeypatch):
+        # inf_id 0 needs no copy, even where a column's least live symbol is above 1:
+        # its bins with a digit below that stay empty
+        tables = spy_on_subset_counts(monkeypatch)
+        seed = oa_to_pt_code(build_oa_strength2(5))
+        for code in (seed, plant_agreement(seed, (0, 3))):
+            rows = code.array.copy()
+            rows[:, 2] = np.where(rows[:, 2] == 0, 0, rows[:, 2] + 3)  # live 4..7
+            shifted = make_code(code.length, 8, rows, inf_id=0)
+            report = is_t_determined(shifted, 2)
+            assert report_of(report) == reference_t_determined(shifted, 2)
+            assert np.shares_memory(tables.pop(), shifted.array)
+        assert not report.verdict
+
     def test_t_equal_one(self):
         # t=1: no infinity entries at all, and no agreement anywhere
         assert is_t_determined(make_code(3, 3, [(1, 2, 1), (2, 1, 2)], inf_id=0), 1).verdict
         report = is_t_determined(make_code(2, 3, [(1, 1), (1, 2)], inf_id=0), 1)
         assert not report.verdict and report.witness.kind == "agreement"
+
+
+def spy_on_subset_counts(monkeypatch):
+    """Make ``_subset_counts`` record each table it is given, in the list returned."""
+    tables, counts = [], verify._subset_counts
+    monkeypatch.setattr(verify, "_subset_counts",
+                        lambda table, width, t: tables.append(table) or counts(table, width, t))
+    return tables
+
+
+@given(st.data())
+@settings(max_examples=150, derandomize=True, deadline=None)
+def test_subset_counts_match_a_bincount_per_subset(data):
+    # chunks of about 1 .. 3n cells split the subsets every few rows; each subset's
+    # counts are the bincount of its mixed-radix keys, the first row most significant
+    t = data.draw(st.integers(1, 3))
+    n, width = data.draw(st.integers(1, 12)), data.draw(st.integers(1, 5))
+    row = st.lists(st.integers(0, width - 1), min_size=n, max_size=n)
+    table = np.array(data.draw(st.lists(row, min_size=t, max_size=6)), dtype=np.int64)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(verify, "_CHUNK_CELLS", data.draw(st.integers(1, 3 * n)))
+        chunks = list(verify._subset_counts(table, width, t))
+    subsets = [subset for chunk, _ in chunks for subset in chunk]
+    assert subsets == list(combinations(range(len(table)), t))
+    counts = np.vstack([c for _, c in chunks])
+    for subset, got in zip(subsets, counts):
+        keys = sum(table[r] * width ** (t - 1 - i) for i, r in enumerate(subset))
+        assert np.array_equal(got, np.bincount(keys, minlength=width**t)), subset
 
 
 def plant_agreement(seed, target):
