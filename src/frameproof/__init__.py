@@ -24,11 +24,11 @@ from .codes import (
 from .construct import (
     augment_infinity,
     base_code,
-    default_eval_points,
     polynomial_lift,
 )
 from .gf import (
     Field,
+    default_eval_points,
     factor_prime_powers,
     is_prime_power,
     leading_coeff,

@@ -87,6 +87,8 @@ def make_code(length: int, q: int, words, inf_id: int | None = None) -> Code:
             raise
     rows = _sorted_rows(words, length, q)
     if rows is None:
+        if isinstance(words, np.ndarray) and words.dtype.kind in "iu" and words.shape[1] == length:
+            words = _culprits(words, q)
         # the word-by-word walk raises at the first bad word, or returns
         # the words as Python ints (numpy integers included)
         rows = _sorted_rows(_checked_words(words, length, q), length, q)
@@ -167,6 +169,16 @@ def _extend(keys: np.ndarray, span: int, col: np.ndarray, lo: int, width: int):
     keys = keys * width
     keys += col - lo if lo else col
     return keys, span * width
+
+
+def _culprits(words: np.ndarray, q: int) -> np.ndarray:
+    """The rows of an invalid integer array on which :func:`_checked_words` raises first."""
+    keys = _pack(words.astype(np.int64), range(words.shape[1]))  # the cast keeps equality
+    order = keys.argsort(kind="stable")  # so each repeat sorts after an earlier twin
+    bad = ((words < 0) | (words >= min(q, _SYMBOL_LIMIT))).any(axis=1)  # in the words' dtype
+    bad[order[1:][keys[order[1:]] == keys[order[:-1]]]] = True  # and the repeats
+    i = int(bad.argmax())  # a repeat's earlier twin is in range, or it would come first
+    return words[np.r_[np.flatnonzero(keys[:i] == keys[i])[:1], i]] if bad[i] else words
 
 
 def _checked_words(words, length: int, q: int) -> list[Word]:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .codes import Code, _check_count, _decimal, _echo, make_code
-from .gf import _check_order, is_prime_power, make_field
+from .gf import _check_order, default_eval_points, is_prime_power, make_field
 from .oa import build_oa_strength2, make_oa, oa_to_pt_code
 from .verify import is_t_determined, lemma_t
 
@@ -20,26 +20,24 @@ _SLOPE_FIRST = {"q3": 3, "q4": 4}
 _ONE_SHORT = "GF({}) is one point short for length {}: every parent word needs an infinity"
 
 
-def _lift_words(rows: np.ndarray, m: int, t: int, points, star: int | None) -> np.ndarray:
+def _lift_words(rows: np.ndarray, m: int, t: int, points, where, star: int | None) -> np.ndarray:
     """The m**t polynomial-tagged children of every row, parent by parent.
 
-    ``star`` is the rows' infinity, 0 or None.  ``points`` holds one
-    evaluation point per position, or per row and position (shape
-    ``(l,)`` or ``(M, l)``), ignored at infinity positions; m stands for
-    the infinity point, whose "value" is the leading coefficient.
-    Children follow the polynomials' coefficient order, low degree
-    first.  The m**t values of every distinct point are one tag table,
-    from one :meth:`~frameproof.gf.Field.poly_table` call, which is then
-    broadcast against the parent rows.
+    ``star`` is the rows' infinity, 0 or None.  ``points`` lists the
+    evaluation points, ``None`` the infinity point, whose "value" is the
+    leading coefficient, and ``where`` picks one of them per position, or
+    per row and position (shape ``(l,)`` or ``(M, l)``), ignored at
+    infinity positions.  Children follow the polynomials' coefficient
+    order, low degree first.  The m**t values of every point are one tag
+    table, from one :meth:`~frameproof.gf.Field.poly_table` call, which
+    is then broadcast against the parent rows.
     """
-    if not rows.size:  # no children, and per-row points would name no point
+    if not rows.size:  # no children
         return rows
     s = int(star is not None)
     if (int(rows.max()) - s + 1) * m + s - 1 >= 2**63:
         raise ValueError(f"lifted symbols out of range 0..{2**63 - 1}")
-    used, where = np.unique(points, return_inverse=True)
-    tags = make_field(m).poly_table(t, [None if alpha == m else alpha for alpha in used.tolist()])
-    tags = tags[where.reshape(np.shape(points))]
+    tags = make_field(m).poly_table(t, points)[where]
     parent = rows[:, :, None]
     out = np.where(parent == star, 0, (parent - s) * m + s + tags)  # no match for None
     return out.transpose(0, 2, 1).reshape(-1, rows.shape[1])
@@ -68,21 +66,6 @@ def base_code(name: str) -> Code:
     if name in _SLOPE_FIRST:  # the slope row, last, moves first
         oa = make_oa(np.roll(oa.array, 1, axis=0), s, 2)
     return oa_to_pt_code(oa)
-
-
-def default_eval_points(m: int, length: int) -> tuple[int | None, ...]:
-    """The first ``length`` canonical field elements, infinity last if needed.
-
-    ``None`` stands for the infinity point.  :func:`polynomial_lift`
-    evaluates at these points (word by word at l - 1 of them when m = l - 2),
-    so they are part of the reproducibility contract.
-    """
-    m, length = _check_count("m", m, 2), _check_count("length", length, 1)
-    if m < length - 1:
-        raise ValueError(f"field order {m} too small for length {length}")
-    if length <= m:
-        return tuple(range(length))
-    return tuple(range(m)) + (None,)
 
 
 def _admit(length: int, c, t, starred: bool) -> int:
@@ -125,8 +108,6 @@ def polynomial_lift(code: Code, m: int, t: int, c: int) -> Code:
     """
     q, length, _, star = _lift_shape(code.q, code.length, code.size, code.inf_id, m, t, c)
     short = (m := int(m)) == length - 2  # an integer, as _lift_shape checked
-    # point ids, m standing for the infinity point
-    pts = np.array([m if p is None else p for p in default_eval_points(m, length - short)])
     stars = code.array == star  # all False without an infinity
     if short and not stars.any(axis=1).all():
         raise ValueError(_ONE_SHORT.format(m, length))
@@ -134,7 +115,8 @@ def polynomial_lift(code: Code, m: int, t: int, c: int) -> Code:
     if not report.verdict:
         raise ValueError(f"parent code is not {t}-determined: {report.witness}")
     # one point short: the k-th non-infinity position of a word takes point k
-    out = _lift_words(code.array, m, t, pts[(~stars).cumsum(axis=1) - 1] if short else pts, star)
+    where = (~stars).cumsum(axis=1) - 1 if short else np.arange(length)
+    out = _lift_words(code.array, m, t, default_eval_points(m, length - short), where, star)
     return make_code(length, q, out, inf_id=star)
 
 

@@ -128,9 +128,9 @@ class Field:
     Canonical element order is the id order, so element 0 is zero,
     elements 1..p-1 are the prime-field constants, and element p is the
     residue of X.  Prime fields (e = 1) compute with plain ``%`` and keep
-    only an O(m) inverse table.  An extension field builds four O(m)
-    tables once: powers and discrete logarithms of a primitive element g,
-    Zech logarithms ``log(1 + g**n)`` for addition, and inverses.  The
+    no table.  An extension field builds three O(m) tables once: powers
+    and discrete logarithms of a primitive element g, and Zech logarithms
+    ``log(1 + g**n)`` for addition, which inverses read too.  The
     search for g (:func:`_powers`) costs one multiply-by-g id table per
     candidate, O(m * e**2) numpy work, and a walk of g's powers through
     it.  Every operation is then a few list reads, and nothing grows as
@@ -142,14 +142,9 @@ class Field:
         self.e = e
         self.order = p**e
         self.modulus = tuple(modulus)
-        m = self.order
         if e == 1:
-            inv: list[int | None] = [None, 1]
-            for a in range(2, m):
-                inv.append(-(p // a) * inv[p % a] % p)  # 0 = (p//a)*a + p%a (mod p)
-            self._inv = inv
             return
-        q1 = m - 1
+        m, q1 = self.order, self.order - 1
         exp = _powers(p, e, self.modulus)
         # Logs run over 0..q1-1.  Zero gets log z = 3*q1, past any sum of
         # two logs, and the exp table cycles below z and reads 0 from z to
@@ -158,13 +153,12 @@ class Field:
         log = [z] * m
         for k, a in enumerate(exp):
             log[a] = k
-        # 1 + a only changes a's constant digit.  Two periods, so that a
-        # difference of logs down to -2*q1 indexes it directly (Python
-        # wraps negative indices) without a reduction mod q1.
-        self._zech = [log[a + 1 - p if a % p == p - 1 else a + 1] for a in exp] * 2
+        # 1 + a only changes a's constant digit.  Indexed by lb - la + q1: two periods cover
+        # every difference of two logs, and zero padding past them makes lb = z add nothing.
+        zech = [log[a + 1 - p if a % p == p - 1 else a + 1] for a in exp]
+        self._zech = zech * 2 + [0] * (2 * m - 1)
         self._exp = exp * 3 + [0] * (z + 1)
         self._log = log
-        self._inv = [None] + [exp[-log[a]] for a in range(1, m)]
 
     def _element(self, a) -> int:
         if type(a) is not int and not is_integer(a):  # numpy integers pass; bools do not
@@ -180,7 +174,7 @@ class Field:
         if not (a and b):
             return a or b
         la = self._log[a]
-        return self._exp[la + self._zech[self._log[b] - la]]
+        return self._exp[la + self._zech[self._log[b] - la + self.order - 1]]
 
     def mul(self, a: int, b: int) -> int:
         a, b = self._element(a), self._element(b)
@@ -192,7 +186,9 @@ class Field:
         a = self._element(a)
         if a == 0:
             raise ValueError("zero has no inverse")
-        return self._inv[a]  # type: ignore[return-value]
+        if self.e == 1:
+            return pow(a, -1, self.p)
+        return self._exp[self.order - 1 - self._log[a]]
 
     def eval_poly(self, coeffs, point: int) -> int:
         """Horner evaluation with checked ``add`` and ``mul``; ``coeffs`` is low-degree-first.
@@ -204,10 +200,6 @@ class Field:
         for c in reversed(tuple(coeffs)):
             acc = self.add(self.mul(acc, point), c)
         return acc
-
-    def poly_values(self, t: int, point) -> np.ndarray:
-        """The values at ``point`` of all m**t polynomials of degree below t: one poly_table row."""
-        return self.poly_table(t, [point])[0]
 
     def poly_table(self, t: int, points) -> np.ndarray:
         """The values of all m**t polynomials of degree below t, one row per point of ``points``.
@@ -247,14 +239,12 @@ class Field:
 
     @cached_property
     def _tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Extension-field exp, log and Zech arrays, built on first use.
+        """Extension-field exp, log and Zech arrays, built on first use from the lists.
 
-        The Zech array is indexed by ``la - lc + (m-1)``: its two periods
-        cover every difference of two logs, and zero padding past them
-        makes the log of zero add nothing.
+        The Zech array has the one layout that :meth:`add` reads, indexed
+        by ``la - lc + (m-1)``.
         """
-        return (np.array(self._exp), np.array(self._log),
-                np.array(self._zech + [0] * (2 * self.order - 1)))
+        return np.array(self._exp), np.array(self._log), np.array(self._zech)
 
     def __repr__(self) -> str:
         return f"GF({self.order})"
@@ -272,6 +262,21 @@ def _check_order(m) -> tuple[int, int]:
 def make_field(m: int) -> Field:
     p, e = _check_order(m)
     return Field(p, e, _smallest_modulus(p, e))
+
+
+def default_eval_points(m: int, length: int) -> tuple[int | None, ...]:
+    """The first ``length`` canonical field elements, then the infinity point ``None`` if needed.
+
+    The lift (word by word at l - 1 of them when m = l - 2) and the array
+    builder (at all s + 1) evaluate :meth:`Field.poly_table` at these
+    points, so they are part of the reproducibility contract.
+    """
+    m, length = _check_count("m", m, 2), _check_count("length", length, 1)
+    if m < length - 1:
+        raise ValueError(f"field order {m} too small for length {length}")
+    if length <= m:
+        return tuple(range(length))
+    return tuple(range(m)) + (None,)
 
 
 def leading_coeff(coeffs, t: int) -> int:

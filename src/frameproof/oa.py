@@ -9,7 +9,7 @@ import numpy as np
 
 from .codes import (_HEAD, Code, Witness, _check_count, _read_header, _read_table, _table_bytes,
                     is_integer, make_code)
-from .gf import make_field
+from .gf import default_eval_points, make_field
 from .verify import VerifyReport, _subset_counts
 
 
@@ -86,12 +86,12 @@ def build_oa_strength2(s: int) -> OrthogonalArray:
 
     Row alpha is the polynomial b + a*X at alpha and the slope row is
     its leading coefficient, so the s+1 rows are one
-    :meth:`~frameproof.gf.Field.poly_table` call at the points 0..s-1
-    and infinity, whose (b, a) order is transposed to (a, b).
+    :meth:`~frameproof.gf.Field.poly_table` call at the s+1 points 0..s-1 and
+    infinity of :func:`~frameproof.gf.default_eval_points`, transposed to (a, b).
     """
     s = _check_count("s", s, 2)
     # one expression, so that the (b, a) table is freed before make_oa copies the transpose
-    return make_oa(make_field(s).poly_table(2, (*range(s), None))
+    return make_oa(make_field(s).poly_table(2, default_eval_points(s, s + 1))
                    .reshape(s + 1, s, s).transpose(0, 2, 1).reshape(s + 1, s * s), s, 2)
 
 

@@ -493,7 +493,7 @@ def is_t_determined(code: Code, t: int) -> VerifyReport:
     rows = code.array
     big_m = len(rows)
     stars = rows == inf  # all False without an infinity symbol
-    over = np.flatnonzero(stars.sum(axis=1) >= t)
+    over = np.flatnonzero(stars.sum(axis=1, dtype=np.min_scalar_type(code.length)) >= t)
     if over.size:
         idx = int(over[0])
         witness = Witness(kind="inf_count", pair=(tuple(rows[idx].tolist()),),

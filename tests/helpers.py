@@ -257,7 +257,7 @@ def reference_poly_values(field, t: int, point, polys=None):
 
     ``None`` is the infinity point, whose value is the leading
     coefficient.  ``polys`` defaults to all m**t coefficient tuples in
-    ``product`` order, for comparison with :meth:`frameproof.Field.poly_values`.
+    ``product`` order, for comparison with a row of :meth:`frameproof.Field.poly_table`.
     """
     if polys is None:
         polys = product(range(field.order), repeat=t)

@@ -183,6 +183,29 @@ class TestArrayStorage:
             make_code(2, 2**64, words)
         assert make_code(2, 2**64, [(1, 2**63 - 1)]).words == ((1, 2**63 - 1),)
 
+    @given(st.sampled_from([np.int64, np.uint64]), st.sampled_from([3, 7, 2**63, 2**64]),
+           st.integers(1, 4), st.data())
+    @settings(max_examples=200, derandomize=True)
+    def test_a_bad_array_is_refused_as_its_list_is(self, dtype, q, length, data):
+        # planted symbols out of range and repeated rows, in any order: the array's
+        # culprit is found with numpy, and the refusal must be the list walk's text
+        top = min(q, 2**63)
+        rows = data.draw(st.lists(st.lists(st.integers(0, top - 1), min_size=length,
+                                           max_size=length), min_size=1, max_size=8))
+        bad = [q] * (q < 2**63) + ([-1, -2**63] if dtype is np.int64 else [2**63, 2**64 - 1])
+        planted = data.draw(st.integers(0, 2))
+        for _ in range(planted):
+            row = data.draw(st.sampled_from(rows))
+            row[data.draw(st.integers(0, length - 1))] = data.draw(st.sampled_from(bad))
+        for _ in range(data.draw(st.integers(0 if planted else 1, 2))):
+            rows.insert(data.draw(st.integers(0, len(rows))), list(data.draw(st.sampled_from(rows))))
+        arr = np.array(rows, dtype=dtype)
+        with pytest.raises(ValueError) as listed:
+            make_code(length, q, [tuple(r) for r in arr.tolist()])
+        with pytest.raises(ValueError) as arrayed:
+            make_code(length, q, arr)
+        assert str(arrayed.value) == str(listed.value)
+
     @given(st.lists(st.tuples(*[st.sampled_from([0, 1, 2**40, 2**41 + 3, 2**63 - 1])] * 4),
                     max_size=12), st.sets(st.integers(0, 3)))
     @settings(max_examples=100, derandomize=True)

@@ -131,6 +131,11 @@ class TestConstructionBytes:
 
 
 class TestEvalPoints:
+    def test_one_definition_in_gf(self):
+        # the lift and the array builder read one list of points, from gf
+        from frameproof import construct, gf
+        assert default_eval_points is gf.default_eval_points is construct.default_eval_points
+
     def test_with_infinity(self):
         assert default_eval_points(3, 4) == (0, 1, 2, None)
 
@@ -405,7 +410,8 @@ class TestArrayLift:
         parent = _seed(name)
         assume(m >= parent.length - 1 and parent.size * m**t <= 20_000)
         pts = data.draw(st.permutations(list(range(m)) + [None]))[: parent.length]
-        got = _lift_words(parent.array, m, t, np.array([m if p is None else p for p in pts]), star)
+        where = np.array([m if p is None else p for p in pts])
+        got = _lift_words(parent.array, m, t, [*range(m), None], where, star)
         want = reference_lift_words(parent.words, m, t, lambda word: pts, star)
         assert got.tolist() == [list(w) for w in want]
 
@@ -466,9 +472,8 @@ class TestShortFieldLift:
         points_of = _short_points_of(m, len(words[0]))
         want = reference_lift_words(words, m, 2, points_of)
         per_row = np.array([[m if p is None else p for p in points_of(w)] for w in words])
-        assert _lift_words(base_code(parent).array, m, 2, per_row, 0).tolist() == [
-            list(w) for w in want
-        ]
+        got = _lift_words(base_code(parent).array, m, 2, [*range(m), None], per_row, 0)
+        assert got.tolist() == [list(w) for w in want]
         assert polynomial_lift(base_code(parent), m, 2, m).words == tuple(sorted(want))
 
     def test_lifts_project_to_the_parents(self):

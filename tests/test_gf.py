@@ -206,7 +206,7 @@ class TestFields:
                     f.eval_poly((1, 2), bad)
                 if bad is not None:  # None is the infinity point
                     with pytest.raises(TypeError):
-                        f.poly_values(2, bad)
+                        f.poly_table(2, [bad])
 
     def test_reducible_modulus_rejected(self):
         with pytest.raises(ValueError, match="not irreducible"):
@@ -276,7 +276,7 @@ class TestPolyEval:
                 index = None if polys is None else [
                     sum(c * m ** (t - 1 - i) for i, c in enumerate(poly)) for poly in polys]
                 for point in [*range(m), None]:
-                    got = f.poly_values(t, point)
+                    got = f.poly_table(t, [point])[0]
                     assert got.dtype == np.int64 and got.shape == (m**t,), (m, t)
                     got = got.tolist() if index is None else got[index].tolist()
                     assert got == reference_poly_values(f, t, point, polys), (m, t, point)
@@ -285,14 +285,14 @@ class TestPolyEval:
     @settings(max_examples=80, derandomize=True, deadline=None)
     def test_poly_table_stacks_the_rows_of_its_points(self, m, t, data):
         # prime and extension fields, infinity and repeated points; every row is
-        # poly_values at its point, and eval_poly (leading_coeff at infinity) on up to
+        # poly_table at its point alone, and eval_poly (leading_coeff at infinity) on up to
         # 64 polynomials picked by index
         f = make_field(m)
         points = data.draw(st.lists(st.one_of(st.none(), st.integers(0, m - 1)), max_size=5))
         points += points[:1]
         table = f.poly_table(t, points)
         assert table.dtype == np.int64 and table.shape == (len(points), m**t)
-        rows = [f.poly_values(t, point) for point in points]
+        rows = [f.poly_table(t, [point])[0] for point in points]
         assert np.array_equal(table, np.array(rows, dtype=np.int64).reshape(len(points), m**t))
         index = data.draw(st.lists(st.integers(0, m**t - 1), min_size=1, max_size=64))
         polys = [tuple(i // m ** (t - 1 - k) % m for k in range(t)) for i in index]
@@ -301,11 +301,11 @@ class TestPolyEval:
 
     def test_poly_values_checks_its_arguments(self):
         f = make_field(9)
-        assert f.poly_values(2, np.int64(3)).tolist() == f.poly_values(2, 3).tolist()
+        assert f.poly_table(2, [np.int64(3)]).tolist() == f.poly_table(2, [3]).tolist()
         with pytest.raises(ValueError, match="out of range"):
-            f.poly_values(2, 9)
+            f.poly_table(2, [9])
         with pytest.raises(ValueError, match="at least 1"):
-            f.poly_values(0, 1)
+            f.poly_table(0, [1])
 
     @given(
         st.sampled_from([3, 4, 5, 7, 8, 9]),

@@ -750,6 +750,17 @@ class TestTDetermined:
         assert report.witness.pair == ((0, 0, 0, 0),)
         assert len(report.witness.positions) == 4
 
+    def test_infinity_count_does_not_wrap_past_255(self):
+        # 256 stars in one word of length 300: a count kept in 8 bits would read 0
+        starred = (2,) * 44 + (0,) * 256  # second in sorted order
+        code = make_code(300, 3, [(1,) * 300, starred, (2,) * 300], inf_id=0)
+        report = is_t_determined(code, 2)
+        assert not report.verdict
+        assert report.witness.kind == "inf_count"
+        assert report.witness.pair == (starred,)
+        assert report.witness.positions == tuple(range(44, 300))
+        assert report.subsets_examined == 2
+
     def test_agreement_violation(self):
         code = make_code(3, 3, [(1, 1, 0), (1, 1, 2)], inf_id=0)
         report = is_t_determined(code, 2)
