@@ -14,33 +14,14 @@ import sys
 import numpy as np
 
 from . import acceptance
-from .codes import (
-    BudgetExceeded,
-    Code,
-    _FPC_MAGIC,
-    _HEAD,
-    _check_count,
-    _decimal,
-    _echo,
-    _table_bytes,
-    code_from_text,
-    code_to_text,
-    read_code_file,
-    write_code_file,
-)
-from .oa import (
-    _OA_MAGIC,
-    build_oa_strength2,
-    oa_from_text,
-    oa_to_text,
-    read_oa_file,
-    read_oa_header,
-    verify_oa,
-    write_oa_file,
-)
+from .codes import (BudgetExceeded, Code, _FPC_MAGIC, _HEAD, _budget_gate, _check_count, _decimal,
+                    _echo, _table_bytes, code_from_text, code_to_text, read_code_file,
+                    write_code_file)
+from .oa import (_OA_MAGIC, build_oa_strength2, oa_from_text, oa_to_text, read_oa_file,
+                 read_oa_header, verify_oa, write_oa_file)
 from .plan import (ConstructionPlan, Step, achieved_rate, blackburn_leading, execute_plan,
                    format_plan, parse_steps, plan_code, ssw_bound)
-from .verify import NAIVE_BUDGET, is_frameproof_cover, is_frameproof_naive
+from .verify import NAIVE_BUDGET, _subset_keys, is_frameproof_cover, is_frameproof_naive
 
 
 _ORACLES = {"naive": is_frameproof_naive, "cover": is_frameproof_cover}
@@ -139,19 +120,12 @@ def _cmd_construct(args) -> int:
     if args.parent is not None:
         steps = (Step("base", read_code_file(args.parent)),) + steps
     plan = ConstructionPlan(args.c, steps)
-    _check_budget(args, plan.expected_size * plan.length)
+    _budget_gate(args.budget, "construct builds M*l", plan.expected_size * plan.length, "symbols")
     code = execute_plan(plan)
     write_code_file(code, args.out)
     if not args.quiet:
         print(f"wrote {args.out}: {code!r}")
     return 0
-
-
-def _check_budget(args, symbols: int, name: str = "M*l") -> None:
-    """Refuse, before building, a build of more than ``--budget`` symbols."""
-    if symbols > args.budget:
-        raise BudgetExceeded(f"{args.command} builds {name} = {symbols} symbols, "
-                             f"above the budget of {args.budget}")
 
 
 def _cmd_verify(args) -> int:
@@ -161,7 +135,7 @@ def _cmd_verify(args) -> int:
         try:
             report = _ORACLES[name](code, args.c, budget=args.budget)
         except BudgetExceeded as exc:
-            print(f"{name}: budget exceeded ({exc})")
+            print(f"{name}: budget exceeded ({exc})", file=sys.stderr)
             rc = rc or 2
             continue
         if report.verdict:
@@ -179,7 +153,7 @@ def _cmd_plan(args) -> int:
     plan = plan_code(args.c, args.q)
     print(format_plan(plan))
     if args.execute or args.out:
-        _check_budget(args, plan.expected_size * plan.length)
+        _budget_gate(args.budget, "plan builds M*l", plan.expected_size * plan.length, "symbols")
         code = execute_plan(plan)
         rate = achieved_rate(plan.c, plan.length, plan.q, code.size)
         if not args.quiet:
@@ -192,7 +166,7 @@ def _cmd_plan(args) -> int:
 
 
 def _cmd_oa(args) -> int:
-    _check_budget(args, (args.s + 1) * args.s**2, "k*N")
+    _budget_gate(args.budget, "oa builds k*N", (args.s + 1) * args.s**2, "symbols")
     oa = build_oa_strength2(args.s)
     if args.out:
         write_oa_file(oa, args.out)
@@ -206,10 +180,8 @@ def _cmd_oa(args) -> int:
 def _cmd_oa_verify(args) -> int:
     # refuse before reading the table: each of the C(k, t) row subsets counts N keys
     head = read_oa_header(args.oafile)
-    keys = math.comb(head["k"], head["t"]) * head["N"]
-    if keys > args.budget:
-        raise BudgetExceeded(f"oa-verify counts C(k,t)*N = {keys} keys, "
-                             f"above the budget of {args.budget}")
+    _budget_gate(args.budget, "oa-verify counts C(k,t)*N",
+                 _subset_keys(head["k"], head["t"], head["N"], args.budget), "keys")
     oa = read_oa_file(args.oafile)
     report = verify_oa(oa)
     if report.verdict:

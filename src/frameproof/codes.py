@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import numbers
 import re
 from dataclasses import dataclass
@@ -14,6 +15,7 @@ Word = tuple[int, ...]
 
 DESCENDANT_CAP = 10**6
 _SYMBOL_LIMIT = 2**63  # symbols, and the keys of _pack, are int64
+_EXACT_BITS = 1920  # 2**1920 < 10**640, the fewest digits any int_max_str_digits lets str() take
 
 
 class BudgetExceeded(Exception):
@@ -22,6 +24,16 @@ class BudgetExceeded(Exception):
     def __init__(self, message: str, examined: int | None = None):
         super().__init__(message)
         self.examined = examined
+
+
+def _budget_gate(budget: int, what: str, count: int, unit: str) -> None:
+    """Refuse ``count`` units of work above ``budget`` before doing any: every such refusal."""
+    def shown(n: int) -> str:  # str() may refuse a number past _EXACT_BITS bits: show a bound
+        bits = abs(n).bit_length() - 1
+        return str(n) if bits < _EXACT_BITS else f"{'at least ' if n > 0 else 'at most -'}2**{bits}"
+    if count > budget:
+        raise BudgetExceeded(f"{what} = {shown(count)} {unit}, above the budget of {shown(budget)}",
+                             examined=0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -227,13 +239,8 @@ def enumerate_descendants(coalition, cap: int = DESCENDANT_CAP) -> set[Word]:
     if any(len(y) != length for y in pool):
         raise ValueError("coalition words must have equal lengths")
     choices = [sorted({y[i] for y in pool}) for i in range(length)]
-    total = 1
-    for ch in choices:
-        total *= len(ch)
-        if total > cap:
-            raise BudgetExceeded(
-                f"descendant set would exceed the cap of {cap} words"
-            )
+    _budget_gate(cap, "the descendant set has prod_i |{y_i}|", math.prod(map(len, choices)),
+                 "words")
     return set(itertools.product(*choices))
 
 

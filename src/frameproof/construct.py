@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .codes import Code, _check_count, _decimal, _echo, make_code
+from .codes import _SYMBOL_LIMIT, Code, _check_count, _decimal, _echo, make_code
 from .gf import _check_order, default_eval_points, is_prime_power, make_field
 from .oa import build_oa_strength2, make_oa, oa_to_pt_code
 from .verify import is_t_determined, lemma_t
@@ -35,8 +35,8 @@ def _lift_words(rows: np.ndarray, m: int, t: int, points, where, star: int | Non
     if not rows.size:  # no children
         return rows
     s = int(star is not None)
-    if (int(rows.max()) - s + 1) * m + s - 1 >= 2**63:
-        raise ValueError(f"lifted symbols out of range 0..{2**63 - 1}")
+    if (int(rows.max()) - s + 1) * m + s - 1 >= _SYMBOL_LIMIT:
+        raise ValueError(f"lifted symbols out of range 0..{_SYMBOL_LIMIT - 1}")
     tags = make_field(m).poly_table(t, points)[where]
     parent = rows[:, :, None]
     out = np.where(parent == star, 0, (parent - s) * m + s + tags)  # no match for None

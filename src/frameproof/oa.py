@@ -7,8 +7,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codes import (_HEAD, Code, Witness, _check_count, _read_header, _read_table, _table_bytes,
-                    is_integer, make_code)
+from .codes import (_HEAD, _SYMBOL_LIMIT, Code, Witness, _check_count, _read_header, _read_table,
+                    _table_bytes, is_integer, make_code)
 from .gf import default_eval_points, make_field
 from .verify import VerifyReport, _subset_counts
 
@@ -44,7 +44,7 @@ class OrthogonalArray:
         k, n = arr.shape
         if self.strength > k:
             raise ValueError(f"strength {self.strength} out of range 1..{k}")
-        if arr.size and (arr.min() < 0 or arr.max() >= min(self.levels, 2**63)):
+        if arr.size and (arr.min() < 0 or arr.max() >= min(self.levels, _SYMBOL_LIMIT)):
             raise ValueError(f"entries must lie in 0..{self.levels - 1}")
         arr = arr.astype(np.int64)
         if n % self.levels**self.strength != 0:

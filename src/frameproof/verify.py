@@ -48,7 +48,8 @@ from math import comb, prod
 
 import numpy as np
 
-from .codes import BudgetExceeded, Code, Witness, _check_count, _extend, _pack
+from .codes import (BudgetExceeded, Code, Witness, _EXACT_BITS, _budget_gate, _check_count,
+                    _extend, _pack)
 
 NAIVE_BUDGET = 10**8
 # The naive scan's first window holds about _FIRST_WINDOW uint64 words of subsets, and
@@ -382,9 +383,7 @@ def is_frameproof_cover(code: Code, c: int, budget: int = NAIVE_BUDGET) -> Verif
     big_m = len(rows)
     full = (1 << code.length) - 1
     meter = [big_m * (full - 1), budget]
-    if meter[0] > budget:
-        raise BudgetExceeded(f"cover verification budget of {budget} is below the "
-                             f"{meter[0]} projections of the index", examined=0)
+    _budget_gate(budget, "cover's index takes M*(2^l-2)", meter[0], "projections")
     # per word, the bitset of its shared sets: bit S of row x is set when
     # x's projection onto S occurs more than once (never, with fewer than two
     # words); stored column-major, as the walk fills it one column at a time
@@ -410,6 +409,20 @@ def is_frameproof_cover(code: Code, c: int, budget: int = NAIVE_BUDGET) -> Verif
                           framed_word=tuple(rows[x].tolist()))
         return VerifyReport(False, witness, meter[0], time.perf_counter() - start)
     return VerifyReport(True, None, meter[0], time.perf_counter() - start)
+
+
+def _subset_keys(k: int, t: int, n: int, budget: int) -> int:
+    """C(k, t) * n, the keys :func:`_subset_counts` counts in a (k, n) table, or a lower bound.
+
+    For m = min(t, k - t), C(k, t) >= (k // m)**m >= 2**e, e read from bit lengths.  Once e
+    reaches b, the larger of ``budget``'s bit length and ``_EXACT_BITS``, it returns n << b:
+    above the budget, and too long for ``_budget_gate`` to show but as a bound.  Otherwise
+    C(k, t) < 2**(e + 2.45 m) <= 2**(3.45 b): no count far past b bits is formed.
+    """
+    m, bits = min(t, k - t), max(budget.bit_length(), _EXACT_BITS)
+    if n and m > 0 and m * ((k // m).bit_length() - 1) >= bits:
+        return n << bits
+    return comb(k, t) * n
 
 
 def _subset_counts(table: np.ndarray, width: int, t: int):

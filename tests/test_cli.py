@@ -1,4 +1,6 @@
 import itertools
+import os
+import subprocess
 import sys
 import time
 
@@ -22,8 +24,10 @@ from frameproof import (
 )
 from helpers import digits_past_int_limit, named_code
 
-from frameproof import acceptance, construct
+import frameproof
+from frameproof import BudgetExceeded, acceptance, construct
 from frameproof.cli import run
+from frameproof.codes import _budget_gate
 
 
 @pytest.fixture
@@ -243,6 +247,90 @@ class TestBuildBudget:
         assert "--t" in capsys.readouterr().err
 
 
+def _two_long_words(tmp_path):
+    path = tmp_path / "long.fpc"
+    path.write_text("fpc1 q=2 l=20000 M=2 inf=none\n" + " ".join("0" * 20000) + "\n"
+                    + " ".join("1" * 20000) + "\n")
+    return ["verify", "--c", "2", "--algorithm", "cover", str(path)]
+
+
+def _oa_header(k, t):
+    def argv(tmp_path):
+        path = tmp_path / "header.oa"
+        path.write_text(f"oa1 N=4 k={k} s=2 t={t}\n")
+        return ["oa-verify", str(path)]
+    return argv
+
+
+# counts that str() refuses, or that math.comb takes minutes to form
+UNBOUNDED = {
+    "oa": lambda tmp_path: ["oa", "--s", "9" * 2000],
+    "construct": lambda tmp_path: ["construct", "--c", "2", "--steps", "base q3" + "; lift 3" * 5000,
+                                   "--out", str(tmp_path / "x.fpc")],
+    "verify": _two_long_words,
+    "oa-verify": _oa_header(200000, 100000),
+    "oa-verify-wide": _oa_header(2000000, 1000000),
+}
+
+
+class TestBudgetGate:
+    @pytest.mark.parametrize("name", UNBOUNDED)
+    def test_unbounded_count_is_refused_before_any_work(self, tmp_path, name):
+        # in a fresh process, so that a count that hangs fails the test at its timeout
+        env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(frameproof.__file__))}
+        done = subprocess.run([sys.executable, "-m", "frameproof", *UNBOUNDED[name](tmp_path)],
+                              capture_output=True, text=True, timeout=10, env=env)
+        assert done.returncode == 2
+        assert "above the budget of 100000000" in done.stderr
+        assert "Exceeds the limit" not in done.stderr + done.stdout
+        assert not (tmp_path / "x.fpc").exists()
+
+    def test_a_count_past_any_digit_limit_is_shown_as_a_bound(self):
+        with pytest.raises(BudgetExceeded) as exc:
+            _budget_gate(10**8, "work", 10**5000, "units")
+        bits = (10**5000).bit_length() - 1
+        assert str(exc.value) == f"work = at least 2**{bits} units, above the budget of 100000000"
+        assert exc.value.examined == 0
+        with pytest.raises(BudgetExceeded, match=rf"budget of at least 2\*\*{bits}$"):
+            _budget_gate(10**5000, "work", 10**5001, "units")
+        _budget_gate(10**5000, "work", 10**5000, "units")  # at the budget: admitted
+
+    def test_a_count_is_exact_below_the_lowest_digit_limit(self):
+        # 2**1920 - 1 has 578 digits, within the 640 that every setting of the limit converts
+        lowest = getattr(sys.int_info, "str_digits_check_threshold", None)
+        if lowest is None:
+            pytest.skip("int() converts decimal text of any length")
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(lowest)
+        try:
+            for count, shown in [(2**1920 - 1, str(2**1920 - 1)), (2**1920, "at least 2**1920")]:
+                with pytest.raises(BudgetExceeded) as exc:
+                    _budget_gate(0, "work", count, "units")
+                assert str(exc.value) == f"work = {shown} units, above the budget of 0"
+        finally:
+            sys.set_int_max_str_digits(limit)
+
+    def test_cover_index_refusal(self, tmp_path, capsys):
+        # 32 words of length 4: 32 * (2**4 - 2) = 448 projections
+        path = tmp_path / "q5.fpc"
+        write_code_file(named_code("q5"), path)
+        assert run(["--budget", "447", "verify", "--c", "2", str(path)]) == 2
+        assert capsys.readouterr().err == ("cover: budget exceeded (cover's index takes "
+                                           "M*(2^l-2) = 448 projections, above the budget of 447)\n")
+        assert run(["--budget", "448", "verify", "--c", "2", str(path)]) == 2  # in the search
+
+    def test_oa_verify_counts_past_the_budget_as_a_bound(self, tmp_path, capsys):
+        # C(4000, 2000) * 4 passes 2**1920 and the budget, so only its bound is shown
+        path = tmp_path / "header.oa"
+        path.write_text("oa1 N=4 k=4000 s=2 t=2000\n")
+        assert run(["oa-verify", str(path)]) == 2
+        assert "C(k,t)*N = at least 2**1922 keys, above the budget" in capsys.readouterr().err
+        # C(64, 32) * 4 is short: shown exactly, above a budget of 2**62
+        path.write_text("oa1 N=4 k=64 s=2 t=32\n")
+        assert run(["--budget", str(2**62), "oa-verify", str(path)]) == 2
+        assert f"C(k,t)*N = {4 * 1832624140942590534} keys" in capsys.readouterr().err
+
+
 class TestVerify:
     def test_good_code(self, tmp_path, base_file):
         assert run(["verify", "--c", "2", "--algorithm", "both", str(base_file)]) == 0
@@ -274,9 +362,9 @@ class TestVerify:
         write_code_file(make_code(2, 4, list(itertools.product(range(4), repeat=2))), path)
         assert run(["--budget", "100", "verify", "--c", "2", "--algorithm", "both",
                     str(path)]) == 1
-        out = capsys.readouterr().out.splitlines()
-        assert out[0].startswith("naive: budget exceeded (")
-        assert out[1] == "cover: NOT frameproof (c=2)"
+        out, err = capsys.readouterr()
+        assert err.startswith("naive: budget exceeded (")
+        assert out.splitlines()[0] == "cover: NOT frameproof (c=2)"
 
     def test_negative_budget_is_a_usage_error(self, base_file, capsys):
         assert run(["--budget", "-1", "verify", "--c", "2", str(base_file)]) == 64

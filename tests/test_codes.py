@@ -255,8 +255,11 @@ class TestDescendants:
 
     def test_cap(self):
         pool = [(0,) * 10, (1,) * 10]
-        with pytest.raises(BudgetExceeded):
+        with pytest.raises(BudgetExceeded) as exc:
             enumerate_descendants(pool, cap=1000)
+        assert str(exc.value) == ("the descendant set has prod_i |{y_i}| = 1024 words, "
+                                  "above the budget of 1000")
+        assert exc.value.examined == 0
 
     @pytest.mark.parametrize("cap", [True, 2.5, "1024"])
     def test_cap_must_be_an_integer(self, cap):

@@ -18,6 +18,7 @@ from frameproof import (
     factor_prime_powers,
     format_plan,
     is_frameproof_cover,
+    is_frameproof_naive,
     is_prime_power,
     is_t_determined,
     make_code,
@@ -591,3 +592,16 @@ class TestPlannedCodesAgainstBounds:
         assert code.size <= bound
         assert achieved_rate(c, c + 2, q, code.size) < achieved_rate(c, c + 2, q, bound)
         assert is_frameproof_cover(code, c).verdict
+
+    def test_planned_size_is_not_maximum_at_q3(self):
+        # a 12-word 2-frameproof code of length 4 over 3 symbols, found by a random greedy
+        # search: the plan for c=2 q=3 makes 9 words, and the cardinality bound allows 16
+        text = "0011 0100 0222 1022 1101 1212 1220 2000 2102 2110 2121 2201"
+        words = [tuple(map(int, word)) for word in text.split()]
+        code = make_code(4, 3, words)
+        assert code.words == tuple(words)
+        naive = is_frameproof_naive(code, 2)
+        assert naive.verdict and naive.subsets_examined == 12 + 66  # singletons and pairs
+        assert is_frameproof_cover(code, 2).verdict
+        assert plan_code(2, 3).expected_size == execute_plan(plan_code(2, 3)).size == 9
+        assert ssw_bound(2, 4, 3) == 16

@@ -6,7 +6,7 @@ from math import comb
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
@@ -974,3 +974,22 @@ class TestWideSymbols:
             assert report.witness.kind == narrow.witness.kind
             assert report.witness.pair == tuple(map(scale, narrow.witness.pair))
             assert report.witness.positions == narrow.witness.positions
+
+
+class TestSubsetKeys:
+    @given(st.integers(0, 20000), st.integers(0, 20000), st.integers(0, 9),
+           st.integers(-1, 2**2000))
+    @example(10000, 5000, 3, 10**8)
+    @example(8000, 4001, 1, 2**2000 - 1)
+    @example(3841, 1920, 1, 10**8)  # e = 1920, just at the bound
+    @example(3839, 1920, 1, 10**8)  # e = 1919, computed exactly
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_exact_or_a_long_lower_bound_above_the_budget(self, k, t, n, budget):
+        keys, exact = verify._subset_keys(k, t, n, budget), comb(k, t) * n
+        assert keys == exact or (budget < keys < exact and keys.bit_length() > 1920)
+
+    def test_a_wide_header_forms_no_long_count(self):
+        # C(2**4000, 2**3999) * 4 has about 2**4000 bits; the bound has 1922
+        assert verify._subset_keys(2**4000, 2**3999, 4, 10**8) == 4 << 1920
+        assert verify._subset_keys(2**4000, 0, 4, 10**8) == 4
+        assert verify._subset_keys(3, 4, 4, 10**8) == 0  # t > k: no subsets
