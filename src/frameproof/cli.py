@@ -17,6 +17,7 @@ from . import acceptance
 from .codes import (BudgetExceeded, Code, _FPC_MAGIC, _HEAD, _budget_gate, _check_count, _decimal,
                     _echo, _table_bytes, code_from_text, code_to_text, read_code_file,
                     write_code_file)
+from .gf import TRIAL_DIVISION_LIMIT, _check_order
 from .oa import (_OA_MAGIC, build_oa_strength2, oa_from_text, oa_to_text, read_oa_file,
                  read_oa_header, verify_oa, write_oa_file)
 from .plan import (ConstructionPlan, Step, achieved_rate, blackburn_leading, execute_plan,
@@ -166,6 +167,8 @@ def _cmd_plan(args) -> int:
 
 
 def _cmd_oa(args) -> int:
+    if args.s < TRIAL_DIVISION_LIMIT:  # a larger s, past factoring, is left to the budget gate
+        _check_order(_check_count("s", args.s, 2))  # first, as construct and plan check theirs
     _budget_gate(args.budget, "oa builds k*N", (args.s + 1) * args.s**2, "symbols")
     oa = build_oa_strength2(args.s)
     if args.out:

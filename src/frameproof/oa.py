@@ -4,13 +4,14 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from math import comb
 
 import numpy as np
 
 from .codes import (_HEAD, _SYMBOL_LIMIT, Code, Witness, _check_count, _read_header, _read_table,
                     _table_bytes, is_integer, make_code)
 from .gf import default_eval_points, make_field
-from .verify import VerifyReport, _subset_counts
+from .verify import VerifyReport, _first_over
 
 
 @dataclass(frozen=True, eq=False)
@@ -98,37 +99,29 @@ def build_oa_strength2(s: int) -> OrthogonalArray:
 def verify_oa(oa: OrthogonalArray) -> VerifyReport:
     """Exhaustively count column tuples in every t-row submatrix.
 
-    Row subsets are taken in ``combinations`` order, many per numpy
-    pass, by :func:`~frameproof.verify._subset_counts` with width s: the
-    columns of a subset are read as base-s keys, its first row most
-    significant, and offset by s**t per earlier subset in the pass, so
-    one ``np.bincount`` counts every s**t tuple of every subset at once,
-    each subset's in ``product`` order: O(C(k, t) * N) counting.  The
-    first subset with a tuple seen other than ``index`` times is the
-    witness, together with its first such tuple; ``subsets_examined``
-    counts the subsets up to and including it.
+    Row subsets are taken in ``combinations`` order by one
+    :func:`~frameproof.verify._first_over` call with width s: the columns
+    of a subset are read as base-s keys, its first row most significant,
+    and :func:`~frameproof.verify._subset_counts` counts every s**t tuple
+    of many subsets with one ``np.bincount``, each subset's in ``product``
+    order: O(C(k, t) * N) counting.  A subset's N keys fill its s**t bins,
+    so all hold ``index`` exactly when none holds more: the first subset
+    with a tuple seen more than ``index`` times is the witness, together
+    with its first tuple seen other than ``index`` times;
+    ``subsets_examined`` counts the subsets up to and including it.
     Entries lie in 0..s-1, which :class:`OrthogonalArray` guarantees.
     """
     start = time.perf_counter()
     t, s, lam = oa.strength, oa.levels, oa.index
-    examined = 0
-    # N = index * s**t keys span s**t bins, within _DENSE bins per column; each
-    # subset's N keys sum to index * s**t, so its counts all equal index when none passes it
-    for subsets, counts in _subset_counts(oa.array, s, t):
-        if counts.max() == lam:
-            examined += len(subsets)
-            continue
-        bad, key = divmod(int(np.argmax(counts != lam)), s**t)
-        symbols = tuple(key // s**i % s for i in range(t - 1, -1, -1))
-        witness = Witness(
-            kind="oa_count",
-            rows=subsets[bad],
-            symbols=symbols,
-            count=int(counts[bad, key]),
-            expected=lam,
-        )
-        return VerifyReport(False, witness, examined + bad + 1, time.perf_counter() - start)
-    return VerifyReport(True, None, examined, time.perf_counter() - start)
+    hit = _first_over(oa.array, s, t, lam)
+    if hit is None:
+        return VerifyReport(True, None, comb(oa.constraints, t), time.perf_counter() - start)
+    rank, subset, counts = hit
+    key = int(np.argmax(counts != lam))
+    witness = Witness(kind="oa_count", rows=subset,
+                      symbols=tuple(key // s**i % s for i in range(t - 1, -1, -1)),
+                      count=int(counts[key]), expected=lam)
+    return VerifyReport(False, witness, rank + 1, time.perf_counter() - start)
 
 
 def oa_to_pt_code(oa: OrthogonalArray) -> Code:

@@ -25,18 +25,17 @@ They always agree; having both lets each one act as an oracle for the
 other and for every construction in the package.
 
 :func:`is_t_determined` and :func:`~frameproof.oa.verify_oa` share one
-primitive, :func:`_subset_counts`: it reads each column's entries on a
-set of t rows as the digits of one key in a single radix, the widest
-column's, and counts the keys of many row sets with one ``np.add`` and
-one ``np.bincount``.  ``is_t_determined`` reads the star as digit 0 and
-counts only the bins with no 0 digit.  A code whose keys would span too
-many bins has its t-sets sorted one set at a time by :func:`_repeated`,
-the cover index's helper: ``codes._pack``, which also sorts
-``make_code``'s rows, turns the rows' projections onto the set into
-int64 keys that are equal exactly when the projections are, one
-``codes._extend`` step per column, re-ranking with ``np.unique`` before
-a product would pass 2**63, so symbols anywhere in the int64 range are
-handled.
+t-set scanner, :func:`_first_over`, for the first set of t rows on
+which a column key is counted more than 1 or the array's index times.
+Its counter, :func:`_subset_counts`, reads a column's entries on a set
+as the digits of one key in a single radix and counts the keys of many
+sets with one ``np.add`` and one ``np.bincount``; the bins holding the
+star's digit, wherever it stands, are cleared.  Keys too wide to count
+are sorted one set at a time by :func:`_repeated`, the cover index's
+helper: ``codes._pack``, which also sorts ``make_code``'s rows, turns
+the projections onto the set into int64 keys, equal exactly when the
+projections are, re-ranking with ``np.unique`` before a product would
+pass 2**63, so symbols anywhere in the int64 range are handled.
 """
 
 from __future__ import annotations
@@ -431,15 +430,16 @@ def _subset_counts(table: np.ndarray, width: int, t: int):
     ``table`` is ``(rows, n)``, its entries in 0 .. width - 1.  A column's
     key in a subset S of rows reads its entries on S as base-``width``
     digits, the first row most significant, so each subset gets ``span``
-    = width**t bins, which the caller keeps within ``_DENSE`` bins per
-    column.  Subsets come in ``combinations`` order, in chunks that share
-    all rows but the last, of about ``_CHUNK_CELLS`` (subset, column)
-    cells or one subset.  When a chunk holds more than one subset, row r
-    is offset by r * span once per call, so that a chunk's i-th subset
-    counts from i * span on; a chunk's keys are then one ``np.add`` of
-    its prefix's key to a slice of the rows, into one reused buffer.
-    Yields ``(subsets, counts)`` per chunk, ``counts[i, key]`` the columns
-    with ``key`` in ``subsets[i]``, from one ``np.bincount``.
+    = width**t bins, which :func:`_first_over` keeps within ``_DENSE``
+    bins per column.  Subsets come in ``combinations`` order, in chunks
+    that share all rows but the last, of about ``_CHUNK_CELLS`` (subset,
+    column) cells or one subset.  When a chunk holds more than one
+    subset, row r is offset by r * span once per call, so that a chunk's
+    i-th subset counts from i * span on; a chunk's keys are then one
+    ``np.add`` of its prefix's key to a slice of the rows, into one
+    reused buffer.  Yields ``(subsets, counts)`` per chunk,
+    ``counts[i, key]`` the columns with ``key`` in ``subsets[i]``, from
+    one ``np.bincount``.
     """
     rows, n = table.shape
     span = width**t
@@ -462,17 +462,39 @@ def _subset_counts(table: np.ndarray, width: int, t: int):
                    np.bincount(keys.reshape(-1), minlength=(b - a) * span).reshape(-1, span))
 
 
-def _first_live_repeat(counts: np.ndarray, width: int, t: int) -> int | None:
-    """The first subset of ``counts`` with a key counted twice among those with no 0 digit, or None.
+def _first_over(table: np.ndarray, width: int, t: int, most: int, star: int | None = None):
+    """``(rank, subset, counts)`` of the first t-set of rows with a key counted over ``most`` times.
 
-    A 0 digit is a star in the subset, so those bins are cleared first.
+    ``table`` is ``(rows, n)``, entries in 0 .. width - 1; sets come in ``combinations`` order,
+    ``rank`` a set's place in it, and a column holding ``star`` on a set is left out.  Keys within
+    ``_DENSE`` bins per column are counted by :func:`_subset_counts`, the star's bins cleared, and
+    ``counts`` is the set's width**t bins; wider ones, met only at ``most`` = 1 (an array's N keys
+    fill its s**t bins), are sorted per set by :func:`_repeated`, ``counts`` None.  None if no set
+    has such a key, and at once without columns, where none has a key.
     """
-    bins = counts.reshape(-1, *[width] * t)
-    for axis in range(1, t + 1):
-        bins[(slice(None),) * axis + (0,)] = 0
-    if counts.max() <= 1:
+    rows, n = table.shape
+    span = width**t
+    if not n:
         return None
-    return int(np.argmax(counts > 1)) // width**t
+    if span > _DENSE * n:
+        for rank, subset in enumerate(combinations(range(rows), t)):
+            keys = _pack(table.T, subset)
+            if star is not None:
+                keys = keys[(table[list(subset)] != star).all(axis=0)]
+            if _repeated(keys, span).any():
+                return rank, subset, None
+        return None
+    rank = 0
+    for subsets, counts in _subset_counts(table, width, t):
+        if star is not None:
+            bins = counts.reshape(-1, *[width] * t)
+            for axis in range(1, t + 1):
+                bins[(slice(None),) * axis + (star,)] = 0
+        if counts.max() > most:
+            bad = int(np.argmax(counts > most)) // span
+            return rank + bad, subsets[bad], counts[bad]
+        rank += len(subsets)
+    return None
 
 
 def is_t_determined(code: Code, t: int) -> VerifyReport:
@@ -483,19 +505,17 @@ def is_t_determined(code: Code, t: int) -> VerifyReport:
     are non-infinity.  Clause (a) counts each row's infinity entries.
     Without an infinity symbol (``inf_id`` None), (a) holds and (b)
     counts every position.
-    For clause (b) the sets S of t positions are taken in chunks by
-    :func:`_subset_counts`: every row gets one key on S, offset per S,
-    and one ``np.bincount`` over the chunk counts them.  The keys' digits
-    read the star as 0 and live symbols as 1 and up (with the star at 0
-    the rows are read in place, otherwise from one remapped copy), so the
-    bins with no 0 digit hold the rows with no infinity in S, and one
-    there counted twice is a failing S.  That is O(C(l, t) * M) counting.
-    When the radix, the widest column's, to the t-th power passes
-    ``_DENSE`` bins per word, the symbols are too wide or sparse to
-    count, and each S in turn has its keys packed and sorted by
-    :func:`_repeated`.  On the first failing S, ``np.unique``'s
-    first occurrences give the witness: the first word, in sort order,
-    that repeats a projection, paired with the first word that had it.
+    For clause (b) one :func:`_first_over` call walks the sets S of t
+    positions on the code's columns, read in place: every row gets one
+    key on S in the radix one past the largest symbol and star, and the
+    bins with the star's digit are cleared, so a row with an infinity in
+    S drops out and a key counted twice is a failing S.  Sets are counted
+    in chunks by :func:`_subset_counts`, O(C(l, t) * M) counting, or,
+    when the radix to the t-th power passes ``_DENSE`` bins per word,
+    sorted one at a time by :func:`_repeated`.  On the first failing S,
+    ``np.unique``'s first occurrences give the witness: the first word,
+    in sort order, that repeats a projection, paired with the first word
+    that had it.
     Work is counted in words examined, reported as ``subsets_examined``:
     M for clause (a), then M per t-subset, or, on a violation, up to and
     including the offending word.
@@ -514,44 +534,24 @@ def is_t_determined(code: Code, t: int) -> VerifyReport:
         return VerifyReport(False, witness, idx + 1, time.perf_counter() - start)
     if not big_m:
         return VerifyReport(True, None, 0, time.perf_counter() - start)
-    # the star reads digit 0 and live symbols 1 and up: a star at 0 is read as it is, no
-    # star shifts every symbol up one, and a star k > 0 reads 0 and the symbols below it move up
     hi = int(rows.max())
-    width = hi + 2 if inf is None else max(hi, inf) + 1
-    span = width**t
-    # per chunk of t-sets, the index of its first set holding a live key twice, or None
-    if span <= _DENSE * big_m:
-        table = rows.T
-        if inf is None:
-            table = table + 1
-        elif inf:
-            table = table + (table < inf)
-            table[stars.T] = 0
-        chunks = ((subsets, _first_live_repeat(counts, width, t))
-                  for subsets, counts in _subset_counts(table, width, t))
-    else:
-        chunks = (([s], 0 if _repeated(_pack(rows, s)[~stars[:, s].any(axis=1)], span).any() else None)
-                  for s in combinations(range(code.length), t))
-    checks = big_m
-    for subsets, bad in chunks:
-        if bad is None:
-            checks += big_m * len(subsets)
-            continue
-        subset = subsets[bad]
-        checks += big_m * bad
-        where = np.flatnonzero(~stars[:, subset].any(axis=1))
-        # first[i] is the least live row with row i's key: the least row with an
-        # earlier one is the first repeat, and that earlier row is its partner
-        _, first, inverse = np.unique(_pack(rows, subset)[where], return_index=True,
-                                      return_inverse=True)
-        first = first[inverse]
-        later = int(np.argmax(first < np.arange(len(first))))
-        x, y = rows[where[first[later]]], rows[where[later]]
-        witness = Witness(kind="agreement", pair=(tuple(x.tolist()), tuple(y.tolist())),
-                          positions=tuple(np.flatnonzero((x == y) & (y != inf)).tolist()))
-        return VerifyReport(False, witness, checks + int(where[later]) + 1,
+    hit = _first_over(rows.T, hi + 1 if inf is None else max(hi, inf) + 1, t, 1, inf)
+    if hit is None:
+        return VerifyReport(True, None, big_m * (1 + comb(code.length, t)),
                             time.perf_counter() - start)
-    return VerifyReport(True, None, checks, time.perf_counter() - start)
+    rank, subset, _ = hit
+    where = np.flatnonzero(~stars[:, subset].any(axis=1))
+    # first[i] is the least live row with row i's key: the least row with an
+    # earlier one is the first repeat, and that earlier row is its partner
+    _, first, inverse = np.unique(_pack(rows, subset)[where], return_index=True,
+                                  return_inverse=True)
+    first = first[inverse]
+    later = int(np.argmax(first < np.arange(len(first))))
+    x, y = rows[where[first[later]]], rows[where[later]]
+    witness = Witness(kind="agreement", pair=(tuple(x.tolist()), tuple(y.tolist())),
+                      positions=tuple(np.flatnonzero((x == y) & (y != inf)).tolist()))
+    return VerifyReport(False, witness, big_m * (1 + rank) + int(where[later]) + 1,
+                        time.perf_counter() - start)
 
 
 def lemma_t(length: int, c: int, starred: bool) -> int:

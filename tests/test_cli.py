@@ -241,6 +241,12 @@ class TestBuildBudget:
         assert run(["oa", "--s", "4001"]) == 2
         assert time.perf_counter() - start < 1
 
+    @pytest.mark.parametrize("budget", [[], ["--budget", "100000000000"]])
+    def test_oa_order_is_checked_before_the_budget(self, capsys, budget):
+        # 4002 is no prime power, at the default budget too, where its k*N would be refused
+        assert run([*budget, "oa", "--s", "4002"]) == 64
+        assert capsys.readouterr().err == "error: 4002 is not a prime power\n"
+
     def test_t_flag_is_a_usage_error(self, tmp_path, base_file, capsys):
         assert run(["construct", "--in", str(base_file), "--c", "2", "--steps", "lift 3",
                     "--t", "-1", "--out", str(tmp_path / "x.fpc")]) == 64

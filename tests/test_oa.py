@@ -130,6 +130,34 @@ class TestVerifier:
         assert len(w.rows) == 2 and len(w.symbols) == 2
         assert w.count != w.expected
 
+    def test_a_deficit_met_before_the_surplus_is_the_witness(self):
+        # index 2: moving entry (1, 0) leaves tuple (0, 0) of rows (0, 1) one short, met
+        # in product order before the tuple (0, 1) that it makes one over
+        a = build_oa_strength2(3).array
+        arr = np.hstack([a, a])
+        arr[1, 0] = (arr[1, 0] + 1) % 3
+        bad = make_oa(arr, 3, 2)
+        report = verify_oa(bad)
+        w = report.witness
+        assert (w.rows, w.symbols, w.count, w.expected) == ((0, 1), (0, 0), 1, 2)
+        assert (report.verdict, w, report.subsets_examined) == reference_verify_oa(bad)
+        assert report.subsets_examined == 1
+
+    @given(st.sampled_from([2, 3, 4, 5]), st.integers(2, 3), st.data())
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    def test_higher_index_matches_the_reference_loop(self, s, index, data):
+        # the strength-2 array repeated 2 or 3 times, its columns shuffled, with up to
+        # three entries moved: each subset is checked for a count above the index
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        arr = np.tile(build_oa_strength2(s).array, index)[:, rng.permutation(index * s * s)]
+        for _ in range(data.draw(st.integers(0, 3))):
+            r, col = rng.integers(arr.shape[0]), rng.integers(arr.shape[1])
+            arr[r, col] = (arr[r, col] + rng.integers(1, s)) % s
+        oa = make_oa(arr, s, 2)
+        report = verify_oa(oa)
+        assert (report.verdict, report.witness, report.subsets_examined) == (
+            reference_verify_oa(oa))
+
     @given(arrays())
     @settings(max_examples=300, derandomize=True, deadline=None)
     def test_matches_the_reference_loop(self, oa):
@@ -146,6 +174,12 @@ class TestVerifier:
         assert (report.verdict, report.witness, report.subsets_examined) == (
             True, None, comb(len(rows), t))
         assert reference_verify_oa(make_oa(rows, s, t)) == (True, None, comb(len(rows), t))
+
+    def test_no_runs_walks_no_subset(self):
+        # none of the C(60, 30) subsets of no columns holds a tuple, so none is walked
+        report = verify_oa(make_oa([[]] * 60, 2, 30))
+        assert (report.verdict, report.witness, report.subsets_examined) == (
+            True, None, comb(60, 30))
 
     @pytest.mark.parametrize("s", [16, 32])
     @pytest.mark.parametrize("cells", [None, 3 * 256])

@@ -864,20 +864,19 @@ class TestTDetermined:
             assert (report.verdict, report.witness, report.subsets_examined) == expected
         assert bool(sorts) == wide
 
-    def test_a_star_other_than_zero_is_remapped_to_digit_zero(self, monkeypatch):
-        # the oa16 seed with symbols 0 and 15 swapped has its star at q - 1; the counter
-        # reads a copy in which the star is digit 0 and every live symbol reads 1 and up
+    def test_a_star_anywhere_or_none_is_read_in_place(self, monkeypatch):
+        # the oa16 seed with symbols 0 and 15 swapped has its star at q - 1, and the seed
+        # read without a star counts its 0s as live: the counter reads both codes' own
+        # columns, and clears the star's bins where the star stands
         tables = spy_on_subset_counts(monkeypatch)
         seed = oa_to_pt_code(build_oa_strength2(16))
         for code in (seed, plant_agreement(seed, (0, 5))):
             rows = np.where(code.array == 0, 15, np.where(code.array == 15, 0, code.array))
-            swapped = make_code(code.length, code.q, rows, inf_id=15)
-            report = is_t_determined(swapped, 2)
-            assert report_of(report) == reference_t_determined(swapped, 2)
-            table = tables.pop()
-            assert not np.shares_memory(table, swapped.array)
-            assert np.array_equal(table == 0, swapped.array.T == 15)
-            assert table.min(initial=1, where=table != 0) == 1
+            for other in (make_code(code.length, code.q, rows, inf_id=15),
+                          make_code(code.length, code.q, code.array)):
+                report = is_t_determined(other, 2)
+                assert report_of(report) == reference_t_determined(other, 2)
+                assert np.shares_memory(tables.pop(), other.array)
         assert not report.verdict
 
     def test_a_star_at_zero_is_read_in_place(self, monkeypatch):
