@@ -415,11 +415,12 @@ def _subset_keys(k: int, t: int, n: int, budget: int) -> int:
 
     For m = min(t, k - t), C(k, t) >= (k // m)**m >= 2**e, e read from bit lengths.  Once e
     reaches b, the larger of ``budget``'s bit length and ``_EXACT_BITS``, it returns n << b:
-    above the budget, and too long for ``_budget_gate`` to show but as a bound.  Otherwise
-    C(k, t) < 2**(e + 2.45 m) <= 2**(3.45 b): no count far past b bits is formed.
+    0 if n is, else above the budget and too long for ``_budget_gate`` to show but as a
+    bound.  Otherwise C(k, t) < 2**(e + 2.45 m) <= 2**(3.45 b): no count far past b bits is
+    formed.
     """
     m, bits = min(t, k - t), max(budget.bit_length(), _EXACT_BITS)
-    if n and m > 0 and m * ((k // m).bit_length() - 1) >= bits:
+    if m > 0 and m * ((k // m).bit_length() - 1) >= bits:
         return n << bits
     return comb(k, t) * n
 

@@ -1,7 +1,8 @@
 """Acceptance battery: one test per criterion in ``frameproof.acceptance.CRITERIA``.
 
-``frameproof selftest`` runs the same list.  Each test prints the same
-one-line report as selftest (run pytest with -s to see them all).
+``frameproof selftest`` runs the same list.  Each test prints the line
+``acceptance.check`` returns, as selftest does (run pytest with -s to see
+them all).
 """
 
 import os
@@ -13,10 +14,9 @@ import frameproof
 from frameproof import acceptance
 
 
-def _as_test(number, criterion):
+def _as_test(number):
     def test():
-        ok, detail = criterion()
-        line = acceptance.report_line(number, ok, detail)
+        ok, line = acceptance.check(number)
         print(line)
         assert ok, line
 
@@ -25,8 +25,14 @@ def _as_test(number, criterion):
 
 # Named after the criteria (test_criterion_1_base_fixtures, ...), so each
 # keeps a stable test id.
-for _number, _criterion in enumerate(acceptance.CRITERIA, 1):
-    globals()[f"test_{_criterion.__name__}"] = _as_test(_number, _criterion)
+for _number, (_criterion, _) in enumerate(acceptance.CRITERIA, 1):
+    globals()[f"test_{_criterion.__name__}"] = _as_test(_number)
+
+
+def test_ceilings_are_pinned():
+    # seconds; criteria 6, 7 and 9 have none
+    assert [ceiling for _, ceiling in acceptance.CRITERIA] == [
+        60, 5, 120, 600, 10, None, None, 60, None]
 
 
 def test_importing_the_package_loads_neither_the_battery_nor_the_cli():

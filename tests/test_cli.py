@@ -260,10 +260,10 @@ def _two_long_words(tmp_path):
     return ["verify", "--c", "2", "--algorithm", "cover", str(path)]
 
 
-def _oa_header(k, t):
+def _oa_header(k, t, n=4):
     def argv(tmp_path):
         path = tmp_path / "header.oa"
-        path.write_text(f"oa1 N=4 k={k} s=2 t={t}\n")
+        path.write_text(f"oa1 N={n} k={k} s=2 t={t}\n")
         return ["oa-verify", str(path)]
     return argv
 
@@ -276,6 +276,9 @@ UNBOUNDED = {
     "verify": _two_long_words,
     "oa-verify": _oa_header(200000, 100000),
     "oa-verify-wide": _oa_header(2000000, 1000000),
+    # no runs: no keys to count, but C(k, t) row subsets to report
+    "oa-verify-no-runs": _oa_header(200000, 100000, 0),
+    "oa-verify-no-runs-wide": _oa_header(2000000, 1000000, 0),
 }
 
 
@@ -335,6 +338,16 @@ class TestBudgetGate:
         path.write_text("oa1 N=4 k=64 s=2 t=32\n")
         assert run(["--budget", str(2**62), "oa-verify", str(path)]) == 2
         assert f"C(k,t)*N = {4 * 1832624140942590534} keys" in capsys.readouterr().err
+
+    def test_oa_verify_weighs_the_subsets_of_an_array_with_no_runs(self, tmp_path, capsys):
+        path = tmp_path / "empty.oa"
+        path.write_text("oa1 N=0 k=3 s=2 t=2\n\n\n\n")
+        assert run(["--budget", "2", "oa-verify", str(path)]) == 2
+        assert capsys.readouterr().err == ("budget exceeded: oa-verify walks C(k,t) = 3 row "
+                                           "subsets, above the budget of 2\n")
+        assert run(["--budget", "3", "oa-verify", str(path)]) == 0
+        assert capsys.readouterr().out == (
+            "balanced OA(N=0, k=3, s=2, t=2, lambda=0), row subsets examined: 3\n")
 
 
 class TestVerify:
@@ -724,21 +737,32 @@ def test_battery_prints_one_line_per_criterion(capsys):
 
 
 def test_battery_reports_a_failing_criterion(monkeypatch, capsys):
-    criteria = (lambda seed: (True, "fine"), lambda seed: (False, "planted"))
+    criteria = ((lambda seed: (True, "fine"), 60), (lambda seed: (False, "planted"), None))
     monkeypatch.setattr(acceptance, "CRITERIA", criteria)
     assert run(["selftest"]) == 1
     assert capsys.readouterr().out.splitlines() == [
-        "criterion 1: PASS - fine",
-        "criterion 2: FAIL - planted",
+        "criterion 1: PASS - fine, 0.0s",
+        "criterion 2: FAIL - planted, 0.0s",
         "selftest: 2 checks, 1 failures",
+    ]
+
+
+def test_battery_fails_a_criterion_past_its_ceiling(monkeypatch, capsys):
+    # the criterion's own checks pass, but no run is under a ceiling of 0 s
+    monkeypatch.setattr(acceptance, "CRITERIA", ((lambda seed: (True, "fine"), 0),))
+    assert run(["selftest"]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "criterion 1: FAIL - fine, 0.0s",
+        "selftest: 1 checks, 1 failures",
     ]
 
 
 def test_seed_reaches_the_oracle_criterion(monkeypatch, capsys):
     # keep only criterion 8 real; the others pass without running
     criteria = tuple(
-        c if c is acceptance.criterion_8_oracle_equivalence else (lambda seed: (True, "-"))
-        for c in acceptance.CRITERIA
+        pair if pair[0] is acceptance.criterion_8_oracle_equivalence
+        else (lambda seed: (True, "-"), None)
+        for pair in acceptance.CRITERIA
     )
     monkeypatch.setattr(acceptance, "CRITERIA", criteria)
     lines = []

@@ -992,3 +992,8 @@ class TestSubsetKeys:
         assert verify._subset_keys(2**4000, 2**3999, 4, 10**8) == 4 << 1920
         assert verify._subset_keys(2**4000, 0, 4, 10**8) == 4
         assert verify._subset_keys(3, 4, 4, 10**8) == 0  # t > k: no subsets
+
+    def test_no_runs_forms_no_count(self, monkeypatch):
+        # C(2,000,000, 1,000,000) alone takes most of a minute to form
+        monkeypatch.setattr(verify, "comb", None)
+        assert verify._subset_keys(2_000_000, 1_000_000, 0, 10**8) == 0
