@@ -116,12 +116,20 @@ def _print_witness(witness, code: Code) -> None:
               f"appears {witness.count} times, expected {witness.expected}")
 
 
+def _build_gate(budget: int, verb: str, plan: ConstructionPlan) -> None:
+    """Refuse a chain whose words, or the scans re-checking its steps' inputs, outweigh ``budget``."""
+    _budget_gate(budget, f"{verb} builds M*l", plan.expected_size * plan.length, "symbols")
+    # each lift re-checks its parent, and the augment its input, for 2-determinedness
+    keys = sum(_subset_keys(length, 2, size, budget) for _, length, size, _ in plan.shapes[:-1])
+    _budget_gate(budget, f"{verb} re-checks C(l,2)*M", keys, "keys")
+
+
 def _cmd_construct(args) -> int:
     steps = parse_steps(args.steps)
     if args.parent is not None:
         steps = (Step("base", read_code_file(args.parent)),) + steps
     plan = ConstructionPlan(args.c, steps)
-    _budget_gate(args.budget, "construct builds M*l", plan.expected_size * plan.length, "symbols")
+    _build_gate(args.budget, "construct", plan)
     code = execute_plan(plan)
     write_code_file(code, args.out)
     if not args.quiet:
@@ -154,7 +162,7 @@ def _cmd_plan(args) -> int:
     plan = plan_code(args.c, args.q)
     print(format_plan(plan))
     if args.execute or args.out:
-        _budget_gate(args.budget, "plan builds M*l", plan.expected_size * plan.length, "symbols")
+        _build_gate(args.budget, "plan", plan)
         code = execute_plan(plan)
         rate = achieved_rate(plan.c, plan.length, plan.q, code.size)
         if not args.quiet:

@@ -102,12 +102,12 @@ def verify_oa(oa: OrthogonalArray) -> VerifyReport:
     Row subsets are taken in ``combinations`` order by one
     :func:`~frameproof.verify._first_over` call with width s: the columns
     of a subset are read as base-s keys, its first row most significant,
-    and :func:`~frameproof.verify._subset_counts` counts every s**t tuple
-    of many subsets with one ``np.bincount``, each subset's in ``product``
-    order: O(C(k, t) * N) counting.  A subset's N keys fill its s**t bins,
-    so all hold ``index`` exactly when none holds more: the first subset
-    with a tuple seen more than ``index`` times is the witness, together
-    with its first tuple seen other than ``index`` times;
+    and every s**t tuple of many subsets is counted with one
+    ``np.bincount``, each subset's in ``product`` order: O(C(k, t) * N)
+    counting.  A subset's N keys fill its s**t bins, so all hold
+    ``index`` exactly when none holds more: the first subset with a
+    tuple seen more than ``index`` times is the witness, together with
+    its first tuple seen other than ``index`` times;
     ``subsets_examined`` counts the subsets up to and including it.
     Entries lie in 0..s-1, which :class:`OrthogonalArray` guarantees.
     """

@@ -27,15 +27,15 @@ other and for every construction in the package.
 :func:`is_t_determined` and :func:`~frameproof.oa.verify_oa` share one
 t-set scanner, :func:`_first_over`, for the first set of t rows on
 which a column key is counted more than 1 or the array's index times.
-Its counter, :func:`_subset_counts`, reads a column's entries on a set
-as the digits of one key in a single radix and counts the keys of many
-sets with one ``np.add`` and one ``np.bincount``; the bins holding the
-star's digit, wherever it stands, are cleared.  Keys too wide to count
-are sorted one set at a time by :func:`_repeated`, the cover index's
-helper: ``codes._pack``, which also sorts ``make_code``'s rows, turns
-the projections onto the set into int64 keys, equal exactly when the
-projections are, re-ranking with ``np.unique`` before a product would
-pass 2**63, so symbols anywhere in the int64 range are handled.
+It reads a column's entries on a set as the digits of one key in a
+single radix and counts the keys of many sets with one ``np.add`` and
+one ``np.bincount``; the bins holding the star's digit, wherever it
+stands, are cleared.  Keys too wide to count are sorted one set at a
+time by :func:`_repeated`, the cover index's helper: ``codes._pack``,
+which also sorts ``make_code``'s rows, turns the projections onto the
+set into int64 keys, equal exactly when the projections are,
+re-ranking with ``np.unique`` before a product would pass 2**63, so
+symbols anywhere in the int64 range are handled.
 """
 
 from __future__ import annotations
@@ -55,7 +55,7 @@ NAIVE_BUDGET = 10**8
 # each later one twice the rows, up to _WINDOW_ROWS; each block it scans holds at most
 # _BLOCK_WORDS words (128 kB).
 _FIRST_WINDOW, _WINDOW_ROWS, _BLOCK_WORDS = 2**10, 2**16, 2**14
-# _subset_counts counts about _CHUNK_CELLS (subset, column) keys per pass; keys spanning
+# _first_over counts about _CHUNK_CELLS (subset, column) keys per pass; keys spanning
 # at most _DENSE bins per key are counted, and _repeated sorts wider ones.
 _CHUNK_CELLS, _DENSE = 2**14, 4
 
@@ -411,7 +411,7 @@ def is_frameproof_cover(code: Code, c: int, budget: int = NAIVE_BUDGET) -> Verif
 
 
 def _subset_keys(k: int, t: int, n: int, budget: int) -> int:
-    """C(k, t) * n, the keys :func:`_subset_counts` counts in a (k, n) table, or a lower bound.
+    """C(k, t) * n, the keys :func:`_first_over` counts in a (k, n) table, or a lower bound.
 
     For m = min(t, k - t), C(k, t) >= (k // m)**m >= 2**e, e read from bit lengths.  Once e
     reaches b, the larger of ``budget``'s bit length and ``_EXACT_BITS``, it returns n << b:
@@ -425,53 +425,20 @@ def _subset_keys(k: int, t: int, n: int, budget: int) -> int:
     return comb(k, t) * n
 
 
-def _subset_counts(table: np.ndarray, width: int, t: int):
-    """Count the keys of many t-subsets of the rows of ``table`` per numpy pass.
-
-    ``table`` is ``(rows, n)``, its entries in 0 .. width - 1.  A column's
-    key in a subset S of rows reads its entries on S as base-``width``
-    digits, the first row most significant, so each subset gets ``span``
-    = width**t bins, which :func:`_first_over` keeps within ``_DENSE``
-    bins per column.  Subsets come in ``combinations`` order, in chunks
-    that share all rows but the last, of about ``_CHUNK_CELLS`` (subset,
-    column) cells or one subset.  When a chunk holds more than one
-    subset, row r is offset by r * span once per call, so that a chunk's
-    i-th subset counts from i * span on; a chunk's keys are then one
-    ``np.add`` of its prefix's key to a slice of the rows, into one
-    reused buffer.  Yields ``(subsets, counts)`` per chunk,
-    ``counts[i, key]`` the columns with ``key`` in ``subsets[i]``, from
-    one ``np.bincount``.
-    """
-    rows, n = table.shape
-    span = width**t
-    per = max(1, _CHUNK_CELLS // max(n, 1))
-    # the rows a chunk ends its subsets with: row r counts from r * span on, and a chunk
-    # from row a takes a * span off its prefix's key
-    shift = span if per > 1 else 0
-    last = np.add(table, np.arange(rows)[:, None] * shift, order="C") if shift else table
-    buf = np.empty((min(per, rows), n), dtype=np.int64)
-    for prefix in combinations(range(rows), t - 1):
-        # the prefix's digits, shared by the whole run, with room for the last row's
-        head = table[prefix[0]] * width if prefix else 0
-        for r in prefix[1:]:
-            head = (head + table[r]) * width
-        for a in range(prefix[-1] + 1 if prefix else 0, rows, per):
-            b = min(rows, a + per)
-            keys = buf[:b - a]
-            np.add(last[a:b], head - a * shift if shift else head, out=keys)
-            yield ([(*prefix, r) for r in range(a, b)],
-                   np.bincount(keys.reshape(-1), minlength=(b - a) * span).reshape(-1, span))
-
-
 def _first_over(table: np.ndarray, width: int, t: int, most: int, star: int | None = None):
     """``(rank, subset, counts)`` of the first t-set of rows with a key counted over ``most`` times.
 
     ``table`` is ``(rows, n)``, entries in 0 .. width - 1; sets come in ``combinations`` order,
-    ``rank`` a set's place in it, and a column holding ``star`` on a set is left out.  Keys within
-    ``_DENSE`` bins per column are counted by :func:`_subset_counts`, the star's bins cleared, and
-    ``counts`` is the set's width**t bins; wider ones, met only at ``most`` = 1 (an array's N keys
-    fill its s**t bins), are sorted per set by :func:`_repeated`, ``counts`` None.  None if no set
-    has such a key, and at once without columns, where none has a key.
+    ``rank`` a set's place in it, and a column holding ``star`` on a set is left out.  A column's
+    key on a set reads its entries there as base-``width`` digits, the first row most significant,
+    so a set has width**t bins.  Within ``_DENSE`` bins per column, sets are counted in chunks that
+    share all rows but the last, of about ``_CHUNK_CELLS`` (set, column) cells or one set: when a
+    chunk holds more than one set, row r is offset by r * width**t once per call, so that a chunk's
+    i-th set counts from i * width**t on, and a chunk's keys are one ``np.add`` of its prefix's key
+    to a slice of the rows, into one reused buffer, counted by one ``np.bincount``.  The star's
+    bins are cleared, and ``counts`` is the set's bins.  Wider keys, met only at ``most`` = 1 (an
+    array's N keys fill its s**t bins), are sorted per set by :func:`_repeated`, ``counts`` None.
+    None if no set has such a key, and at once without columns, where none has a key.
     """
     rows, n = table.shape
     span = width**t
@@ -485,16 +452,31 @@ def _first_over(table: np.ndarray, width: int, t: int, most: int, star: int | No
             if _repeated(keys, span).any():
                 return rank, subset, None
         return None
+    per = max(1, _CHUNK_CELLS // n)
+    # the rows a chunk ends its sets with: row r counts from r * span on, and a chunk from
+    # row a takes a * span off its prefix's key; a lone set per chunk reads the table in place
+    shift = span if per > 1 else 0
+    last = np.add(table, np.arange(rows)[:, None] * shift, order="C") if shift else table
+    buf = np.empty((min(per, rows), n), dtype=np.int64)
     rank = 0
-    for subsets, counts in _subset_counts(table, width, t):
-        if star is not None:
-            bins = counts.reshape(-1, *[width] * t)
-            for axis in range(1, t + 1):
-                bins[(slice(None),) * axis + (star,)] = 0
-        if counts.max() > most:
-            bad = int(np.argmax(counts > most)) // span
-            return rank + bad, subsets[bad], counts[bad]
-        rank += len(subsets)
+    for prefix in combinations(range(rows), t - 1):
+        # the prefix's digits, shared by the whole run, with room for the last row's
+        head = table[prefix[0]] * width if prefix else 0
+        for r in prefix[1:]:
+            head = (head + table[r]) * width
+        for a in range(prefix[-1] + 1 if prefix else 0, rows, per):
+            b = min(rows, a + per)
+            keys = buf[:b - a]
+            np.add(last[a:b], head - a * shift if shift else head, out=keys)
+            counts = np.bincount(keys.reshape(-1), minlength=(b - a) * span).reshape(-1, span)
+            if star is not None:
+                bins = counts.reshape(-1, *[width] * t)
+                for axis in range(1, t + 1):
+                    bins[(slice(None),) * axis + (star,)] = 0
+            if counts.max() > most:
+                bad = int(np.argmax(counts > most)) // span
+                return rank + bad, (*prefix, a + bad), counts[bad]
+            rank += b - a
     return None
 
 
@@ -511,12 +493,11 @@ def is_t_determined(code: Code, t: int) -> VerifyReport:
     key on S in the radix one past the largest symbol and star, and the
     bins with the star's digit are cleared, so a row with an infinity in
     S drops out and a key counted twice is a failing S.  Sets are counted
-    in chunks by :func:`_subset_counts`, O(C(l, t) * M) counting, or,
-    when the radix to the t-th power passes ``_DENSE`` bins per word,
-    sorted one at a time by :func:`_repeated`.  On the first failing S,
-    ``np.unique``'s first occurrences give the witness: the first word,
-    in sort order, that repeats a projection, paired with the first word
-    that had it.
+    in chunks, O(C(l, t) * M) counting, or, when the radix to the t-th
+    power passes ``_DENSE`` bins per word, sorted one at a time by
+    :func:`_repeated`.  On the first failing S, ``np.unique``'s first
+    occurrences give the witness: the first word, in sort order, that
+    repeats a projection, paired with the first word that had it.
     Work is counted in words examined, reported as ``subsets_examined``:
     M for clause (a), then M per t-subset, or, on a violation, up to and
     including the offending word.

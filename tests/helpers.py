@@ -3,15 +3,16 @@
 Most are pure-Python loops; :func:`reference_shared_patterns` is the
 cover index built with one ``_pack`` and one argsort per position set.
 
-Also :func:`named_code`, which builds the q5/q10 test codes through the lift, and
-:func:`digits_past_int_limit`, the length of a decimal text that ``int()`` refuses.
+Also :func:`named_code`, which builds the q5/q10 test codes through the lift,
+:func:`digits_past_int_limit`, the length of a decimal text that ``int()`` refuses, and
+:func:`scan_chunks`, the t-sets the scanner counts in one pass.
 """
 
 import io
 import re
 import sys
 from collections import Counter
-from itertools import combinations, product
+from itertools import combinations, groupby, product
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from frameproof import (
     make_field,
     polynomial_lift,
 )
+from frameproof import verify
 from frameproof.codes import _pack, _read_header
 from frameproof.gf import _digits, _poly_mod
 from frameproof.verify import NAIVE_BUDGET
@@ -186,6 +188,20 @@ def reference_maximal_sets(pattern: int, length: int) -> list[int]:
     full = (1 << length) - 1
     return [m for m in range(1, full) if (pattern >> m) & 1 and not any(
         (pattern >> (m | 1 << pos)) & 1 for pos in range(length) if not (m >> pos) & 1)]
+
+
+def scan_chunks(rows: int, n: int, t: int) -> list[list[tuple]]:
+    """The t-sets of ``rows`` rows as ``_first_over`` counts them over n columns, one list a pass.
+
+    Sets in ``combinations`` order that share all rows but the last, ``max(1, _CHUNK_CELLS //
+    n)`` at a time, read from ``verify`` when called, so that a patched value holds.
+    """
+    per = max(1, verify._CHUNK_CELLS // n)
+    chunks = []
+    for _, run in groupby(combinations(range(rows), t), key=lambda subset: subset[:-1]):
+        run = list(run)
+        chunks += [run[i:i + per] for i in range(0, len(run), per)]
+    return chunks
 
 
 def reference_verify_oa(oa):

@@ -212,6 +212,13 @@ class TestConstruct:
         assert out.read_bytes() == want.read_bytes()
 
 
+# the C(l,2)*M keys of a chain's 2-determinedness re-checks: each lift's parent and the
+# augment's input, here the q3 base (8 words of length 4), its lift by 3 (72 words) and the
+# oa4 base (15 words of length 5)
+RECHECKS = {"base q4": 0, "base q3; augment": 6 * 8, "lift 3": 6 * 8,
+            "lift 3; augment": 6 * (8 + 72), "base oa4; lift 4": 10 * 15}
+
+
 class TestBuildBudget:
     @pytest.mark.parametrize("argv, symbols", [
         (["--c", "3", "--steps", "base q4"], 15 * 5),
@@ -222,6 +229,7 @@ class TestBuildBudget:
     ])
     def test_construct_is_refused_above_the_budget(self, tmp_path, base_file, capsys,
                                                    argv, symbols):
+        keys = RECHECKS[argv[3]]
         argv = ["construct"] + argv + ["--out", str(tmp_path / "x.fpc")]
         if not argv[4].startswith("base"):  # the chain's base is read from --in
             argv += ["--in", str(base_file)]
@@ -229,7 +237,12 @@ class TestBuildBudget:
         assert (f"construct builds M*l = {symbols} symbols, above the budget of {symbols - 1}"
                 in capsys.readouterr().err)
         assert not (tmp_path / "x.fpc").exists()
-        assert run(["--budget", str(symbols)] + argv) == 0
+        if keys > symbols:  # the re-checks outweigh the build
+            assert run(["--budget", str(keys - 1)] + argv) == 2
+            assert (f"construct re-checks C(l,2)*M = {keys} keys, above the budget of {keys - 1}"
+                    in capsys.readouterr().err)
+            assert not (tmp_path / "x.fpc").exists()
+        assert run(["--budget", str(max(symbols, keys))] + argv) == 0
         code = read_code_file(tmp_path / "x.fpc")
         assert code.size * code.length == symbols
 
@@ -260,6 +273,15 @@ def _two_long_words(tmp_path):
     return ["verify", "--c", "2", "--algorithm", "cover", str(path)]
 
 
+def _augment_two_long_words(tmp_path):
+    # the augment re-checks C(20000, 2) position pairs of its input, one at a time
+    path = tmp_path / "long-star.fpc"
+    path.write_text("fpc1 q=3 l=20000 M=2 inf=0\n" + " ".join("0" + "1" * 19999) + "\n"
+                    + " ".join("2" * 20000) + "\n")
+    return ["construct", "--in", str(path), "--c", "2", "--steps", "augment",
+            "--out", str(tmp_path / "x.fpc")]
+
+
 def _oa_header(k, t, n=4):
     def argv(tmp_path):
         path = tmp_path / "header.oa"
@@ -268,12 +290,13 @@ def _oa_header(k, t, n=4):
     return argv
 
 
-# counts that str() refuses, or that math.comb takes minutes to form
+# counts that str() refuses, that math.comb takes minutes to form, or scans that take minutes
 UNBOUNDED = {
     "oa": lambda tmp_path: ["oa", "--s", "9" * 2000],
     "construct": lambda tmp_path: ["construct", "--c", "2", "--steps", "base q3" + "; lift 3" * 5000,
                                    "--out", str(tmp_path / "x.fpc")],
     "verify": _two_long_words,
+    "construct-re-checks": _augment_two_long_words,
     "oa-verify": _oa_header(200000, 100000),
     "oa-verify-wide": _oa_header(2000000, 1000000),
     # no runs: no keys to count, but C(k, t) row subsets to report
@@ -460,7 +483,11 @@ class TestPlanCommand:
             capsys.readouterr().err)
         assert run(["--budget", "100", "plan", "--c", "2", "--q", "7", "--execute"]) == 2
         assert "M*l = 292 symbols, above the budget of 100" in capsys.readouterr().err
-        assert run(["--budget", "292", "plan", "--c", "2", "--q", "7", "--execute"]) == 0
+        # the augment re-checks the lift by 3 (72 words of length 4), the lift its base (8)
+        assert run(["--budget", "292", "plan", "--c", "2", "--q", "7", "--execute"]) == 2
+        assert "plan re-checks C(l,2)*M = 480 keys, above the budget of 292" in (
+            capsys.readouterr().err)
+        assert run(["--budget", "480", "plan", "--c", "2", "--q", "7", "--execute"]) == 0
 
     @pytest.mark.parametrize("c, q, n", [
         ("2", "200000000000000000079", "100000000000000000039"),

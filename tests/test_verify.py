@@ -15,6 +15,7 @@ from helpers import (
     reference_naive,
     reference_shared_patterns,
     reference_t_determined,
+    scan_chunks,
 )
 
 from frameproof import (
@@ -850,9 +851,8 @@ class TestTDetermined:
         monkeypatch.setattr(verify, "_repeated",
                             lambda keys, span: sorts.append(1) or repeated(keys, span))
         seed = oa_to_pt_code(build_oa_strength2(16))
-        chunks = [subsets for subsets, _ in verify._subset_counts(seed.array.T, 16, 2)]
+        chunks = scan_chunks(17, seed.size, 2)
         order = list(combinations(range(17), 2))
-        assert [subset for chunk in chunks for subset in chunk] == order
         for target in (chunks[0][-1], chunks[1][0], chunks[1][len(chunks[1]) // 2]):
             code = plant_agreement(seed, target)
             if wide:
@@ -868,7 +868,7 @@ class TestTDetermined:
         # the oa16 seed with symbols 0 and 15 swapped has its star at q - 1, and the seed
         # read without a star counts its 0s as live: the counter reads both codes' own
         # columns, and clears the star's bins where the star stands
-        tables = spy_on_subset_counts(monkeypatch)
+        tables = spy_on_first_over(monkeypatch)
         seed = oa_to_pt_code(build_oa_strength2(16))
         for code in (seed, plant_agreement(seed, (0, 5))):
             rows = np.where(code.array == 0, 15, np.where(code.array == 15, 0, code.array))
@@ -882,7 +882,7 @@ class TestTDetermined:
     def test_a_star_at_zero_is_read_in_place(self, monkeypatch):
         # inf_id 0 needs no copy, even where a column's least live symbol is above 1:
         # its bins with a digit below that stay empty
-        tables = spy_on_subset_counts(monkeypatch)
+        tables = spy_on_first_over(monkeypatch)
         seed = oa_to_pt_code(build_oa_strength2(5))
         for code in (seed, plant_agreement(seed, (0, 3))):
             rows = code.array.copy()
@@ -900,32 +900,47 @@ class TestTDetermined:
         assert not report.verdict and report.witness.kind == "agreement"
 
 
-def spy_on_subset_counts(monkeypatch):
-    """Make ``_subset_counts`` record each table it is given, in the list returned."""
-    tables, counts = [], verify._subset_counts
-    monkeypatch.setattr(verify, "_subset_counts",
-                        lambda table, width, t: tables.append(table) or counts(table, width, t))
+def spy_on_first_over(monkeypatch):
+    """Make ``_first_over`` record each table it is given, in the list returned."""
+    tables, first_over = [], verify._first_over
+    monkeypatch.setattr(verify, "_first_over",
+                        lambda table, *args: tables.append(table) or first_over(table, *args))
     return tables
 
 
 @given(st.data())
-@settings(max_examples=150, derandomize=True, deadline=None)
-def test_subset_counts_match_a_bincount_per_subset(data):
-    # chunks of about 1 .. 3n cells split the subsets every few rows; each subset's
-    # counts are the bincount of its mixed-radix keys, the first row most significant
+@settings(max_examples=300, derandomize=True, deadline=None)
+def test_first_over_matches_a_bincount_per_set(data):
+    # chunks of about 1 .. 3n cells split the sets every few rows; the first set with a key
+    # counted over most times is found by the bincount of its mixed-radix keys, the first
+    # row most significant, over the columns holding no star on it.  Past _DENSE bins per
+    # column the sort answers, with no counts, and only for most = 1
     t = data.draw(st.integers(1, 3))
     n, width = data.draw(st.integers(1, 12)), data.draw(st.integers(1, 5))
     row = st.lists(st.integers(0, width - 1), min_size=n, max_size=n)
     table = np.array(data.draw(st.lists(row, min_size=t, max_size=6)), dtype=np.int64)
+    star = data.draw(st.none() | st.integers(0, width - 1))
+    dense = width**t <= verify._DENSE * n
+    most = data.draw(st.integers(0, 3)) if dense else 1
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(verify, "_CHUNK_CELLS", data.draw(st.integers(1, 3 * n)))
-        chunks = list(verify._subset_counts(table, width, t))
-    subsets = [subset for chunk, _ in chunks for subset in chunk]
-    assert subsets == list(combinations(range(len(table)), t))
-    counts = np.vstack([c for _, c in chunks])
-    for subset, got in zip(subsets, counts):
+        got = verify._first_over(table, width, t, most, star)
+    want = None
+    for rank, subset in enumerate(combinations(range(len(table)), t)):
         keys = sum(table[r] * width ** (t - 1 - i) for i, r in enumerate(subset))
-        assert np.array_equal(got, np.bincount(keys, minlength=width**t)), subset
+        live = (table[list(subset)] != star).all(axis=0)  # every column when star is None
+        counts = np.bincount(keys[live], minlength=width**t)
+        if counts.max() > most:
+            want = rank, subset, counts
+            break
+    if want is None:
+        assert got is None
+        return
+    assert got[:2] == want[:2]
+    if dense:
+        assert np.array_equal(got[2], want[2]), want[1]
+    else:
+        assert got[2] is None
 
 
 def plant_agreement(seed, target):
