@@ -99,18 +99,12 @@ def run_plan_row(c: int, q: int) -> dict:
                             is_t_determined, plan_code)
     from frameproof.codes import Code, read_code_file, write_code_file
 
-    out, clock = {"c": c, "q": q}, time.perf_counter
+    out = {"c": c, "q": q}
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "code.fpc"
-        start = clock()
-        built = execute_plan(plan_code(c, q))
-        out["build_s"] = clock() - start
-        start = clock()
-        write_code_file(built, path)
-        out["write_s"] = clock() - start
-        start = clock()
-        code = read_code_file(path)
-        out["read_s"] = clock() - start
+        built, out["build_s"] = timed(lambda: execute_plan(plan_code(c, q)))
+        _, out["write_s"] = timed(write_code_file, built, path)
+        code, out["read_s"] = timed(read_code_file, path)
         out["M"], out["fpc_bytes"] = code.size, path.stat().st_size
     if code != built:
         raise SystemExit(f"c={c} q={q}: the code read back differs from the one written")

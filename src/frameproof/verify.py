@@ -12,14 +12,14 @@ Two independent algorithms decide the frameproof property:
   of at most 2**14 uint64 words;
 * :func:`is_frameproof_cover` builds a projection index: for every
   proper non-empty position set S it marks the words whose projection
-  onto S is shared with another word, keying S | {p} from S's keys.
-  Dense sets are counted with one ``np.bincount`` (at most 4 bins per
-  word, as in the subset counter) and sparse ones are sorted; the walk
-  stops below a set with no repeat.  A word x can be framed exactly
-  when at most c shared sets of x cover every position.  The cost is
-  O(M * 2^l), metered in the index's nominal M * (2^l - 2) projections
-  plus cover-search nodes, and the witness frames the smallest framable
-  word.
+  onto S is shared with another word, keying S | {p} from S's keys and
+  the code's own column p, read in place with its least symbol.  Dense
+  sets are counted with one ``np.bincount`` (at most 4 bins per word),
+  sparse ones sorted; the walk stops below a set with no repeat.  A
+  word x can be framed exactly when at most c shared sets of x cover
+  every position.  The cost is O(M * 2^l), metered in the index's
+  nominal M * (2^l - 2) projections plus cover-search nodes, and the
+  witness frames the smallest framable word.
 
 They always agree; having both lets each one act as an oracle for the
 other and for every construction in the package.
@@ -28,13 +28,12 @@ other and for every construction in the package.
 t-set scanner, :func:`_first_over`, for the first set of t rows on
 which a column key is counted more than 1 or the array's index times.
 It reads a column's entries on a set as the digits of one key in a
-single radix and counts the keys of many sets with one ``np.add`` and
-one ``np.bincount``; the bins holding the star's digit, wherever it
-stands, are cleared.  Keys too wide to count are sorted one set at a
-time by :func:`_repeated`, the cover index's helper: ``codes._pack``,
-which also sorts ``make_code``'s rows, turns the projections onto the
-set into int64 keys, equal exactly when the projections are,
-re-ranking with ``np.unique`` before a product would pass 2**63, so
+single radix and counts the keys of a chunk of sets, however few the
+words, with one ``np.add`` and one ``np.bincount``; the bins holding the
+star's digit, wherever it stands, are cleared.  Only keys too wide for a
+chunk are sorted, one set at a time, by :func:`_repeated`, the cover
+index's helper, on ``codes._pack``'s int64 keys of the projections,
+which re-rank with ``np.unique`` before a product would pass 2**63, so
 symbols anywhere in the int64 range are handled.
 """
 
@@ -55,8 +54,8 @@ NAIVE_BUDGET = 10**8
 # each later one twice the rows, up to _WINDOW_ROWS; each block it scans holds at most
 # _BLOCK_WORDS words (128 kB).
 _FIRST_WINDOW, _WINDOW_ROWS, _BLOCK_WORDS = 2**10, 2**16, 2**14
-# _first_over counts about _CHUNK_CELLS (subset, column) keys per pass; keys spanning
-# at most _DENSE bins per key are counted, and _repeated sorts wider ones.
+# _first_over counts chunks of sets with at most _CHUNK_CELLS keys and _DENSE times as many
+# bins, or one set; _repeated sorts a set only past _DENSE bins per key and per chunk cell.
 _CHUNK_CELLS, _DENSE = 2**14, 4
 
 
@@ -332,24 +331,24 @@ def _repeated(keys: np.ndarray, span: int) -> np.ndarray:
     return repeated
 
 
-def _shared_sets(cols: np.ndarray, widths: list[int], shared: np.ndarray, mask: int,
-                 keys: np.ndarray, span: int) -> None:
+def _shared_sets(rows: np.ndarray, bounds: list[tuple[int, int]], shared: np.ndarray,
+                 mask: int, keys: np.ndarray, span: int) -> None:
     """Set bit S of ``shared`` for each word repeating its projection onto a proper S above ``mask``.
 
-    Depth first: S | {p}, p above S's highest position, is S's keys plus
-    one ``_extend`` step on column p, entries 0 .. widths[p] - 1.  A set
-    on which no projection repeats has no superset on which one does, so
-    the walk stops below it.
+    Depth first: S | {p}, p above S's highest position, is S's keys plus one
+    ``_extend`` step on column p of ``rows``, read in place, ``bounds[p]`` its
+    (least symbol, width).  A set on which no projection repeats has no
+    superset on which one does, so the walk stops below it.
     """
-    for p in range(mask.bit_length(), len(widths)):
+    for p in range(mask.bit_length(), len(bounds)):
         sub = mask | 1 << p
-        if sub == (1 << len(widths)) - 1:  # every set but the full one
+        if sub == (1 << len(bounds)) - 1:  # every set but the full one
             continue
-        sub_keys, sub_span = _extend(keys, span, cols[:, p], 0, widths[p])
+        sub_keys, sub_span = _extend(keys, span, rows[:, p], *bounds[p])
         repeated = _repeated(sub_keys, sub_span)
         if repeated.any():
             shared[:, sub >> 6] |= repeated.astype(np.uint64) << np.uint64(sub & 63)
-            _shared_sets(cols, widths, shared, sub, sub_keys, sub_span)
+            _shared_sets(rows, bounds, shared, sub, sub_keys, sub_span)
 
 
 def is_frameproof_cover(code: Code, c: int, budget: int = NAIVE_BUDGET) -> VerifyReport:
@@ -360,10 +359,11 @@ def is_frameproof_cover(code: Code, c: int, budget: int = NAIVE_BUDGET) -> Verif
     most c shared sets cover every position.  The index takes M
     projections for each of the 2^l - 2 proper non-empty S, O(M * 2^l) in
     all: a depth-first walk keys each S | {p}, p above S's highest
-    position, from S's keys by one ``_extend`` step.  Keys spanning at
-    most 4 bins per word are counted with one ``np.bincount``, as in the
-    subset counter, and wider ones are sorted; the repeats set bit S of
-    one packed bit row per word.  A projection unique on S is unique on
+    position, from S's keys by one ``_extend`` step on the code's own
+    column p, which subtracts its least symbol: no shifted copy is made.
+    Keys spanning at most 4 bins per word are counted with one
+    ``np.bincount``, wider ones sorted; the repeats set bit S of one
+    packed bit row per word.  A projection unique on S is unique on
     every superset, so the walk stops below a set with no repeat, but
     ``subsets_examined`` still counts the nominal M * (2^l - 2)
     projections.  One 1-D ``np.unique`` of those rows' packed keys finds
@@ -388,10 +388,9 @@ def is_frameproof_cover(code: Code, c: int, budget: int = NAIVE_BUDGET) -> Verif
     # words); stored column-major, as the walk fills it one column at a time
     shared = np.zeros(((full >> 6) + 1, big_m), dtype=np.uint64).T
     if big_m > 1:
-        lo, hi = rows.min(axis=0), rows.max(axis=0)
-        widths = [b - a + 1 for a, b in zip(lo.tolist(), hi.tolist())]
-        cols = rows - lo if lo.any() else rows
-        _shared_sets(cols, widths, shared, 0, np.zeros(big_m, dtype=np.int64), 1)
+        lo, hi = rows.min(axis=0).tolist(), rows.max(axis=0).tolist()
+        _shared_sets(rows, [(a, b - a + 1) for a, b in zip(lo, hi)], shared, 0,
+                     np.zeros(big_m, dtype=np.int64), 1)
     # one cover search per distinct pattern, met in word order
     firsts = np.unique(_pack(shared.view(np.int64), range(shared.shape[1])), return_index=True)[1]
     for x in np.sort(firsts).tolist():
@@ -431,20 +430,20 @@ def _first_over(table: np.ndarray, width: int, t: int, most: int, star: int | No
     ``table`` is ``(rows, n)``, entries in 0 .. width - 1; sets come in ``combinations`` order,
     ``rank`` a set's place in it, and a column holding ``star`` on a set is left out.  A column's
     key on a set reads its entries there as base-``width`` digits, the first row most significant,
-    so a set has width**t bins.  Within ``_DENSE`` bins per column, sets are counted in chunks that
-    share all rows but the last, of about ``_CHUNK_CELLS`` (set, column) cells or one set: when a
+    so a set has width**t bins.  Sets are counted in chunks that share all rows but the last, of at
+    most ``_CHUNK_CELLS`` (set, column) cells and ``_DENSE`` times as many bins, or one set: when a
     chunk holds more than one set, row r is offset by r * width**t once per call, so that a chunk's
     i-th set counts from i * width**t on, and a chunk's keys are one ``np.add`` of its prefix's key
     to a slice of the rows, into one reused buffer, counted by one ``np.bincount``.  The star's
-    bins are cleared, and ``counts`` is the set's bins.  Wider keys, met only at ``most`` = 1 (an
-    array's N keys fill its s**t bins), are sorted per set by :func:`_repeated`, ``counts`` None.
-    None if no set has such a key, and at once without columns, where none has a key.
+    bins are cleared, and ``counts`` is the set's bins.  Keys past ``_DENSE`` bins per column and
+    per chunk cell (only at ``most`` = 1: an array's N keys fill its s**t bins) are sorted per set
+    by :func:`_repeated`, ``counts`` None.  None if no set has such a key, or without columns.
     """
     rows, n = table.shape
     span = width**t
     if not n:
         return None
-    if span > _DENSE * n:
+    if span > _DENSE * max(n, _CHUNK_CELLS):
         for rank, subset in enumerate(combinations(range(rows), t)):
             keys = _pack(table.T, subset)
             if star is not None:
@@ -452,7 +451,7 @@ def _first_over(table: np.ndarray, width: int, t: int, most: int, star: int | No
             if _repeated(keys, span).any():
                 return rank, subset, None
         return None
-    per = max(1, _CHUNK_CELLS // n)
+    per = max(1, _DENSE * _CHUNK_CELLS // max(span, _DENSE * n))
     # the rows a chunk ends its sets with: row r counts from r * span on, and a chunk from
     # row a takes a * span off its prefix's key; a lone set per chunk reads the table in place
     shift = span if per > 1 else 0
@@ -493,9 +492,9 @@ def is_t_determined(code: Code, t: int) -> VerifyReport:
     key on S in the radix one past the largest symbol and star, and the
     bins with the star's digit are cleared, so a row with an infinity in
     S drops out and a key counted twice is a failing S.  Sets are counted
-    in chunks, O(C(l, t) * M) counting, or, when the radix to the t-th
-    power passes ``_DENSE`` bins per word, sorted one at a time by
-    :func:`_repeated`.  On the first failing S, ``np.unique``'s first
+    in chunks, O(C(l, t) * M) counting, however few the words, and sorted
+    one at a time by :func:`_repeated` only past ``_DENSE`` bins per word
+    and per chunk cell.  On the first failing S, ``np.unique``'s first
     occurrences give the witness: the first word, in sort order, that
     repeats a projection, paired with the first word that had it.
     Work is counted in words examined, reported as ``subsets_examined``:

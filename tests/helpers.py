@@ -190,13 +190,14 @@ def reference_maximal_sets(pattern: int, length: int) -> list[int]:
         (pattern >> (m | 1 << pos)) & 1 for pos in range(length) if not (m >> pos) & 1)]
 
 
-def scan_chunks(rows: int, n: int, t: int) -> list[list[tuple]]:
+def scan_chunks(rows: int, n: int, t: int, span: int) -> list[list[tuple]]:
     """The t-sets of ``rows`` rows as ``_first_over`` counts them over n columns, one list a pass.
 
-    Sets in ``combinations`` order that share all rows but the last, ``max(1, _CHUNK_CELLS //
-    n)`` at a time, read from ``verify`` when called, so that a patched value holds.
+    Sets in ``combinations`` order that share all rows but the last, ``max(1, _DENSE *
+    _CHUNK_CELLS // max(span, _DENSE * n))`` at a time for keys spanning ``span`` bins, read
+    from ``verify`` when called, so that a patched value holds.
     """
-    per = max(1, verify._CHUNK_CELLS // n)
+    per = max(1, verify._DENSE * verify._CHUNK_CELLS // max(span, verify._DENSE * n))
     chunks = []
     for _, run in groupby(combinations(range(rows), t), key=lambda subset: subset[:-1]):
         run = list(run)

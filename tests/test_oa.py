@@ -190,7 +190,7 @@ class TestVerifier:
             monkeypatch.setattr(verify, "_CHUNK_CELLS", cells)
         oa = build_oa_strength2(s)
         k = oa.constraints
-        chunks = scan_chunks(k, oa.array.shape[1], 2)
+        chunks = scan_chunks(k, oa.array.shape[1], 2, s**2)
         assert len(chunks) > 2
         order = list(combinations(range(k), 2))
         targets = [chunks[0][-1], chunks[1][0], chunks[1][len(chunks[1]) // 2]]

@@ -21,6 +21,7 @@ from helpers import (
 from frameproof import (
     BudgetExceeded,
     Step,
+    augment_infinity,
     base_code,
     build_oa_strength2,
     descendant_contains,
@@ -681,6 +682,30 @@ class TestCoverAtPlanSizes:
         assert len(witness.coalition) <= 2 and set(witness.coalition) <= set(bad.words)
         assert framed_witness_holds(witness)
 
+    def test_columns_are_read_in_place(self, monkeypatch):
+        # every symbol + 5 and no star: each column starts at 5, and the index hands that
+        # least symbol to _extend with the code's own column, not a shifted copy
+        code = execute_plan(plan_code(2, 15))
+        shifted = make_code(code.length, code.q + 5, code.array + 5)
+        columns, extend = [], verify._extend
+        monkeypatch.setattr(verify, "_extend",
+                            lambda keys, span, col, *args: columns.append(col)
+                            or extend(keys, span, col, *args))
+
+        def plus(word):
+            return tuple(x + 5 for x in word)
+
+        for c in (2, 3):
+            want = is_frameproof_cover(code, c)
+            if want.witness is not None:
+                want = replace(want, witness=replace(
+                    want.witness, coalition=tuple(map(plus, want.witness.coalition)),
+                    framed_word=plus(want.witness.framed_word)))
+            columns.clear()
+            assert report_of(is_frameproof_cover(shifted, c)) == report_of(want)
+            assert columns and all(np.shares_memory(col, shifted.array) for col in columns)
+        assert not want.verdict
+
     def test_length_nine_family_code(self):
         # 3,087 words of length 9: each word's pattern spans eight 64-bit words
         code = execute_steps((Step("base", "oa8"), Step("lift", 7)), 7)
@@ -851,7 +876,7 @@ class TestTDetermined:
         monkeypatch.setattr(verify, "_repeated",
                             lambda keys, span: sorts.append(1) or repeated(keys, span))
         seed = oa_to_pt_code(build_oa_strength2(16))
-        chunks = scan_chunks(17, seed.size, 2)
+        chunks = scan_chunks(17, seed.size, 2, seed.q**2)
         order = list(combinations(range(17), 2))
         for target in (chunks[0][-1], chunks[1][0], chunks[1][len(chunks[1]) // 2]):
             code = plant_agreement(seed, target)
@@ -893,6 +918,18 @@ class TestTDetermined:
             assert np.shares_memory(tables.pop(), shifted.array)
         assert not report.verdict
 
+    def test_a_short_code_is_counted_not_sorted(self, monkeypatch):
+        # 2 words over 3 symbols key each position pair in 9 bins, more than 4 per word but
+        # far fewer than a chunk holds: the pairs are counted in chunks, and none is sorted
+        monkeypatch.setattr(verify, "_pack", lambda *args: pytest.fail("a set was sorted"))
+
+        def two_words(length):
+            return make_code(length, 3, [(0,) + (1,) * (length - 1), (2,) * length], inf_id=0)
+
+        code = two_words(300)
+        assert report_of(is_t_determined(code, 2)) == reference_t_determined(code, 2)
+        assert augment_infinity(two_words(2000), 2, 2).size == 3
+
     def test_t_equal_one(self):
         # t=1: no infinity entries at all, and no agreement anywhere
         assert is_t_determined(make_code(3, 3, [(1, 2, 1), (2, 1, 2)], inf_id=0), 1).verdict
@@ -914,16 +951,17 @@ def test_first_over_matches_a_bincount_per_set(data):
     # chunks of about 1 .. 3n cells split the sets every few rows; the first set with a key
     # counted over most times is found by the bincount of its mixed-radix keys, the first
     # row most significant, over the columns holding no star on it.  Past _DENSE bins per
-    # column the sort answers, with no counts, and only for most = 1
+    # column and per chunk cell the sort answers, with no counts, and only for most = 1
     t = data.draw(st.integers(1, 3))
     n, width = data.draw(st.integers(1, 12)), data.draw(st.integers(1, 5))
+    chunk = data.draw(st.integers(1, 3 * n))
     row = st.lists(st.integers(0, width - 1), min_size=n, max_size=n)
     table = np.array(data.draw(st.lists(row, min_size=t, max_size=6)), dtype=np.int64)
     star = data.draw(st.none() | st.integers(0, width - 1))
-    dense = width**t <= verify._DENSE * n
+    dense = width**t <= verify._DENSE * max(n, chunk)
     most = data.draw(st.integers(0, 3)) if dense else 1
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(verify, "_CHUNK_CELLS", data.draw(st.integers(1, 3 * n)))
+        patch.setattr(verify, "_CHUNK_CELLS", chunk)
         got = verify._first_over(table, width, t, most, star)
     want = None
     for rank, subset in enumerate(combinations(range(len(table)), t)):
