@@ -15,11 +15,12 @@ Two independent algorithms decide the frameproof property:
   onto S is shared with another word, keying S | {p} from S's keys and
   the code's own column p, read in place with its least symbol.  Dense
   sets are counted with one ``np.bincount`` (at most 4 bins per word),
-  sparse ones sorted; the walk stops below a set with no repeat.  A
-  word x can be framed exactly when at most c shared sets of x cover
-  every position.  The cost is O(M * 2^l), metered in the index's
-  nominal M * (2^l - 2) projections plus cover-search nodes, and the
-  witness frames the smallest framable word.
+  sparse ones sorted; the walk stops below a set with no repeat.  Only
+  the sets that repeat are kept, M bits each.  A word x can be framed
+  exactly when at most c shared sets of x cover every position.  The
+  cost is O(M * 2^l), metered in the index's nominal M * (2^l - 2)
+  projections plus cover-search nodes, and the witness frames the
+  smallest framable word.
 
 They always agree; having both lets each one act as an oracle for the
 other and for every construction in the package.
@@ -30,9 +31,10 @@ which a column key is counted more than 1 or the array's index times.
 It reads a column's entries on a set as the digits of one key in a
 single radix and counts the keys of a chunk of sets, however few the
 words, with one ``np.add`` and one ``np.bincount``; the bins holding the
-star's digit, wherever it stands, are cleared.  Only keys too wide for a
-chunk are sorted, one set at a time, by :func:`_repeated`, the cover
-index's helper, on ``codes._pack``'s int64 keys of the projections,
+star's digit, wherever it stands, are cleared.  Symbols too wide to
+count are ranked first, the star with them, and only keys still too wide
+for a chunk are sorted, one set at a time, by :func:`_repeated`, the
+cover index's helper, on ``codes._pack``'s int64 keys of the projections,
 which re-rank with ``np.unique`` before a product would pass 2**63, so
 symbols anywhere in the int64 range are handled.
 """
@@ -229,7 +231,7 @@ def is_frameproof_naive(code: Code, c: int, budget: int = NAIVE_BUDGET) -> Verif
     """
     c, budget = _check_count("c", c, 2), _check_count("budget", budget, None)
     start = time.perf_counter()
-    rows, big_m = code.array, code.size
+    rows, big_m, ones = code.array, code.size, [1 << p for p in range(code.length)]
     masks = ids = None
     examined, left = 0, budget
     for k in range(1, min(c, big_m) + 1):
@@ -256,37 +258,12 @@ def is_frameproof_naive(code: Code, c: int, budget: int = NAIVE_BUDGET) -> Verif
     return VerifyReport(True, None, examined, time.perf_counter() - start)
 
 
-def _maximal_sets(pattern: int, length: int) -> list[int]:
-    """The maximal sets among the proper non-empty sets in the bitset ``pattern``, in order.
+def _cover(masks: list[int], length: int, c: int, meter: list[int]) -> tuple[int, ...] | None:
+    """At most c of the sets ``masks``, searched in order, that cover [l].
 
-    Bit S of ``(pattern >> 2**p) & lacks_p``, lacks_p holding the sets
-    without p, is set when S | {p} is in ``pattern``: l shifts find
-    every set with a superset one position larger.
+    ``meter`` is ``[work done, budget]``; each search node adds one.
     """
     full = (1 << length) - 1
-    every = (1 << (full + 1)) - 1  # all 2^l sets
-    blocked = 0
-    for p in range(length):
-        # runs of 2^p sets without p, then 2^p with it
-        lacks = every // ((1 << (2 << p)) - 1) * ((1 << (1 << p)) - 1)
-        blocked |= (pattern >> (1 << p)) & lacks
-    rest = pattern & ~blocked & (every ^ 1 ^ 1 << full)  # neither the empty nor the full set
-    sets = []
-    while rest:
-        low = rest & -rest
-        sets.append(low.bit_length() - 1)
-        rest ^= low
-    return sets
-
-
-def _cover(shared: int, length: int, c: int, meter: list[int]) -> tuple[int, ...] | None:
-    """At most c maximal sets among those in the bitset ``shared`` that cover [l].
-
-    Shared sets are closed under subsets, so a cover needs only the maximal
-    ones.  ``meter`` is ``[work done, budget]``; each search node adds one.
-    """
-    full = (1 << length) - 1
-    masks = _maximal_sets(shared, length)
     by_pos = [[m for m in masks if (m >> pos) & 1] for pos in range(length)]
     chosen: list[int] = []
 
@@ -331,14 +308,16 @@ def _repeated(keys: np.ndarray, span: int) -> np.ndarray:
     return repeated
 
 
-def _shared_sets(rows: np.ndarray, bounds: list[tuple[int, int]], shared: np.ndarray,
-                 mask: int, keys: np.ndarray, span: int) -> None:
-    """Set bit S of ``shared`` for each word repeating its projection onto a proper S above ``mask``.
+def _shared_sets(rows: np.ndarray, bounds: list[tuple[int, int]], sets: list[int],
+                 columns: list[np.ndarray], mask: int, keys: np.ndarray, span: int) -> None:
+    """Append each proper set S above ``mask`` on which some projection repeats to ``sets``.
 
-    Depth first: S | {p}, p above S's highest position, is S's keys plus one
-    ``_extend`` step on column p of ``rows``, read in place, ``bounds[p]`` its
-    (least symbol, width).  A set on which no projection repeats has no
-    superset on which one does, so the walk stops below it.
+    Its words, those repeating their projection onto ``sets[i]``, get bit
+    i % 64 of ``columns[i // 64]``.  Depth first: S | {p}, p above S's
+    highest position, is S's keys plus one ``_extend`` step on column p of
+    ``rows``, read in place, ``bounds[p]`` its (least symbol, width).  A set
+    on which no projection repeats has no superset on which one does, so
+    the walk stops below it.
     """
     for p in range(mask.bit_length(), len(bounds)):
         sub = mask | 1 << p
@@ -347,8 +326,11 @@ def _shared_sets(rows: np.ndarray, bounds: list[tuple[int, int]], shared: np.nda
         sub_keys, sub_span = _extend(keys, span, rows[:, p], *bounds[p])
         repeated = _repeated(sub_keys, sub_span)
         if repeated.any():
-            shared[:, sub >> 6] |= repeated.astype(np.uint64) << np.uint64(sub & 63)
-            _shared_sets(rows, bounds, shared, sub, sub_keys, sub_span)
+            if not len(sets) & 63:
+                columns.append(np.zeros(len(rows), dtype=np.uint64))
+            columns[-1] |= repeated.astype(np.uint64) << np.uint64(len(sets) & 63)
+            sets.append(sub)
+            _shared_sets(rows, bounds, sets, columns, sub, sub_keys, sub_span)
 
 
 def is_frameproof_cover(code: Code, c: int, budget: int = NAIVE_BUDGET) -> VerifyReport:
@@ -362,14 +344,15 @@ def is_frameproof_cover(code: Code, c: int, budget: int = NAIVE_BUDGET) -> Verif
     position, from S's keys by one ``_extend`` step on the code's own
     column p, which subtracts its least symbol: no shifted copy is made.
     Keys spanning at most 4 bins per word are counted with one
-    ``np.bincount``, wider ones sorted; the repeats set bit S of one
-    packed bit row per word.  A projection unique on S is unique on
-    every superset, so the walk stops below a set with no repeat, but
-    ``subsets_examined`` still counts the nominal M * (2^l - 2)
-    projections.  One 1-D ``np.unique`` of those rows' packed keys finds
-    the distinct patterns, and the depth-<=c search over maximal shared
-    sets, found by l shifts of the pattern, runs once per pattern, in the
-    order of each pattern's first word, so the witness frames the
+    ``np.bincount``, wider ones sorted.  A projection unique on S is
+    unique on every superset, so the walk stops below a set with no
+    repeat, but ``subsets_examined`` still counts the nominal
+    M * (2^l - 2) projections.  Only the sets that repeat are kept, M
+    bits each: the i-th marks its words in bit i % 64 of column i // 64.
+    One 1-D ``np.unique`` of the columns' packed keys finds the distinct
+    patterns, and the depth-<=c search over a pattern's maximal sets,
+    those with no set one position larger, runs once per pattern, in
+    the order of each pattern's first word, so the witness frames the
     smallest framable word, with the first word in sort order sharing
     each chosen set as its coalition.
     Work is metered in projections plus search nodes, reported as
@@ -378,24 +361,33 @@ def is_frameproof_cover(code: Code, c: int, budget: int = NAIVE_BUDGET) -> Verif
     """
     c, budget = _check_count("c", c, 2), _check_count("budget", budget, None)
     start = time.perf_counter()
-    rows = code.array
-    big_m = len(rows)
-    full = (1 << code.length) - 1
-    meter = [big_m * (full - 1), budget]
+    rows, big_m, ones = code.array, code.size, [1 << p for p in range(code.length)]
+    meter = [big_m * ((1 << code.length) - 2), budget]
     _budget_gate(budget, "cover's index takes M*(2^l-2)", meter[0], "projections")
-    # per word, the bitset of its shared sets: bit S of row x is set when
-    # x's projection onto S occurs more than once (never, with fewer than two
-    # words); stored column-major, as the walk fills it one column at a time
-    shared = np.zeros(((full >> 6) + 1, big_m), dtype=np.uint64).T
+    # the sets on which a projection repeats (none, with fewer than two words), and
+    # bit i % 64 of column i // 64 marking the words that repeat theirs on sets[i]
+    sets, columns = [], []
     if big_m > 1:
         lo, hi = rows.min(axis=0).tolist(), rows.max(axis=0).tolist()
-        _shared_sets(rows, [(a, b - a + 1) for a, b in zip(lo, hi)], shared, 0,
+        _shared_sets(rows, [(a, b - a + 1) for a, b in zip(lo, hi)], sets, columns, 0,
                      np.zeros(big_m, dtype=np.int64), 1)
+    shared = np.array(columns, dtype=np.uint64).reshape(len(columns), big_m).T
+    # per set in increasing order: its column, bit, and per column its bit with those of the sets
+    # one position larger; as shared sets are closed under subsets, those decide if it is maximal
+    masks = {s: {i >> 6: 1 << (i & 63)} for i, s in enumerate(sets)}
+    for j, s in enumerate(sets):
+        for one in ones:
+            if s & one and s != one:
+                below = masks[s ^ one]
+                below[j >> 6] = below.get(j >> 6, 0) | 1 << (j & 63)
+    tops = [(s, i >> 6, 1 << (i & 63), masks[s].pop(i >> 6), tuple(masks[s].items()))
+            for s, i in sorted(zip(sets, range(len(sets))))]
     # one cover search per distinct pattern, met in word order
-    firsts = np.unique(_pack(shared.view(np.int64), range(shared.shape[1])), return_index=True)[1]
+    firsts = np.unique(_pack(shared.view(np.int64), range(len(columns))), return_index=True)[1]
     for x in np.sort(firsts).tolist():
-        pattern = int.from_bytes(shared[x].astype("<u8").tobytes(), "little")
-        cover = _cover(pattern, code.length, c, meter)
+        held = shared[x].tolist()
+        cover = _cover([s for s, col, bit, up, ups in tops if held[col] & up == bit
+                        and not (ups and any(held[k] & m for k, m in ups))], code.length, c, meter)
         if cover is None:
             continue
         coalition = set()
@@ -492,11 +484,13 @@ def is_t_determined(code: Code, t: int) -> VerifyReport:
     key on S in the radix one past the largest symbol and star, and the
     bins with the star's digit are cleared, so a row with an infinity in
     S drops out and a key counted twice is a failing S.  Sets are counted
-    in chunks, O(C(l, t) * M) counting, however few the words, and sorted
-    one at a time by :func:`_repeated` only past ``_DENSE`` bins per word
-    and per chunk cell.  On the first failing S, ``np.unique``'s first
-    occurrences give the witness: the first word, in sort order, that
-    repeats a projection, paired with the first word that had it.
+    in chunks, O(C(l, t) * M) counting, however few the words.  Past
+    ``_DENSE`` bins per word and per chunk cell, one ``np.unique`` ranks
+    the symbols, the star with them, and only a code still that wide is
+    sorted one set at a time by :func:`_repeated`.  On the first failing
+    S, ``np.unique``'s first occurrences give the witness: the first
+    word, in sort order, that repeats a projection, paired with the first
+    word that had it.
     Work is counted in words examined, reported as ``subsets_examined``:
     M for clause (a), then M per t-subset, or, on a violation, up to and
     including the offending word.
@@ -516,7 +510,12 @@ def is_t_determined(code: Code, t: int) -> VerifyReport:
     if not big_m:
         return VerifyReport(True, None, 0, time.perf_counter() - start)
     hi = int(rows.max())
-    hit = _first_over(rows.T, hi + 1 if inf is None else max(hi, inf) + 1, t, 1, inf)
+    table, width, star = rows.T, hi + 1 if inf is None else max(hi, inf) + 1, inf
+    if width**t > _DENSE * max(big_m, _CHUNK_CELLS):  # too wide to count: rank the symbols
+        ranked = np.unique(rows if inf is None else np.append(rows, inf), return_inverse=True)[1]
+        table, width = ranked[:rows.size].reshape(rows.shape).T, int(ranked.max()) + 1
+        star = None if inf is None else int(ranked[-1])
+    hit = _first_over(table, width, t, 1, star)
     if hit is None:
         return VerifyReport(True, None, big_m * (1 + comb(code.length, t)),
                             time.perf_counter() - start)

@@ -180,7 +180,7 @@ def reference_shared_patterns(code):
 
 
 def reference_maximal_sets(pattern: int, length: int) -> list[int]:
-    """The set-by-set scan for maximal sets, kept as the reference for ``verify._maximal_sets``.
+    """The set-by-set scan for maximal sets, kept as the reference for the sets cover searches.
 
     The proper non-empty sets m in the bitset ``pattern`` such that no
     m | {pos} is in it, in increasing order.

@@ -1,8 +1,10 @@
 import random
 import tracemalloc
 from dataclasses import replace
-from itertools import combinations, islice, permutations
+from functools import reduce
+from itertools import chain, combinations, islice, permutations
 from math import comb
+from operator import or_
 
 import numpy as np
 import pytest
@@ -530,38 +532,82 @@ class TestCover:
             assert framed_witness_holds(witness)
 
 
-def cover_index(code):
-    """The shared-set bitsets ``is_frameproof_cover`` builds, one row per word.
+def index_parts(code):
+    """The index ``is_frameproof_cover`` builds: ``(sets, table)``.
 
-    They are read from the index's first ``_pack`` call, which ranks each
-    word's pattern (the set walk itself calls ``_extend``, not ``_pack``).
+    ``sets`` is the list the set walk appends each repeating set to, and
+    ``table`` the (M, W) uint64 word columns, read from the index's first
+    ``_pack`` call, which ranks each word's pattern (the set walk itself
+    calls ``_extend``, not ``_pack``): bit i % 64 of column i // 64 marks
+    the words that repeat their projection onto ``sets[i]``.
     """
-    seen = []
+    walked, seen = [], []
 
-    def spy(rows, positions):
+    def walk(rows, bounds, sets, *rest):
+        walked.append(sets)
+        return shared_sets(rows, bounds, sets, *rest)
+
+    def pack(rows, positions):
         seen.append(rows.view(np.uint64).copy())
         return _pack(rows, positions)
 
+    shared_sets = verify._shared_sets
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(verify, "_pack", spy)
+        patch.setattr(verify, "_shared_sets", walk)
+        patch.setattr(verify, "_pack", pack)
         is_frameproof_cover(code, 2)
-    return seen[0]
+    return (walked[0] if walked else []), seen[0]
+
+
+def cover_index(code):
+    """The shared-set bitsets of ``is_frameproof_cover``'s index in the dense layout.
+
+    Each word's bit i is mapped back through ``sets`` to bit ``sets[i]`` of a
+    row of 2^l bits, as :func:`reference_shared_patterns` lays them out.
+    """
+    sets, table = index_parts(code)
+    dense = np.zeros((code.size, (2**code.length - 1 >> 6) + 1), dtype=np.uint64)
+    for i, mask in enumerate(sets):
+        words = table[:, i >> 6] >> np.uint64(i & 63) & np.uint64(1)
+        dense[:, mask >> 6] |= words << np.uint64(mask & 63)
+    return dense
+
+
+def dense_patterns(shared):
+    """Each row of a dense ``(M, W)`` bitset table as one int, bit S for the set S."""
+    return [sum(word << 64 * i for i, word in enumerate(row)) for row in shared.tolist()]
 
 
 def searched_nodes(code, c):
     """The cover report's work count, from the per-set index searched pattern by pattern.
 
-    ``M * (2^l - 2)`` projections, then the search nodes of each distinct
-    pattern in the order of its first word, up to the first that frames.
+    ``M * (2^l - 2)`` projections, then the search nodes over
+    :func:`reference_maximal_sets` of each distinct pattern, in the order of
+    its first word, up to the first that frames.
     """
     meter, seen = [code.size * (2**code.length - 2), verify.NAIVE_BUDGET], set()
-    for row in reference_shared_patterns(code).tolist():
-        pattern = sum(word << 64 * i for i, word in enumerate(row))
+    for pattern in dense_patterns(reference_shared_patterns(code)):
         if pattern not in seen:
             seen.add(pattern)
-            if verify._cover(pattern, code.length, c, meter) is not None:
+            masks = reference_maximal_sets(pattern, code.length)
+            if verify._cover(masks, code.length, c, meter) is not None:
                 break
     return meter[0]
+
+
+def searched_sets(code, c):
+    """The sets ``_cover`` is handed for each pattern it searches, in order."""
+    searched = []
+
+    def spy(masks, *rest):
+        searched.append(masks)
+        return cover(masks, *rest)
+
+    cover = verify._cover
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(verify, "_cover", spy)
+        is_frameproof_cover(code, c)
+    return searched
 
 
 class TestCoverIndex:
@@ -570,9 +616,37 @@ class TestCoverIndex:
     @settings(max_examples=300, derandomize=True, deadline=None)
     def test_shared_sets_match_the_per_set_loop(self, case):
         code = case[0]
-        shared = cover_index(code)
-        assert shared.shape == (code.size, (2**code.length - 1 >> 6) + 1)
-        assert np.array_equal(shared, reference_shared_patterns(code))
+        reference = reference_shared_patterns(code)
+        # one bit per word for each set that repeats on some word, and for no other set
+        sets, table = index_parts(code)
+        held = reduce(or_, dense_patterns(reference), 0)
+        assert sorted(sets) == [mask for mask in range(2**code.length) if held >> mask & 1]
+        assert table.shape == (code.size, -(-len(sets) // 64))
+        assert np.array_equal(cover_index(code), reference)
+
+    @given(st.one_of(codes_with_c(), codes_with_c(wide=True), codes_with_c(long=True)))
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    def test_cover_searches_the_maximal_sets(self, case):
+        code, c = case
+        patterns = dict.fromkeys(dense_patterns(reference_shared_patterns(code)))
+        want = [reference_maximal_sets(pattern, code.length) for pattern in patterns]
+        got = searched_sets(code, c)
+        # in the order of each pattern's first word, up to the first that frames
+        assert got == want[:len(got)]
+        assert len(got) == len(want) or not is_frameproof_cover(code, c).verdict
+
+    def test_a_long_code_keeps_only_the_sets_that_repeat(self):
+        # 2^40 bits a word would not fit in memory; the index holds only the 6 sets that
+        # repeat, the subsets of {0, 1} (words 0 and 1) and of {2, 3} (words 1 and 2)
+        words = [(0,) * 40, (0, 0, 1, 1) + (2,) * 36, (1,) * 40]
+        code = make_code(40, 3, words)
+        report = is_frameproof_cover(code, 2, budget=10**13)
+        assert report_of(report)[:2] == report_of(is_frameproof_naive(code, 2))[:2] == (True, None)
+        # the patterns in word order: their maximal sets, searched and failing to cover
+        meter = [3 * (2**40 - 2), 10**13]
+        for masks in ([0b11], [0b11, 0b1100], [0b1100]):
+            assert verify._cover(masks, 40, 2, meter) is None
+        assert report.subsets_examined == meter[0] == 3 * (2**40 - 2) + 6
 
     @given(st.one_of(codes_with_c(), codes_with_c(wide=True), codes_with_c(long=True)))
     @settings(max_examples=200, derandomize=True, deadline=None)
@@ -583,7 +657,8 @@ class TestCoverIndex:
     @given(st.integers(0, 10_000))
     @settings(max_examples=200, derandomize=True, deadline=None)
     def test_one_search_per_distinct_pattern_at_lengths_7_and_8(self, seed):
-        # patterns of two or four 64-bit words, often equal in their first word only
+        # up to 254 sets that repeat: patterns of up to four 64-bit words, often equal in
+        # their first word only
         rng = random.Random(seed)
         length, q, c = rng.choice([7, 8]), rng.randint(2, 4), rng.randint(2, 4)
         words = {tuple(rng.randrange(q) for _ in range(length)) for _ in range(rng.randint(2, 9))}
@@ -629,38 +704,63 @@ class TestCoverIndexPaths:
                 assert report_of(is_frameproof_cover(code, c)) == want
 
 
-def cover_runs(length, patterns):
-    """Per pattern, its maximal sets and ``_cover``'s result and meter.
+def down_closure(tops):
+    """The non-empty sets under some set in ``tops``, as a frozenset of bitsets."""
+    family = set()
+    for top in tops:
+        sub = top
+        while sub:
+            family.add(sub)
+            sub = (sub - 1) & top
+    return frozenset(family)
 
-    Bit 0, the empty set, never changes the sets, so c = 2 plus bit 0
-    searches each set family at c = 2 and at c = 3.
+
+def planted_index(length, families):
+    """A stand-in for ``_shared_sets`` that gives word x the sets of ``families[x]``.
+
+    The sets come in the walk's own order, depth first by position, which is
+    not increasing order.
     """
-    out = []
-    for pattern in patterns:
-        meter = [0, 10**9]
-        cover = verify._cover(pattern, length, 2 + (pattern & 1), meter)
-        out.append((verify._maximal_sets(pattern, length), cover, meter[0]))
-    return out
+    def walk(rows, bounds, sets, columns, *rest):
+        union = frozenset().union(*families)
+        for mask in sorted(union, key=lambda m: [p for p in range(length) if m >> p & 1]):
+            if not len(sets) & 63:
+                columns.append(np.zeros(len(rows), dtype=np.uint64))
+            marks = np.array([mask in family for family in families], dtype=np.uint64)
+            columns[-1] |= marks << np.uint64(len(sets) & 63)
+            sets.append(mask)
+    return walk
 
 
-def check_maximal_sets(length, patterns):
-    got = cover_runs(length, patterns)
+def check_maximal_sets(length, families):
+    """``_cover`` is handed, for each distinct family in word order, the reference's maximal sets.
+
+    A last word with no shared set gives every code two words or more.
+    """
+    families = [*families, frozenset()]
+    code = make_code(length, len(families), [(x,) * length for x in range(len(families))])
+    searched = []
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(verify, "_maximal_sets", reference_maximal_sets)
-        assert got == cover_runs(length, patterns)
+        patch.setattr(verify, "_shared_sets", planted_index(length, families))
+        patch.setattr(verify, "_cover", lambda masks, *rest: searched.append(masks))  # no cover
+        assert is_frameproof_cover(code, 2).verdict
+    assert searched == [reference_maximal_sets(sum(1 << mask for mask in family), length)
+                        for family in dict.fromkeys(families)]
 
 
 class TestMaximalSets:
     @pytest.mark.parametrize("length", [1, 2, 3, 4])
     def test_every_pattern_up_to_length_4(self, length):
-        check_maximal_sets(length, range(1 << (1 << length)))
+        proper = range(1, 2**length - 1)
+        tops = chain.from_iterable(combinations(proper, k) for k in range(len(proper) + 1))
+        check_maximal_sets(length, list(dict.fromkeys(map(down_closure, tops))))
 
-    @given(st.integers(5, 8).flatmap(
-        lambda length: st.tuples(st.just(length), st.integers(0, 2**2**length - 1))))
+    @given(st.integers(5, 8).flatmap(lambda length: st.tuples(st.just(length), st.lists(
+        st.lists(st.integers(1, 2**length - 2), max_size=6), min_size=1, max_size=6))))
     @settings(max_examples=300, derandomize=True, deadline=None)
     def test_patterns_of_one_to_four_words(self, case):
-        length, pattern = case
-        check_maximal_sets(length, [pattern])
+        length, tops = case
+        check_maximal_sets(length, [down_closure(top) for top in tops])
 
 
 class TestCoverAtPlanSizes:
@@ -869,7 +969,7 @@ class TestTDetermined:
     def test_first_agreement_at_chunk_boundaries(self, monkeypatch, wide, cells):
         # on the 255 words of the oa16 seed, the first failing position pair is the
         # last of a chunk, the first of the next one, or one inside a chunk; wide
-        # symbols send every chunk to the sort
+        # symbols are ranked back to the seed's 16 and counted in the same chunks
         if cells is not None:
             monkeypatch.setattr(verify, "_CHUNK_CELLS", cells)
         sorts, repeated = [], verify._repeated
@@ -887,7 +987,7 @@ class TestTDetermined:
             expected = reference_t_determined(code, 2)
             assert (expected[2] - 1) // code.size - 1 == order.index(target)
             assert (report.verdict, report.witness, report.subsets_examined) == expected
-        assert bool(sorts) == wide
+        assert not sorts
 
     def test_a_star_anywhere_or_none_is_read_in_place(self, monkeypatch):
         # the oa16 seed with symbols 0 and 15 swapped has its star at q - 1, and the seed
@@ -929,6 +1029,19 @@ class TestTDetermined:
         code = two_words(300)
         assert report_of(is_t_determined(code, 2)) == reference_t_determined(code, 2)
         assert augment_infinity(two_words(2000), 2, 2).size == 3
+
+    def test_a_wide_short_code_is_ranked_then_counted(self, monkeypatch):
+        # 1,995 symbols key each position pair in 3,980,025 bins, past a chunk's 65,536: the
+        # code's 3 symbols, the star among them, are ranked, and the pairs counted in 9 bins
+        monkeypatch.setattr(verify, "_repeated", lambda *args: pytest.fail("a set was sorted"))
+        code = make_code(300, 1995, [(0,) + (997,) * 299, (1994,) * 300], inf_id=0)
+        assert report_of(is_t_determined(code, 2)) == reference_t_determined(code, 2)
+        # the oa16 seed with its 17 symbols written 2**40 apart, one word planted to agree
+        # with another on a pair, ranks back to 17 symbols
+        words, q, inf = widen(plant_agreement(oa_to_pt_code(build_oa_strength2(16)), (1, 5)).words,
+                              17, 0)
+        code = make_code(17, q, words, inf_id=inf)
+        assert report_of(is_t_determined(code, 2)) == reference_t_determined(code, 2)
 
     def test_t_equal_one(self):
         # t=1: no infinity entries at all, and no agreement anywhere
@@ -1015,7 +1128,7 @@ class TestWideSymbols:
     @given(starred_codes_with_t())
     @settings(max_examples=150, derandomize=True, deadline=None)
     def test_t_determined_report_does_not_depend_on_symbol_values(self, case):
-        # counted keys on narrow codes, sorted keys on wide ones: the same report
+        # keys counted on narrow codes, and on wide ones once ranked: the same report
         code, t = case
         words, q, inf = widen(code.words, code.q, code.inf_id)
         narrow, report = is_t_determined(code, t), is_t_determined(
