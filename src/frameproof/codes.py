@@ -295,6 +295,7 @@ _FPC_MAGIC = "fpc1"
 INF_ALIAS = "*"
 _HEAD = re.compile(rb"[\t-\r\x1c- ]*([^\n\r]*)")  # blanks and line ends, then the header line
 _TOKEN = re.compile(rb"[^\t-\r\x1c- ]+")
+_LINE_END = re.compile(rb"[\n\r]")
 _BODY_BYTES = b"0123456789 \t\v\f\x1c\x1d\x1e\x1f\n\r"  # digits, blanks, line ends
 _CHUNK_BYTES = 1 << 15
 
@@ -377,10 +378,17 @@ def _read_table(text: str | bytes, magic: str, keys: tuple[str, ...], shape: tup
     """The header values and the uint64 table of a ``.fpc`` or ``.oa`` text or its bytes.
 
     The header is read by :func:`_read_header`, and a ``*`` entry stands
-    for the ``star`` key's value.  Per line-aligned chunk of the body, one
-    ``flatnonzero`` finds the token edges, values are summed from digits
-    gathered at the token ends, and ``searchsorted`` counts each line's
-    entries into one output array, whose shape must be the ``shape`` keys' values.
+    for the ``star`` key's value.  The body is cut into chunks of about
+    ``_CHUNK_BYTES`` that end at a line end, ``\\n`` or ``\\r``; a cut
+    inside ``\\r\\n`` leaves a blank line.  In each chunk one
+    ``flatnonzero`` indexes the separators, the bytes up to space, from
+    the line end before the chunk on: the gaps between them are the
+    token lengths, and a separator after a gap of at least one byte ends
+    a token.  Values are summed from the digits gathered before the
+    token ends, and each line's width is the number of tokens ended
+    between its line-end separator and the one before; the end of the
+    text ends its last line.  The values fill one output array, whose
+    shape must be the ``shape`` keys' values.
     """
     data = text.encode() if isinstance(text, str) else text
     if not data.isascii():
@@ -394,38 +402,48 @@ def _read_table(text: str | bytes, magic: str, keys: tuple[str, ...], shape: tup
     out = np.empty(min(rows * cols, (len(data) - at) // 2 + 1), dtype=np.uint64)
     filled = lines = width = 0
     while at < len(data):
-        cut = data.find(b"\n", at + _CHUNK_BYTES) + 1 or len(data)
+        end = _LINE_END.search(data, at + _CHUNK_BYTES)
+        cut = end.end() if end else len(data)
         if bad := data[at:cut].translate(None, valid):  # name the token of the first bad byte
             pos = data.find(bad[:1], at, cut)
             token = next(m[0] for m in _TOKEN.finditer(data, at, cut) if m.end() > pos).decode()
             raise ValueError("'*' used but no infinity id is declared" if star and "*" in token
                              else f"{magic} entries take no sign" if "+" in token
                              else _unconvertible(magic, token))
-        b = np.frombuffer(data, np.uint8, cut - at, at)
-        word = np.zeros(len(b) + 2, dtype=bool)
-        np.greater(b, ord(" "), out=word[1:-1])  # valid blanks and line ends are all <= space
-        starts, ends = np.flatnonzero(word[1:] != word[:-1]).reshape(-1, 2).T.copy()  # contiguous
-        lens, last, n = ends - starts, b[ends - 1], len(starts)
+        b = np.frombuffer(data, np.uint8, cut - at + 1, at - 1)  # and the line end before: seps[0]
+        if data[cut - 1] not in b"\n\r":  # the end of the text ends its last line
+            b = np.append(b, np.uint8(ord("\n")))
+        seps = np.flatnonzero(b <= ord(" "))  # valid blanks and line ends are all <= space
+        lens = seps[1:] - seps[:-1]
+        lens -= 1
+        kinds = b.take(seps)
+        line_ends = np.flatnonzero((kinds == ord("\n")) | (kinds == ord("\r")))
+        if np.count_nonzero(lens) == len(lens):  # each separator after the first ends a token
+            ends, counts = seps[1:], line_ends[1:] - line_ends[:-1]
+        else:  # a line's entries are the tokens ended after the line end before it
+            tokens = lens > 0
+            ends, lens = seps[1:][tokens], lens[tokens]
+            counts = np.diff(np.cumsum(tokens)[line_ends[1:] - 1], prepend=0)
+            counts = counts[counts > 0]
+        pos, n = ends - 1, len(ends)
+        last = b.take(pos)
         val = out[filled:filled + n] if filled + n <= len(out) else np.empty(n, dtype=np.uint64)
         np.subtract(last, ord("0"), out=val, casting="unsafe")
         for k in range(1, min(int(lens.max(initial=0)), 19)):
-            val += (b[ends - 1 - k] - ord("0")) * (lens > k) * np.uint64(10**k)
-        if stars := np.count_nonzero(b == ord(INF_ALIAS)):
+            pos -= 1
+            val += (b.take(pos) - ord("0")) * (lens > k) * np.uint64(10**k)
+        if inf is not None and (stars := np.count_nonzero(b == ord(INF_ALIAS))):
             whole = (lens == 1) & (last == ord(INF_ALIAS))
             if np.count_nonzero(whole) != stars:
                 raise ValueError(f"'*' must be a whole {magic} entry")
             if inf >= 2**64:
                 raise ValueError(_unconvertible(magic, str(inf)))
-            val[whole] = inf
+            np.putmask(val, whole, inf)
         for i in np.flatnonzero(lens > 19):  # the sums could overflow: 2**64 has 20 digits
-            token = data[at + starts[i]:at + ends[i]].decode()
+            token = data[at - 1 + ends[i] - lens[i]:at - 1 + ends[i]].decode()
             if (value := int(token.lstrip("0")[:21] or "0")) >= 2**64:
                 raise ValueError(_unconvertible(magic, token))
             val[i] = value
-        breaks = np.ones(len(b) + 2, dtype=bool)  # the line ends, one before and one after b
-        np.logical_or(b == ord("\n"), b == ord("\r"), out=breaks[1:-1])
-        counts = np.diff(np.searchsorted(ends, breaks.nonzero()[0] - 1, "right"))
-        counts = counts[counts > 0]
         width = width or int(counts[:1].sum())  # the first line's, once there is one
         if (wrong := np.flatnonzero(counts != width)).size:
             raise ValueError(f"bad {magic} table: the number of columns changed from {width} "

@@ -6,7 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import digits_past_int_limit, reference_code_text, reference_oa_text, reference_read_table
@@ -194,6 +194,10 @@ def _read_or_none(read, text, magic):
 
 @given(mutated_bodies(), st.sampled_from([1, 2, 3, 5, 8, 13, 1 << 16]), st.booleans())
 @settings(max_examples=1500, derandomize=True, deadline=None)
+# texts that end in a blank with no line end: the end of the text still ends the last line
+@example(f"fpc1 q={2**65} l=2 M=1 inf={2**64}\n1 ", 1, False)
+@example("oa1 N=9 k=4 s=3 t=2\n\t0 1 2 0 1 2 0 1 2\n0 1 2 1 2 0 2 0 1\n0 1 2 2 0 1 1 2 0\n"
+         "0 0 0 1 1 1 2 2 2\t", 1, False)
 def test_chunked_reader_matches_the_loadtxt_reference(text, chunk_bytes, as_bytes):
     # tiny chunks cut the body at nearly every line end; the reference reads \n lines only
     magic = text.split(None, 1)[0]
@@ -208,15 +212,19 @@ def test_chunked_reader_matches_the_loadtxt_reference(text, chunk_bytes, as_byte
 
 def test_chunks_cut_a_long_body_at_line_ends():
     text = code_to_text(execute_plan(plan_code(2, 15)))
+    short = text[:-3] + "\n"  # the last of the 393 rows loses an entry
     expected = _read_or_none(reference_read_table, text, "fpc1")
-    for chunk_bytes in (1, 7, 64, 1000):
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(codes, "_CHUNK_BYTES", chunk_bytes)
-            assert _read_or_none(codes._read_table, text, "fpc1") == expected
-            # the last of the 393 rows loses an entry
-            for read in (codes._read_table, reference_read_table):
+    with pytest.raises(ValueError, match="columns changed from 4 to 3 at row 393"):
+        reference_read_table(short, "fpc1", *FORMATS["fpc1"])
+    # as written; with doubled blanks and a blank line after each row; with lone \r line ends
+    for edit in (str, lambda t: t.replace(" ", "  ").replace("\n", "\n\n"),
+                 lambda t: t.replace("\n", "\r")):
+        for chunk_bytes in (1, 7, 64, 1000):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(codes, "_CHUNK_BYTES", chunk_bytes)
+                assert _read_or_none(codes._read_table, edit(text), "fpc1") == expected
                 with pytest.raises(ValueError, match="columns changed from 4 to 3 at row 393"):
-                    read(text[:-3] + "\n", "fpc1", *FORMATS["fpc1"])
+                    codes._read_table(edit(short), "fpc1", *FORMATS["fpc1"])
 
 
 # --- fuzzing --------------------------------------------------------------------
