@@ -38,8 +38,8 @@ from math import comb
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-ROWS = ["2:15", "3:16", "2:101", "2:401", "2:1001", "2:2001", "3:112", "4:141",
-        "seed:64", "seed:128", "oa:128"]
+ROWS = ["2:15", "3:16", "2:101", "2:401", "2:1001", "2:2001", "3:112", "4:141", "7:1009",
+        "16:273", "seed:64", "seed:128", "oa:128"]
 RUNS = 3
 # recorded once per row; the rest are phases
 SIZES = ["c", "q", "M", "fpc_bytes", "oa_bytes", "s", "N"]

@@ -8,8 +8,8 @@ from math import comb
 
 import numpy as np
 
-from .codes import (_HEAD, _SYMBOL_LIMIT, Code, Witness, _check_count, _read_header, _read_table,
-                    _table_bytes, is_integer, make_code)
+from .codes import (_CHUNK_BYTES, _HEAD, _SYMBOL_LIMIT, Code, Witness, _check_count, _read_header,
+                    _read_table, _table_bytes, is_integer, make_code)
 from .gf import default_eval_points, make_field
 from .verify import VerifyReport, _first_over
 
@@ -171,9 +171,17 @@ def read_oa_file(path) -> OrthogonalArray:
 
 
 def read_oa_header(path) -> dict[str, int]:
-    """The ``N``, ``k``, ``s`` and ``t`` of an ``.oa`` file, from its first non-blank line alone."""
-    with open(path, "rb") as fh:  # fh splits lines at \n only; _HEAD ends the header at \r too
-        head = next(filter(None, (_HEAD.match(line)[1] for line in fh)), b"")
+    """The ``N``, ``k``, ``s`` and ``t`` of an ``.oa`` file, from its first non-blank line alone.
+
+    The file is read up to the ``\\n`` or ``\\r`` that ends that line: a first block of
+    ``_CHUNK_BYTES``, then blocks as large as all read so far, so that matching the header
+    again after each one costs at most twice the bytes read.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read(_CHUNK_BYTES)
+        while _HEAD.match(data).end() == len(data) and (more := fh.read(len(data))):
+            data += more
+    head = _HEAD.match(data)[1]
     if not head.isascii():  # refused as _read_table refuses it
         raise ValueError(f"{_OA_MAGIC} text is not ASCII")
     return _read_header(head.decode(), _OA_MAGIC, _OA_KEYS)

@@ -12,11 +12,14 @@ Two independent algorithms decide the frameproof property:
   of at most 2**14 uint64 words;
 * :func:`is_frameproof_cover` builds a projection index: for every
   proper non-empty position set S it marks the words whose projection
-  onto S is shared with another word, keying S | {p} from S's keys and
-  the code's own column p, read in place with its least symbol.  Dense
-  sets are counted with one ``np.bincount`` (at most 4 bins per word),
-  sparse ones sorted; the walk stops below a set with no repeat.  Only
-  the sets that repeat are kept, M bits each.  A word x can be framed
+  onto S is shared with another word.  The walk goes in colex order,
+  keying S | {p}, p below S's lowest position, from S's keys and the
+  code's own column p, read in place with its least symbol, and only
+  when every subset one position smaller repeats; from three positions
+  on, only the words that repeat on all those subsets are counted.
+  Dense keys are counted with one ``np.bincount`` (at most 4 bins per
+  key), sparse ones sorted.  Only the sets that repeat are kept, M bits
+  each, and their flags until the walk ends.  A word x can be framed
   exactly when at most c shared sets of x cover every position.  The
   cost is O(M * 2^l), metered in the index's nominal M * (2^l - 2)
   projections plus cover-search nodes, and the witness frames the
@@ -296,7 +299,7 @@ def _repeated(keys: np.ndarray, span: int) -> np.ndarray:
     the repeats.
     """
     if span <= _DENSE * len(keys):
-        return np.bincount(keys, minlength=span)[keys] > 1
+        return (np.bincount(keys, minlength=span) > 1)[keys]  # a gather from 1 byte a bin
     order = keys.argsort()
     ranked = keys[order]
     dup = ranked[1:] == ranked[:-1]
@@ -308,29 +311,47 @@ def _repeated(keys: np.ndarray, span: int) -> np.ndarray:
     return repeated
 
 
-def _shared_sets(rows: np.ndarray, bounds: list[tuple[int, int]], sets: list[int],
-                 columns: list[np.ndarray], mask: int, keys: np.ndarray, span: int) -> None:
-    """Append each proper set S above ``mask`` on which some projection repeats to ``sets``.
+def _shared_sets(rows: np.ndarray, bounds: list[tuple[int, int]], sets: dict[int, np.ndarray],
+                 mask: int, keys: np.ndarray, span: int) -> None:
+    """Add to ``sets`` each proper set on which a projection repeats: ``mask`` and lower positions.
 
-    Its words, those repeating their projection onto ``sets[i]``, get bit
-    i % 64 of ``columns[i // 64]``.  Depth first: S | {p}, p above S's
-    highest position, is S's keys plus one ``_extend`` step on column p of
-    ``rows``, read in place, ``bounds[p]`` its (least symbol, width).  A set
-    on which no projection repeats has no superset on which one does, so
-    the walk stops below it.
+    ``sets`` maps each such set to its words' repeat flags, in the order
+    met.  Depth first in colex order: T = ``mask`` | {p}, p rising below its
+    lowest position, so every subset of T is met before T.  A word repeats
+    on T only with a partner that repeats with it on every subset, so T is
+    skipped, and the walk below it, unless each T - {i} is in ``sets``; from
+    three positions on, only the words flagged on all of them are counted
+    (none, on a 2-determined code).  T's keys are ``keys`` plus one
+    ``_extend`` step on column p of ``rows``, read in place, ``bounds[p]``
+    its (least symbol, width).
     """
-    for p in range(mask.bit_length(), len(bounds)):
+    low = (mask & -mask).bit_length() - 1 if mask else len(bounds)
+    drops = [mask ^ 1 << i for i in range(low, len(bounds)) if mask >> i & 1]
+    for p in range(low):
         sub = mask | 1 << p
         if sub == (1 << len(bounds)) - 1:  # every set but the full one
             continue
+        try:  # the flags of each subset one position smaller but S
+            flags = [sets[d | 1 << p] for d in drops]
+        except KeyError:
+            continue
+        live = None
+        if len(flags) > 1:  # a pair's two positions repeat on almost every word: count all
+            live = sets[mask] & flags[0]
+            for f in flags[1:]:
+                live &= f
+            live = live.nonzero()[0]
+            if not len(live):
+                continue
         sub_keys, sub_span = _extend(keys, span, rows[:, p], *bounds[p])
-        repeated = _repeated(sub_keys, sub_span)
+        if live is None:
+            repeated = _repeated(sub_keys, sub_span)
+        else:
+            repeated = np.zeros(len(rows), dtype=bool)
+            repeated[live] = _repeated(sub_keys[live], sub_span)
         if repeated.any():
-            if not len(sets) & 63:
-                columns.append(np.zeros(len(rows), dtype=np.uint64))
-            columns[-1] |= repeated.astype(np.uint64) << np.uint64(len(sets) & 63)
-            sets.append(sub)
-            _shared_sets(rows, bounds, sets, columns, sub, sub_keys, sub_span)
+            sets[sub] = repeated
+            _shared_sets(rows, bounds, sets, sub, sub_keys, sub_span)
 
 
 def is_frameproof_cover(code: Code, c: int, budget: int = NAIVE_BUDGET) -> VerifyReport:
@@ -338,17 +359,21 @@ def is_frameproof_cover(code: Code, c: int, budget: int = NAIVE_BUDGET) -> Verif
 
     A position set S is shared for x when some word y != x has x's
     projection onto S.  x can be framed by at most c words exactly when at
-    most c shared sets cover every position.  The index takes M
+    most c shared sets cover every position.  The index takes at most M
     projections for each of the 2^l - 2 proper non-empty S, O(M * 2^l) in
-    all: a depth-first walk keys each S | {p}, p above S's highest
-    position, from S's keys by one ``_extend`` step on the code's own
-    column p, which subtracts its least symbol: no shifted copy is made.
-    Keys spanning at most 4 bins per word are counted with one
-    ``np.bincount``, wider ones sorted.  A projection unique on S is
-    unique on every superset, so the walk stops below a set with no
-    repeat, but ``subsets_examined`` still counts the nominal
-    M * (2^l - 2) projections.  Only the sets that repeat are kept, M
-    bits each: the i-th marks its words in bit i % 64 of column i // 64.
+    all: a depth-first walk in colex order keys each S | {p}, p below S's
+    lowest position, from S's keys by one ``_extend`` step on the code's
+    own column p, which subtracts its least symbol: no shifted copy is
+    made.  Keys spanning at most 4 bins per key are counted with one
+    ``np.bincount``, wider ones sorted.  A word repeats on a set only if
+    it and its partner repeat on every subset, all met before the set, so
+    a set is keyed only when each subset one position smaller repeats,
+    and from three positions on only on the words flagged on all of them.
+    On a 2-determined code no word is, so only the l + C(l, 2) sets of
+    one or two positions are keyed; ``subsets_examined`` still counts the
+    nominal M * (2^l - 2) projections.  Only the sets that repeat are
+    kept, a bool per word until the walk ends, then M bits each: the i-th
+    marks its words in bit i % 64 of column i // 64.
     One 1-D ``np.unique`` of the columns' packed keys finds the distinct
     patterns, and the depth-<=c search over a pattern's maximal sets,
     those with no set one position larger, runs once per pattern, in
@@ -364,14 +389,20 @@ def is_frameproof_cover(code: Code, c: int, budget: int = NAIVE_BUDGET) -> Verif
     rows, big_m, ones = code.array, code.size, [1 << p for p in range(code.length)]
     meter = [big_m * ((1 << code.length) - 2), budget]
     _budget_gate(budget, "cover's index takes M*(2^l-2)", meter[0], "projections")
-    # the sets on which a projection repeats (none, with fewer than two words), and
-    # bit i % 64 of column i // 64 marking the words that repeat theirs on sets[i]
-    sets, columns = [], []
+    # the sets on which a projection repeats (none, with fewer than two words), each with
+    # its words' flags, packed 8 to a byte: bit i % 64 of column i // 64 of ``shared``
+    # marks the words that repeat theirs on sets[i], and the flags go
+    found = {}
     if big_m > 1:
         lo, hi = rows.min(axis=0).tolist(), rows.max(axis=0).tolist()
-        _shared_sets(rows, [(a, b - a + 1) for a, b in zip(lo, hi)], sets, columns, 0,
+        _shared_sets(rows, [(a, b - a + 1) for a, b in zip(lo, hi)], found, 0,
                      np.zeros(big_m, dtype=np.int64), 1)
-    shared = np.array(columns, dtype=np.uint64).reshape(len(columns), big_m).T
+    sets = list(found)
+    table = np.zeros((big_m, -(-len(sets) // 64) * 8), dtype=np.uint8)
+    for j in range(0, len(sets), 8):
+        table[:, j >> 3] = sum(found[s].view(np.uint8) << k for k, s in enumerate(sets[j:j + 8]))
+    del found
+    shared = table.view("<u8")
     # per set in increasing order: its column, bit, and per column its bit with those of the sets
     # one position larger; as shared sets are closed under subsets, those decide if it is maximal
     masks = {s: {i >> 6: 1 << (i & 63)} for i, s in enumerate(sets)}
@@ -383,7 +414,7 @@ def is_frameproof_cover(code: Code, c: int, budget: int = NAIVE_BUDGET) -> Verif
     tops = [(s, i >> 6, 1 << (i & 63), masks[s].pop(i >> 6), tuple(masks[s].items()))
             for s, i in sorted(zip(sets, range(len(sets))))]
     # one cover search per distinct pattern, met in word order
-    firsts = np.unique(_pack(shared.view(np.int64), range(len(columns))), return_index=True)[1]
+    firsts = np.unique(_pack(shared.view(np.int64), range(shared.shape[1])), return_index=True)[1]
     for x in np.sort(firsts).tolist():
         held = shared[x].tolist()
         cover = _cover([s for s, col, bit, up, ups in tops if held[col] & up == bit

@@ -2,6 +2,7 @@
 
 import contextlib
 import io
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -147,6 +148,27 @@ class TestLineEnds:
         assert _exit_and_err(tmp_path, capsys, fpc, "b.fpc") == (0, "")
         assert read_oa_header(tmp_path / "a.oa") == {"N": 4, "k": 2, "s": 2, "t": 1}
         assert run(["--quiet", "oa-verify", str(tmp_path / "a.oa")]) == 0
+
+    def test_oa_header_reads_up_to_its_own_line_end(self, tmp_path):
+        # lone \r line ends and two 1 MB rows, one with a non-ASCII byte past the first
+        # block: the header comes from that block alone, and the body read refuses the byte
+        rows = [b"0 1 " * 2**17] * 2
+        rows[1] = rows[1][:2**18] + b"\xe9" + rows[1][2**18 + 1:]
+        path = tmp_path / "cr.oa"
+        path.write_bytes(b"\r".join([b"oa1 N=262144 k=2 s=2 t=1", *rows, b""]))
+        tracemalloc.start()
+        try:
+            assert read_oa_header(path) == {"N": 2**18, "k": 2, "s": 2, "t": 1}
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**17  # the whole file, as one \n-split line, is 2 MB
+        # 64 kB of blank lines first: the header line ends past the first two blocks
+        padded = tmp_path / "padded.oa"
+        padded.write_bytes(b" \r" * 2**15 + path.read_bytes())
+        assert read_oa_header(padded) == {"N": 2**18, "k": 2, "s": 2, "t": 1}
+        with pytest.raises(ValueError, match="oa1 text is not ASCII"):
+            read_oa_file(path)
 
     def test_mixed_line_ends(self):
         assert code_from_text("fpc1 q=3 l=2 M=2 inf=0\n1 2\r2 1\n").words == ((1, 2), (2, 1))

@@ -68,13 +68,20 @@ def widen(words, q, inf=None):
     return [scale(w) for w in words], (q - 1) * WIDE + 1, None if inf is None else inf * WIDE
 
 
+def spread(code):
+    """The same code with each symbol v, the infinity id too, written as 997 * v + 5."""
+    inf = None if code.inf_id is None else 997 * code.inf_id + 5
+    return make_code(code.length, 997 * (code.q - 1) + 6, code.array * 997 + 5, inf_id=inf)
+
+
 @st.composite
-def codes_with_c(draw, wide=False, long=False):
+def codes_with_c(draw, wide=False, long=False, spaced=False):
     """Codes of length 1..6 (single words included), half with a planted framing.
 
     ``wide`` codes have length 3..5 and every symbol scaled by 2**40;
     ``long`` codes have length 7..8, so their shared-set patterns span
-    two or four 64-bit words.
+    two or four 64-bit words; ``spaced`` codes have every symbol v written
+    as 997 * v + 5 (:func:`spread`).
     """
     length = draw(st.integers(3, 5) if wide else st.integers(7, 8) if long else st.integers(1, 6))
     q = draw(st.integers(2, 4))
@@ -88,7 +95,8 @@ def codes_with_c(draw, wide=False, long=False):
         words.add(tuple(y[pos] for pos, y in enumerate(owners)))
     if wide:
         words, q, _ = widen(words, q)
-    return make_code(length, q, sorted(words)), c
+    code = make_code(length, q, sorted(words))
+    return spread(code) if spaced else code, c
 
 
 @st.composite
@@ -228,6 +236,10 @@ class TestNaive:
 # A 3-frameproof code of 136 words of length 5: its subcodes keep the scan
 # going past the first coalitions, and cut to fewer positions they fail.
 PLANNED = execute_plan(plan_code(3, 10))
+# and with a word planted from its last three, which agrees with the first of them on
+# positions 0..2: words repeat on sets of three positions
+PLANTED = make_code(5, PLANNED.q, PLANNED.words + (
+    (*PLANNED.words[-3][:3], PLANNED.words[-1][3], PLANNED.words[-2][4]),))
 
 
 @st.composite
@@ -290,10 +302,7 @@ class TestNaiveReference:
     def test_chunks_cross_many_prefixes(self):
         # 136 words at c=3: 410,040 triples in growing chunks, all clean; then
         # a word built from the last three, first framed by a pair seven chunks in
-        a, b, c = PLANNED.words[-3:]
-        planted = (a[0], a[1], a[2], c[3], b[4])
-        bad = make_code(5, PLANNED.q, PLANNED.words + (planted,))
-        for code in (PLANNED, bad):
+        for code in (PLANNED, PLANTED):
             report = is_frameproof_naive(code, 3)
             assert (report.verdict, report.witness, report.subsets_examined) == (
                 reference_naive(code, 3))
@@ -515,7 +524,8 @@ class TestCover:
         assert is_frameproof_naive(code, c).verdict == expected
         assert is_frameproof_cover(code, c).verdict == expected
 
-    @given(st.one_of(codes_with_c(), codes_with_c(wide=True), codes_with_c(long=True)))
+    @given(st.one_of(codes_with_c(), codes_with_c(wide=True), codes_with_c(long=True),
+                     codes_with_c(spaced=True)))
     @settings(max_examples=200, derandomize=True, deadline=None)
     def test_witness_frames_the_smallest_framable_word(self, case):
         code, c = case
@@ -535,7 +545,7 @@ class TestCover:
 def index_parts(code):
     """The index ``is_frameproof_cover`` builds: ``(sets, table)``.
 
-    ``sets`` is the list the set walk appends each repeating set to, and
+    ``sets`` holds each repeating set, in the order the set walk adds it, and
     ``table`` the (M, W) uint64 word columns, read from the index's first
     ``_pack`` call, which ranks each word's pattern (the set walk itself
     calls ``_extend``, not ``_pack``): bit i % 64 of column i // 64 marks
@@ -612,8 +622,11 @@ def searched_sets(code, c):
 
 class TestCoverIndex:
     @given(st.one_of(codes_with_c(), codes_with_c(wide=True), codes_with_c(long=True),
-                     starred_codes_with_t(), starred_codes_with_t(wide=True)))
+                     codes_with_c(spaced=True), starred_codes_with_t(),
+                     starred_codes_with_t(wide=True)))
     @settings(max_examples=300, derandomize=True, deadline=None)
+    @example((PLANTED, 3))
+    @example((spread(PLANTED), 3))
     def test_shared_sets_match_the_per_set_loop(self, case):
         code = case[0]
         reference = reference_shared_patterns(code)
@@ -690,8 +703,9 @@ def report_of(report):
 
 class TestCoverIndexPaths:
     @given(st.one_of(codes_with_c(), codes_with_c(wide=True), codes_with_c(long=True),
-                     starred_codes_with_t()))
+                     codes_with_c(spaced=True), starred_codes_with_t()))
     @settings(max_examples=200, derandomize=True, deadline=None)
+    @example((PLANTED, 3))
     def test_counting_and_sorting_build_the_same_index(self, case):
         code, c = case[0], max(2, case[1])
         want, reference = report_of(is_frameproof_cover(code, c)), reference_shared_patterns(code)
@@ -702,6 +716,86 @@ class TestCoverIndexPaths:
                 patch.setattr(verify, "_DENSE", dense)
                 assert np.array_equal(cover_index(code), reference)
                 assert report_of(is_frameproof_cover(code, c)) == want
+
+
+def keyed_sets(code, c=2, budget=verify.NAIVE_BUDGET):
+    """Each set the cover walk keys, in order, with the keys it counts: ``[(mask, keys)]``.
+
+    The set is the mask of the ``_shared_sets`` call being walked plus the column its
+    ``_extend`` step reads, found from the column's offset into the code's rows.
+    """
+    rows, walking, keyed, column = code.array, [], [], []
+    shared_sets, extend, repeated = verify._shared_sets, verify._extend, verify._repeated
+
+    def walk(rows, bounds, sets, mask, *rest):
+        walking.append(mask)
+        shared_sets(rows, bounds, sets, mask, *rest)
+        walking.pop()
+
+    def step(keys, span, col, *rest):
+        if walking:
+            column.append((col.ctypes.data - rows.ctypes.data) // rows.strides[1])
+        return extend(keys, span, col, *rest)
+
+    def count(keys, span):
+        keyed.append((walking[-1] | 1 << column.pop(), keys.copy()))
+        return repeated(keys, span)
+
+    with pytest.MonkeyPatch.context() as patch:
+        for name, spy in (("_shared_sets", walk), ("_extend", step), ("_repeated", count)):
+            patch.setattr(verify, name, spy)
+        is_frameproof_cover(code, c, budget)
+    return keyed
+
+
+def same_groups(a, b):
+    """Whether two key arrays split their positions into the same classes of equal keys."""
+    def firsts(keys):
+        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+        return first[inverse.reshape(-1)]
+    return np.array_equal(firsts(a), firsts(b))
+
+
+class TestCoverPruning:
+    @pytest.mark.parametrize("c, q", [(2, 15), (3, 16), (12, 157)])
+    def test_a_2_determined_code_keys_only_sets_of_one_or_two_positions(self, c, q):
+        # a word repeats on a pair only with a star in it, and on a triple only with a star in
+        # each of its three pairs, two stars where a word has one at most: no triple is keyed
+        code = execute_plan(plan_code(c, q))
+        keyed = keyed_sets(code, c, budget=10**9)
+        singles_and_pairs = [m for m in range(1, 2**code.length) if bin(m).count("1") <= 2]
+        assert sorted(mask for mask, _ in keyed) == singles_and_pairs
+        assert len(keyed) == code.length + comb(code.length, 2) == {15: 10, 16: 15, 157: 105}[q]
+        assert all(len(keys) == code.size for _, keys in keyed)
+
+    @given(st.one_of(codes_with_c(), codes_with_c(long=True), codes_with_c(spaced=True)))
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @example((PLANTED, 3))
+    @example((spread(PLANTED), 3))
+    def test_a_set_is_keyed_on_the_words_repeating_on_all_its_subsets(self, case):
+        # a set of 3+ positions is keyed only when each subset one position smaller repeats,
+        # and then on the words that repeat on all of them, with the equalities of their
+        # projections; smaller sets are keyed on every word
+        code = case[0]
+        patterns = dense_patterns(reference_shared_patterns(code))
+        for mask, keys in keyed_sets(code, case[1]):
+            subsets = [mask ^ 1 << i for i in range(code.length) if mask >> i & 1]
+            assert all(any(p >> s & 1 for p in patterns) for s in subsets if s)
+            if len(subsets) < 3:
+                assert len(keys) == code.size
+                continue
+            live = [x for x, p in enumerate(patterns) if all(p >> s & 1 for s in subsets)]
+            positions = [pos for pos in range(code.length) if mask >> pos & 1]
+            assert live and same_groups(keys, _pack(code.array[live], positions))
+
+    @pytest.mark.parametrize("code", [PLANTED, spread(PLANTED)])
+    @pytest.mark.parametrize("c", [2, 3])
+    def test_planted_codes_agree_with_naive(self, code, c):
+        # the walk keys sets of three positions on some words here, not only pairs
+        assert any(bin(mask).count("1") > 2 for mask, _ in keyed_sets(code, c))
+        naive, cover = is_frameproof_naive(code, c), is_frameproof_cover(code, c)
+        assert naive.verdict == cover.verdict
+        assert naive.verdict or framed_witness_holds(cover.witness)
 
 
 def down_closure(tops):
@@ -718,17 +812,13 @@ def down_closure(tops):
 def planted_index(length, families):
     """A stand-in for ``_shared_sets`` that gives word x the sets of ``families[x]``.
 
-    The sets come in the walk's own order, depth first by position, which is
-    not increasing order.
+    The sets come depth first by position from the lowest, not in the walk's
+    increasing order, so the search's own sort of the sets is what orders them.
     """
-    def walk(rows, bounds, sets, columns, *rest):
+    def walk(rows, bounds, sets, *rest):
         union = frozenset().union(*families)
         for mask in sorted(union, key=lambda m: [p for p in range(length) if m >> p & 1]):
-            if not len(sets) & 63:
-                columns.append(np.zeros(len(rows), dtype=np.uint64))
-            marks = np.array([mask in family for family in families], dtype=np.uint64)
-            columns[-1] |= marks << np.uint64(len(sets) & 63)
-            sets.append(mask)
+            sets[mask] = np.array([mask in family for family in families])
     return walk
 
 
